@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .analytics import PathSpec, expected_throughput, heralded_path_distribution, sequential_tree
-from .netmodel import GraphValidationError, NetworkGraph, edge_key
+from .netmodel import EdgeParams, GraphValidationError, NetworkGraph, edge_key
 
 
 class Metric(Enum):
@@ -40,15 +40,40 @@ def _initial_cost(metric: Metric) -> float:
     return 1.0 if metric is Metric.INVERSE_CREATION_RATE else 0.0
 
 
-def _extend_cost(metric: Metric, cost: float, graph: NetworkGraph, u: str, v: str) -> float:
-    e = graph.edge(u, v)
+def _step(metric: Metric, e: EdgeParams) -> float:
+    """One hop's cost: a factor under the creation-rate metric, an addend
+    under the other additive metrics."""
     if metric is Metric.HOP_COUNT:
-        return cost + 1.0
+        return 1.0
     if metric is Metric.SUM_NODE_DISTANCES:
-        return cost + e.length_km
+        return e.length_km
     if metric is Metric.INVERSE_CREATION_RATE:
-        return cost * (1.0 / e.link_prob) if e.link_prob > 0 else math.inf
+        return 1.0 / e.link_prob if e.link_prob > 0 else math.inf
     raise ValueError(f"metric {metric} is not additive")
+
+
+def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
+    """node -> ((nbr, edge key, step), ...) in neighbour order, built once
+    per graph and metric. Edges without capacity, and edges of infinite
+    cost (p = 0 links under the creation-rate metric), are left out: no
+    search may use them."""
+    cache = getattr(graph, "_weighted_adjacency_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(graph, "_weighted_adjacency_cache", cache)
+    adjacency = cache.get(metric)
+    if adjacency is None:
+        adjacency = {}
+        for node in graph.node_ids():
+            entries = []
+            for nbr in graph.neighbors(node):
+                e = graph.edge(node, nbr)
+                step = _step(metric, e)
+                if e.capacity >= 1 and step != math.inf:
+                    entries.append((nbr, edge_key(node, nbr), step))
+            adjacency[node] = tuple(entries)
+        cache[metric] = adjacency
+    return adjacency
 
 
 def path_spec_from_nodes(
@@ -108,33 +133,40 @@ def _dijkstra(
     metric: Metric,
     edge_usable=None,
     banned_nodes: frozenset[str] = frozenset(),
+    banned_edges: frozenset[tuple[str, str]] = frozenset(),
 ) -> tuple[float, tuple[str, ...]] | None:
     """Label-setting search; heap entries carry the node sequence so equal
-    costs resolve to the lexicographically smallest path."""
+    costs resolve to the lexicographically smallest path.
+
+    `edge_usable(key)` and `banned_edges` filter edges by canonical key;
+    `banned_nodes` are never entered.
+    """
     if s in banned_nodes or d in banned_nodes:
         return None
+    adjacency = _weighted_adjacency(graph, metric)
+    multiply = metric is Metric.INVERSE_CREATION_RATE
+    inf = math.inf
     heap = [(_initial_cost(metric), (s,))]
-    done: set[str] = set()
+    # banned nodes are never pushed, so they can share the settled set
+    done: set[str] = set(banned_nodes)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, nodes = heapq.heappop(heap)
+        cost, nodes = pop(heap)
         cur = nodes[-1]
         if cur in done:
             continue
         done.add(cur)
         if cur == d:
             return cost, nodes
-        for nbr in graph.neighbors(cur):
-            if nbr in done or nbr in banned_nodes:
+        for nbr, key, step in adjacency[cur]:
+            if nbr in done or key in banned_edges:
                 continue
-            e = graph.edge(cur, nbr)
-            if e.capacity < 1:
+            if edge_usable is not None and not edge_usable(key):
                 continue
-            if edge_usable is not None and not edge_usable(cur, nbr):
+            nxt = cost * step if multiply else cost + step
+            if nxt == inf:
                 continue
-            nxt = _extend_cost(metric, cost, graph, cur, nbr)
-            if math.isinf(nxt):
-                continue
-            heapq.heappush(heap, (nxt, nodes + (nbr,)))
+            push(heap, (nxt, nodes + (nbr,)))
     return None
 
 
@@ -153,22 +185,28 @@ def shortest_path(
 
 def _path_nodes_cost(graph: NetworkGraph, nodes: tuple[str, ...], metric: Metric) -> float:
     cost = _initial_cost(metric)
+    multiply = metric is Metric.INVERSE_CREATION_RATE
     for u, v in zip(nodes, nodes[1:]):
-        cost = _extend_cost(metric, cost, graph, u, v)
+        step = _step(metric, graph.edge(u, v))
+        cost = cost * step if multiply else cost + step
     return cost
 
 
 def k_shortest_paths(
-    graph: NetworkGraph, s: str, d: str, k: int, metric: Metric
+    graph: NetworkGraph, s: str, d: str, k: int, metric: Metric, edge_usable=None
 ) -> list[PathSpec]:
-    """Yen's algorithm: up to k loop-free paths in non-decreasing cost."""
+    """Yen's algorithm: up to k loop-free paths in non-decreasing cost.
+
+    With `edge_usable`, every search sees only the edges whose canonical
+    key it accepts, as if the others had no capacity.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not metric.additive:
         raise ValueError(f"metric {metric} is not additive")
     _check_endpoints(graph, s, d)
 
-    first = _dijkstra(graph, s, d, metric)
+    first = _dijkstra(graph, s, d, metric, edge_usable=edge_usable)
     if first is None:
         return []
     accepted: list[tuple[float, tuple[str, ...]]] = [first]
@@ -180,15 +218,14 @@ def k_shortest_paths(
         for j in range(len(prev) - 1):
             spur = prev[j]
             root = prev[: j + 1]
-            banned_pairs = {
+            banned_edges = frozenset(
                 edge_key(p[j], p[j + 1])
                 for _, p in accepted
                 if len(p) > j + 1 and p[: j + 1] == root
-            }
-            banned_nodes = frozenset(root[:-1])
-            usable = lambda u, v, _b=banned_pairs: edge_key(u, v) not in _b
+            )
             spur_found = _dijkstra(
-                graph, spur, d, metric, edge_usable=usable, banned_nodes=banned_nodes
+                graph, spur, d, metric, edge_usable=edge_usable,
+                banned_nodes=frozenset(root[:-1]), banned_edges=banned_edges,
             )
             if spur_found is None:
                 continue
@@ -232,7 +269,7 @@ def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
     if best_width is None:
         return None
     # Any path inside the >= best_width subgraph has exactly the best width.
-    usable = lambda u, v: graph.edge(u, v).capacity >= best_width
+    usable = lambda key: graph.edge(*key).capacity >= best_width
     found = _dijkstra(graph, s, d, Metric.INVERSE_CREATION_RATE, edge_usable=usable)
     if found is None:  # creation-rate costs can all be infinite (p = 0 links)
         found = _dijkstra(graph, s, d, Metric.HOP_COUNT, edge_usable=usable)
@@ -280,7 +317,7 @@ def disjoint_paths_on_logical(
     blocked: set[str] = set()
     paths: list[PathSpec] = []
     while len(paths) < max_paths:
-        usable = lambda u, v: remaining.get(edge_key(u, v), 0) >= 1
+        usable = lambda key: remaining.get(key, 0) >= 1
         found = _dijkstra(
             graph, s, d, Metric.HOP_COUNT,
             edge_usable=usable, banned_nodes=frozenset(blocked),

@@ -2,9 +2,11 @@
 
 The allocator is a greedy marginal-utility heuristic: each step commits a
 single +1 width increment on the (request, path) pair with the largest
-utility gain, drawn from k-shortest candidates on the residual-capacity
-graph and capped by the fidelity hop bound. An exact MILP would be
-NP-hard territory; the greedy trades optimality for anytime behavior.
+utility gain, drawn from k-shortest candidates over the edges with residual
+capacity left and capped by the fidelity hop bound. Candidate lists are
+cached per request and set of saturated edges, so Yen runs again for a
+request only once an increment has used up an edge. An exact MILP would
+be NP-hard territory; the greedy trades optimality for anytime behavior.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .analytics import (
     policy_distribution,
 )
 from .netmodel import NetworkGraph, edge_key
-from .pathfind import Metric, k_shortest_paths
+from .pathfind import Metric, k_shortest_paths, path_spec_from_nodes
 
 
 @dataclass(frozen=True)
@@ -141,18 +143,6 @@ def _hop_bound(req: Request, f0: float) -> int:
     return max_hops(f0, req.min_fidelity)
 
 
-def _residual_subgraph(graph: NetworkGraph, residual: dict) -> NetworkGraph:
-    from .netmodel import EdgeParams, build_graph
-
-    edges = [
-        EdgeParams(u=e.u, v=e.v, capacity=residual[edge_key(e.u, e.v)],
-                   length_km=e.length_km, link_prob=e.link_prob)
-        for e in graph.edges
-        if residual[edge_key(e.u, e.v)] >= 1
-    ]
-    return build_graph(list(graph.nodes), edges, graph.phys)
-
-
 def allocate(
     graph: NetworkGraph, requests: list[Request], config: AllocatorConfig
 ) -> AllocationPlan:
@@ -161,6 +151,11 @@ def allocate(
     Every committed increment keeps the per-edge width sums within the
     edge capacities and every chosen route within the request's fidelity
     hop bound; infeasible requests are reported, not fatal.
+
+    Yen runs on `graph` itself and sees only edges with residual capacity
+    left. Its candidates for a request are therefore fixed by the request's
+    endpoints, its hop bound and the set of saturated edges, and are cached
+    under that key: a greedy step that saturates no edge reuses them all.
     """
     residual = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
     infeasible: list[tuple[str, str]] = []
@@ -184,23 +179,31 @@ def allocate(
     def ext_at(nodes: tuple[str, ...], width: int) -> float:
         key = (nodes, width)
         if key not in ext_cache:
-            from .pathfind import path_spec_from_nodes
-
             spec = path_spec_from_nodes(graph, nodes, width=width)
             ext_cache[key] = expected_throughput(
                 policy_distribution(spec, config.policy)
             )
         return ext_cache[key]
 
-    def candidate_routes(req: Request, bound: int) -> list[tuple[str, ...]]:
-        sub = _residual_subgraph(graph, residual)
-        if not (sub.has_node(req.source) and sub.has_node(req.dest)):
-            return []
-        routes: list[tuple[str, ...]] = []
-        for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
-            for cand in k_shortest_paths(sub, req.source, req.dest, config.k, metric):
-                if cand.hop_count <= bound and cand.nodes not in routes:
-                    routes.append(cand.nodes)
+    usable = lambda key: residual[key] >= 1
+    # (source, dest, hop bound, saturated edges) -> candidate node sequences
+    route_cache: dict[tuple, list[tuple[str, ...]]] = {}
+
+    def candidate_routes(
+        req: Request, bound: int, saturated: frozenset
+    ) -> list[tuple[str, ...]]:
+        key = (req.source, req.dest, bound, saturated)
+        routes = route_cache.get(key)
+        if routes is None:
+            routes = []
+            for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
+                for cand in k_shortest_paths(
+                    graph, req.source, req.dest, config.k, metric,
+                    edge_usable=usable,
+                ):
+                    if cand.hop_count <= bound and cand.nodes not in routes:
+                        routes.append(cand.nodes)
+            route_cache[key] = routes
         return routes
 
     # gains computed at different accumulated rates pick up last-ulp noise,
@@ -216,12 +219,13 @@ def allocate(
     trace = [0.0]
     while True:
         best = None  # (gain, request id, nodes, new width)
+        saturated = frozenset(k for k, c in residual.items() if c < 1)
         for req, bound in live:
             seen: set[tuple[str, ...]] = set()
             existing = [
                 nodes for (rid, nodes) in widths if rid == req.id
             ]
-            for nodes in existing + candidate_routes(req, bound):
+            for nodes in existing + candidate_routes(req, bound, saturated):
                 if nodes in seen:
                     continue
                 seen.add(nodes)
@@ -244,12 +248,9 @@ def allocate(
         widths[(rid, nodes)] = w
         for u, v in zip(nodes, nodes[1:]):
             residual[edge_key(u, v)] -= 1
-        req = next(r for r, _ in live if r.id == rid)
         delta = ext_at(nodes, w) - (ext_at(nodes, w - 1) if w > 1 else 0.0)
         rates[rid] += delta
         trace.append(trace[-1] + gain)
-
-    from .pathfind import path_spec_from_nodes
 
     allocations = tuple(
         PathAllocation(

@@ -285,3 +285,42 @@ def test_widest_matches_enumeration():
         )
         got = widest_path(g, s, d)
         assert min(got.per_hop_capacity) == best
+
+
+def test_hop_count_ties_break_lexicographically():
+    g = grid_topology(4, 4, default_edge=EdgeParams(u="", v="", link_prob=0.5))
+    rnd = random.Random(2024)
+    for _ in range(40):
+        s, d = rnd.sample(g.node_ids(), 2)
+        want = min(all_simple_paths(g, s, d), key=lambda p: (len(p), p))
+        assert shortest_path(g, s, d, Metric.HOP_COUNT).nodes == want
+
+
+def test_k_shortest_residual_view_matches_rebuilt_subgraph():
+    """An `edge_usable` residual predicate must pick the same paths as Yen
+    on a graph rebuilt from the edges with residual left, capacity set to
+    the residual."""
+    rnd = random.Random(1971)
+    for _ in range(60):
+        g = random_connected_graph(rnd, rnd.randint(4, 8))
+        residual = {
+            edge_key(e.u, e.v): rnd.randint(0, e.capacity) for e in g.edges
+        }
+        sub = build_graph(
+            list(g.nodes),
+            [
+                EdgeParams(u=e.u, v=e.v, capacity=residual[edge_key(e.u, e.v)],
+                           length_km=e.length_km, link_prob=e.link_prob)
+                for e in g.edges
+                if residual[edge_key(e.u, e.v)] >= 1
+            ],
+            g.phys,
+        )
+        s, d = rnd.sample(g.node_ids(), 2)
+        k = rnd.randint(1, 5)
+        for metric in METRICS:
+            view = k_shortest_paths(
+                g, s, d, k, metric, edge_usable=lambda key: residual[key] >= 1
+            )
+            rebuilt = k_shortest_paths(sub, s, d, k, metric)
+            assert [p.nodes for p in view] == [p.nodes for p in rebuilt]

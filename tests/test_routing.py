@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,9 @@ from qroute import (
 )
 from qroute.netmodel import edge_key
 from qroute.routing import PathAllocation
+from qroute.scenario import parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def one_path_plan(graph, req, nodes, width=1, policy=None):
@@ -304,3 +309,35 @@ def test_allocator_config_validation():
         AllocatorConfig(policy=SwapPolicy.adhoc())
     with pytest.raises(ValueError):
         UtilitySpec("bogus")
+
+
+# sha256 over every plan below: any change to a chosen path, width, trace
+# float or residual changes it. Plans are part of the determinism contract,
+# so a speedup must leave this digest as it is.
+PINNED_PLANS_SHA256 = (
+    "bb80c3fe46cc84cf82f242791bb8573b317e65044befef9d2ccd47dd9208870f"
+)
+
+
+def _plan_fingerprint(plan) -> str:
+    return repr((
+        tuple((a.request_id, a.path.nodes, a.path.per_hop_capacity)
+              for a in plan.allocations),
+        tuple(repr(u) for u in plan.utility_trace),
+        plan.residual,
+        plan.infeasible,
+    ))
+
+
+def test_allocate_plans_pinned():
+    digest = hashlib.sha256()
+    rnd = random.Random(4321)  # the instances of test_c07_allocator_feasibility
+    for _ in range(1000):
+        g, reqs = random_instance(rnd)
+        plan = allocate(g, reqs, AllocatorConfig(k=3, elementary_fidelity=0.98))
+        digest.update(_plan_fingerprint(plan).encode())
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = parse_scenario(path)
+        plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
+        digest.update(_plan_fingerprint(plan).encode())
+    assert digest.hexdigest() == PINNED_PLANS_SHA256

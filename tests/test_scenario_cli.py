@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,3 +272,18 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_unknown_flag_exits_one(tmp_path):
     assert run_command(["analyze", "--scenario", "x", "--bogus"]) == 1
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qroute", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "route" in proc.stdout
