@@ -5,6 +5,8 @@ multi-request path computation and capacity allocation, and a slotted
 Monte Carlo simulator that cross-validates the analytics.
 """
 
+__version__ = "0.1.0"
+
 from .analytics import (
     Distribution,
     PathSpec,
@@ -24,7 +26,6 @@ from .analytics import (
     unheralded_path_distribution,
     werner_fidelity_after_swaps,
 )
-from .cli import TOOL_VERSION as __version__
 from .montecarlo import (
     KeyedRng,
     SimConfig,

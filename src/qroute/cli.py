@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__ as TOOL_VERSION
 from . import analytics
 from .analytics import all_order_trees, expected_throughput
 from .montecarlo import brute_force_distribution, simulate
@@ -28,7 +29,6 @@ from .routing import (
 from .scenario import Scenario, ScenarioError, apply_overrides, parse_scenario
 
 TOOL_NAME = "qroute"
-TOOL_VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -195,7 +195,6 @@ class SimConfig:
     seed: int = 0
     node_disjoint: bool = False
     max_paths_per_request: int = 4
-    check_conservation: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("proactive", "reactive"):
@@ -756,13 +755,8 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             state.discard_all()
         elif state.segments:
             state.segments = [s for s in state.segments if s.alive]
-        if config.check_conservation:
-            state.check_conservation()
+        state.check_conservation()
 
-    if config.scheme == "proactive":
-        stats.delivered_total = sum(
-            e["delivered"] for e in stats.per_path.values()
-        )
     stats.entities_disposed = dict(state.disposed)
     return stats
 

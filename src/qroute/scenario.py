@@ -1,35 +1,20 @@
 """Scenario files: one JSON document drives every CLI subcommand.
 
-Schema (version 1), all sections except `graph` optional:
-
-    {
-      "version": 1,
-      "physical": {"attenuation_alpha_per_km": 0.046, "attempts_per_slot": 1,
-                   "base_efficiency": 1.0, "swap_bound_mode": "off"},
-      "graph": {"nodes": [{"id", "swap_prob", "memory_cutoff_slots"}],
-                "edges": [{"u", "v", "capacity", "length_km", "link_prob"}]}
-               | {"grid": {"rows", "cols", "node": {...}, "edge": {...}}},
-      "elementary_fidelity": 1.0,
-      "requests": [{"id", "source", "dest", "rate_target", "min_fidelity"}],
-      "analytics": {"paths": [["A","B"]], "policy": "doubling",
-                    "order_search": false},
-      "routing": {"k": 5, "utility": "total_throughput", "weights": {},
-                  "policy": "doubling"},
-      "sim": {"scheme": "proactive", "forwarding": "sync",
-              "policy": "doubling", "slots": 1000, "seed": 0,
-              "node_disjoint": false, "max_paths_per_request": 4,
-              "paths": [{"request", "nodes", "width", "policy"}]},
-      "output": {"format": "json"}
-    }
-
-`sim.paths`, when present, pins the proactive plan instead of running the
-allocator. Grid nodes are named "row,col".
+The schema is the field tables below, one per JSON object; README shows
+an example. Parsing is strict: an unknown key, a value of the wrong JSON
+type or a non-finite number is rejected, and every error names its JSON
+path. An absent key takes the default of the dataclass it builds, and
+range checks live in those dataclasses and in `build_graph`.
+`scenario_to_dict` walks the same tables back.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 from .analytics import POLICY_KINDS, SwapPolicy
@@ -45,6 +30,77 @@ from .netmodel import (
 from .routing import AllocatorConfig, Request, UtilitySpec
 
 SCHEMA_VERSION = 1
+
+# One table per JSON object, {key: kind}. A kind is int (a JSON integer,
+# never a bool), float (any finite number), bool, str, SwapPolicy (a policy
+# name), float | None, [kind] for an array, a table for a nested object, or
+# {str: kind} for an object keyed by names of the user's choosing.
+PHYSICAL = {
+    "attenuation_alpha_per_km": float,
+    "attempts_per_slot": int,
+    "base_efficiency": float,
+    "swap_bound_mode": str,
+}
+NODE_PARAMS = {"swap_prob": float, "memory_cutoff_slots": int}
+EDGE_PARAMS = {"capacity": int, "length_km": float, "link_prob": float | None}
+NODE = {"id": str, **NODE_PARAMS}
+EDGE = {"u": str, "v": str, **EDGE_PARAMS}
+GRID = {"rows": int, "cols": int, "node": NODE_PARAMS, "edge": EDGE_PARAMS}
+GRAPH = {"nodes": [NODE], "edges": [EDGE], "grid": GRID}
+REQUEST = {
+    "id": str,
+    "source": str,
+    "dest": str,
+    "rate_target": float,
+    "min_fidelity": float,
+}
+ANALYTICS = {"paths": [[str]], "policy": SwapPolicy, "order_search": bool}
+ROUTING = {
+    "k": int,
+    "utility": str,
+    "weights": {str: float},
+    "policy": SwapPolicy,
+}
+SIM_PATH = {"request": str, "nodes": [str], "width": int, "policy": SwapPolicy}
+SIM = {
+    "scheme": str,
+    "forwarding": str,
+    "policy": SwapPolicy,
+    "slots": int,
+    "seed": int,
+    "node_disjoint": bool,
+    "max_paths_per_request": int,
+    "paths": [SIM_PATH],
+}
+OUTPUT = {"format": str}
+SCHEMA = {
+    "version": int,
+    "physical": PHYSICAL,
+    "graph": GRAPH,
+    "elementary_fidelity": float,
+    "requests": [REQUEST],
+    "analytics": ANALYTICS,
+    "routing": ROUTING,
+    "sim": SIM,
+    "output": OUTPUT,
+}
+# JSON keys whose constructor keyword differs
+RENAME = {
+    "attenuation_alpha_per_km": "attenuation_alpha",
+    "request": "request_id",
+    "utility": "kind",
+    "format": "output_format",
+}
+_JSON_KEY = {kw: key for key, kw in RENAME.items()}
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number",
+    float | None: "a finite number or null",
+    bool: "true or false",
+    str: "a string",
+    SwapPolicy: "a policy name",
+}
+_AS_IS = (int, float, float | None, bool, str)  # kinds emitted unchanged
 
 
 class ScenarioError(ValueError):
@@ -62,6 +118,10 @@ class AnalyticsTargets:
     paths: tuple[tuple[str, ...], ...] = ()
     policy: SwapPolicy = field(default_factory=SwapPolicy.doubling)
     order_search: bool = False
+
+    def __post_init__(self):
+        if self.policy.kind == "adhoc":
+            raise ValueError("policy cannot be adhoc (no closed-form distribution)")
 
 
 @dataclass(frozen=True)
@@ -85,209 +145,183 @@ class Scenario:
     output_format: str = "json"
     version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        if self.output_format not in ("json", "csv"):
+            raise ValueError(
+                f"format must be json or csv, got {self.output_format!r}"
+            )
 
-def _expect(mapping: dict, context: str) -> dict:
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{context} must be an object")
-    return mapping
+
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
-def _parse_graph(data: dict, phys: PhysicalConstants, swap_bound_mode: str) -> NetworkGraph:
-    gd = _expect(data.get("graph", {}), "graph")
+def _mistyped(where: str, expected: str, value) -> ScenarioError:
+    got = json.dumps(value, default=repr)
+    return ScenarioError(f"{where or 'scenario'}: expected {expected}, got {got}")
+
+
+def _read(data, table: dict, where: str) -> dict:
+    """Check one JSON object against its table; return the fields it has as
+    constructor keywords."""
+    if not isinstance(data, dict):
+        raise _mistyped(where, "an object", data)
+    for key in data:
+        if key not in table:
+            raise ScenarioError(f"{_at(where, key)}: unknown field")
+    return {
+        RENAME.get(key, key): _check(value, table[key], _at(where, key))
+        for key, value in data.items()
+    }
+
+
+def _check(value, kind, where: str):
+    """`value` checked against `kind`, in the form constructors take."""
+    if kind is str or kind is bool:
+        if isinstance(value, kind):
+            return value
+    elif kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif kind is float or kind == float | None:
+        if value is None and kind is not float:  # link_prob: derive from length
+            return None
+        # finite, and within float range when it is a JSON integer
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+    elif kind is SwapPolicy:
+        if isinstance(value, str):
+            try:
+                return policy_from_name(value)
+            except ScenarioError as exc:
+                raise ScenarioError(f"{where}: {exc}") from None
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return tuple(
+                _check(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)
+            )
+        raise _mistyped(where, "an array", value)
+    elif str in kind:
+        if isinstance(value, dict):
+            return tuple(sorted(
+                (key, _check(v, kind[str], _at(where, key)))
+                for key, v in value.items()
+            ))
+        raise _mistyped(where, "an object", value)
+    else:
+        return _read(value, kind, where)
+    raise _mistyped(where, _EXPECTED[kind], value)
+
+
+@cache
+def _required(build) -> tuple[str, ...]:
+    params = inspect.signature(build).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty)
+
+
+def _make(where: str, build, /, **kw):
+    """`build(**kw)`; a missing field or a failed range check names `where`."""
+    for name in _required(build):
+        if name not in kw:
+            raise ScenarioError(f"{_at(where, _JSON_KEY.get(name, name))}: missing field")
+    try:
+        return build(**kw)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _check_route(graph: NetworkGraph, nodes: tuple[str, ...], where: str) -> None:
+    if len(nodes) < 2:
+        raise ScenarioError(f"{where}: needs at least 2 nodes")
+    for n in nodes:
+        if not graph.has_node(n):
+            raise ScenarioError(f"{where}: unknown node {n!r}")
+    for u, v in zip(nodes, nodes[1:]):
+        if not graph.has_edge(u, v):
+            raise ScenarioError(f"{where}: no edge between {u!r} and {v!r}")
+
+
+def _graph(gd: dict, phys: PhysicalConstants, mode: str) -> NetworkGraph:
     if "grid" in gd:
-        grid = _expect(gd["grid"], "graph.grid")
-        node_tpl = grid.get("node", {})
-        edge_tpl = grid.get("edge", {})
-        return grid_topology(
-            rows=int(grid.get("rows", 1)),
-            cols=int(grid.get("cols", 1)),
-            default_node=NodeParams(
-                id="",
-                swap_prob=float(node_tpl.get("swap_prob", 0.5)),
-                memory_cutoff_slots=int(node_tpl.get("memory_cutoff_slots", 1)),
-            ),
-            default_edge=EdgeParams(
-                u="", v="",
-                capacity=int(edge_tpl.get("capacity", 1)),
-                length_km=float(edge_tpl.get("length_km", 0.0)),
-                link_prob=edge_tpl.get("link_prob"),
-            ),
-            phys=phys,
-            swap_bound_mode=swap_bound_mode,
+        if "nodes" in gd or "edges" in gd:
+            raise ScenarioError("graph: give either grid or nodes and edges")
+        grid = gd["grid"]
+        return _make(
+            "graph.grid", grid_topology,
+            default_node=NodeParams(id="", **grid.pop("node", {})),
+            default_edge=EdgeParams(u="", v="", **grid.pop("edge", {})),
+            phys=phys, swap_bound_mode=mode, **grid,
         )
-    nodes = []
-    for i, nd in enumerate(gd.get("nodes", [])):
-        nd = _expect(nd, f"graph.nodes[{i}]")
-        if "id" not in nd:
-            raise ScenarioError(f"graph.nodes[{i}]: missing id")
-        nodes.append(
-            NodeParams(
-                id=str(nd["id"]),
-                swap_prob=float(nd.get("swap_prob", 0.5)),
-                memory_cutoff_slots=int(nd.get("memory_cutoff_slots", 1)),
-            )
-        )
-    edges = []
-    for i, ed in enumerate(gd.get("edges", [])):
-        ed = _expect(ed, f"graph.edges[{i}]")
-        for k in ("u", "v"):
-            if k not in ed:
-                raise ScenarioError(f"graph.edges[{i}]: missing {k!r}")
-        lp = ed.get("link_prob")
-        edges.append(
-            EdgeParams(
-                u=str(ed["u"]), v=str(ed["v"]),
-                capacity=int(ed.get("capacity", 1)),
-                length_km=float(ed.get("length_km", 0.0)),
-                link_prob=None if lp is None else float(lp),
-            )
-        )
-    return build_graph(nodes, edges, phys, swap_bound_mode)
+    nodes = [
+        _make(f"graph.nodes[{i}]", NodeParams, **kw)
+        for i, kw in enumerate(gd.get("nodes", ()))
+    ]
+    edges = [
+        _make(f"graph.edges[{i}]", EdgeParams, **kw)
+        for i, kw in enumerate(gd.get("edges", ()))
+    ]
+    return _make("graph", build_graph, node_specs=nodes, edge_specs=edges,
+                 phys=phys, swap_bound_mode=mode)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    data = _expect(data, "scenario")
-    version = data.get("version")
-    if version is None:
+    d = _read(data, SCHEMA, "")
+    if "version" not in d:
         raise ScenarioError("scenario is missing the version field")
-    if version != SCHEMA_VERSION:
+    if d["version"] != SCHEMA_VERSION:
         raise ScenarioError(
-            f"unsupported scenario version {version}; this build reads "
+            f"unsupported scenario version {d['version']}; this build reads "
             f"version {SCHEMA_VERSION}"
         )
 
-    pd = _expect(data.get("physical", {}), "physical")
-    phys = PhysicalConstants(
-        attenuation_alpha=float(pd.get("attenuation_alpha_per_km", 0.046)),
-        attempts_per_slot=int(pd.get("attempts_per_slot", 1)),
-        base_efficiency=float(pd.get("base_efficiency", 1.0)),
-    )
-    swap_bound_mode = str(pd.get("swap_bound_mode", "off"))
-    graph = _parse_graph(data, phys, swap_bound_mode)
+    physical = d.get("physical", {})
+    mode = physical.pop("swap_bound_mode", Scenario.swap_bound_mode)
+    phys = _make("physical", PhysicalConstants, **physical)
+    graph = _graph(d.get("graph", {}), phys, mode)
 
-    f0 = float(data.get("elementary_fidelity", 1.0))
+    f0 = d.get("elementary_fidelity", Scenario.elementary_fidelity)
     if not 0.25 < f0 <= 1:
         raise ScenarioError(f"elementary_fidelity {f0} outside (0.25, 1]")
 
-    requests = []
-    for i, rd in enumerate(data.get("requests", [])):
-        rd = _expect(rd, f"requests[{i}]")
-        rid = str(rd.get("id", f"r{i}"))
-        try:
-            req = Request(
-                id=rid,
-                source=str(rd["source"]),
-                dest=str(rd["dest"]),
-                rate_target=float(rd.get("rate_target", 1.0)),
-                min_fidelity=float(rd.get("min_fidelity", 0.5)),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"request {rid!r}: missing field {exc}") from None
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+    requests = tuple(
+        _make(f"requests[{i}]", Request, **{"id": f"r{i}", **kw})
+        for i, kw in enumerate(d.get("requests", ()))
+    )
+    for i, req in enumerate(requests):
         for endpoint in (req.source, req.dest):
             if not graph.has_node(endpoint):
                 raise ScenarioError(
-                    f"request {rid!r}: unknown node {endpoint!r}"
+                    f"requests[{i}]: request {req.id!r}: unknown node {endpoint!r}"
                 )
-        requests.append(req)
     if len({r.id for r in requests}) != len(requests):
         raise ScenarioError("request ids must be unique")
 
-    ad = _expect(data.get("analytics", {}), "analytics")
-    target_paths = []
-    for i, nodes in enumerate(ad.get("paths", [])):
-        nodes = tuple(str(n) for n in nodes)
-        if len(nodes) < 2:
-            raise ScenarioError(f"analytics.paths[{i}]: needs at least 2 nodes")
-        for n in nodes:
-            if not graph.has_node(n):
-                raise ScenarioError(f"analytics.paths[{i}]: unknown node {n!r}")
-        for u, v in zip(nodes, nodes[1:]):
-            if not graph.has_edge(u, v):
-                raise ScenarioError(
-                    f"analytics.paths[{i}]: no edge between {u!r} and {v!r}"
-                )
-        target_paths.append(nodes)
-    analytics_policy = policy_from_name(str(ad.get("policy", "doubling")))
-    if analytics_policy.kind == "adhoc":
-        raise ScenarioError(
-            "analytics.policy cannot be adhoc (no closed-form distribution)"
-        )
-    analytics = AnalyticsTargets(
-        paths=tuple(target_paths),
-        policy=analytics_policy,
-        order_search=bool(ad.get("order_search", False)),
+    analytics = _make("analytics", AnalyticsTargets, **d.get("analytics", {}))
+    for i, nodes in enumerate(analytics.paths):
+        _check_route(graph, nodes, f"analytics.paths[{i}]")
+
+    rt = d.get("routing", {})
+    utility = _make("routing", UtilitySpec, **{
+        key: rt.pop(key) for key in ("kind", "weights") if key in rt
+    })
+    routing = _make("routing", AllocatorConfig, utility=utility,
+                    elementary_fidelity=f0, **rt)
+
+    sd = d.get("sim", {})
+    explicit = tuple(
+        _make(f"sim.paths[{i}]", ExplicitPath, **{"request_id": f"r{i}", **kw})
+        for i, kw in enumerate(sd.pop("paths", ()))
     )
+    for i, p in enumerate(explicit):
+        _check_route(graph, p.nodes, f"sim.paths[{i}]")
+    sim = _make("sim", SimConfig, **sd)
 
-    rt = _expect(data.get("routing", {}), "routing")
-    try:
-        routing = AllocatorConfig(
-            k=int(rt.get("k", 5)),
-            utility=UtilitySpec(
-                kind=str(rt.get("utility", "total_throughput")),
-                weights=tuple(
-                    sorted((str(k), float(v)) for k, v in rt.get("weights", {}).items())
-                ),
-            ),
-            policy=policy_from_name(str(rt.get("policy", "doubling"))),
-            elementary_fidelity=f0,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"routing: {exc}") from None
-
-    sd = _expect(data.get("sim", {}), "sim")
-    try:
-        sim = SimConfig(
-            scheme=str(sd.get("scheme", "proactive")),
-            forwarding=str(sd.get("forwarding", "sync")),
-            policy=policy_from_name(str(sd.get("policy", "doubling"))),
-            slots=int(sd.get("slots", 1000)),
-            seed=int(sd.get("seed", 0)),
-            node_disjoint=bool(sd.get("node_disjoint", False)),
-            max_paths_per_request=int(sd.get("max_paths_per_request", 4)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"sim: {exc}") from None
-
-    explicit = []
-    for i, pdata in enumerate(sd.get("paths", [])):
-        pdata = _expect(pdata, f"sim.paths[{i}]")
-        nodes = tuple(str(n) for n in pdata.get("nodes", ()))
-        if len(nodes) < 2:
-            raise ScenarioError(f"sim.paths[{i}]: needs at least 2 nodes")
-        for u, v in zip(nodes, nodes[1:]):
-            if not graph.has_edge(u, v):
-                raise ScenarioError(
-                    f"sim.paths[{i}]: no edge between {u!r} and {v!r}"
-                )
-        rid = str(pdata.get("request", f"r{i}"))
-        pol = pdata.get("policy")
-        explicit.append(
-            ExplicitPath(
-                request_id=rid,
-                nodes=nodes,
-                width=int(pdata.get("width", 1)),
-                policy=None if pol is None else policy_from_name(str(pol)),
-            )
-        )
-
-    od = _expect(data.get("output", {}), "output")
-    fmt = str(od.get("format", "json"))
-    if fmt not in ("json", "csv"):
-        raise ScenarioError(f"output.format must be json or csv, got {fmt!r}")
-
-    return Scenario(
-        graph=graph,
-        swap_bound_mode=swap_bound_mode,
-        elementary_fidelity=f0,
-        requests=tuple(requests),
-        analytics=analytics,
-        routing=routing,
-        sim=sim,
-        explicit_paths=tuple(explicit),
-        output_format=fmt,
-        version=int(version),
+    return _make(
+        "output", Scenario,
+        graph=graph, swap_bound_mode=mode, elementary_fidelity=f0,
+        requests=requests, analytics=analytics, routing=routing, sim=sim,
+        explicit_paths=explicit, version=d["version"], **d.get("output", {}),
     )
 
 
@@ -302,123 +336,70 @@ def parse_scenario(path: str | Path) -> Scenario:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
-    try:
-        return scenario_from_dict(data)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    return scenario_from_dict(data)
+
+
+def _emit(table: dict, *sources) -> dict:
+    """The JSON object `table` describes, each field read with getattr from
+    the first source where it is set. Fields set nowhere are left out."""
+    out = {}
+    for key, kind in table.items():
+        attr = RENAME.get(key, key)
+        for source in sources:
+            value = getattr(source, attr, None)
+            if value is not None:
+                out[key] = value if kind in _AS_IS else _plain(value, kind)
+                break
+    return out
+
+
+def _plain(value, kind):
+    if isinstance(kind, list):
+        return [_plain(v, kind[0]) for v in value]
+    if kind is SwapPolicy:
+        return value.kind
+    if isinstance(kind, dict):
+        return dict(value) if str in kind else _emit(kind, value)
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Emit a dict that parses back into a semantically equal Scenario."""
-    d: dict = {
+    """Emit a dict that parses back into an equal Scenario."""
+    d = {
         "version": s.version,
-        "physical": {
-            "attenuation_alpha_per_km": s.graph.phys.attenuation_alpha,
-            "attempts_per_slot": s.graph.phys.attempts_per_slot,
-            "base_efficiency": s.graph.phys.base_efficiency,
-            "swap_bound_mode": s.swap_bound_mode,
-        },
-        "graph": {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "swap_prob": n.swap_prob,
-                    "memory_cutoff_slots": n.memory_cutoff_slots,
-                }
-                for n in s.graph.nodes
-            ],
-            "edges": [
-                {
-                    "u": e.u,
-                    "v": e.v,
-                    "capacity": e.capacity,
-                    "length_km": e.length_km,
-                    "link_prob": e.link_prob,
-                }
-                for e in s.graph.edges
-            ],
-        },
+        "physical": _emit(PHYSICAL, s.graph.phys, s),
+        "graph": _emit(GRAPH, s.graph),
         "elementary_fidelity": s.elementary_fidelity,
-        "requests": [
-            {
-                "id": r.id,
-                "source": r.source,
-                "dest": r.dest,
-                "rate_target": r.rate_target,
-                "min_fidelity": r.min_fidelity,
-            }
-            for r in s.requests
-        ],
-        "analytics": {
-            "paths": [list(p) for p in s.analytics.paths],
-            "policy": s.analytics.policy.kind,
-            "order_search": s.analytics.order_search,
-        },
-        "routing": {
-            "k": s.routing.k,
-            "utility": s.routing.utility.kind,
-            "weights": dict(s.routing.utility.weights),
-            "policy": s.routing.policy.kind,
-        },
-        "sim": {
-            "scheme": s.sim.scheme,
-            "forwarding": s.sim.forwarding,
-            "policy": s.sim.policy.kind,
-            "slots": s.sim.slots,
-            "seed": s.sim.seed,
-            "node_disjoint": s.sim.node_disjoint,
-            "max_paths_per_request": s.sim.max_paths_per_request,
-        },
-        "output": {"format": s.output_format},
+        "requests": _plain(s.requests, SCHEMA["requests"]),
+        "analytics": _emit(ANALYTICS, s.analytics),
+        "routing": _emit(ROUTING, s.routing, s.routing.utility),
+        "sim": _emit(SIM, s.sim),
+        "output": _emit(OUTPUT, s),
     }
     if s.explicit_paths:
-        d["sim"]["paths"] = [
-            {
-                "request": p.request_id,
-                "nodes": list(p.nodes),
-                "width": p.width,
-                **({"policy": p.policy.kind} if p.policy else {}),
-            }
-            for p in s.explicit_paths
-        ]
+        d["sim"]["paths"] = _plain(s.explicit_paths, SIM["paths"])
     return d
+
+
+# CLI flag -> SimConfig field
+_SIM_FLAGS = {"seed": "seed", "slots": "slots", "mode": "forwarding",
+              "scheme": "scheme"}
 
 
 def apply_overrides(s: Scenario, overrides: dict) -> Scenario:
     """Apply CLI flag overrides; keys follow the flag names."""
-    sim = s.sim
-    sim_kwargs = {}
-    if "seed" in overrides:
-        sim_kwargs["seed"] = int(overrides["seed"])
-    if "slots" in overrides:
-        sim_kwargs["slots"] = int(overrides["slots"])
-    if "mode" in overrides:
-        sim_kwargs["forwarding"] = str(overrides["mode"])
-    if "scheme" in overrides:
-        sim_kwargs["scheme"] = str(overrides["scheme"])
+    sim = {_SIM_FLAGS[k]: v for k, v in overrides.items() if k in _SIM_FLAGS}
+    changes = {}
     if "policy" in overrides:
-        sim_kwargs["policy"] = policy_from_name(str(overrides["policy"]))
-    if sim_kwargs:
-        try:
-            sim = replace(sim, **sim_kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"sim overrides: {exc}") from None
-    out = s
-    if sim is not s.sim:
-        out = replace(out, sim=sim)
-    if "policy" in overrides:
-        pol = policy_from_name(str(overrides["policy"]))
-        if pol.kind != "adhoc":  # adhoc is simulation-only
-            out = replace(
-                out,
-                analytics=replace(out.analytics, policy=pol),
-                routing=replace(out.routing, policy=pol),
-            )
+        policy = sim["policy"] = policy_from_name(overrides["policy"])
+        if policy.kind != "adhoc":  # adhoc is simulation-only
+            changes["analytics"] = replace(s.analytics, policy=policy)
+            changes["routing"] = replace(s.routing, policy=policy)
     if "format" in overrides:
-        fmt = str(overrides["format"])
-        if fmt not in ("json", "csv"):
-            raise ScenarioError(f"format must be json or csv, got {fmt!r}")
-        out = replace(out, output_format=fmt)
-    return out
+        changes["output_format"] = overrides["format"]
+    try:
+        if sim:
+            changes["sim"] = replace(s.sim, **sim)
+        return replace(s, **changes)
+    except ValueError as exc:
+        raise ScenarioError(f"overrides: {exc}") from None

@@ -1,21 +1,28 @@
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qroute.cli import run_command
 from qroute.report import canonical_json, format_float
+from qroute.routing import UTILITY_KINDS
 from qroute.scenario import (
+    SCHEMA,
     ScenarioError,
     parse_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+STATIC_POLICIES = ("sequential", "doubling", "parallel")
 
 
 def minimal_scenario(**extra) -> dict:
@@ -93,10 +100,163 @@ def test_missing_file(tmp_path):
         parse_scenario(tmp_path / "nope.json")
 
 
-def test_round_trip_semantic_equality():
-    src = parse_scenario(SCENARIO_DIR / "grid_3x3.json")
-    back = scenario_from_dict(scenario_to_dict(src))
+@st.composite
+def scenario_docs(draw):
+    """Small valid scenario documents on a chain, with optional sections."""
+    n = draw(st.integers(2, 5))
+    ids = [f"n{i}" for i in range(n)]
+    prob = st.floats(0.0, 0.5)
+
+    def subpath():
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        nodes = ids[a:b + 1]
+        return nodes[::-1] if draw(st.booleans()) else nodes
+
+    doc = {
+        "version": 1,
+        "graph": {
+            "nodes": [{"id": i, "swap_prob": draw(prob),
+                       "memory_cutoff_slots": draw(st.integers(1, 5))}
+                      for i in ids],
+            "edges": [{"u": u, "v": v, "capacity": draw(st.integers(0, 3)),
+                       "length_km": draw(st.floats(0, 100)),
+                       "link_prob": draw(st.none() | st.floats(0, 1))}
+                      for u, v in zip(ids, ids[1:])],
+        },
+    }
+    forwarding = draw(st.sampled_from(("sync", "async")))
+    optional = {
+        "physical": {
+            "attenuation_alpha_per_km": draw(st.floats(0, 0.1)),
+            "attempts_per_slot": draw(st.integers(1, 3)),
+            "base_efficiency": draw(st.floats(0.01, 1)),
+            "swap_bound_mode": draw(st.sampled_from(
+                ("off", "linear-optics", "advanced"))),
+        },
+        "elementary_fidelity": draw(st.floats(0.26, 1)),
+        "requests": [
+            {"id": f"q{i}", "source": path[0], "dest": path[-1],
+             "rate_target": draw(st.floats(0.01, 10)),
+             "min_fidelity": draw(st.floats(0.26, 1))}
+            for i, path in enumerate(subpath()
+                                     for _ in range(draw(st.integers(0, 3))))
+        ],
+        "analytics": {
+            "paths": [subpath() for _ in range(draw(st.integers(0, 2)))],
+            "policy": draw(st.sampled_from(STATIC_POLICIES)),
+            "order_search": draw(st.booleans()),
+        },
+        "routing": {
+            "k": draw(st.integers(1, 6)),
+            "utility": draw(st.sampled_from(UTILITY_KINDS)),
+            "weights": draw(st.dictionaries(st.sampled_from(("q0", "q1")),
+                                            st.floats(0, 5))),
+            "policy": draw(st.sampled_from(STATIC_POLICIES)),
+        },
+        "sim": {
+            "scheme": draw(st.sampled_from(("proactive", "reactive"))),
+            "forwarding": forwarding,
+            # adhoc swapping needs asynchronous forwarding
+            "policy": draw(st.sampled_from(
+                STATIC_POLICIES + (("adhoc",) if forwarding == "async" else ())
+            )),
+            "slots": draw(st.integers(1, 5000)),
+            "seed": draw(st.integers(0, 2**31)),
+            "node_disjoint": draw(st.booleans()),
+            "max_paths_per_request": draw(st.integers(1, 4)),
+            "paths": [
+                {"request": f"p{i}", "nodes": subpath(),
+                 "width": draw(st.integers(1, 3)),
+                 **({"policy": draw(st.sampled_from(STATIC_POLICIES))}
+                    if draw(st.booleans()) else {})}
+                for i in range(draw(st.integers(0, 2)))
+            ],
+        },
+        "output": {"format": draw(st.sampled_from(("json", "csv")))},
+    }
+    keep = draw(st.sets(st.sampled_from(sorted(optional))))
+    doc.update({key: optional[key] for key in keep})
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@example(doc=json.loads((SCENARIO_DIR / "grid_3x3.json").read_text()))
+@given(doc=scenario_docs())
+def test_round_trip_semantic_equality(doc):
+    src = scenario_from_dict(doc)
+    once = scenario_to_dict(src)
+    back = scenario_from_dict(once)
     assert back == src
+    assert canonical_json(scenario_to_dict(back)) == canonical_json(once)
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    cur = doc
+    for key in path[:-1]:
+        cur = cur[key]
+    cur[path[-1]] = value
+    return doc
+
+
+_CHAIN = json.loads((SCENARIO_DIR / "two_hop_chain.json").read_text())
+_GRID = json.loads((SCENARIO_DIR / "grid_3x3.json").read_text())
+
+# (document, JSON path the error must name): each was once coerced,
+# ignored, or failed late or with exit code 2
+BAD_INPUTS = [
+    (_set(_GRID, ("graph", "grid", "edge", "link_prob"), "0.6"),
+     "graph.grid.edge.link_prob"),
+    (_set(_CHAIN, ("graph", "edges", 1, "link_prob"), "0.5"),
+     "graph.edges[1].link_prob"),
+    (_set(_CHAIN, ("routing", "weights"), [1, 2]), "routing.weights"),
+    (_set(_CHAIN, ("graph", "edges", 0, "capacity"), 2.9),
+     "graph.edges[0].capacity"),
+    (_set(_CHAIN, ("graph", "edges", 0, "capacity"), True),
+     "graph.edges[0].capacity"),
+    (_set(_CHAIN, ("sim", "slots"), 1000.7), "sim.slots"),
+    (_set(_CHAIN, ("sim", "seed"), "7"), "sim.seed"),
+    (_set(_GRID, ("graph", "grid", "rows"), 2.5), "graph.grid.rows"),
+    (_set(_CHAIN, ("analytics", "order_search"), "false"),
+     "analytics.order_search"),
+    (_set(_CHAIN, ("sim", "node_disjoint"), "no"), "sim.node_disjoint"),
+    (_set(_CHAIN, ("sim", "slot"), 5), "sim.slot"),
+    (_set(_CHAIN, ("comment",), "x"), "comment"),
+    (_set(_CHAIN, ("analytics", "paths"), ["AB"]), "analytics.paths[0]"),
+    (_set(_CHAIN, ("graph", "edges", 0, "length_km"), float("nan")),
+     "graph.edges[0].length_km"),
+    (_set(_CHAIN, ("requests", 0, "rate_target"), float("nan")),
+     "requests[0].rate_target"),
+    (_set(_CHAIN, ("elementary_fidelity",), float("inf")),
+     "elementary_fidelity"),
+]
+
+
+@pytest.mark.parametrize("doc, where", BAD_INPUTS,
+                         ids=[where for _, where in BAD_INPUTS])
+def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
+    with pytest.raises(ScenarioError, match=re.escape(where) + ":"):
+        scenario_from_dict(doc)
+    path = write_scenario(tmp_path, doc)
+    assert run_command(["analyze", "--scenario", str(path),
+                        "--out", str(tmp_path / "out")]) == 1
+    assert where + ":" in capsys.readouterr().err
+
+
+def _table_keys(kind) -> set:
+    if isinstance(kind, list):
+        return _table_keys(kind[0])
+    if isinstance(kind, dict) and str not in kind:
+        return set(kind).union(*map(_table_keys, kind.values()))
+    return set()
+
+
+def test_readme_schema_keys_match_tables():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Scenario schema")[1].split("```jsonc")[1]
+    block = block.split("```")[0]
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == _table_keys(SCHEMA)
 
 
 def test_repo_scenarios_parse():
@@ -274,16 +434,26 @@ def test_unknown_flag_exits_one(tmp_path):
     assert run_command(["analyze", "--scenario", "x", "--bogus"]) == 1
 
 
-def test_module_entry_point_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _run_module(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "qroute", "--help"],
+    return subprocess.run(
+        [sys.executable, *args, "--help"],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = _run_module("-m", "qroute")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "route" in proc.stdout
+
+
+def test_cli_module_runs_without_warnings():
+    # importing the package must not import qroute.cli before runpy does
+    proc = _run_module("-W", "error", "-m", "qroute.cli")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
