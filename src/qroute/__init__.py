@@ -30,10 +30,7 @@ from .montecarlo import (
     KeyedRng,
     SimConfig,
     SimStats,
-    SlotState,
     brute_force_distribution,
-    run_internal_phase,
-    sample_external_phase,
     simulate,
 )
 from .netmodel import (

@@ -142,16 +142,6 @@ class PathSpec:
             interior_swap_probs=self.interior_swap_probs[::-1],
         )
 
-    def with_width(self, width: int) -> "PathSpec":
-        """Same route with every hop's width replaced by `width`."""
-        n = self.hop_count
-        return PathSpec(
-            nodes=self.nodes,
-            per_hop_capacity=(width,) * n,
-            per_hop_prob=self.per_hop_prob,
-            interior_swap_probs=self.interior_swap_probs,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Swap order trees

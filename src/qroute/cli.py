@@ -15,7 +15,7 @@ from . import __version__ as TOOL_VERSION
 from . import analytics
 from .analytics import all_order_trees, expected_throughput
 from .montecarlo import brute_force_distribution, simulate
-from .netmodel import classical_delay_ms, edge_key
+from .netmodel import classical_delay_ms
 from .pathfind import path_spec_from_nodes
 from .report import emit_report
 from .routing import (
@@ -191,20 +191,12 @@ def _cmd_route(scenario: Scenario, report: dict, tables: dict) -> None:
 
 def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
     if scenario.explicit_paths:
+        # the parser checked each path's endpoints and the edge capacities
         declared = {r.id: r for r in scenario.requests}
         used: dict[str, Request] = {}
         allocations = []
-        residual = {
-            edge_key(e.u, e.v): e.capacity for e in scenario.graph.edges
-        }
         for p in scenario.explicit_paths:
             path = path_spec_from_nodes(scenario.graph, p.nodes, width=p.width)
-            for u, v in zip(p.nodes, p.nodes[1:]):
-                residual[edge_key(u, v)] -= p.width
-                if residual[edge_key(u, v)] < 0:
-                    raise ScenarioError(
-                        f"sim.paths overallocate edge ({u!r}, {v!r})"
-                    )
             req = declared.get(p.request_id) or Request(
                 id=p.request_id, source=p.nodes[0], dest=p.nodes[-1]
             )
@@ -219,7 +211,7 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
         return AllocationPlan(
             requests=tuple(used.values()),
             allocations=tuple(allocations),
-            residual=tuple(sorted(residual.items())),
+            residual=(),
         )
     if not scenario.requests:
         raise ScenarioError(

@@ -6,12 +6,16 @@ All randomness comes from a counter-based stream keyed by the draw's
 coordinates, so runs with the same seed see identical link realizations
 regardless of forwarding mode; that is what makes paired sync-vs-async
 comparisons meaningful.
+
+Sync forwarding discards everything at slot end, so a sync slot runs on
+per-hop link counts alone. Async forwarding keeps links and segments until
+a memory cutoff expires them, so it tracks each one as an aged `Span`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .analytics import (
@@ -47,12 +51,12 @@ class KeyedRng:
     """Stateless uniform stream: each draw is a pure function of the seed
     and its coordinates (domain, slot, entity index, sequence number)."""
 
-    __slots__ = ("seed", "_link_base", "_swap_base")
+    __slots__ = ("_link_base", "_swap_base")
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        self._link_base = _mix64((self.seed + _GAMMA * (_LINK_DOMAIN + 1)) & MASK64)
-        self._swap_base = _mix64((self.seed + _GAMMA * (_SWAP_DOMAIN + 1)) & MASK64)
+        seed &= MASK64
+        self._link_base = _mix64((seed + _GAMMA * (_LINK_DOMAIN + 1)) & MASK64)
+        self._swap_base = _mix64((seed + _GAMMA * (_SWAP_DOMAIN + 1)) & MASK64)
 
     def link_slot_base(self, slot: int) -> int:
         return _mix64((self._link_base + _GAMMA * (slot + 1)) & MASK64)
@@ -74,12 +78,6 @@ class KeyedRng:
         h ^= h >> 31
         return (h >> 11) * _INV53
 
-    def link_draw(self, slot: int, edge_index: int, channel: int) -> float:
-        return self.draw_from_base(self.link_slot_base(slot), edge_index, channel)
-
-    def swap_draw(self, slot: int, node_index: int, seq: int) -> float:
-        return self.draw_from_base(self.swap_slot_base(slot), node_index, seq)
-
 
 @dataclass(slots=True)
 class Span:
@@ -100,20 +98,19 @@ DISPOSE_REASONS = ("consumed", "expired", "discarded", "delivered")
 
 
 class SlotState:
-    """Mutable per-run state: live links per edge channel plus segments.
+    """Async run state: live links per edge channel plus segments.
 
     Keeps an entity ledger (created == live + disposed, no double disposal)
-    so tests can assert conservation each slot.
+    that is checked every slot.
     """
 
     def __init__(self, graph: NetworkGraph):
         self.graph = graph
-        self.slot_index = 0
         self.links: dict[tuple[str, str], dict[int, Span]] = {}
         self.segments: list[Span] = []
         self._next_id = 0
         self.created = 0
-        self.disposed = {reason: 0 for reason in DISPOSE_REASONS}
+        self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
 
     def add_link(self, u: str, v: str, channel: int, slot: int) -> Span:
         key = edge_key(u, v)
@@ -154,11 +151,7 @@ class SlotState:
         out.extend(s for s in self.segments if s.alive)
         return out
 
-    def link_count(self, u: str, v: str) -> int:
-        return len(self.links.get(edge_key(u, v), {}))
-
-    def purge_expired(self, slot: int) -> int:
-        expired = 0
+    def purge_expired(self, slot: int) -> None:
         node = self.graph.node
         for span in self.live_spans():
             if (
@@ -166,15 +159,7 @@ class SlotState:
                 or slot - span.right_birth >= node(span.right).memory_cutoff_slots
             ):
                 self.dispose(span, "expired")
-                expired += 1
-        if expired or self.segments:
-            self.segments = [s for s in self.segments if s.alive]
-        return expired
-
-    def discard_all(self) -> None:
-        for span in self.live_spans():
-            self.dispose(span, "discarded")
-        self.segments = []
+        self.segments = [s for s in self.segments if s.alive]
 
     def check_conservation(self) -> None:
         live = len(self.live_spans())
@@ -234,43 +219,14 @@ class SimStats:
         entry["successes"] += successes
 
     def to_dict(self) -> dict:
-        return {
-            "slots_run": self.slots_run,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "forwarding": self.forwarding,
-            "policy": self.policy,
-            "delivered_total": self.delivered_total,
-            "per_request": self.per_request,
-            "per_path": self.per_path,
-            "swap_counters": self.swap_counters,
-            "links_generated": self.links_generated,
-            "entities_disposed": self.entities_disposed,
-        }
+        return asdict(self)
 
 
-def sample_external_phase(
-    graph: NetworkGraph,
-    scope: dict[tuple[str, str], int],
-    state: SlotState,
-    rng: KeyedRng,
-    slot: int,
-) -> list[Span]:
-    """Attempt link generation on every free in-scope channel.
-
-    Draws are keyed by (slot, edge, channel), so the realization for a
-    given seed does not depend on scope or occupancy of other channels.
-    """
-    schedule = [
-        (key, graph.edge_index(*key), graph.edge(*key).link_prob, width)
-        for key, width in sorted(scope.items())
-        if width >= 1
-    ]
-    return _generate_links(schedule, state, rng, slot)
-
-
-def _generate_links(schedule, state: SlotState, rng: KeyedRng, slot: int) -> list[Span]:
-    created = []
+def _generate_links(schedule, state: SlotState, rng: KeyedRng, slot: int) -> int:
+    """Async link generation on every free in-scope channel; returns the
+    number of links created. Draws are keyed by (slot, edge, channel), so
+    the realization does not depend on which channels are occupied."""
+    created = 0
     base = rng.link_slot_base(slot)
     draw = rng.draw_from_base
     for key, eidx, p, width in schedule:
@@ -279,7 +235,8 @@ def _generate_links(schedule, state: SlotState, rng: KeyedRng, slot: int) -> lis
             if occupied and ch in occupied:
                 continue
             if draw(base, eidx, ch) < p:
-                created.append(state.add_link(key[0], key[1], ch, slot))
+                state.add_link(key[0], key[1], ch, slot)
+                created += 1
     return created
 
 
@@ -288,20 +245,15 @@ def _generate_links(schedule, state: SlotState, rng: KeyedRng, slot: int) -> lis
 
 
 class _SwapDraws:
-    """Per-slot swap randomness: sequence numbers restart every slot so
-    identical event orders reproduce identical outcomes across runs."""
+    """One slot's swap randomness: sequence numbers count per node from 0,
+    so identical event orders reproduce identical outcomes across runs."""
 
-    __slots__ = ("_rank", "_rng", "_base", "seq")
+    __slots__ = ("_rank", "_base", "seq")
 
-    def __init__(self, graph: NetworkGraph, rng: KeyedRng, slot: int):
-        self._rank = graph._node_rank()
-        self._rng = rng
-        self._base = rng.swap_slot_base(slot)
+    def __init__(self, rank: dict[str, int], base: int):
+        self._rank = rank
+        self._base = base
         self.seq: dict[str, int] = {}
-
-    def reset(self, slot: int) -> None:
-        self._base = self._rng.swap_slot_base(slot)
-        self.seq.clear()
 
     def success(self, node: str, q: float) -> bool:
         seq = self.seq.get(node, 0)
@@ -359,6 +311,36 @@ class _RuntimePath:
         )
 
 
+def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, stats):
+    """Sync swapping on per-hop link counts; returns (delivered, consumed,
+    segments created).
+
+    Draws in the same order as `_exec_tree` and `_exec_parallel`, so the
+    outcome equals theirs on a slot that starts empty.
+    """
+    nodes = rp.path.nodes
+    qs = rp.path.interior_swap_probs
+    n = len(counts)
+    if rp.schedule is None:  # parallel: each lane draws every interior swap
+        lanes = min(counts)
+        delivered = successes = 0
+        for _ in range(lanes):
+            won = [draws.success(nodes[j], qs[j - 1]) for j in range(1, n)]
+            successes += sum(won)
+            delivered += all(won)
+        stats.record_swaps("parallel", lanes * (n - 1), successes)
+        return delivered, lanes * n, delivered
+    pools = {(h, h + 1): c for h, c in enumerate(counts)}
+    attempts = successes = 0
+    for a, mid, b in rp.schedule:  # post-order: both inputs are filled
+        m = min(pools[a, mid], pools[mid, b])
+        pools[a, b] = sum(draws.success(nodes[mid], qs[mid - 1]) for _ in range(m))
+        attempts += m
+        successes += pools[a, b]
+    stats.record_swaps(rp.policy.kind, attempts, successes)
+    return pools[0, n], 2 * attempts, successes
+
+
 def _exec_parallel(rp: _RuntimePath, spans, state, draws, stats):
     path = rp.path
     n = path.hop_count
@@ -374,29 +356,23 @@ def _exec_parallel(rp: _RuntimePath, spans, state, draws, stats):
         return 0
     for lst in by_hop:
         lst.sort(key=_span_order)
-    delivered = 0
-    attempts = successes = 0
+    delivered = successes = 0
     nodes = path.nodes
     qs = path.interior_swap_probs
     for i in range(lanes):
-        ok = True
-        for j in range(1, n):
-            attempts += 1
-            if draws.success(nodes[j], qs[j - 1]):
-                successes += 1
-            else:
-                ok = False
+        won = [draws.success(nodes[j], qs[j - 1]) for j in range(1, n)]
+        successes += sum(won)
         lane = [by_hop[h][i] for h in range(n)]
         for s in lane:
             state.dispose(s, "consumed")
-        if ok:
+        if all(won):
             e2e = state.add_segment(
                 nodes[0], nodes[-1],
                 lane[0].left_birth, lane[-1].right_birth, owner=rp.label,
             )
             state.dispose(e2e, "delivered")
             delivered += 1
-    stats.record_swaps("parallel", attempts, successes)
+    stats.record_swaps("parallel", lanes * (n - 1), successes)
     return delivered
 
 
@@ -527,29 +503,6 @@ def _execute_policy(rp: _RuntimePath, spans, state, draws, stats):
     return _exec_tree(rp, spans, state, draws, stats)
 
 
-def run_internal_phase(
-    state: SlotState,
-    paths: list[tuple[PathSpec, SwapPolicy]],
-    rng: KeyedRng,
-    stats: SimStats | None = None,
-) -> list[int]:
-    """Execute swapping on live spans; returns deliveries per path.
-
-    Each path binds live links on its hop edges in ascending id order (up
-    to its per-hop width) plus any of its own persisted segments.
-    """
-    stats = stats or SimStats(0, rng.seed, "-", "-", "-")
-    slot = state.slot_index
-    draws = _SwapDraws(state.graph, rng, slot)
-    assigned: set[int] = set()
-    delivered = []
-    for idx, (path, policy) in enumerate(paths):
-        rp = _RuntimePath.build(f"path{idx}", f"path{idx}", path, policy)
-        spans = _bind_rank(state, rp, assigned)
-        delivered.append(_execute_policy(rp, spans, state, draws, stats))
-    return delivered
-
-
 def _bind_rank(state: SlotState, rp: _RuntimePath, assigned: set[int]) -> list[Span]:
     """Ascending-id binding: per hop take the lowest-id free live links."""
     path = rp.path
@@ -561,16 +514,10 @@ def _bind_rank(state: SlotState, rp: _RuntimePath, assigned: set[int]) -> list[S
             ).values(),
             key=_span_order,
         )
-        width = path.per_hop_capacity[h]
-        taken = 0
-        for s in live:
-            if taken >= width:
-                break
-            if s.span_id in assigned:
-                continue
-            assigned.add(s.span_id)
-            spans.append(s)
-            taken += 1
+        free = [s for s in live if s.span_id not in assigned]
+        free = free[:path.per_hop_capacity[h]]
+        assigned.update(s.span_id for s in free)
+        spans.extend(free)
     for seg in state.segments:
         if seg.alive and seg.owner == rp.label:
             spans.append(seg)
@@ -634,6 +581,22 @@ def _collect_owned(state: SlotState, rp: _RuntimePath) -> list[Span]:
     return spans
 
 
+def _reactive_paths(graph, requests, counts, config: SimConfig, slot: int):
+    """One slot's reactive paths, request by request, found on the realized
+    link `counts`; each path takes one link per hop off `counts`."""
+    for req in requests:
+        paths = disjoint_paths_on_logical(
+            LogicalTopology(counts=dict(counts)), graph, req.source, req.dest,
+            config.max_paths_per_request, config.node_disjoint,
+        )
+        for p_idx, path in enumerate(paths):
+            for u, v in zip(path.nodes, path.nodes[1:]):
+                counts[edge_key(u, v)] -= 1
+            yield _RuntimePath.build(
+                f"{req.id}/{slot}/{p_idx}", req.id, path, config.policy
+            )
+
+
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
     """Run the slotted simulation; fully deterministic for a given seed.
 
@@ -648,23 +611,21 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         forwarding=config.forwarding,
         policy=config.policy.label(),
     )
-    state = SlotState(graph)
     sync = config.forwarding == "sync"
+    reactive = config.scheme == "reactive"
 
-    if config.scheme == "proactive":
+    if not reactive:
         if not isinstance(plan_or_requests, AllocationPlan):
             raise ValueError("proactive simulation needs an AllocationPlan")
         bound = _bind_plan(graph, plan_or_requests)
         scope: dict[tuple[str, str], int] = {}
         for rp in bound:
+            if sync and rp.policy.kind == "adhoc":
+                raise ValueError(
+                    f"path {rp.label}: adhoc swapping needs async forwarding"
+                )
             for key, start, width in rp.channels:
                 scope[key] = max(scope.get(key, 0), start + width)
-        # unallocated requests still show up in the stats, at zero
-        request_ids = sorted(
-            {rp.request_id for rp in bound}
-            | {r.id for r in plan_or_requests.requests}
-        )
-        for rp in bound:
             stats.per_path[rp.label] = {
                 "request": rp.request_id,
                 "nodes": list(rp.path.nodes),
@@ -672,6 +633,11 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                 "delivered": 0,
                 "hist": [0] * (rp.path.width + 1),
             }
+        # unallocated requests still show up in the stats, at zero
+        request_ids = sorted(
+            {rp.request_id for rp in bound}
+            | {r.id for r in plan_or_requests.requests}
+        )
     else:
         if isinstance(plan_or_requests, AllocationPlan):
             raise ValueError(
@@ -697,67 +663,85 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     def record_request(rid: str, count: int) -> None:
         entry = stats.per_request[rid]
         entry["delivered"] += count
+        stats.delivered_total += count
         hist = entry["hist"]
         while len(hist) <= count:
             hist.append(0)
         hist[count] += 1
 
-    draws = _SwapDraws(graph, rng, 0)
+    rank = graph._node_rank()
+    draw = rng.draw_from_base
+    # sync tallies entities per slot; async keeps live spans across slots
+    ledger = dict.fromkeys(DISPOSE_REASONS, 0)
+    state = None if sync else SlotState(graph)
     for slot in range(config.slots):
-        state.slot_index = slot
-        if not sync:
+        draws = _SwapDraws(rank, rng.swap_slot_base(slot))
+        if sync:
+            base = rng.link_slot_base(slot)
+            bits = {
+                key: [draw(base, eidx, ch) < p for ch in range(width)]
+                for key, eidx, p, width in gen_schedule
+            }
+            created = sum(map(sum, bits.values()))
+            consumed = 0
+        else:
             state.purge_expired(slot)
-        stats.links_generated += len(_generate_links(gen_schedule, state, rng, slot))
-        draws.reset(slot)
+            created = _generate_links(gen_schedule, state, rng, slot)
+        stats.links_generated += created
 
-        if config.scheme == "proactive":
-            slot_totals = dict.fromkeys(request_ids, 0)
-            for rp in bound:
-                spans = _collect_owned(state, rp)
+        if reactive:
+            if sync:
+                counts = {key: c for key, b in bits.items() if (c := sum(b))}
+            else:
+                counts = {key: len(ch) for key, ch in state.links.items() if ch}
+                assigned: set[int] = set()
+            paths = _reactive_paths(graph, requests, counts, config, slot)
+        else:
+            paths = bound
+        slot_totals = dict.fromkeys(request_ids, 0)
+        for rp in paths:
+            if sync:
+                hops = (
+                    [1] * rp.path.hop_count if reactive
+                    else [sum(bits[key][start:start + width])
+                          for key, start, width in rp.channels]
+                )
+                got, used, segments = _exec_counts(rp, hops, draws, stats)
+                consumed += used
+                created += segments
+            else:
+                spans = (
+                    _bind_rank(state, rp, assigned) if reactive
+                    else _collect_owned(state, rp)
+                )
                 got = _execute_policy(rp, spans, state, draws, stats)
+            slot_totals[rp.request_id] += got
+            if not reactive:
                 entry = stats.per_path[rp.label]
                 entry["hist"][got] += 1
-                if got:
-                    entry["delivered"] += got
-                    slot_totals[rp.request_id] += got
-                    stats.delivered_total += got
-            for rid in request_ids:
-                record_request(rid, slot_totals[rid])
-        else:
-            counts = {
-                key: len(chans) for key, chans in state.links.items() if chans
-            }
-            assigned: set[int] = set()
-            for req in requests:
-                logical = LogicalTopology(counts=dict(counts))
-                paths = disjoint_paths_on_logical(
-                    logical, graph, req.source, req.dest,
-                    config.max_paths_per_request, config.node_disjoint,
-                )
-                got_total = 0
-                for p_idx, path in enumerate(paths):
-                    for u, v in zip(path.nodes, path.nodes[1:]):
-                        counts[edge_key(u, v)] -= 1
-                    rp = _RuntimePath.build(
-                        f"{req.id}/{slot}/{p_idx}", req.id, path, config.policy
-                    )
-                    spans = _bind_rank(state, rp, assigned)
-                    got_total += _execute_policy(rp, spans, state, draws, stats)
-                record_request(req.id, got_total)
-                stats.delivered_total += got_total
-            # partial segments are not reusable once paths are recomputed
-            for seg in state.segments:
-                if seg.alive:
-                    state.dispose(seg, "discarded")
-            state.segments = []
+                entry["delivered"] += got
+        for rid in request_ids:
+            record_request(rid, slot_totals[rid])
 
         if sync:
-            state.discard_all()
-        elif state.segments:
+            delivered = sum(slot_totals.values())
+            if consumed + delivered > created:
+                raise AssertionError(
+                    f"slot {slot}: consumed {consumed} + delivered "
+                    f"{delivered} > created {created}"
+                )
+            ledger["consumed"] += consumed
+            ledger["discarded"] += created - consumed - delivered
+            ledger["delivered"] += delivered
+        else:
+            if reactive:  # partial segments die once paths are recomputed
+                for seg in state.segments:
+                    if seg.alive:
+                        state.dispose(seg, "discarded")
             state.segments = [s for s in state.segments if s.alive]
-        state.check_conservation()
+            state.check_conservation()
 
-    stats.entities_disposed = dict(state.disposed)
+    stats.entities_disposed = ledger if sync else dict(state.disposed)
     return stats
 
 

@@ -159,9 +159,6 @@ class NetworkGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def edge_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(edge_key(e.u, e.v) for e in self.edges)
-
     def node_index(self, node_id: str) -> int:
         """Stable index of a node in sorted order (used for RNG keying)."""
         return self._node_rank()[node_id]

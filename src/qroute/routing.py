@@ -102,9 +102,6 @@ class AllocationPlan:
         self.request(request_id)
         return tuple(a for a in self.allocations if a.request_id == request_id)
 
-    def residual_map(self) -> dict[tuple[str, str], int]:
-        return dict(self.residual)
-
 
 def request_throughput(plan: AllocationPlan, req: Request) -> float:
     """Expected E2E pairs per slot served to one request (sum over its paths)."""

@@ -25,6 +25,7 @@ from .netmodel import (
     NodeParams,
     PhysicalConstants,
     build_graph,
+    edge_key,
     grid_topology,
 )
 from .routing import AllocatorConfig, Request, UtilitySpec
@@ -130,6 +131,10 @@ class ExplicitPath:
     nodes: tuple[str, ...]
     width: int = 1
     policy: SwapPolicy | None = None
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +318,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         _make(f"sim.paths[{i}]", ExplicitPath, **{"request_id": f"r{i}", **kw})
         for i, kw in enumerate(sd.pop("paths", ()))
     )
+    declared = {r.id: r for r in requests}
+    residual = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
     for i, p in enumerate(explicit):
-        _check_route(graph, p.nodes, f"sim.paths[{i}]")
+        where = f"sim.paths[{i}]"
+        _check_route(graph, p.nodes, where)
+        req = declared.get(p.request_id)
+        ends = (p.nodes[0], p.nodes[-1])
+        if req and ends not in ((req.source, req.dest), (req.dest, req.source)):
+            raise ScenarioError(
+                f"{where}: runs {ends[0]!r} to {ends[1]!r}, but request "
+                f"{req.id!r} is {req.source!r} -> {req.dest!r}"
+            )
+        for u, v in zip(p.nodes, p.nodes[1:]):
+            residual[edge_key(u, v)] -= p.width
+            if residual[edge_key(u, v)] < 0:
+                raise ScenarioError(f"{where}: overallocates edge ({u!r}, {v!r})")
     sim = _make("sim", SimConfig, **sd)
 
     return _make(

@@ -1,27 +1,33 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_pmf_close, chain_graph, make_path
 from qroute import (
-    KeyedRng,
+    AllocatorConfig,
+    EdgeParams,
+    NodeParams,
     Request,
     SimConfig,
-    SlotState,
     SwapPolicy,
+    all_order_trees,
     allocate,
     brute_force_distribution,
+    build_graph,
     grid_topology,
     link_distribution,
     path_spec_from_nodes,
-    run_internal_phase,
-    sample_external_phase,
     simulate,
     unheralded_path_distribution,
 )
 from qroute.analytics import sequential_tree
-from qroute.netmodel import edge_key
+from qroute.cli import run_command
 from qroute.routing import AllocationPlan, PathAllocation
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def plan_for_chain(graph, n_hops, width=1, policy=None, rid="r1"):
@@ -39,61 +45,68 @@ def plan_for_chain(graph, n_hops, width=1, policy=None, rid="r1"):
     )
 
 
+def chain_with_probs(probs, q=1.0, cutoff=1):
+    """A chain whose hop h generates a link with probability probs[h]."""
+    nodes = [NodeParams(id=f"n{i}", swap_prob=q, memory_cutoff_slots=cutoff)
+             for i in range(len(probs) + 1)]
+    edges = [EdgeParams(u=f"n{i}", v=f"n{i+1}", capacity=1, link_prob=p)
+             for i, p in enumerate(probs)]
+    return build_graph(nodes, edges)
+
+
 def three_se(p, slots):
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / slots)
 
 
+def ledger(consumed=0, expired=0, discarded=0, delivered=0):
+    return {"consumed": consumed, "expired": expired,
+            "discarded": discarded, "delivered": delivered}
+
+
 # --------------------------------------------------------------------------
-# external phase
+# link generation
 
 
 def test_external_phase_certain_links():
     g = chain_graph(1, p=1.0, cap=2)
-    state = SlotState(g)
-    created = sample_external_phase(
-        g, {("n0", "n1"): 2}, state, KeyedRng(0), slot=0
-    )
-    assert len(created) == 2
-    assert state.link_count("n0", "n1") == 2
+    stats = simulate(g, plan_for_chain(g, 1, width=2), SimConfig(slots=3))
+    assert stats.links_generated == 6
+    assert stats.per_path["r1[0]"]["hist"] == [0, 0, 3]
 
 
 def test_external_phase_no_links_at_p_zero():
     g = chain_graph(1, p=0.0, cap=2)
-    state = SlotState(g)
-    created = sample_external_phase(
-        g, {("n0", "n1"): 2}, state, KeyedRng(0), slot=0
-    )
-    assert created == []
+    stats = simulate(g, plan_for_chain(g, 1, width=2), SimConfig(slots=50))
+    assert stats.links_generated == 0
+    assert stats.per_path["r1[0]"]["hist"] == [50, 0, 0]
 
 
 def test_external_phase_deterministic_for_seed():
     g = chain_graph(3, p=0.5, cap=2)
-    scope = {edge_key(f"n{i}", f"n{i+1}"): 2 for i in range(3)}
+    plan = plan_for_chain(g, 3, width=2)
 
-    def realization():
-        state = SlotState(g)
-        out = []
-        for slot in range(50):
-            state.slot_index = slot
-            created = sample_external_phase(g, scope, state, KeyedRng(42), slot)
-            out.append(tuple((s.edge, s.channel) for s in created))
-            state.discard_all()
-        return out
+    def realization(seed):
+        return simulate(g, plan, SimConfig(slots=50, seed=seed)).to_dict()
 
-    assert realization() == realization()
+    assert realization(42) == realization(42)
+    assert realization(42) != realization(43)
 
 
 def test_external_phase_skips_occupied_channels():
-    g = chain_graph(1, p=1.0, cap=1, cutoff=5)
-    state = SlotState(g)
-    sample_external_phase(g, {("n0", "n1"): 1}, state, KeyedRng(1), 0)
-    again = sample_external_phase(g, {("n0", "n1"): 1}, state, KeyedRng(1), 1)
-    assert again == []
-    assert state.link_count("n0", "n1") == 1
+    # hop n1-n2 never links, so the n0-n1 link waits in memory until its
+    # cutoff of 5 slots; its channel is not regenerated meanwhile
+    g = chain_with_probs([1.0, 0.0], cutoff=5)
+    plan = plan_for_chain(g, 2)
+    stats = simulate(g, plan, SimConfig(forwarding="async", slots=12, seed=1))
+    assert stats.links_generated == 3  # born in slots 0, 5 and 10
+    assert stats.entities_disposed == ledger(expired=2)
+    sync = simulate(g, plan, SimConfig(slots=12, seed=1))
+    assert sync.links_generated == 12
+    assert sync.entities_disposed == ledger(discarded=12)
 
 
 # --------------------------------------------------------------------------
-# internal phase
+# swapping
 
 
 @pytest.mark.parametrize(
@@ -102,26 +115,26 @@ def test_external_phase_skips_occupied_channels():
 )
 def test_two_hop_lane_certain_swap(policy):
     g = chain_graph(2, p=1.0, q=1.0)
-    state = SlotState(g)
-    state.add_link("n0", "n1", 0, 0)
-    state.add_link("n1", "n2", 0, 0)
-    path = path_spec_from_nodes(g, ("n0", "n1", "n2"))
-    delivered = run_internal_phase(state, [(path, policy)], KeyedRng(0))
-    assert delivered == [1]
+    plan = plan_for_chain(g, 2, policy=policy)
+    for forwarding in ("sync", "async"):
+        stats = simulate(g, plan, SimConfig(forwarding=forwarding, slots=1,
+                                            policy=policy))
+        assert stats.delivered_total == 1
+        assert stats.swap_counters == {
+            policy.kind: {"attempts": 1, "successes": 1}
+        }
+        assert stats.entities_disposed == ledger(consumed=2, delivered=1)
 
 
 def test_parallel_missing_link_delivers_nothing():
-    g = chain_graph(2, p=1.0, q=1.0)
-    state = SlotState(g)
-    state.add_link("n0", "n1", 0, 0)
-    path = path_spec_from_nodes(g, ("n0", "n1", "n2"))
-    delivered = run_internal_phase(state, [(path, SwapPolicy.parallel())], KeyedRng(0))
-    assert delivered == [0]
-    # the surviving link is still live; sync semantics discard it at slot end
-    assert state.link_count("n0", "n1") == 1
-    state.discard_all()
-    assert state.link_count("n0", "n1") == 0
-    state.check_conservation()
+    g = chain_with_probs([1.0, 0.0])
+    plan = plan_for_chain(g, 2, policy=SwapPolicy.parallel())
+    stats = simulate(g, plan, SimConfig(slots=1, policy=SwapPolicy.parallel()))
+    assert stats.delivered_total == 0
+    assert stats.swap_counters == {}
+    # the surviving link is not swapped; sync discards it at slot end
+    assert stats.links_generated == 1
+    assert stats.entities_disposed == ledger(discarded=1)
 
 
 def test_doubling_rate_all_links_live():
@@ -166,17 +179,138 @@ def test_async_adhoc_beats_sync_with_memory():
     assert adhoc.delivered_total > sync.delivered_total
 
 
-def test_sync_async_coincide_without_memory():
-    g = chain_graph(3, p=0.8, q=0.5, cutoff=1)
-    plan = plan_for_chain(g, 3, policy=SwapPolicy.parallel())
-    for policy in (SwapPolicy.doubling(), SwapPolicy.parallel()):
-        plan = plan_for_chain(g, 3, policy=policy)
-        a = simulate(g, plan, SimConfig(forwarding="async", slots=20_000, seed=9,
-                                        policy=policy))
-        s = simulate(g, plan, SimConfig(forwarding="sync", slots=20_000, seed=9,
-                                        policy=policy))
-        assert a.delivered_total == s.delivered_total
-        assert a.per_path == s.per_path
+STATIC_POLICIES = (
+    SwapPolicy.sequential(), SwapPolicy.doubling(), SwapPolicy.parallel()
+)
+
+
+@st.composite
+def sim_cases(draw):
+    """A small chain or grid with memory cutoff 1 everywhere, and either a
+    proactive plan or reactive requests."""
+    chain = draw(st.booleans())
+    if chain:
+        n = draw(st.integers(1, 4))
+        ids = [f"n{i}" for i in range(n + 1)]
+        pairs = list(zip(ids, ids[1:]))
+    else:
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        ids = [f"{r},{c}" for r in range(rows) for c in range(cols)]
+        pairs = [(f"{r},{c}", f"{r},{c + 1}")
+                 for r in range(rows) for c in range(cols - 1)]
+        pairs += [(f"{r},{c}", f"{r + 1},{c}")
+                  for r in range(rows - 1) for c in range(cols)]
+    g = build_graph(
+        [NodeParams(id=i, swap_prob=draw(st.sampled_from((0.3, 0.5, 1.0))),
+                    memory_cutoff_slots=1) for i in ids],
+        [EdgeParams(u=u, v=v, capacity=draw(st.integers(1, 3)),
+                    link_prob=draw(st.sampled_from((0.0, 0.4, 0.8, 1.0))))
+         for u, v in pairs],
+    )
+    policy = draw(st.sampled_from(STATIC_POLICIES))
+    requests = [
+        Request(id=f"r{i}", source=a, dest=b)
+        for i, (a, b) in enumerate(
+            draw(st.lists(st.lists(st.sampled_from(ids), min_size=2,
+                                   max_size=2, unique=True),
+                          min_size=1, max_size=3)))
+    ]
+    if draw(st.booleans()):
+        config = dict(scheme="reactive", policy=policy,
+                      max_paths_per_request=draw(st.integers(1, 4)),
+                      node_disjoint=draw(st.booleans()))
+        return g, requests, config
+    if not chain:  # the allocator picks routes and mixed widths
+        plan = allocate(g, requests, AllocatorConfig(k=2, policy=policy))
+        return g, plan, dict(policy=policy)
+    # chain: sub-paths with their own widths and policies, explicit trees too
+    residual = {pair: g.edge(*pair).capacity for pair in pairs}
+    allocations = []
+    for i in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2,
+                                    max_size=2, unique=True)))
+        hops = pairs[a:b]
+        width = draw(st.integers(1, 3))
+        if any(residual[pair] < width for pair in hops):
+            continue
+        for pair in hops:
+            residual[pair] -= width
+        nodes = ids[a:b + 1]
+        path = path_spec_from_nodes(
+            g, nodes[::-1] if draw(st.booleans()) else nodes, width=width)
+        trees = [SwapPolicy.explicit(t) for t in all_order_trees(b - a)]
+        allocations.append(PathAllocation(
+            request_id=f"r{i % 2}", path=path,
+            policy=draw(st.sampled_from(STATIC_POLICIES + tuple(trees)))))
+    plan = AllocationPlan(requests=tuple(requests),
+                          allocations=tuple(allocations), residual=())
+    return g, plan, dict(policy=policy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sim_cases(), seed=st.integers(0, 2**32))
+def test_sync_async_coincide_without_memory(case, seed):
+    # with W = 1 nothing outlives its slot, so the count kernel (sync) and
+    # the span kernel (async) must see the same links and swap draws
+    g, subject, config = case
+    sync, async_ = (
+        simulate(g, subject, SimConfig(forwarding=mode, slots=120, seed=seed,
+                                       **config))
+        for mode in ("sync", "async")
+    )
+    for name in ("per_path", "per_request", "swap_counters",
+                 "links_generated", "delivered_total"):
+        assert getattr(sync, name) == getattr(async_, name), name
+    for reason in ("consumed", "delivered"):
+        assert (sync.entities_disposed[reason]
+                == async_.entities_disposed[reason]), reason
+
+
+# sha256 of the simulate reports below, recorded before the sync simulator
+# moved from spans to link counts
+PINNED_REPORTS_SHA256 = (
+    "d78b7da1d02b4415396b79665aabbf807d8068fa8577cc1c5df6ff5051cb87bc"
+)
+
+
+def test_simulate_reports_pinned(tmp_path):
+    flag_sets = (
+        [],
+        ["--mode", "sync"],
+        ["--scheme", "reactive", "--policy", "parallel"],
+        ["--scheme", "reactive", "--mode", "async", "--policy", "doubling"],
+    )
+    digest = hashlib.sha256()
+    for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
+        for j, flags in enumerate(flag_sets):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{i}-{j}-{fmt}"
+                rc = run_command(["simulate", "--scenario", str(scenario),
+                                  "--slots", "2000", "--format", fmt,
+                                  "--out", str(out), *flags])
+                digest.update(
+                    f"{scenario.name} {' '.join(flags)} {fmt} -> {rc}\n".encode()
+                )
+                for report in sorted(out.glob("*")) if rc == 0 else ():
+                    digest.update(report.name.encode() + b"\n"
+                                  + report.read_bytes())
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+def test_sync_ledger_check_fails_loudly(monkeypatch):
+    # a kernel that reports more consumption than the slot created
+    from qroute import montecarlo
+
+    kernel = montecarlo._exec_counts
+
+    def overconsume(*args):
+        delivered, consumed, segments = kernel(*args)
+        return delivered, consumed + 3, segments
+
+    monkeypatch.setattr(montecarlo, "_exec_counts", overconsume)
+    g = chain_graph(2, p=1.0, q=1.0)
+    with pytest.raises(AssertionError, match="slot 0: consumed 5"):
+        simulate(g, plan_for_chain(g, 2), SimConfig(slots=1))
 
 
 def test_simulate_deterministic():
@@ -263,6 +397,11 @@ def test_plan_overallocation_rejected():
 def test_adhoc_under_sync_rejected():
     with pytest.raises(ValueError, match="adhoc"):
         SimConfig(forwarding="sync", policy=SwapPolicy.adhoc())
+    # the sync kernel has no adhoc order, so a plan cannot slip one in either
+    g = chain_graph(2)
+    plan = plan_for_chain(g, 2, policy=SwapPolicy.adhoc())
+    with pytest.raises(ValueError, match=r"r1\[0\]: adhoc swapping needs async"):
+        simulate(g, plan, SimConfig(slots=1))
 
 
 def test_proactive_needs_plan_reactive_needs_requests():

@@ -126,6 +126,20 @@ def scenario_docs(draw):
         },
     }
     forwarding = draw(st.sampled_from(("sync", "async")))
+    # explicit paths that fit the edge capacities; the parser rejects the rest
+    residual = {frozenset((e["u"], e["v"])): e["capacity"]
+                for e in doc["graph"]["edges"]}
+    sim_paths = []
+    for i in range(draw(st.integers(0, 2))):
+        nodes, width = subpath(), draw(st.integers(1, 3))
+        hops = [frozenset(hop) for hop in zip(nodes, nodes[1:])]
+        if all(residual[hop] >= width for hop in hops):
+            for hop in hops:
+                residual[hop] -= width
+            sim_paths.append(
+                {"request": f"p{i}", "nodes": nodes, "width": width,
+                 **({"policy": draw(st.sampled_from(STATIC_POLICIES))}
+                    if draw(st.booleans()) else {})})
     optional = {
         "physical": {
             "attenuation_alpha_per_km": draw(st.floats(0, 0.1)),
@@ -165,13 +179,7 @@ def scenario_docs(draw):
             "seed": draw(st.integers(0, 2**31)),
             "node_disjoint": draw(st.booleans()),
             "max_paths_per_request": draw(st.integers(1, 4)),
-            "paths": [
-                {"request": f"p{i}", "nodes": subpath(),
-                 "width": draw(st.integers(1, 3)),
-                 **({"policy": draw(st.sampled_from(STATIC_POLICIES))}
-                    if draw(st.booleans()) else {})}
-                for i in range(draw(st.integers(0, 2)))
-            ],
+            "paths": sim_paths,
         },
         "output": {"format": draw(st.sampled_from(("json", "csv")))},
     }
@@ -202,6 +210,10 @@ def _set(doc: dict, path: tuple, value) -> dict:
 
 _CHAIN = json.loads((SCENARIO_DIR / "two_hop_chain.json").read_text())
 _GRID = json.loads((SCENARIO_DIR / "grid_3x3.json").read_text())
+_ADHOC = json.loads((SCENARIO_DIR / "async_adhoc_chain.json").read_text())
+_AB = {"request": "x", "nodes": ["A", "B"]}
+_CD = {"request": "y", "nodes": ["C", "D"]}
+_ABCD = {"request": "r1", "nodes": ["A", "B", "C", "D"]}
 
 # (document, JSON path the error must name): each was once coerced,
 # ignored, or failed late or with exit code 2
@@ -230,6 +242,12 @@ BAD_INPUTS = [
      "requests[0].rate_target"),
     (_set(_CHAIN, ("elementary_fidelity",), float("inf")),
      "elementary_fidelity"),
+    # r1 is declared A -> D, but its explicit path stops at C
+    (_set(_ADHOC, ("sim", "paths"), [{**_ABCD, "nodes": ["A", "B", "C"]}]),
+     "sim.paths[0]"),
+    (_set(_ADHOC, ("sim", "paths"), [_AB, {**_CD, "width": 0}]), "sim.paths[1]"),
+    # every edge has capacity 1, and A-B is already taken
+    (_set(_ADHOC, ("sim", "paths"), [_AB, _CD, _ABCD]), "sim.paths[2]"),
 ]
 
 
