@@ -8,6 +8,7 @@ Usage: python scripts/sync_vs_async.py [--hops 3] [--cutoff 5] [--slots 100000]
 """
 
 import argparse
+from dataclasses import replace
 
 from qroute import (
     AllocatorConfig,
@@ -59,7 +60,11 @@ def main():
           f"{args.slots} slots, seed {args.seed}")
     print(f"sync closed form rate: {closed_form:.5f}")
     for name, config in runs.items():
-        stats = simulate(g, plan, config)
+        # the allocator priced the path; each run swaps with its own policy
+        run_plan = replace(plan, allocations=tuple(
+            replace(a, policy=config.policy) for a in plan.allocations
+        ))
+        stats = simulate(g, run_plan, config)
         rate = stats.delivered_total / stats.slots_run
         print(f"{name:>15}: delivered {stats.delivered_total:>7}  "
               f"rate {rate:.5f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__ as TOOL_VERSION
 from . import analytics
@@ -217,7 +218,12 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
         raise ScenarioError(
             "proactive simulation needs requests or explicit sim.paths"
         )
-    return allocate(scenario.graph, list(scenario.requests), scenario.routing)
+    # the allocator prices paths with routing.policy; the simulator swaps
+    # with sim.policy on every allocated path, as on explicit ones
+    plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
+    return replace(plan, allocations=tuple(
+        replace(a, policy=scenario.sim.policy) for a in plan.allocations
+    ))
 
 
 def _cmd_simulate(scenario: Scenario, report: dict, tables: dict) -> None:

@@ -9,7 +9,8 @@ comparisons meaningful.
 
 Sync forwarding discards everything at slot end, so a sync slot runs on
 per-hop link counts alone. Async forwarding keeps links and segments until
-a memory cutoff expires them, so it tracks each one as an aged `Span`.
+a memory cutoff expires them, so it keeps each one as a small record: links
+in per-hop FIFOs, segments in per-path lists, all in id order.
 """
 
 from __future__ import annotations
@@ -79,98 +80,6 @@ class KeyedRng:
         return (h >> 11) * _INV53
 
 
-@dataclass(slots=True)
-class Span:
-    """A live entanglement: elementary link (one hop) or swapped segment."""
-
-    span_id: int
-    left: str
-    right: str
-    left_birth: int
-    right_birth: int
-    edge: tuple[str, str] | None = None  # set for elementary links
-    channel: int = -1
-    owner: str | None = None  # path label for persisted segments
-    alive: bool = True
-
-
-DISPOSE_REASONS = ("consumed", "expired", "discarded", "delivered")
-
-
-class SlotState:
-    """Async run state: live links per edge channel plus segments.
-
-    Keeps an entity ledger (created == live + disposed, no double disposal)
-    that is checked every slot.
-    """
-
-    def __init__(self, graph: NetworkGraph):
-        self.graph = graph
-        self.links: dict[tuple[str, str], dict[int, Span]] = {}
-        self.segments: list[Span] = []
-        self._next_id = 0
-        self.created = 0
-        self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
-
-    def add_link(self, u: str, v: str, channel: int, slot: int) -> Span:
-        key = edge_key(u, v)
-        span = Span(
-            span_id=self._next_id, left=key[0], right=key[1],
-            left_birth=slot, right_birth=slot, edge=key, channel=channel,
-        )
-        self._next_id += 1
-        self.created += 1
-        self.links.setdefault(key, {})[channel] = span
-        return span
-
-    def add_segment(
-        self, left: str, right: str, left_birth: int, right_birth: int,
-        owner: str | None,
-    ) -> Span:
-        span = Span(
-            span_id=self._next_id, left=left, right=right,
-            left_birth=left_birth, right_birth=right_birth, owner=owner,
-        )
-        self._next_id += 1
-        self.created += 1
-        self.segments.append(span)
-        return span
-
-    def dispose(self, span: Span, reason: str) -> None:
-        if not span.alive:
-            raise AssertionError(f"span {span.span_id} disposed twice")
-        span.alive = False
-        self.disposed[reason] += 1
-        if span.edge is not None:
-            channels = self.links.get(span.edge)
-            if channels and channels.get(span.channel) is span:
-                del channels[span.channel]
-
-    def live_spans(self) -> list[Span]:
-        out = [s for chans in self.links.values() for s in chans.values()]
-        out.extend(s for s in self.segments if s.alive)
-        return out
-
-    def purge_expired(self, slot: int) -> None:
-        node = self.graph.node
-        for span in self.live_spans():
-            if (
-                slot - span.left_birth >= node(span.left).memory_cutoff_slots
-                or slot - span.right_birth >= node(span.right).memory_cutoff_slots
-            ):
-                self.dispose(span, "expired")
-        self.segments = [s for s in self.segments if s.alive]
-
-    def check_conservation(self) -> None:
-        live = len(self.live_spans())
-        total_disposed = sum(self.disposed.values())
-        if self.created != live + total_disposed:
-            raise AssertionError(
-                f"entity ledger broken: created {self.created} != "
-                f"live {live} + disposed {total_disposed}"
-            )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     scheme: str = "proactive"  # proactive | reactive
@@ -222,24 +131,6 @@ class SimStats:
         return asdict(self)
 
 
-def _generate_links(schedule, state: SlotState, rng: KeyedRng, slot: int) -> int:
-    """Async link generation on every free in-scope channel; returns the
-    number of links created. Draws are keyed by (slot, edge, channel), so
-    the realization does not depend on which channels are occupied."""
-    created = 0
-    base = rng.link_slot_base(slot)
-    draw = rng.draw_from_base
-    for key, eidx, p, width in schedule:
-        occupied = state.links.get(key)
-        for ch in range(width):
-            if occupied and ch in occupied:
-                continue
-            if draw(base, eidx, ch) < p:
-                state.add_link(key[0], key[1], ch, slot)
-                created += 1
-    return created
-
-
 # ---------------------------------------------------------------------------
 # Internal phase
 
@@ -259,6 +150,15 @@ class _SwapDraws:
         seq = self.seq.get(node, 0)
         self.seq[node] = seq + 1
         return KeyedRng.draw_from_base(self._base, self._rank[node], seq) < q
+
+    def successes(self, node: str, q: float, m: int) -> list[bool]:
+        """The next `m` swap outcomes at `node`, in sequence order."""
+        seq = self.seq.get(node, 0)
+        self.seq[node] = seq + m
+        base = self._base
+        rank = self._rank[node]
+        draw = KeyedRng.draw_from_base
+        return [draw(base, rank, s) < q for s in range(seq, seq + m)]
 
 
 def _merge_schedule_from_tree(tree: SwapOrderTree) -> tuple[tuple[int, int, int], ...]:
@@ -291,7 +191,6 @@ class _RuntimePath:
     request_id: str
     path: PathSpec
     policy: SwapPolicy
-    pos: dict  # node id -> path position
     schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
     channels: tuple[tuple[tuple[str, str], int, int], ...] = ()
 
@@ -306,17 +205,16 @@ class _RuntimePath:
             schedule = None
         return cls(
             label=label, request_id=request_id, path=path, policy=policy,
-            pos={node: i for i, node in enumerate(path.nodes)},
             schedule=schedule, channels=tuple(channels),
         )
 
 
 def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, stats):
-    """Sync swapping on per-hop link counts; returns (delivered, consumed,
-    segments created).
+    """Swapping on per-hop link counts; returns (delivered, consumed,
+    segments created). Sync runs every policy through it, async `parallel`.
 
-    Draws in the same order as `_exec_tree` and `_exec_parallel`, so the
-    outcome equals theirs on a slot that starts empty.
+    Draws in the same order as `_exec_tree`, so the outcome equals its
+    outcome on a slot that starts empty.
     """
     nodes = rp.path.nodes
     qs = rp.path.interior_swap_probs
@@ -341,187 +239,289 @@ def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, stats):
     return pools[0, n], 2 * attempts, successes
 
 
-def _exec_parallel(rp: _RuntimePath, spans, state, draws, stats):
-    path = rp.path
-    n = path.hop_count
-    pos = rp.pos
-    by_hop: list[list[Span]] = [[] for _ in range(n)]
-    for s in spans:
-        if s.alive and s.edge is not None:
-            a = pos[s.left]
-            b = pos[s.right]
-            by_hop[a if a < b else b].append(s)
-    lanes = min(len(lst) for lst in by_hop)
-    if not lanes:
-        return 0
-    for lst in by_hop:
-        lst.sort(key=_span_order)
-    delivered = successes = 0
-    nodes = path.nodes
-    qs = path.interior_swap_probs
-    for i in range(lanes):
-        won = [draws.success(nodes[j], qs[j - 1]) for j in range(1, n)]
-        successes += sum(won)
-        lane = [by_hop[h][i] for h in range(n)]
-        for s in lane:
-            state.dispose(s, "consumed")
-        if all(won):
-            e2e = state.add_segment(
-                nodes[0], nodes[-1],
-                lane[0].left_birth, lane[-1].right_birth, owner=rp.label,
+# ---------------------------------------------------------------------------
+# Async kernel
+
+
+DISPOSE_REASONS = ("consumed", "expired", "discarded", "delivered")
+
+
+class _Channels:
+    """A run of an edge's channels that one owner binds from, and the live
+    links on it as (id, birth, birth, channel) records in id order.
+
+    A proactive path's hop owns its own run; under the reactive scheme a
+    whole edge is one run. Ids come from one counter in creation order, so
+    within a run id order is (birth slot, channel) order, and every policy,
+    and expiry too, takes links off the front.
+    """
+
+    __slots__ = ("start", "width", "cutoff", "links")
+
+    def __init__(self, start: int, width: int, cutoff: int):
+        self.start = start
+        self.width = width
+        self.cutoff = cutoff  # slots a link lives: min over its two ends
+        self.links: list[tuple[int, int, int, int]] = []
+
+
+class _PathStore:
+    """One path's async state: the link list of the run each hop binds
+    from, and the path's live segments.
+
+    A segment is an (id, left birth, right birth, a, b, expiry slot) record
+    for path positions a < b; every list holds them in id order. Tree
+    policies pool segments by extent (a, b). Adhoc files each one under the
+    node it ends at (`ends`) and again under the node it starts at
+    (`starts`), and takes it out of both together.
+    """
+
+    __slots__ = ("runs", "widths", "cutoffs", "pools", "ends", "starts", "held")
+
+    def __init__(self, rp: _RuntimePath, runs: list[list], cutoffs: tuple[int, ...]):
+        self.runs = runs
+        self.widths = rp.path.per_hop_capacity
+        self.cutoffs = cutoffs  # per path position
+        self.pools = {(a, b): [] for a, _, b in rp.schedule or ()}
+        adhoc = rp.policy.kind == "adhoc"
+        self.ends = [[] for _ in cutoffs] if adhoc else []
+        self.starts = [[] for _ in cutoffs] if adhoc else []
+        self.held = [*self.pools.values(), *self.ends]  # each segment once
+
+    def live(self) -> int:
+        return sum(map(len, self.held))
+
+    def purge(self, slot: int) -> int:
+        expired = 0
+        for held in self.held:
+            for seg in [s for s in held if s[5] <= slot] if held else ():
+                held.remove(seg)
+                if self.starts:
+                    self.starts[seg[3]].remove(seg)
+                expired += 1
+        return expired
+
+
+class _AsyncKernel:
+    """Async run state: link runs, the id counter and the entity ledger
+    (created == live + disposed), checked every slot."""
+
+    def __init__(self, graph: NetworkGraph, runs):
+        """`runs`: (edge key, first channel, width), in channel order per edge."""
+        cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
+        self.runs: dict[tuple, _Channels] = {}  # (edge key, first channel)
+        by_edge: dict[tuple[str, str], list[_Channels]] = {}
+        for key, start, width in runs:
+            run = _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
+            self.runs[key, start] = run
+            by_edge.setdefault(key, []).append(run)
+        self.schedule = [
+            (graph.edge_index(*key), graph.edge(*key).link_prob, by_edge[key])
+            for key in sorted(by_edge)
+        ]
+        self.cutoff = cutoff
+        self.next_id = 0  # = entities created
+        self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
+        self._links = [run.links for run in self.runs.values()]
+        self._taken: list[tuple[list, list]] = []
+
+    def bind(self, rp: _RuntimePath) -> _PathStore:
+        """A path's store: a proactive hop binds the run it owns, a reactive
+        hop its edge's one run."""
+        nodes = rp.path.nodes
+        spots = (
+            [(key, start) for key, start, _ in rp.channels] if rp.channels
+            else [(edge_key(u, v), 0) for u, v in zip(nodes, nodes[1:])]
+        )
+        return _PathStore(rp, [self.runs[spot].links for spot in spots],
+                          tuple(self.cutoff[v] for v in nodes))
+
+    def purge(self, slot: int, held) -> None:
+        """Expire links and the segments in `held` whose memory ran out."""
+        expired = sum(store.purge(slot) for store in held)
+        for run in self.runs.values():
+            links = run.links
+            born_by = slot - run.cutoff  # links born then or earlier expire
+            if links and links[0][1] <= born_by:
+                k = 1
+                while k < len(links) and links[k][1] <= born_by:
+                    k += 1
+                del links[:k]
+                expired += k
+        self.disposed["expired"] += expired
+
+    def generate(self, rng: KeyedRng, slot: int) -> int:
+        """Link generation on every free channel; returns the links made.
+        Draws are keyed by (slot, edge, channel), so the realization does
+        not depend on which channels are occupied."""
+        base = rng.link_slot_base(slot)
+        draw = rng.draw_from_base
+        first = next_id = self.next_id
+        for eidx, p, runs in self.schedule:
+            for run in runs:
+                links = run.links
+                if len(links) == run.width:
+                    continue
+                busy = {r[3] for r in links}
+                for ch in range(run.start, run.start + run.width):
+                    if ch not in busy and draw(base, eidx, ch) < p:
+                        links.append((next_id, slot, slot, ch))
+                        next_id += 1
+        self.next_id = next_id
+        return next_id - first
+
+    def take(self, store: _PathStore) -> list[list]:
+        """The links a path works on this slot: on each hop, the lowest-id
+        links that no earlier path took this slot, at most the hop's width."""
+        hops = []
+        for links, width in zip(store.runs, store.widths):
+            # a proactive run has one owner, and a reactive path that takes
+            # an edge's last links leaves none for a later path's counts
+            if width >= len(links):
+                hops.append(links)
+                continue
+            hop = links[:width]
+            del links[:width]
+            self._taken.append((links, hop))
+            hops.append(hop)
+        return hops
+
+    def end_slot(self, slot: int, segments) -> None:
+        """Put the links paths left unused back in front of their runs, in
+        the order they were taken, then check the ledger."""
+        for links, hop in reversed(self._taken):
+            links[:0] = hop
+        self._taken.clear()
+        live = sum(map(len, self._links)) + sum(s.live() for s in segments)
+        disposed = sum(self.disposed.values())
+        if self.next_id != live + disposed:
+            raise AssertionError(
+                f"slot {slot}: entity ledger broken: created {self.next_id} "
+                f"!= live {live} + disposed {disposed}"
             )
-            state.dispose(e2e, "delivered")
-            delivered += 1
-    stats.record_swaps("parallel", lanes * (n - 1), successes)
+
+
+def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, stats):
+    """Lane i takes the i-th lowest-id link of every hop; only fully merged
+    lanes make a segment, which is delivered at once."""
+    delivered, consumed, _ = _exec_counts(rp, list(map(len, hops)), draws, stats)
+    for hop in hops:
+        del hop[:consumed // rp.path.hop_count]
+    kernel.next_id += delivered
+    kernel.disposed["consumed"] += consumed
+    kernel.disposed["delivered"] += delivered
     return delivered
 
 
-def _span_order(s: Span) -> int:
-    return s.span_id
-
-
-def _exec_tree(rp: _RuntimePath, spans, state, draws, stats):
-    path = rp.path
-    pos = rp.pos
-    n = path.hop_count
-    pools: dict[tuple[int, int], list[Span]] = {}
-    for s in spans:
-        if not s.alive:
-            continue
-        a = pos[s.left]
-        b = pos[s.right]
-        if a > b:
-            a, b = b, a
-        pools.setdefault((a, b), []).append(s)
-    for pool in pools.values():
-        pool.sort(key=_span_order)
-
-    attempts = successes = 0
-    nodes = path.nodes
-    qs = path.interior_swap_probs
-    empty: list[Span] = []
+def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, stats):
+    """Merge (a, mid, b) pairs the lowest-id records of extents (a, mid) and
+    (mid, b), in post-order; links fill the one-hop extents."""
+    nodes = rp.path.nodes
+    qs = rp.path.interior_swap_probs
+    n = rp.path.hop_count
+    pools = store.pools
+    cut = store.cutoffs
+    next_id = kernel.next_id
+    attempts = 0
     for a, mid, b in rp.schedule:
-        lefts = pools.get((a, mid), empty)
-        rights = pools.get((mid, b), empty)
+        lefts = hops[a] if mid == a + 1 else pools[a, mid]
+        rights = hops[mid] if b == mid + 1 else pools[mid, b]
         m = min(len(lefts), len(rights))
         if not m:
             continue
-        node = nodes[mid]
-        q = qs[mid - 1]
-        out = pools.setdefault((a, b), [])
-        for i in range(m):
-            ls = lefts[i]
-            rs = rights[i]
-            attempts += 1
-            ok = draws.success(node, q)
-            state.dispose(ls, "consumed")
-            state.dispose(rs, "consumed")
+        out = pools[a, b]
+        won = draws.successes(nodes[mid], qs[mid - 1], m)
+        for left, right, ok in zip(lefts, rights, won):
             if ok:
-                successes += 1
-                out.append(
-                    state.add_segment(
-                        nodes[a], nodes[b],
-                        ls.left_birth, rs.right_birth, owner=rp.label,
-                    )
-                )
-        del lefts[:m]
-        del rights[:m]
-
-    delivered = 0
-    for s in pools.get((0, n), ()):
-        state.dispose(s, "delivered")
-        delivered += 1
-    stats.record_swaps(rp.policy.kind, attempts, successes)
+                lb = left[1]
+                rb = right[2]
+                out.append((next_id, lb, rb, a, b, min(lb + cut[a], rb + cut[b])))
+                next_id += 1
+        del lefts[:m], rights[:m]
+        attempts += m
+    done = hops[0] if n == 1 else pools[0, n]  # records already end to end
+    delivered = len(done)
+    done.clear()
+    stats.record_swaps(rp.policy.kind, attempts, next_id - kernel.next_id)
+    kernel.next_id = next_id
+    kernel.disposed["consumed"] += 2 * attempts
+    kernel.disposed["delivered"] += delivered
     return delivered
 
 
-def _exec_adhoc(rp: _RuntimePath, spans, state, draws, stats):
-    path = rp.path
-    pos = rp.pos
-    n = path.hop_count
-    attempts = successes = delivered = 0
-    # extents tracked alongside each span to avoid re-deriving positions
-    avail: list[tuple[int, int, Span]] = []
-    for s in spans:
-        if not s.alive:
-            continue
-        a = pos[s.left]
-        b = pos[s.right]
-        if a > b:
-            a, b = b, a
-        if (a, b) == (0, n):
-            state.dispose(s, "delivered")
-            delivered += 1
+def _pop_lowest(links, segs, m, link_far, far, index):
+    """Pop the m lowest-id records off a hop's links and an id-ordered
+    segment list; return (far end position, record) pairs. A popped segment
+    also leaves `index`, which files it under its far end `seg[far]`."""
+    if not segs:
+        taken = [(link_far, r) for r in links[:m]]
+        del links[:m]
+        return taken
+    taken = []
+    i = k = 0
+    while i + k < m:
+        if i < len(links) and (k == len(segs) or links[i][0] < segs[k][0]):
+            taken.append((link_far, links[i]))
+            i += 1
         else:
-            avail.append((a, b, s))
+            seg = segs[k]
+            index[seg[far]].remove(seg)
+            taken.append((seg[far], seg))
+            k += 1
+    del links[:i], segs[:k]
+    return taken
 
-    nodes = path.nodes
-    qs = path.interior_swap_probs
-    changed = True
+
+def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
+    """Swap as soon as possible: sweep the interior nodes until a sweep
+    swaps nothing; node j pairs, in id order, the records ending at j with
+    those starting at j."""
+    nodes = rp.path.nodes
+    qs = rp.path.interior_swap_probs
+    n = rp.path.hop_count
+    ends, starts, cut = store.ends, store.starts, store.cutoffs
+    next_id = kernel.next_id
+    attempts = delivered = 0
+    if n == 1:  # a link is already end to end
+        delivered = len(hops[0])
+        hops[0].clear()
+    changed = n > 1
     while changed:
         changed = False
         for j in range(1, n):
-            lefts = sorted(
-                (t for t in avail if t[2].alive and t[1] == j),
-                key=lambda t: t[2].span_id,
-            )
-            rights = sorted(
-                (t for t in avail if t[2].alive and t[0] == j),
-                key=lambda t: t[2].span_id,
-            )
-            if not lefts or not rights:
+            m = min(len(hops[j - 1]) + len(ends[j]), len(hops[j]) + len(starts[j]))
+            if not m:
                 continue
-            node = nodes[j]
-            q = qs[j - 1]
-            for (la, _, ls), (_, rb, rs) in zip(lefts, rights):
-                changed = True
-                attempts += 1
-                ok = draws.success(node, q)
-                state.dispose(ls, "consumed")
-                state.dispose(rs, "consumed")
-                if ok:
-                    successes += 1
-                    merged = state.add_segment(
-                        nodes[la], nodes[rb],
-                        ls.left_birth, rs.right_birth, owner=rp.label,
-                    )
-                    if (la, rb) == (0, n):
-                        state.dispose(merged, "delivered")
-                        delivered += 1
-                    else:
-                        avail.append((la, rb, merged))
-        avail = [t for t in avail if t[2].alive]
-    stats.record_swaps("adhoc", attempts, successes)
+            changed = True
+            attempts += m
+            lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
+            rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
+            won = draws.successes(nodes[j], qs[j - 1], m)
+            for (a, left), (b, right), ok in zip(lefts, rights, won):
+                if not ok:
+                    continue
+                if a == 0 and b == n:
+                    delivered += 1
+                else:
+                    lb = left[1]
+                    rb = right[2]
+                    seg = (next_id, lb, rb, a, b, min(lb + cut[a], rb + cut[b]))
+                    ends[b].append(seg)
+                    starts[a].append(seg)
+                next_id += 1
+    stats.record_swaps("adhoc", attempts, next_id - kernel.next_id)
+    kernel.next_id = next_id
+    kernel.disposed["consumed"] += 2 * attempts
+    kernel.disposed["delivered"] += delivered
     return delivered
 
 
-def _execute_policy(rp: _RuntimePath, spans, state, draws, stats):
+def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, stats):
     if rp.policy.kind == "parallel":
-        return _exec_parallel(rp, spans, state, draws, stats)
+        return _exec_parallel(rp, hops, store, kernel, draws, stats)
     if rp.policy.kind == "adhoc":
-        return _exec_adhoc(rp, spans, state, draws, stats)
-    return _exec_tree(rp, spans, state, draws, stats)
-
-
-def _bind_rank(state: SlotState, rp: _RuntimePath, assigned: set[int]) -> list[Span]:
-    """Ascending-id binding: per hop take the lowest-id free live links."""
-    path = rp.path
-    spans = []
-    for h in range(path.hop_count):
-        live = sorted(
-            state.links.get(
-                edge_key(path.nodes[h], path.nodes[h + 1]), {}
-            ).values(),
-            key=_span_order,
-        )
-        free = [s for s in live if s.span_id not in assigned]
-        free = free[:path.per_hop_capacity[h]]
-        assigned.update(s.span_id for s in free)
-        spans.extend(free)
-    for seg in state.segments:
-        if seg.alive and seg.owner == rp.label:
-            spans.append(seg)
-    return spans
+        return _exec_adhoc(rp, hops, store, kernel, draws, stats)
+    return _exec_tree(rp, hops, store, kernel, draws, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -559,34 +559,12 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
     return bound
 
 
-def _collect_owned(state: SlotState, rp: _RuntimePath) -> list[Span]:
-    spans = []
-    links = state.links
-    for key, start, width in rp.channels:
-        chans = links.get(key)
-        if not chans:
-            continue
-        if width == 1:
-            span = chans.get(start)
-            if span is not None:
-                spans.append(span)
-            continue
-        for ch in range(start, start + width):
-            span = chans.get(ch)
-            if span is not None:
-                spans.append(span)
-    for seg in state.segments:
-        if seg.alive and seg.owner == rp.label:
-            spans.append(seg)
-    return spans
-
-
 def _reactive_paths(graph, requests, counts, config: SimConfig, slot: int):
     """One slot's reactive paths, request by request, found on the realized
     link `counts`; each path takes one link per hop off `counts`."""
     for req in requests:
         paths = disjoint_paths_on_logical(
-            LogicalTopology(counts=dict(counts)), graph, req.source, req.dest,
+            LogicalTopology(counts=counts), graph, req.source, req.dest,
             config.max_paths_per_request, config.node_disjoint,
         )
         for p_idx, path in enumerate(paths):
@@ -651,29 +629,27 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         scope = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
         request_ids = [r.id for r in requests]
 
-    gen_schedule = [
-        (key, graph.edge_index(*key), graph.edge(*key).link_prob, width)
-        for key, width in sorted(scope.items())
-        if width >= 1
-    ]
+    if sync:
+        gen_schedule = [
+            (key, graph.edge_index(*key), graph.edge(*key).link_prob, width)
+            for key, width in sorted(scope.items())
+            if width >= 1
+        ]
+        # entities are tallied per slot, since nothing outlives it
+        ledger = dict.fromkeys(DISPOSE_REASONS, 0)
+    else:
+        kernel = _AsyncKernel(graph, (
+            [(key, 0, width) for key, width in scope.items()] if reactive
+            else [run for rp in bound for run in rp.channels]
+        ))
+        # proactive segments persist across slots; reactive ones die with it
+        held = {} if reactive else {rp.label: kernel.bind(rp) for rp in bound}
 
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    def record_request(rid: str, count: int) -> None:
-        entry = stats.per_request[rid]
-        entry["delivered"] += count
-        stats.delivered_total += count
-        hist = entry["hist"]
-        while len(hist) <= count:
-            hist.append(0)
-        hist[count] += 1
-
     rank = graph._node_rank()
     draw = rng.draw_from_base
-    # sync tallies entities per slot; async keeps live spans across slots
-    ledger = dict.fromkeys(DISPOSE_REASONS, 0)
-    state = None if sync else SlotState(graph)
     for slot in range(config.slots):
         draws = _SwapDraws(rank, rng.swap_slot_base(slot))
         if sync:
@@ -685,16 +661,16 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             created = sum(map(sum, bits.values()))
             consumed = 0
         else:
-            state.purge_expired(slot)
-            created = _generate_links(gen_schedule, state, rng, slot)
+            kernel.purge(slot, held.values())
+            created = kernel.generate(rng, slot)
         stats.links_generated += created
 
         if reactive:
-            if sync:
-                counts = {key: c for key, b in bits.items() if (c := sum(b))}
-            else:
-                counts = {key: len(ch) for key, ch in state.links.items() if ch}
-                assigned: set[int] = set()
+            counts = (
+                {key: c for key, b in bits.items() if (c := sum(b))} if sync
+                else {key: len(run.links)
+                      for (key, _), run in kernel.runs.items() if run.links}
+            )
             paths = _reactive_paths(graph, requests, counts, config, slot)
         else:
             paths = bound
@@ -710,18 +686,21 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                 consumed += used
                 created += segments
             else:
-                spans = (
-                    _bind_rank(state, rp, assigned) if reactive
-                    else _collect_owned(state, rp)
-                )
-                got = _execute_policy(rp, spans, state, draws, stats)
+                store = kernel.bind(rp) if reactive else held[rp.label]
+                got = _execute_policy(rp, kernel.take(store), store, kernel,
+                                      draws, stats)
+                if reactive:  # its partial segments die with the slot's paths
+                    kernel.disposed["discarded"] += store.live()
             slot_totals[rp.request_id] += got
             if not reactive:
                 entry = stats.per_path[rp.label]
-                entry["hist"][got] += 1
+                _count(entry["hist"], got)
                 entry["delivered"] += got
-        for rid in request_ids:
-            record_request(rid, slot_totals[rid])
+        for rid, got in slot_totals.items():
+            entry = stats.per_request[rid]
+            _count(entry["hist"], got)
+            entry["delivered"] += got
+            stats.delivered_total += got
 
         if sync:
             delivered = sum(slot_totals.values())
@@ -734,15 +713,18 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             ledger["discarded"] += created - consumed - delivered
             ledger["delivered"] += delivered
         else:
-            if reactive:  # partial segments die once paths are recomputed
-                for seg in state.segments:
-                    if seg.alive:
-                        state.dispose(seg, "discarded")
-            state.segments = [s for s in state.segments if s.alive]
-            state.check_conservation()
+            kernel.end_slot(slot, held.values())
 
-    stats.entities_disposed = ledger if sync else dict(state.disposed)
+    stats.entities_disposed = ledger if sync else dict(kernel.disposed)
     return stats
+
+
+def _count(hist: list[int], k: int) -> None:
+    """Count one slot that delivered `k` pairs; async forwarding can deliver
+    more pairs in one slot than a path is wide."""
+    while len(hist) <= k:
+        hist.append(0)
+    hist[k] += 1
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,32 @@ def _mistyped(where: str, expected: str, value) -> ScenarioError:
     return ScenarioError(f"{where or 'scenario'}: expected {expected}, got {got}")
 
 
+class _Repeated(dict):
+    """A JSON object that names a key twice; `key` is the first repeat."""
+
+
+def _json_object(pairs: list) -> dict:
+    """`object_pairs_hook` for `json.loads`: keeps every repeated key in
+    sight, where a plain dict keeps only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        obj = _Repeated(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
+def _object(data, where: str) -> None:
+    if not isinstance(data, dict):
+        raise _mistyped(where, "an object", data)
+    if isinstance(data, _Repeated):
+        raise ScenarioError(f"{_at(where, data.key)}: duplicate key")
+
+
 def _read(data, table: dict, where: str) -> dict:
     """Check one JSON object against its table; return the fields it has as
     constructor keywords."""
-    if not isinstance(data, dict):
-        raise _mistyped(where, "an object", data)
+    _object(data, where)
     for key in data:
         if key not in table:
             raise ScenarioError(f"{_at(where, key)}: unknown field")
@@ -208,12 +229,11 @@ def _check(value, kind, where: str):
             )
         raise _mistyped(where, "an array", value)
     elif str in kind:
-        if isinstance(value, dict):
-            return tuple(sorted(
-                (key, _check(v, kind[str], _at(where, key)))
-                for key, v in value.items()
-            ))
-        raise _mistyped(where, "an object", value)
+        _object(value, where)
+        return tuple(sorted(
+            (key, _check(v, kind[str], _at(where, key)))
+            for key, v in value.items()
+        ))
     else:
         return _read(value, kind, where)
     raise _mistyped(where, _EXPECTED[kind], value)
@@ -349,7 +369,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"scenario file {path} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

@@ -280,20 +280,23 @@ def test_c09_async_strictly_beats_sync():
         g = chain_graph(3, p=0.8, q=0.5, cutoff=5)
         req = Request(id="r1", source="n0", dest="n3")
         path = path_spec_from_nodes(g, ("n0", "n1", "n2", "n3"), width=1)
-        plan = AllocationPlan(
-            requests=(req,),
-            allocations=(
-                PathAllocation(request_id="r1", path=path,
-                               policy=SwapPolicy.doubling()),
-            ),
-            residual=(),
-        )
+
+        def plan(policy):
+            return AllocationPlan(
+                requests=(req,),
+                allocations=(
+                    PathAllocation(request_id="r1", path=path, policy=policy),
+                ),
+                residual=(),
+            )
+
         slots = 100_000
         sync = simulate(
-            g, plan, SimConfig(forwarding="sync", slots=slots, seed=99)
+            g, plan(SwapPolicy.doubling()),
+            SimConfig(forwarding="sync", slots=slots, seed=99),
         )
         adhoc = simulate(
-            g, plan,
+            g, plan(SwapPolicy.adhoc()),
             SimConfig(forwarding="async", policy=SwapPolicy.adhoc(),
                       slots=slots, seed=99),
         )

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -168,14 +170,15 @@ def test_three_hop_closed_form_rate():
 
 def test_async_adhoc_beats_sync_with_memory():
     g = chain_graph(3, p=0.8, q=0.5, cutoff=5)
-    plan = plan_for_chain(g, 3)
     slots = 50_000
-    sync = simulate(g, plan, SimConfig(forwarding="sync", slots=slots, seed=11))
+    sync = simulate(g, plan_for_chain(g, 3),
+                    SimConfig(forwarding="sync", slots=slots, seed=11))
     adhoc = simulate(
-        g, plan,
+        g, plan_for_chain(g, 3, policy=SwapPolicy.adhoc()),
         SimConfig(forwarding="async", policy=SwapPolicy.adhoc(),
                   slots=slots, seed=11),
     )
+    assert set(adhoc.swap_counters) == {"adhoc"}
     assert adhoc.delivered_total > sync.delivered_total
 
 
@@ -251,7 +254,7 @@ def sim_cases(draw):
 @given(case=sim_cases(), seed=st.integers(0, 2**32))
 def test_sync_async_coincide_without_memory(case, seed):
     # with W = 1 nothing outlives its slot, so the count kernel (sync) and
-    # the span kernel (async) must see the same links and swap draws
+    # the record kernel (async) must see the same links and swap draws
     g, subject, config = case
     sync, async_ = (
         simulate(g, subject, SimConfig(forwarding=mode, slots=120, seed=seed,
@@ -311,6 +314,166 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
     g = chain_graph(2, p=1.0, q=1.0)
     with pytest.raises(AssertionError, match="slot 0: consumed 5"):
         simulate(g, plan_for_chain(g, 2), SimConfig(slots=1))
+
+
+def _lose_a_link(kernel, rp, hops, store, async_kernel, *rest):
+    got = kernel(rp, hops, store, async_kernel, *rest)
+    next(hop for hop in hops if hop).pop()  # dropped without booking
+    return got
+
+
+def _book_delivery_twice(kernel, rp, hops, store, async_kernel, *rest):
+    got = kernel(rp, hops, store, async_kernel, *rest)
+    async_kernel.disposed["delivered"] += got
+    return got
+
+
+@pytest.mark.parametrize("fault, probs, message", [
+    # hop n1-n2 never links, so the n0-n1 link waits in memory
+    (_lose_a_link, [1.0, 0.0], "slot 0: entity ledger broken: created 1 "
+                               "!= live 0 \\+ disposed 0"),
+    (_book_delivery_twice, [1.0, 1.0], "slot 0: entity ledger broken: "
+                                       "created 3 != live 0 \\+ disposed 4"),
+])
+def test_async_ledger_check_fails_loudly(monkeypatch, fault, probs, message):
+    # a kernel that loses a record, or disposes one twice
+    from qroute import montecarlo
+
+    kernel = montecarlo._execute_policy
+    monkeypatch.setattr(montecarlo, "_execute_policy",
+                        lambda *args: fault(kernel, *args))
+    g = chain_with_probs(probs, cutoff=5)
+    with pytest.raises(AssertionError, match=message):
+        simulate(g, plan_for_chain(g, 2),
+                 SimConfig(forwarding="async", slots=3))
+
+
+def memory_chain(n_hops, cap, p=0.6, q=0.5, cutoffs=(3, 2, 4)):
+    """A chain whose node i keeps qubits for cutoffs[i % len(cutoffs)] slots."""
+    nodes = [NodeParams(id=f"n{i}", swap_prob=q,
+                        memory_cutoff_slots=cutoffs[i % len(cutoffs)])
+             for i in range(n_hops + 1)]
+    edges = [EdgeParams(u=f"n{i}", v=f"n{i+1}", capacity=cap, link_prob=p)
+             for i in range(n_hops)]
+    return build_graph(nodes, edges)
+
+
+def chain_plan(g, paths):
+    """A plan from (request id, node indices, per-hop widths, policy)."""
+    allocations = []
+    for rid, idx, widths, policy in paths:
+        path = path_spec_from_nodes(g, tuple(f"n{i}" for i in idx), width=1)
+        allocations.append(PathAllocation(
+            request_id=rid, path=replace(path, per_hop_capacity=widths),
+            policy=policy))
+    requests = {a.request_id: Request(id=a.request_id, source=a.path.nodes[0],
+                                      dest=a.path.nodes[-1])
+                for a in allocations}
+    return AllocationPlan(requests=tuple(requests.values()),
+                          allocations=tuple(allocations), residual=())
+
+
+def async_memory_cases():
+    """(name, graph, plan or requests, config) async runs in which links
+    and segments outlive their slot."""
+    chain = memory_chain(4, cap=3)
+    tree = SwapPolicy.explicit(list(all_order_trees(4))[3])
+    for policy in (SwapPolicy.sequential(), SwapPolicy.doubling(),
+                   SwapPolicy.parallel(), tree, SwapPolicy.adhoc()):
+        # per-hop widths differ, and the path runs against the edge order
+        plan = chain_plan(chain, [("r1", (4, 3, 2, 1, 0), (2, 3, 2, 3), policy)])
+        yield policy.kind, chain, plan, dict(policy=policy)
+    # paths that share edges at different channel offsets
+    shared = memory_chain(5, cap=3, p=0.5, cutoffs=(4, 3, 5, 2))
+    plan = chain_plan(shared, [
+        ("r1", (0, 1, 2, 3), (1, 1, 1), SwapPolicy.adhoc()),
+        ("r2", (5, 4, 3, 2, 1), (2, 2, 2, 1), SwapPolicy.doubling()),
+        ("r2", (3, 4, 5), (1, 1), SwapPolicy.parallel()),
+        ("r1", (0, 1), (2,), SwapPolicy.sequential()),
+        ("r3", (1, 2), (1,), SwapPolicy.adhoc()),
+    ])
+    yield "shared", shared, plan, dict(policy=SwapPolicy.adhoc())
+    grid = grid_topology(
+        3, 3, default_node=NodeParams(id="", swap_prob=0.5,
+                                      memory_cutoff_slots=3),
+        default_edge=EdgeParams(u="", v="", capacity=2, link_prob=0.5))
+    requests = [Request(id="a", source="0,0", dest="2,2"),
+                Request(id="b", source="0,2", dest="2,0"),
+                Request(id="c", source="1,0", dest="1,2")]
+    for disjoint, policy in ((False, SwapPolicy.adhoc()),
+                             (True, SwapPolicy.doubling()),
+                             (False, SwapPolicy.sequential()),
+                             (True, SwapPolicy.adhoc())):
+        yield (f"reactive {disjoint} {policy.kind}", grid, requests,
+               dict(scheme="reactive", policy=policy, node_disjoint=disjoint,
+                    max_paths_per_request=3))
+    # up to three paths a slot bind links off one cap-3 edge's FIFO
+    chain = memory_chain(3, cap=3, p=0.7)
+    requests = [Request(id="a", source="n0", dest="n3"),
+                Request(id="b", source="n1", dest="n3")]
+    yield "reactive shared edges", chain, requests, dict(
+        scheme="reactive", policy=SwapPolicy.sequential(),
+        max_paths_per_request=3)
+
+
+def bench_async_chain(seed):
+    """The bench `sim_async_chain` scenario: 8 hops of width 3, p = 0.6,
+    q = 0.5, memory cutoff 5, async adhoc along one explicit path."""
+    nodes = [f"n{i}" for i in range(9)]
+    return {
+        "version": 1,
+        "graph": {
+            "nodes": [{"id": n, "swap_prob": 0.5, "memory_cutoff_slots": 5}
+                      for n in nodes],
+            "edges": [{"u": u, "v": v, "capacity": 3, "length_km": 20.0,
+                       "link_prob": 0.6} for u, v in zip(nodes, nodes[1:])],
+        },
+        "elementary_fidelity": 0.99,
+        "requests": [{"id": "r0", "source": "n0", "dest": "n8",
+                      "rate_target": 1.0, "min_fidelity": 0.9}],
+        "sim": {"scheme": "proactive", "forwarding": "async",
+                "policy": "adhoc", "slots": 2000, "seed": seed,
+                "paths": [{"request": "r0", "nodes": nodes, "width": 3}]},
+        "output": {"format": "json"},
+    }
+
+
+# sha256 of the async runs below, recorded before the async simulator moved
+# from span objects to per-hop link records
+PINNED_ASYNC_SHA256 = (
+    "d812a36d04c9c5172344720ccf3b597cc732d6f38403529b1473da6b24b1046f"
+)
+
+
+def test_async_reports_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for name, g, subject, config in async_memory_cases():
+        stats = simulate(g, subject, SimConfig(forwarding="async", slots=1500,
+                                               seed=5, **config))
+        digest.update(f"{name}\n{json.dumps(stats.to_dict(), sort_keys=True)}\n"
+                      .encode())
+    for seed in (3, 1_000_003):
+        scenario = tmp_path / f"chain-{seed}.json"
+        scenario.write_text(json.dumps(bench_async_chain(seed)))
+        out = tmp_path / f"out-{seed}"
+        assert run_command(["simulate", "--scenario", str(scenario),
+                            "--out", str(out)]) == 0
+        digest.update((out / "simulate_report.json").read_bytes())
+    assert digest.hexdigest() == PINNED_ASYNC_SHA256
+
+
+def test_async_path_histogram_grows_past_width():
+    # segments kept in memory can meet in one slot and deliver more pairs
+    # than the path is wide (this overflowed the per-path histogram)
+    g = memory_chain(4, cap=3)
+    tree = SwapPolicy.explicit(list(all_order_trees(4))[3])
+    plan = chain_plan(g, [("r1", (4, 3, 2, 1, 0), (2, 3, 1, 3), tree)])
+    stats = simulate(g, plan, SimConfig(forwarding="async", slots=1500, seed=5))
+    entry = stats.per_path["r1[0]"]
+    assert entry["width"] == 1 and len(entry["hist"]) > 2
+    assert sum(entry["hist"]) == 1500
+    assert sum(k * c for k, c in enumerate(entry["hist"])) == entry["delivered"]
+    assert entry["hist"] == stats.per_request["r1"]["hist"]
 
 
 def test_simulate_deterministic():

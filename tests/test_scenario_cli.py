@@ -39,7 +39,7 @@ def minimal_scenario(**extra) -> dict:
 
 def write_scenario(tmp_path, data, name="s.json") -> Path:
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return path
 
 
@@ -248,15 +248,29 @@ BAD_INPUTS = [
     (_set(_ADHOC, ("sim", "paths"), [_AB, {**_CD, "width": 0}]), "sim.paths[1]"),
     # every edge has capacity 1, and A-B is already taken
     (_set(_ADHOC, ("sim", "paths"), [_AB, _CD, _ABCD]), "sim.paths[2]"),
+    # JSON text, since a dict cannot hold a key twice; a plain JSON reader
+    # keeps the last value without a word
+    (json.dumps(_CHAIN).replace('"slots": 20000', '"slots": 5, "slots": 1000'),
+     "sim.slots"),
+    (json.dumps(_CHAIN).replace('"rate_target": 1.0',
+                                '"rate_target": 1.0, "rate_target": 2.0'),
+     "requests[0].rate_target"),
+    (json.dumps(_set(_CHAIN, ("routing", "weights"), {"r1": 2.0}))
+     .replace('"r1": 2.0', '"r1": 2.0, "r1": 3.0'), "routing.weights.r1"),
 ]
 
 
-@pytest.mark.parametrize("doc, where", BAD_INPUTS,
-                         ids=[where for _, where in BAD_INPUTS])
+@pytest.mark.parametrize(
+    "doc, where", BAD_INPUTS,
+    ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS],
+)
 def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
-    with pytest.raises(ScenarioError, match=re.escape(where) + ":"):
-        scenario_from_dict(doc)
+    if isinstance(doc, dict):
+        with pytest.raises(ScenarioError, match=re.escape(where) + ":"):
+            scenario_from_dict(doc)
     path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=re.escape(where) + ":"):
+        parse_scenario(path)
     assert run_command(["analyze", "--scenario", str(path),
                         "--out", str(tmp_path / "out")]) == 1
     assert where + ":" in capsys.readouterr().err
@@ -475,3 +489,21 @@ def test_cli_module_runs_without_warnings():
     proc = _run_module("-W", "error", "-m", "qroute.cli")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("policy, mode", [
+    ("sequential", "sync"), ("parallel", "sync"),
+    ("adhoc", "async"), ("parallel", "async"),
+])
+def test_allocated_paths_run_the_sim_policy(policy, mode, tmp_path):
+    # routing.policy (doubling) prices the allocated paths; sim.policy is
+    # what the simulator runs on them
+    doc = _set(_set(_GRID, ("sim", "policy"), policy), ("sim", "forwarding"),
+               mode)
+    rc = run_command(["simulate", "--scenario", str(write_scenario(tmp_path, doc)),
+                      "--slots", "300", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
+    results = report["results"]
+    assert results["policy"] == policy
+    assert set(results["swap_counters"]) == {results["policy"]}
