@@ -20,6 +20,7 @@ from qroute import (
     grid_topology,
     k_shortest_paths,
     path_cost,
+    path_spec_from_nodes,
     request_throughput,
     simulate,
     total_utility,
@@ -56,10 +57,11 @@ def main():
     ]
 
     print(f"candidate re-ranking for r1 (k={args.k}, creation-rate order):")
-    for cand in k_shortest_paths(g, "0,0", corner, args.k,
-                                 Metric.INVERSE_CREATION_RATE):
+    for _, nodes in k_shortest_paths(g, "0,0", corner, args.k,
+                                     Metric.INVERSE_CREATION_RATE):
+        cand = path_spec_from_nodes(g, nodes)
         score = -path_cost(g, cand, Metric.EXPECTED_THROUGHPUT_SEQUENTIAL)
-        print(f"  {'->'.join(cand.nodes):<40} seq-throughput {score:.4f}")
+        print(f"  {'->'.join(nodes):<40} seq-throughput {score:.4f}")
 
     config = AllocatorConfig(k=args.k, utility=UtilitySpec("saturating"))
     plan = allocate(g, requests, config)

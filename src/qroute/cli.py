@@ -110,6 +110,14 @@ def _target_paths(scenario: Scenario):
     ]
 
 
+def _on_path(i: int, fn, *args):
+    """Call `fn`; its ValueError names the analytics path it came from."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"analytics.paths[{i}]: {exc}") from None
+
+
 def _cmd_analyze(scenario: Scenario, report: dict, tables: dict) -> None:
     results = []
     dist_tables = {}
@@ -126,7 +134,7 @@ def _cmd_analyze(scenario: Scenario, report: dict, tables: dict) -> None:
             "expected_throughput": ext,
         }
         if scenario.analytics.order_search:
-            tree, best = analytics.optimal_order_search(path)
+            tree, best = _on_path(i, analytics.optimal_order_search, path)
             entry["order_search"] = {
                 "best_order": _tree_label(tree),
                 "best_throughput": best,
@@ -270,7 +278,7 @@ def _cmd_oracle(scenario: Scenario, report: dict, tables: dict) -> None:
     worst = 0.0
     for i, path in enumerate(_target_paths(scenario)):
         comparisons = []
-        exact = brute_force_distribution(path, None)
+        exact = _on_path(i, brute_force_distribution, path, None)
         got = analytics.unheralded_path_distribution(path)
         diff = max(
             abs(a - b)

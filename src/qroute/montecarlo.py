@@ -97,6 +97,8 @@ class SimConfig:
             raise ValueError(f"unknown forwarding mode {self.forwarding!r}")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
+        if self.max_paths_per_request < 1:
+            raise ValueError("max_paths_per_request must be >= 1")
         if self.policy.kind == "adhoc" and self.forwarding == "sync":
             raise ValueError(
                 "adhoc swapping needs asynchronous forwarding; under sync "

@@ -159,10 +159,6 @@ class NetworkGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def node_index(self, node_id: str) -> int:
-        """Stable index of a node in sorted order (used for RNG keying)."""
-        return self._node_rank()[node_id]
-
     def edge_index(self, u: str, v: str) -> int:
         return self._edge_rank()[edge_key(u, v)]
 

@@ -36,8 +36,10 @@ _ADDITIVE = {
 }
 
 
-def _initial_cost(metric: Metric) -> float:
-    return 1.0 if metric is Metric.INVERSE_CREATION_RATE else 0.0
+def _start(metric: Metric, s: str) -> tuple[float, tuple[str, ...]]:
+    """The label (cost, nodes) of the empty path at `s`: cost 1 for the
+    creation-rate product, 0 for the sums."""
+    return (1.0 if metric is Metric.INVERSE_CREATION_RATE else 0.0), (s,)
 
 
 def _step(metric: Metric, e: EdgeParams) -> float:
@@ -96,21 +98,25 @@ def path_spec_from_nodes(
     )
 
 
+def _prefix_costs(graph: NetworkGraph, nodes: tuple[str, ...], metric: Metric) -> list[float]:
+    """Cost of every prefix of `nodes` under an additive metric, composed
+    hop by hop from the start exactly as the searches compose it."""
+    multiply = metric is Metric.INVERSE_CREATION_RATE
+    costs = [_start(metric, nodes[0])[0]]
+    for u, v in zip(nodes, nodes[1:]):
+        step = _step(metric, graph.edge(u, v))
+        costs.append(costs[-1] * step if multiply else costs[-1] + step)
+    return costs
+
+
 def path_cost(graph: NetworkGraph, path: PathSpec, metric: Metric) -> float:
-    """Whole-path score under a metric (lower is better for every metric)."""
-    if metric is Metric.HOP_COUNT:
-        return float(path.hop_count)
-    if metric is Metric.SUM_NODE_DISTANCES:
-        return math.fsum(
-            graph.edge(u, v).length_km for u, v in zip(path.nodes, path.nodes[1:])
-        )
-    if metric is Metric.INVERSE_CREATION_RATE:
-        cost = 1.0
-        for p in path.per_hop_prob:
-            if p <= 0:
-                return math.inf
-            cost *= 1.0 / p
-        return cost
+    """Whole-path score under a metric (lower is better for every metric).
+
+    Additive metrics are priced by the same hop-by-hop rule the searches
+    use, so a cost they return equals `path_cost` of its path exactly.
+    """
+    if metric.additive:
+        return _prefix_costs(graph, path.nodes, metric)[-1]
     if metric is Metric.BOTTLENECK_WIDTH:
         return -float(min(path.per_hop_capacity))
     if metric is Metric.EXPECTED_THROUGHPUT_SEQUENTIAL:
@@ -128,27 +134,28 @@ def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
 
 def _dijkstra(
     graph: NetworkGraph,
-    s: str,
+    root: tuple[float, tuple[str, ...]],
     d: str,
     metric: Metric,
     edge_usable=None,
     banned_nodes: frozenset[str] = frozenset(),
     banned_edges: frozenset[tuple[str, str]] = frozenset(),
 ) -> tuple[float, tuple[str, ...]] | None:
-    """Label-setting search; heap entries carry the node sequence so equal
-    costs resolve to the lexicographically smallest path.
+    """Label-setting search from the label `root` = (cost, nodes): it
+    extends the root's last node and returns the whole label (cost, nodes)
+    that reaches `d`. Heap entries carry the node sequence so equal costs
+    resolve to the lexicographically smallest path.
 
     `edge_usable(key)` and `banned_edges` filter edges by canonical key;
-    `banned_nodes` are never entered.
+    `banned_nodes` and the root's other nodes are never entered.
     """
-    if s in banned_nodes or d in banned_nodes:
-        return None
     adjacency = _weighted_adjacency(graph, metric)
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
-    heap = [(_initial_cost(metric), (s,))]
-    # banned nodes are never pushed, so they can share the settled set
-    done: set[str] = set(banned_nodes)
+    heap = [root]
+    # banned nodes and the root's other nodes are never pushed, so they can
+    # share the settled set
+    done: set[str] = set(banned_nodes).union(root[1][:-1])
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         cost, nodes = pop(heap)
@@ -177,28 +184,22 @@ def shortest_path(
     if not metric.additive:
         raise ValueError(f"metric {metric} is not additive; Dijkstra needs subpath optimality")
     _check_endpoints(graph, s, d)
-    found = _dijkstra(graph, s, d, metric)
+    found = _dijkstra(graph, _start(metric, s), d, metric)
     if found is None:
         return None
     return path_spec_from_nodes(graph, found[1])
 
 
-def _path_nodes_cost(graph: NetworkGraph, nodes: tuple[str, ...], metric: Metric) -> float:
-    cost = _initial_cost(metric)
-    multiply = metric is Metric.INVERSE_CREATION_RATE
-    for u, v in zip(nodes, nodes[1:]):
-        step = _step(metric, graph.edge(u, v))
-        cost = cost * step if multiply else cost + step
-    return cost
-
-
 def k_shortest_paths(
     graph: NetworkGraph, s: str, d: str, k: int, metric: Metric, edge_usable=None
-) -> list[PathSpec]:
-    """Yen's algorithm: up to k loop-free paths in non-decreasing cost.
+) -> list[tuple[float, tuple[str, ...]]]:
+    """Yen's algorithm: up to k loop-free paths as (cost, nodes) labels in
+    non-decreasing cost, each cost equal to `path_cost` of its path.
 
-    With `edge_usable`, every search sees only the edges whose canonical
-    key it accepts, as if the others had no capacity.
+    Each spur search grows from the root's label, the root prefix with its
+    cost, so it returns the whole candidate already priced. With
+    `edge_usable`, every search sees only the edges whose canonical key it
+    accepts, as if the others had no capacity.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -206,7 +207,7 @@ def k_shortest_paths(
         raise ValueError(f"metric {metric} is not additive")
     _check_endpoints(graph, s, d)
 
-    first = _dijkstra(graph, s, d, metric, edge_usable=edge_usable)
+    first = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=edge_usable)
     if first is None:
         return []
     accepted: list[tuple[float, tuple[str, ...]]] = [first]
@@ -215,31 +216,26 @@ def k_shortest_paths(
 
     while len(accepted) < k:
         _, prev = accepted[-1]
+        root_costs = _prefix_costs(graph, prev, metric)
         for j in range(len(prev) - 1):
-            spur = prev[j]
             root = prev[: j + 1]
             banned_edges = frozenset(
                 edge_key(p[j], p[j + 1])
                 for _, p in accepted
                 if len(p) > j + 1 and p[: j + 1] == root
             )
-            spur_found = _dijkstra(
-                graph, spur, d, metric, edge_usable=edge_usable,
-                banned_nodes=frozenset(root[:-1]), banned_edges=banned_edges,
+            found = _dijkstra(
+                graph, (root_costs[j], root), d, metric,
+                edge_usable=edge_usable, banned_edges=banned_edges,
             )
-            if spur_found is None:
+            if found is None or found[1] in seen:
                 continue
-            total = root[:-1] + spur_found[1]
-            if total in seen:
-                continue
-            seen.add(total)
-            heapq.heappush(
-                candidates, (_path_nodes_cost(graph, total, metric), total)
-            )
+            seen.add(found[1])
+            heapq.heappush(candidates, found)
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates))
-    return [path_spec_from_nodes(graph, nodes) for _, nodes in accepted[:k]]
+    return accepted
 
 
 def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
@@ -249,31 +245,17 @@ def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
     inverse link probabilities), then lexicographically.
     """
     _check_endpoints(graph, s, d)
-
-    def reachable(min_cap: int) -> bool:
-        stack, seen = [s], {s}
-        while stack:
-            cur = stack.pop()
-            if cur == d:
-                return True
-            for nbr in graph.neighbors(cur):
-                if nbr in seen:
-                    continue
-                if graph.edge(cur, nbr).capacity >= min_cap:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return False
-
-    caps = sorted({e.capacity for e in graph.edges if e.capacity >= 1}, reverse=True)
-    best_width = next((c for c in caps if reachable(c)), None)
-    if best_width is None:
-        return None
-    # Any path inside the >= best_width subgraph has exactly the best width.
-    usable = lambda key: graph.edge(*key).capacity >= best_width
-    found = _dijkstra(graph, s, d, Metric.INVERSE_CREATION_RATE, edge_usable=usable)
-    if found is None:  # creation-rate costs can all be infinite (p = 0 links)
-        found = _dijkstra(graph, s, d, Metric.HOP_COUNT, edge_usable=usable)
-    return path_spec_from_nodes(graph, found[1])
+    # Any path inside the >= width subgraph has exactly that width when no
+    # wider threshold connects s to d.
+    for width in sorted({e.capacity for e in graph.edges if e.capacity >= 1}, reverse=True):
+        usable = lambda key: graph.edge(*key).capacity >= width
+        # creation-rate costs can all be infinite (p = 0 links); hop count
+        # then still finds a route if one exists
+        for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
+            found = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=usable)
+            if found is not None:
+                return path_spec_from_nodes(graph, found[1])
+    return None
 
 
 @dataclass
@@ -319,7 +301,7 @@ def disjoint_paths_on_logical(
     while len(paths) < max_paths:
         usable = lambda key: remaining.get(key, 0) >= 1
         found = _dijkstra(
-            graph, s, d, Metric.HOP_COUNT,
+            graph, _start(Metric.HOP_COUNT, s), d, Metric.HOP_COUNT,
             edge_usable=usable, banned_nodes=frozenset(blocked),
         )
         if found is None:

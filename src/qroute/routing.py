@@ -194,12 +194,12 @@ def allocate(
         if routes is None:
             routes = []
             for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
-                for cand in k_shortest_paths(
+                for _, nodes in k_shortest_paths(
                     graph, req.source, req.dest, config.k, metric,
                     edge_usable=usable,
                 ):
-                    if cand.hop_count <= bound and cand.nodes not in routes:
-                        routes.append(cand.nodes)
+                    if len(nodes) - 1 <= bound and nodes not in routes:
+                        routes.append(nodes)
             route_cache[key] = routes
         return routes
 

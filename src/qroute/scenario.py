@@ -324,7 +324,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     analytics = _make("analytics", AnalyticsTargets, **d.get("analytics", {}))
     for i, nodes in enumerate(analytics.paths):
-        _check_route(graph, nodes, f"analytics.paths[{i}]")
+        where = f"analytics.paths[{i}]"
+        _check_route(graph, nodes, where)
+        for u, v in zip(nodes, nodes[1:]):
+            if graph.edge(u, v).capacity < 1:
+                raise ScenarioError(f"{where}: edge ({u!r}, {v!r}) has capacity 0")
 
     rt = d.get("routing", {})
     utility = _make("routing", UtilitySpec, **{

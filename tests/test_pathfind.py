@@ -80,7 +80,7 @@ def test_shortest_unknown_node():
 
 def test_k_shortest_triangle():
     paths = k_shortest_paths(triangle(), "A", "C", 2, Metric.SUM_NODE_DISTANCES)
-    assert [p.nodes for p in paths] == [("A", "B", "C"), ("A", "C")]
+    assert paths == [(20.0, ("A", "B", "C")), (25.0, ("A", "C"))]
 
 
 def test_k_shortest_disconnected_returns_empty():
@@ -122,6 +122,34 @@ def test_widest_breaks_ties_by_creation_rate():
 def test_widest_single_edge():
     g = chain_graph(1, p=0.5, cap=4)
     assert widest_path(g, "n0", "n1").nodes == ("n0", "n1")
+
+
+def test_widest_over_zero_probability_links_falls_back_to_hops():
+    # the only width-3 route has p = 0 links, so every creation-rate cost
+    # on it is infinite; the hop-count search still finds it
+    g = build_graph(
+        [NodeParams(id=i) for i in "SABD"],
+        [
+            EdgeParams(u="S", v="A", capacity=3, link_prob=0.0),
+            EdgeParams(u="A", v="D", capacity=3, link_prob=0.0),
+            EdgeParams(u="S", v="B", capacity=1, link_prob=0.9),
+            EdgeParams(u="B", v="D", capacity=1, link_prob=0.9),
+        ],
+    )
+    path = widest_path(g, "S", "D")
+    assert path.nodes == ("S", "A", "D")
+    assert min(path.per_hop_capacity) == 3
+
+
+def test_widest_none_when_zero_capacity_cuts_off():
+    g = build_graph(
+        [NodeParams(id=i) for i in "SAD"],
+        [
+            EdgeParams(u="S", v="A", capacity=2, link_prob=0.9),
+            EdgeParams(u="A", v="D", capacity=0, link_prob=0.9),
+        ],
+    )
+    assert widest_path(g, "S", "D") is None
 
 
 def test_path_cost_values():
@@ -265,14 +293,35 @@ def test_k_shortest_matches_enumeration_prefix():
         assert 1 <= len(got) <= 5
         # sorted, deduplicated, loop-free
         seen = set()
-        for p in got:
-            assert len(set(p.nodes)) == len(p.nodes)
-            assert p.nodes not in seen
-            seen.add(p.nodes)
-        costs = [path_cost(g, p, Metric.INVERSE_CREATION_RATE) for p in got]
+        for _, nodes in got:
+            assert len(set(nodes)) == len(nodes)
+            assert nodes not in seen
+            seen.add(nodes)
+        costs = [cost for cost, _ in got]
         assert costs == sorted(costs)
         for want, have in zip(all_costs, costs):
             assert have == pytest.approx(want)
+
+
+def test_k_shortest_costs_equal_path_cost():
+    """Every returned label's cost is exactly `path_cost` of its nodes,
+    and the labels come in non-decreasing cost, with or without a
+    residual view."""
+    rnd = random.Random(7)
+    for _ in range(60):
+        g = random_connected_graph(rnd, rnd.randint(4, 8))
+        residual = {
+            edge_key(e.u, e.v): rnd.randint(0, e.capacity) for e in g.edges
+        }
+        s, d = rnd.sample(g.node_ids(), 2)
+        for metric in METRICS:
+            for usable in (None, lambda key: residual[key] >= 1):
+                got = k_shortest_paths(g, s, d, 6, metric, edge_usable=usable)
+                for cost, nodes in got:
+                    spec = path_spec_from_nodes(g, nodes)
+                    assert cost == path_cost(g, spec, metric)
+                costs = [cost for cost, _ in got]
+                assert costs == sorted(costs)
 
 
 def test_widest_matches_enumeration():
@@ -323,4 +372,4 @@ def test_k_shortest_residual_view_matches_rebuilt_subgraph():
                 g, s, d, k, metric, edge_usable=lambda key: residual[key] >= 1
             )
             rebuilt = k_shortest_paths(sub, s, d, k, metric)
-            assert [p.nodes for p in view] == [p.nodes for p in rebuilt]
+            assert view == rebuilt

@@ -129,6 +129,11 @@ def scenario_docs(draw):
     # explicit paths that fit the edge capacities; the parser rejects the rest
     residual = {frozenset((e["u"], e["v"])): e["capacity"]
                 for e in doc["graph"]["edges"]}
+    # analysed paths need a channel on every hop; the parser rejects the rest
+    analysed = [
+        nodes for nodes in (subpath() for _ in range(draw(st.integers(0, 2))))
+        if all(residual[frozenset(hop)] >= 1 for hop in zip(nodes, nodes[1:]))
+    ]
     sim_paths = []
     for i in range(draw(st.integers(0, 2))):
         nodes, width = subpath(), draw(st.integers(1, 3))
@@ -157,7 +162,7 @@ def scenario_docs(draw):
                                      for _ in range(draw(st.integers(0, 3))))
         ],
         "analytics": {
-            "paths": [subpath() for _ in range(draw(st.integers(0, 2)))],
+            "paths": analysed,
             "policy": draw(st.sampled_from(STATIC_POLICIES)),
             "order_search": draw(st.booleans()),
         },
@@ -257,6 +262,12 @@ BAD_INPUTS = [
      "requests[0].rate_target"),
     (json.dumps(_set(_CHAIN, ("routing", "weights"), {"r1": 2.0}))
      .replace('"r1": 2.0', '"r1": 2.0, "r1": 3.0'), "routing.weights.r1"),
+    (_set(_CHAIN, ("sim", "max_paths_per_request"), 0), "sim"),
+    (_set(_CHAIN, ("sim", "max_paths_per_request"), -2), "sim"),
+    # B-C exists but carries no channel, so no width can be analysed on it
+    (_set(_set(_CHAIN, ("graph", "edges", 1, "capacity"), 0),
+          ("analytics", "paths"), [["A", "B"], ["A", "B", "C"]]),
+     "analytics.paths[1]"),
 ]
 
 
@@ -274,6 +285,39 @@ def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     assert run_command(["analyze", "--scenario", str(path),
                         "--out", str(tmp_path / "out")]) == 1
     assert where + ":" in capsys.readouterr().err
+
+
+# 13 hops along a 4x4 grid, one past the exhaustive order search's limit
+_SNAKE = ["0,0", "0,1", "0,2", "0,3", "1,3", "1,2", "1,1", "1,0",
+          "2,0", "2,1", "2,2", "2,3", "3,3", "3,2"]
+# (command, document, error): limits that only a command meets, once the
+# scenario has parsed; the error must name analytics.paths[1]
+COMMAND_LIMITS = {
+    "oracle_hops": ("oracle", _set(
+        _GRID, ("analytics", "paths"),
+        [["0,0", "0,1"], ["0,0", "0,1", "0,2", "1,2", "1,1", "1,0", "2,0"]],
+    ), "oracle limited to 5 hops"),
+    "oracle_cap": ("oracle", _set(
+        _set(_CHAIN, ("graph", "edges", 1, "capacity"), 4),
+        ("analytics", "paths"), [["A", "B"], ["B", "C"]],
+    ), "oracle limited to 5 hops and cap 3"),
+    "order_search_hops": ("analyze", _set(
+        _set(_set(_set(_GRID, ("graph", "grid", "rows"), 4),
+                  ("graph", "grid", "cols"), 4),
+             ("analytics", "order_search"), True),
+        ("analytics", "paths"), [["0,0", "0,1"], _SNAKE],
+    ), "path has 13 hops; exhaustive order search is limited to 12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_LIMITS))
+def test_command_limits_name_the_path(case, tmp_path, capsys):
+    command, doc, error = COMMAND_LIMITS[case]
+    path = write_scenario(tmp_path, doc)
+    parse_scenario(path)
+    assert run_command([command, "--scenario", str(path),
+                        "--out", str(tmp_path / "out")]) == 1
+    assert f"analytics.paths[1]: {error}" in capsys.readouterr().err
 
 
 def _table_keys(kind) -> set:
