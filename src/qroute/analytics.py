@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 NEG_CLAMP = 1e-15
 PMF_SUM_TOL = 1e-9
@@ -178,6 +179,23 @@ class SwapOrderTree:
         lv = self.leaves()
         return lv[0], lv[-1] + 1
 
+    @cached_property
+    def schedule(self) -> tuple[tuple[int, int, int], ...]:
+        """Post-order (left start, merge node, right end) triples, so both
+        inputs of a swap exist before it; empty for a leaf."""
+        ops: list[tuple[int, int, int]] = []
+
+        def walk(node: SwapOrderTree) -> tuple[int, int]:
+            if node.is_leaf:
+                return node.hop, node.hop + 1
+            a, mid = walk(node.left)
+            b = walk(node.right)[1]
+            ops.append((a, mid, b))
+            return a, b
+
+        walk(self)
+        return tuple(ops)
+
 
 def leaf(hop: int) -> SwapOrderTree:
     return SwapOrderTree(hop=hop)
@@ -187,6 +205,7 @@ def merge(left: SwapOrderTree, right: SwapOrderTree) -> SwapOrderTree:
     return SwapOrderTree(left=left, right=right)
 
 
+@lru_cache(maxsize=None)
 def sequential_tree(n_hops: int) -> SwapOrderTree:
     """Left-deep tree: swaps run left to right, one interior node at a time."""
     tree = leaf(0)
@@ -195,6 +214,7 @@ def sequential_tree(n_hops: int) -> SwapOrderTree:
     return tree
 
 
+@lru_cache(maxsize=None)
 def doubling_tree(n_hops: int) -> SwapOrderTree:
     """Balanced tree of height ceil(log2 n); same-level swaps are parallel."""
 
@@ -285,9 +305,6 @@ class SwapPolicy:
             return self.tree
         raise ValueError(f"policy {self.kind!r} has no static order tree")
 
-    def label(self) -> str:
-        return self.kind
-
 
 # ---------------------------------------------------------------------------
 # Distributions
@@ -321,53 +338,48 @@ def subpath_capacity(path: PathSpec, i: int, j: int) -> int:
     return min(path.per_hop_capacity[i:j])
 
 
+def _min_pmf(left, right) -> list[float]:
+    """P(min(i, j) = m) for independent counts i ~ left, j ~ right.
+
+    Splitting on which side attains the min keeps this O(cap) per entry
+    instead of summing over every (i, j) pair.
+    """
+    left_tail = [*accumulate(reversed(left), initial=0.0)][::-1]  # P(i >= k)
+    right_tail = [*accumulate(reversed(right), initial=0.0)][::-1]
+    return [
+        left[m] * right_tail[m] + right[m] * left_tail[m + 1]
+        for m in range(min(len(left), len(right)))
+    ]
+
+
+def _thin(paired, q: float) -> list[float]:
+    """Pmf of successes when each of m ~ `paired` pairs succeeds with q."""
+    out = [0.0] * len(paired)
+    for m in range(1, len(paired)):
+        if paired[m] == 0.0:
+            continue
+        thin = _binom_row(m, q)
+        for k in range(1, m + 1):
+            out[k] += paired[m] * thin[k]
+    out[0] = 1.0 - math.fsum(out[1:])
+    return out
+
+
 def unheralded_path_distribution(path: PathSpec) -> Distribution:
     """E2E pmf when all interior nodes swap independently in one step.
 
-    First builds the pmf of the minimum link count over the hops by a
-    left-to-right recursion (the running prefix tracked at its own width),
-    then thins each of those bound lanes by the product of interior swap
-    probabilities. The result does not depend on any swap ordering.
+    Pairs the hops' link counts from the left into the pmf of their
+    minimum, the number of bound lanes, then thins those lanes once by the
+    product of the interior swap probabilities. The result does not depend
+    on any swap ordering.
     """
-    n = path.hop_count
-    hop_pmfs = [
-        link_distribution(c, p).pmf
-        for c, p in zip(path.per_hop_capacity, path.per_hop_prob)
-    ]
-
-    # prefix[k] = P(min over hops so far is exactly k), k >= 1
-    prefix_cap = path.per_hop_capacity[0]
-    prefix = list(hop_pmfs[0])
-    prefix[0] = 0.0
-    counters.unheralded_states += prefix_cap + 1
-
-    for h in range(1, n):
-        hop_cap = path.per_hop_capacity[h]
-        hop = hop_pmfs[h]
-        new_cap = min(prefix_cap, hop_cap)
-        # hop_tail[k] = P(hop count >= k); prefix_tail[k] = P(prefix min >= k)
-        hop_tail = [0.0] * (hop_cap + 2)
-        for k in range(hop_cap, -1, -1):
-            hop_tail[k] = hop_tail[k + 1] + hop[k]
-        prefix_tail = [0.0] * (prefix_cap + 2)
-        for k in range(prefix_cap, 0, -1):
-            prefix_tail[k] = prefix_tail[k + 1] + prefix[k]
-        new_prefix = [0.0] * (new_cap + 1)
-        for k in range(1, new_cap + 1):
-            new_prefix[k] = prefix[k] * hop_tail[k] + hop[k] * prefix_tail[k + 1]
-        prefix, prefix_cap = new_prefix, new_cap
-        counters.unheralded_states += new_cap + 1
-
-    q_bar = math.prod(path.interior_swap_probs)
-    out = [0.0] * (prefix_cap + 1)
-    for lanes in range(1, prefix_cap + 1):
-        if prefix[lanes] == 0.0:
-            continue
-        thin = _binom_row(lanes, q_bar)
-        for k in range(1, lanes + 1):
-            out[k] += prefix[lanes] * thin[k]
-    out[0] = 1.0 - math.fsum(out[1:])
-    return Distribution(cap=prefix_cap, pmf=out)
+    lanes = _binom_row(path.per_hop_capacity[0], path.per_hop_prob[0])
+    counters.unheralded_states += len(lanes)
+    for c, p in zip(path.per_hop_capacity[1:], path.per_hop_prob[1:]):
+        lanes = _min_pmf(lanes, _binom_row(c, p))
+        counters.unheralded_states += len(lanes)
+    out = _thin(lanes, math.prod(path.interior_swap_probs))
+    return Distribution(cap=len(out) - 1, pmf=out)
 
 
 def heralded_swap_merge(
@@ -385,46 +397,30 @@ def heralded_swap_merge(
         )
     if not 0 <= q <= 1:
         raise ValueError(f"swap probability {q} outside [0, 1]")
-
-    # paired[m] = P(min(i, j) = m); splitting on which side attains the min
-    # keeps the merge O(cap^2) overall instead of the naive O(cap^3).
-    left_tail = [0.0] * (left.cap + 2)
-    for k in range(left.cap, -1, -1):
-        left_tail[k] = left_tail[k + 1] + left.pmf[k]
-    right_tail = [0.0] * (right.cap + 2)
-    for k in range(right.cap, -1, -1):
-        right_tail[k] = right_tail[k + 1] + right.pmf[k]
-    paired = [0.0] * (out_cap + 1)
-    for m in range(out_cap + 1):
-        paired[m] = left.pmf[m] * right_tail[m] + right.pmf[m] * left_tail[m + 1]
-
-    out = [0.0] * (out_cap + 1)
-    for m in range(1, out_cap + 1):
-        if paired[m] == 0.0:
-            continue
-        thin = _binom_row(m, q)
-        for k in range(1, m + 1):
-            out[k] += paired[m] * thin[k]
-    out[0] = 1.0 - math.fsum(out[1:])
+    out = _thin(_min_pmf(left.pmf, right.pmf), q)
     counters.heralded_merge_ops += (out_cap + 1) ** 2
     return Distribution(cap=out_cap, pmf=out)
 
 
 def heralded_path_distribution(path: PathSpec, order: SwapOrderTree) -> Distribution:
-    """E2E pmf when swaps follow `order`, each conditioned on its children."""
+    """E2E pmf when swaps follow `order`, each conditioned on its children.
+
+    Folds per-extent pmfs over the order's merge schedule: merge
+    (a, mid, b) swaps at path node mid the pmfs of extents (a, mid) and
+    (mid, b).
+    """
     validate_tree(order, path.hop_count)
-
-    def fold(node: SwapOrderTree) -> Distribution:
-        if node.is_leaf:
-            h = node.hop
-            return link_distribution(path.per_hop_capacity[h], path.per_hop_prob[h])
-        left = fold(node.left)
-        right = fold(node.right)
-        merge_at = node.left.span()[1]  # interior path node between the spans
-        q = path.interior_swap_probs[merge_at - 1]
-        return heralded_swap_merge(left, right, q, min(left.cap, right.cap))
-
-    return fold(order)
+    pools = {
+        (h, h + 1): link_distribution(c, p)
+        for h, (c, p) in enumerate(zip(path.per_hop_capacity, path.per_hop_prob))
+    }
+    for a, mid, b in order.schedule:
+        left, right = pools[a, mid], pools[mid, b]
+        pools[a, b] = heralded_swap_merge(
+            left, right, path.interior_swap_probs[mid - 1],
+            min(left.cap, right.cap),
+        )
+    return pools[0, path.hop_count]
 
 
 def policy_distribution(path: PathSpec, policy: SwapPolicy) -> Distribution:

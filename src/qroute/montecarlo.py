@@ -24,8 +24,6 @@ from .analytics import (
     PathSpec,
     SwapOrderTree,
     SwapPolicy,
-    doubling_tree,
-    sequential_tree,
     validate_tree,
 )
 from .netmodel import NetworkGraph, edge_key
@@ -55,7 +53,6 @@ class KeyedRng:
     __slots__ = ("_link_base", "_swap_base")
 
     def __init__(self, seed: int):
-        seed &= MASK64
         self._link_base = _mix64((seed + _GAMMA * (_LINK_DOMAIN + 1)) & MASK64)
         self._swap_base = _mix64((seed + _GAMMA * (_SWAP_DOMAIN + 1)) & MASK64)
 
@@ -97,6 +94,8 @@ class SimConfig:
             raise ValueError(f"unknown forwarding mode {self.forwarding!r}")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError(f"seed {self.seed} outside 0 <= seed < 2**64")
         if self.max_paths_per_request < 1:
             raise ValueError("max_paths_per_request must be >= 1")
         if self.policy.kind == "adhoc" and self.forwarding == "sync":
@@ -163,28 +162,6 @@ class _SwapDraws:
         return [draw(base, rank, s) < q for s in range(seq, seq + m)]
 
 
-def _merge_schedule_from_tree(tree: SwapOrderTree) -> tuple[tuple[int, int, int], ...]:
-    """Post-order (left_start, merge_node, right_end) triples for a tree."""
-    ops: list[tuple[int, int, int]] = []
-
-    def walk(node: SwapOrderTree) -> tuple[int, int]:
-        if node.is_leaf:
-            return node.hop, node.hop + 1
-        a, mid = walk(node.left)
-        mid2, b = walk(node.right)
-        ops.append((a, mid, b))
-        return a, b
-
-    walk(tree)
-    return tuple(ops)
-
-
-@lru_cache(maxsize=None)
-def _static_merge_schedule(kind: str, n_hops: int) -> tuple[tuple[int, int, int], ...]:
-    tree = sequential_tree(n_hops) if kind == "sequential" else doubling_tree(n_hops)
-    return _merge_schedule_from_tree(tree)
-
-
 @dataclass(frozen=True)
 class _RuntimePath:
     """Per-path execution context precomputed once, reused every slot."""
@@ -198,13 +175,10 @@ class _RuntimePath:
 
     @classmethod
     def build(cls, label, request_id, path, policy, channels=()):
-        if policy.kind in ("sequential", "doubling"):
-            schedule = _static_merge_schedule(policy.kind, path.hop_count)
-        elif policy.kind == "explicit":
-            validate_tree(policy.tree, path.hop_count)
-            schedule = _merge_schedule_from_tree(policy.tree)
-        else:
-            schedule = None
+        schedule = (
+            None if policy.kind in ("parallel", "adhoc")
+            else policy.order_tree(path.hop_count).schedule
+        )
         return cls(
             label=label, request_id=request_id, path=path, policy=policy,
             schedule=schedule, channels=tuple(channels),
@@ -589,7 +563,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         seed=config.seed,
         scheme=config.scheme,
         forwarding=config.forwarding,
-        policy=config.policy.label(),
+        policy=config.policy.kind,
     )
     sync = config.forwarding == "sync"
     reactive = config.scheme == "reactive"
@@ -738,7 +712,8 @@ _ORACLE_MAX_CAP = 3
 
 @lru_cache(maxsize=None)
 def _channel_count_weights(cap: int, p: float) -> tuple[float, ...]:
-    """P(k of `cap` channels succeed), by enumerating every bit pattern."""
+    """P(k of `cap` trials succeed), by enumerating every bit pattern; the
+    oracle counts both link channels and swap attempts with it."""
     weights = [0.0] * (cap + 1)
     for bits in itertools.product((0, 1), repeat=cap):
         prob = 1.0
@@ -746,19 +721,6 @@ def _channel_count_weights(cap: int, p: float) -> tuple[float, ...]:
             prob *= p if b else (1.0 - p)
         weights[sum(bits)] += prob
     return tuple(weights)
-
-
-@lru_cache(maxsize=None)
-def _swap_pattern_outcomes(m: int, q: float) -> tuple[tuple[int, float], ...]:
-    """P(s of m independent swap attempts succeed), by bit enumeration."""
-    acc: dict[int, float] = {}
-    for bits in itertools.product((0, 1), repeat=m):
-        prob = 1.0
-        for b in bits:
-            prob *= q if b else (1.0 - q)
-        s = sum(bits)
-        acc[s] = acc.get(s, 0.0) + prob
-    return tuple(sorted(acc.items()))
 
 
 def brute_force_distribution(
@@ -834,10 +796,6 @@ def _tree_outcomes(path, tree, counts) -> dict[int, float]:
     acc: dict[int, float] = {}
     for lc, lp in left.items():
         for rc, rp in right.items():
-            m = min(lc, rc)
-            if m == 0:
-                acc[0] = acc.get(0, 0.0) + lp * rp
-                continue
-            for s, sp in _swap_pattern_outcomes(m, q):
+            for s, sp in enumerate(_channel_count_weights(min(lc, rc), q)):
                 acc[s] = acc.get(s, 0.0) + lp * rp * sp
     return acc

@@ -276,9 +276,6 @@ class LogicalTopology:
             norm[edge_key(u, v)] = c
         return cls(counts=norm)
 
-    def count(self, u: str, v: str) -> int:
-        return self.counts.get(edge_key(u, v), 0)
-
 
 def disjoint_paths_on_logical(
     logical: LogicalTopology,

@@ -26,6 +26,8 @@ from .analytics import (
 from .netmodel import NetworkGraph, edge_key
 from .pathfind import Metric, k_shortest_paths, path_spec_from_nodes
 
+MIN_GAIN = 1e-12  # utility increments at or below this are noise: stop there
+
 
 @dataclass(frozen=True)
 class Request:
@@ -120,7 +122,6 @@ class AllocatorConfig:
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     policy: SwapPolicy = field(default_factory=SwapPolicy.doubling)
     elementary_fidelity: float = 1.0
-    min_gain: float = 1e-12  # increments below this are noise, stop there
 
     def __post_init__(self):
         if self.k < 1:
@@ -239,7 +240,7 @@ def allocate(
                 cand = (gain, req.id, nodes, w + 1)
                 if beats(cand, best):
                     best = cand
-        if best is None or best[0] <= config.min_gain:
+        if best is None or best[0] <= MIN_GAIN:
             break
         gain, rid, nodes, w = best
         widths[(rid, nodes)] = w

@@ -321,6 +321,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 )
     if len({r.id for r in requests}) != len(requests):
         raise ScenarioError("request ids must be unique")
+    declared = {r.id: r for r in requests}
 
     analytics = _make("analytics", AnalyticsTargets, **d.get("analytics", {}))
     for i, nodes in enumerate(analytics.paths):
@@ -331,6 +332,11 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ScenarioError(f"{where}: edge ({u!r}, {v!r}) has capacity 0")
 
     rt = d.get("routing", {})
+    for rid, weight in rt.get("weights", ()):
+        if rid not in declared:
+            raise ScenarioError(f"routing.weights.{rid}: no request has id {rid!r}")
+        if weight < 0:  # utilities are non-decreasing in the rate
+            raise ScenarioError(f"routing.weights.{rid}: weight {weight} is negative")
     utility = _make("routing", UtilitySpec, **{
         key: rt.pop(key) for key in ("kind", "weights") if key in rt
     })
@@ -342,7 +348,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         _make(f"sim.paths[{i}]", ExplicitPath, **{"request_id": f"r{i}", **kw})
         for i, kw in enumerate(sd.pop("paths", ()))
     )
-    declared = {r.id: r for r in requests}
     residual = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
     for i, p in enumerate(explicit):
         where = f"sim.paths[{i}]"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -203,6 +204,59 @@ def test_order_search_tie_break_is_first_tree():
     path = make_path([1, 1, 1], [0.9, 0.9, 0.9], [0.5, 0.5])
     tree, _ = optimal_order_search(path)
     assert tree == sequential_tree(3)
+
+
+def _schedule_from_spans(tree):
+    """Post-order merge triples, derived from the leaves of each subtree."""
+    if tree.is_leaf:
+        return []
+    a, mid = tree.left.span()
+    b = tree.right.span()[1]
+    return (_schedule_from_spans(tree.left) + _schedule_from_spans(tree.right)
+            + [(a, mid, b)])
+
+
+def test_schedule_matches_spans_for_every_tree():
+    for n in range(1, 8):
+        for tree in all_order_trees(n):
+            assert list(tree.schedule) == _schedule_from_spans(tree)
+    assert sequential_tree(5) is sequential_tree(5)
+    assert doubling_tree(5).schedule is doubling_tree(5).schedule
+
+
+# sha256 of the pmfs, order-search results and counter totals below,
+# recorded before the heralded fold ran on the shared merge schedule
+PINNED_PATH_DISTRIBUTIONS = (
+    "291fa1c1408ef1662d372ed23ef29fc88d3a236f5be8751e03e288ac37e6cbbb"
+)
+
+
+def test_path_distributions_pinned():
+    rnd = random.Random(2029)
+
+    def prob():
+        return rnd.choice((0.0, 1.0, rnd.random(), rnd.random()))
+
+    digest = hashlib.sha256()
+    counters.reset()
+    for _ in range(1000):
+        n = rnd.randint(1, 7)
+        path = make_path([rnd.randint(1, 6) for _ in range(n)],
+                         [prob() for _ in range(n)],
+                         [prob() for _ in range(n - 1)])
+        dists = [unheralded_path_distribution(path),
+                 heralded_path_distribution(path, sequential_tree(n)),
+                 heralded_path_distribution(path, doubling_tree(n))]
+        trees = list(all_order_trees(n))
+        for tree in rnd.sample(trees, min(3, len(trees))):
+            dists.append(heralded_path_distribution(path, tree))
+        for dist in dists:
+            digest.update(repr(dist.pmf).encode())
+        if n <= 5:
+            digest.update(repr(optimal_order_search(path)).encode())
+    digest.update(repr((counters.unheralded_states, counters.heralded_merge_ops,
+                        counters.trees_evaluated)).encode())
+    assert digest.hexdigest() == PINNED_PATH_DISTRIBUTIONS
 
 
 # --------------------------------------------------------------------------

@@ -145,6 +145,13 @@ def scenario_docs(draw):
                 {"request": f"p{i}", "nodes": nodes, "width": width,
                  **({"policy": draw(st.sampled_from(STATIC_POLICIES))}
                     if draw(st.booleans()) else {})})
+    requests = [
+        {"id": f"q{i}", "source": path[0], "dest": path[-1],
+         "rate_target": draw(st.floats(0.01, 10)),
+         "min_fidelity": draw(st.floats(0.26, 1))}
+        for i, path in enumerate(subpath() for _ in range(draw(st.integers(0, 3))))
+    ]
+    ids = [r["id"] for r in requests]
     optional = {
         "physical": {
             "attenuation_alpha_per_km": draw(st.floats(0, 0.1)),
@@ -154,13 +161,7 @@ def scenario_docs(draw):
                 ("off", "linear-optics", "advanced"))),
         },
         "elementary_fidelity": draw(st.floats(0.26, 1)),
-        "requests": [
-            {"id": f"q{i}", "source": path[0], "dest": path[-1],
-             "rate_target": draw(st.floats(0.01, 10)),
-             "min_fidelity": draw(st.floats(0.26, 1))}
-            for i, path in enumerate(subpath()
-                                     for _ in range(draw(st.integers(0, 3))))
-        ],
+        "requests": requests,
         "analytics": {
             "paths": analysed,
             "policy": draw(st.sampled_from(STATIC_POLICIES)),
@@ -169,8 +170,8 @@ def scenario_docs(draw):
         "routing": {
             "k": draw(st.integers(1, 6)),
             "utility": draw(st.sampled_from(UTILITY_KINDS)),
-            "weights": draw(st.dictionaries(st.sampled_from(("q0", "q1")),
-                                            st.floats(0, 5))),
+            "weights": draw(st.dictionaries(st.sampled_from(ids), st.floats(0, 5))
+                            if ids else st.just({})),
             "policy": draw(st.sampled_from(STATIC_POLICIES)),
         },
         "sim": {
@@ -189,6 +190,8 @@ def scenario_docs(draw):
         "output": {"format": draw(st.sampled_from(("json", "csv")))},
     }
     keep = draw(st.sets(st.sampled_from(sorted(optional))))
+    if "requests" not in keep:  # weights name declared requests only
+        optional["routing"]["weights"] = {}
     doc.update({key: optional[key] for key in keep})
     return doc
 
@@ -268,6 +271,12 @@ BAD_INPUTS = [
     (_set(_set(_CHAIN, ("graph", "edges", 1, "capacity"), 0),
           ("analytics", "paths"), [["A", "B"], ["A", "B", "C"]]),
      "analytics.paths[1]"),
+    # seeds were folded modulo 2**64, so 2**64 ran as 0 and -1 as 2**64 - 1
+    (_set(_CHAIN, ("sim", "seed"), 2**64), "sim"),
+    (_set(_CHAIN, ("sim", "seed"), -1), "sim"),
+    # a negative weight would make the allocator never serve r1
+    (_set(_CHAIN, ("routing", "weights"), {"r1": -1.0}), "routing.weights.r1"),
+    (_set(_CHAIN, ("routing", "weights"), {"zz": 2.0}), "routing.weights.zz"),
 ]
 
 
@@ -504,6 +513,10 @@ def test_exit_codes(tmp_path, capsys):
                         "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "link_prob" in err
+    # a flag outside its range names the overrides
+    assert run_command(["simulate", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
+                        "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "overrides: seed -1 outside" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one(tmp_path):
