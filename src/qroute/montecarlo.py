@@ -147,11 +147,6 @@ class _SwapDraws:
         self._base = base
         self.seq: dict[str, int] = {}
 
-    def success(self, node: str, q: float) -> bool:
-        seq = self.seq.get(node, 0)
-        self.seq[node] = seq + 1
-        return KeyedRng.draw_from_base(self._base, self._rank[node], seq) < q
-
     def successes(self, node: str, q: float, m: int) -> list[bool]:
         """The next `m` swap outcomes at `node`, in sequence order."""
         seq = self.seq.get(node, 0)
@@ -195,20 +190,19 @@ def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, stats):
     nodes = rp.path.nodes
     qs = rp.path.interior_swap_probs
     n = len(counts)
-    if rp.schedule is None:  # parallel: each lane draws every interior swap
+    if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
         lanes = min(counts)
-        delivered = successes = 0
-        for _ in range(lanes):
-            won = [draws.success(nodes[j], qs[j - 1]) for j in range(1, n)]
-            successes += sum(won)
-            delivered += all(won)
-        stats.record_swaps("parallel", lanes * (n - 1), successes)
+        won = [draws.successes(nodes[j], qs[j - 1], lanes) for j in range(1, n)]
+        # the all-true column keeps every lane of a one-hop path, which has
+        # no interior node to draw at
+        delivered = sum(map(all, zip([True] * lanes, *won)))
+        stats.record_swaps("parallel", lanes * (n - 1), sum(map(sum, won)))
         return delivered, lanes * n, delivered
     pools = {(h, h + 1): c for h, c in enumerate(counts)}
     attempts = successes = 0
     for a, mid, b in rp.schedule:  # post-order: both inputs are filled
         m = min(pools[a, mid], pools[mid, b])
-        pools[a, b] = sum(draws.success(nodes[mid], qs[mid - 1]) for _ in range(m))
+        pools[a, b] = sum(draws.successes(nodes[mid], qs[mid - 1], m))
         attempts += m
         successes += pools[a, b]
     stats.record_swaps(rp.policy.kind, attempts, successes)
@@ -282,19 +276,15 @@ class _AsyncKernel:
     """Async run state: link runs, the id counter and the entity ledger
     (created == live + disposed), checked every slot."""
 
-    def __init__(self, graph: NetworkGraph, runs):
-        """`runs`: (edge key, first channel, width), in channel order per edge."""
+    def __init__(self, graph: NetworkGraph, schedule):
+        """`schedule`: the link schedule `simulate` builds."""
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
-        self.runs: dict[tuple, _Channels] = {}  # (edge key, first channel)
-        by_edge: dict[tuple[str, str], list[_Channels]] = {}
-        for key, start, width in runs:
-            run = _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
-            self.runs[key, start] = run
-            by_edge.setdefault(key, []).append(run)
-        self.schedule = [
-            (graph.edge_index(*key), graph.edge(*key).link_prob, by_edge[key])
-            for key in sorted(by_edge)
-        ]
+        self.runs = {  # (edge key, first channel)
+            (key, start): _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
+            for (key, start, width), _, _ in schedule
+        }
+        self.schedule = [(eidx, p, self.runs[key, start])
+                         for (key, start, _), eidx, p in schedule]
         self.cutoff = cutoff
         self.next_id = 0  # = entities created
         self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
@@ -333,16 +323,15 @@ class _AsyncKernel:
         base = rng.link_slot_base(slot)
         draw = rng.draw_from_base
         first = next_id = self.next_id
-        for eidx, p, runs in self.schedule:
-            for run in runs:
-                links = run.links
-                if len(links) == run.width:
-                    continue
-                busy = {r[3] for r in links}
-                for ch in range(run.start, run.start + run.width):
-                    if ch not in busy and draw(base, eidx, ch) < p:
-                        links.append((next_id, slot, slot, ch))
-                        next_id += 1
+        for eidx, p, run in self.schedule:
+            links = run.links
+            if len(links) == run.width:
+                continue
+            busy = {r[3] for r in links}
+            for ch in range(run.start, run.start + run.width):
+                if ch not in busy and draw(base, eidx, ch) < p:
+                    links.append((next_id, slot, slot, ch))
+                    next_id += 1
         self.next_id = next_id
         return next_id - first
 
@@ -572,14 +561,11 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         if not isinstance(plan_or_requests, AllocationPlan):
             raise ValueError("proactive simulation needs an AllocationPlan")
         bound = _bind_plan(graph, plan_or_requests)
-        scope: dict[tuple[str, str], int] = {}
         for rp in bound:
             if sync and rp.policy.kind == "adhoc":
                 raise ValueError(
                     f"path {rp.label}: adhoc swapping needs async forwarding"
                 )
-            for key, start, width in rp.channels:
-                scope[key] = max(scope.get(key, 0), start + width)
             stats.per_path[rp.label] = {
                 "request": rp.request_id,
                 "nodes": list(rp.path.nodes),
@@ -592,6 +578,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             {rp.request_id for rp in bound}
             | {r.id for r in plan_or_requests.requests}
         )
+        runs = [run for rp in bound for run in rp.channels]
     else:
         if isinstance(plan_or_requests, AllocationPlan):
             raise ValueError(
@@ -602,22 +589,21 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         if not all(isinstance(r, Request) for r in requests):
             raise ValueError("reactive simulation needs a list of requests")
         requests.sort(key=lambda r: r.id)
-        scope = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
+        runs = [(edge_key(e.u, e.v), 0, e.capacity) for e in graph.edges]
         request_ids = [r.id for r in requests]
 
+    # the link schedule both forwarding modes generate on: one entry per
+    # channel run, ((edge key, first channel, width), edge index, p), in
+    # (edge key, first channel) order, which async link ids follow
+    schedule = [
+        (run, graph.edge_index(*run[0]), graph.edge(*run[0]).link_prob)
+        for run in sorted(runs)
+    ]
     if sync:
-        gen_schedule = [
-            (key, graph.edge_index(*key), graph.edge(*key).link_prob, width)
-            for key, width in sorted(scope.items())
-            if width >= 1
-        ]
         # entities are tallied per slot, since nothing outlives it
         ledger = dict.fromkeys(DISPOSE_REASONS, 0)
     else:
-        kernel = _AsyncKernel(graph, (
-            [(key, 0, width) for key, width in scope.items()] if reactive
-            else [run for rp in bound for run in rp.channels]
-        ))
+        kernel = _AsyncKernel(graph, schedule)
         # proactive segments persist across slots; reactive ones die with it
         held = {} if reactive else {rp.label: kernel.bind(rp) for rp in bound}
 
@@ -630,11 +616,12 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         draws = _SwapDraws(rank, rng.swap_slot_base(slot))
         if sync:
             base = rng.link_slot_base(slot)
-            bits = {
-                key: [draw(base, eidx, ch) < p for ch in range(width)]
-                for key, eidx, p, width in gen_schedule
+            made = {  # new links per channel run
+                run: sum([draw(base, eidx, ch) < p
+                          for ch in range(run[1], run[1] + run[2])])
+                for run, eidx, p in schedule
             }
-            created = sum(map(sum, bits.values()))
+            created = sum(made.values())
             consumed = 0
         else:
             kernel.purge(slot, held.values())
@@ -643,7 +630,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
 
         if reactive:
             counts = (
-                {key: c for key, b in bits.items() if (c := sum(b))} if sync
+                {run[0]: c for run, c in made.items() if c} if sync
                 else {key: len(run.links)
                       for (key, _), run in kernel.runs.items() if run.links}
             )
@@ -653,11 +640,8 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         slot_totals = dict.fromkeys(request_ids, 0)
         for rp in paths:
             if sync:
-                hops = (
-                    [1] * rp.path.hop_count if reactive
-                    else [sum(bits[key][start:start + width])
-                          for key, start, width in rp.channels]
-                )
+                hops = ([1] * rp.path.hop_count if reactive
+                        else [made[run] for run in rp.channels])
                 got, used, segments = _exec_counts(rp, hops, draws, stats)
                 consumed += used
                 created += segments

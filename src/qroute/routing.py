@@ -11,6 +11,7 @@ be NP-hard territory; the greedy trades optimality for anytime behavior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,6 @@ from .analytics import (
     FidelityInfeasibleError,
     PathSpec,
     SwapPolicy,
-    UNBOUNDED_HOPS,
     expected_throughput,
     max_hops,
     policy_distribution,
@@ -64,6 +64,11 @@ class UtilitySpec:
     def __post_init__(self):
         if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}")
+        if self.weights and self.kind != "weighted_sum":
+            raise ValueError(
+                f"weights: utility {self.kind!r} reads no weights; only "
+                "'weighted_sum' does"
+            )
 
     def weight(self, request_id: str) -> float:
         return dict(self.weights).get(request_id, 1.0)
@@ -135,12 +140,6 @@ class AllocatorConfig:
             raise ValueError("elementary_fidelity outside (0.25, 1]")
 
 
-def _hop_bound(req: Request, f0: float) -> int:
-    if f0 >= 1.0:
-        return UNBOUNDED_HOPS
-    return max_hops(f0, req.min_fidelity)
-
-
 def allocate(
     graph: NetworkGraph, requests: list[Request], config: AllocatorConfig
 ) -> AllocationPlan:
@@ -163,25 +162,22 @@ def allocate(
             infeasible.append((req.id, "unknown endpoint"))
             continue
         try:
-            bound = _hop_bound(req, config.elementary_fidelity)
+            bound = max_hops(config.elementary_fidelity, req.min_fidelity)
         except FidelityInfeasibleError as exc:
             infeasible.append((req.id, str(exc)))
             continue
         live.append((req, bound))
 
-    # widths[(request id, nodes)] -> allocated width
-    widths: dict[tuple[str, tuple[str, ...]], int] = {}
+    # widths[request id][nodes] -> allocated width
+    widths: dict[str, dict[tuple[str, ...], int]] = {req.id: {} for req, _ in live}
     rates: dict[str, float] = {req.id: 0.0 for req, _ in live}
-    ext_cache: dict[tuple[tuple[str, ...], int], float] = {}
 
+    @functools.cache
     def ext_at(nodes: tuple[str, ...], width: int) -> float:
-        key = (nodes, width)
-        if key not in ext_cache:
-            spec = path_spec_from_nodes(graph, nodes, width=width)
-            ext_cache[key] = expected_throughput(
-                policy_distribution(spec, config.policy)
-            )
-        return ext_cache[key]
+        if not width:
+            return 0.0
+        spec = path_spec_from_nodes(graph, nodes, width=width)
+        return expected_throughput(policy_distribution(spec, config.policy))
 
     usable = lambda key: residual[key] >= 1
     # (source, dest, hop bound, saturated edges) -> candidate node sequences
@@ -212,41 +208,35 @@ def allocate(
         tie = 1e-12 * max(1.0, abs(best[0]))
         if cand[0] > best[0] + tie:
             return True
-        return cand[0] >= best[0] - tie and cand[1:] < best[1:]
+        return cand[0] >= best[0] - tie and cand[1:3] < best[1:3]
 
     trace = [0.0]
     while True:
-        best = None  # (gain, request id, nodes, new width)
+        best = None  # (gain, request id, nodes, new width, rate delta)
         saturated = frozenset(k for k, c in residual.items() if c < 1)
         for req, bound in live:
-            seen: set[tuple[str, ...]] = set()
-            existing = [
-                nodes for (rid, nodes) in widths if rid == req.id
-            ]
-            for nodes in existing + candidate_routes(req, bound, saturated):
-                if nodes in seen:
-                    continue
-                seen.add(nodes)
+            mine = widths[req.id]
+            rate = rates[req.id]
+            value = config.utility.value(req, rate)
+            for nodes in dict.fromkeys(
+                [*mine, *candidate_routes(req, bound, saturated)]
+            ):
                 if any(
                     residual[edge_key(u, v)] < 1 for u, v in zip(nodes, nodes[1:])
                 ):
                     continue
-                w = widths.get((req.id, nodes), 0)
-                delta = ext_at(nodes, w + 1) - (ext_at(nodes, w) if w else 0.0)
-                new_rate = rates[req.id] + delta
-                gain = config.utility.value(req, new_rate) - config.utility.value(
-                    req, rates[req.id]
-                )
-                cand = (gain, req.id, nodes, w + 1)
+                w = mine.get(nodes, 0)
+                delta = ext_at(nodes, w + 1) - ext_at(nodes, w)
+                gain = config.utility.value(req, rate + delta) - value
+                cand = (gain, req.id, nodes, w + 1, delta)
                 if beats(cand, best):
                     best = cand
         if best is None or best[0] <= MIN_GAIN:
             break
-        gain, rid, nodes, w = best
-        widths[(rid, nodes)] = w
+        gain, rid, nodes, w, delta = best
+        widths[rid][nodes] = w
         for u, v in zip(nodes, nodes[1:]):
             residual[edge_key(u, v)] -= 1
-        delta = ext_at(nodes, w) - (ext_at(nodes, w - 1) if w > 1 else 0.0)
         rates[rid] += delta
         trace.append(trace[-1] + gain)
 
@@ -256,7 +246,8 @@ def allocate(
             path=path_spec_from_nodes(graph, nodes, width=w),
             policy=config.policy,
         )
-        for (rid, nodes), w in sorted(widths.items())
+        for rid, mine in sorted(widths.items())
+        for nodes, w in sorted(mine.items())
     )
     return AllocationPlan(
         requests=tuple(requests),

@@ -246,13 +246,17 @@ def _required(build) -> tuple[str, ...]:
 
 
 def _make(where: str, build, /, **kw):
-    """`build(**kw)`; a missing field or a failed range check names `where`."""
+    """`build(**kw)`; a missing field or a failed range check names `where`,
+    and the field too when the check's message starts with "<keyword>: "."""
     for name in _required(build):
         if name not in kw:
             raise ScenarioError(f"{_at(where, _JSON_KEY.get(name, name))}: missing field")
     try:
         return build(**kw)
     except ValueError as exc:
+        name, sep, why = str(exc).partition(": ")
+        if sep and name in kw:
+            where, exc = _at(where, _JSON_KEY.get(name, name)), why
         raise ScenarioError(f"{where}: {exc}") from None
 
 

@@ -187,6 +187,51 @@ STATIC_POLICIES = (
 )
 
 
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+def test_one_hop_parallel_delivers_every_link(forwarding):
+    # a one-hop path has no interior node: each link is already end to end
+    g = chain_graph(1, p=0.6, cap=3)
+    plan = plan_for_chain(g, 1, width=3, policy=SwapPolicy.parallel())
+    stats = simulate(g, plan, SimConfig(forwarding=forwarding, slots=50, seed=9))
+    made = stats.links_generated
+    assert made > 0 and stats.delivered_total == made
+    assert stats.swap_counters == {}
+    assert stats.entities_disposed == ledger(consumed=made, delivered=made)
+
+
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+@pytest.mark.parametrize("policy", STATIC_POLICIES, ids=lambda p: p.kind)
+def test_zero_lane_slot_draws_nothing(forwarding, policy):
+    # m-b never links, so path a-m-b never has a lane; had it drawn a swap
+    # at m anyway, the later path a-m-c would see other outcomes there
+    g = build_graph(
+        [NodeParams(id=v, swap_prob=0.5) for v in "ambc"],
+        [EdgeParams(u="a", v="m", capacity=2, link_prob=1.0),
+         EdgeParams(u="m", v="b", capacity=1, link_prob=0.0),
+         EdgeParams(u="m", v="c", capacity=1, link_prob=0.8)],
+    )
+
+    def run(*paths):
+        plan = AllocationPlan(
+            requests=tuple(Request(id=rid, source="a", dest=nodes[-1])
+                           for rid, nodes in paths),
+            allocations=tuple(
+                PathAllocation(request_id=rid, policy=policy,
+                               path=path_spec_from_nodes(g, nodes, width=1))
+                for rid, nodes in paths),
+            residual=(),
+        )
+        return simulate(g, plan, SimConfig(forwarding=forwarding, slots=200,
+                                           seed=4))
+
+    both = run(("dead", "amb"), ("live", "amc"))
+    alone = run(("live", "amc"))
+    assert both.per_path["dead[0]"]["delivered"] == 0
+    assert both.per_path["live[0]"] == alone.per_path["live[0]"]
+    assert both.swap_counters == alone.swap_counters
+    assert 0 < alone.per_path["live[0]"]["delivered"] < 200
+
+
 @st.composite
 def sim_cases(draw):
     """A small chain or grid with memory cutoff 1 everywhere, and either a

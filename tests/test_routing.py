@@ -99,6 +99,10 @@ def test_total_utility_kinds():
     assert total_utility(plan2, UtilitySpec("saturating")) == pytest.approx(0.6)
     weighted = UtilitySpec("weighted_sum", weights=(("a", 2.0),))
     assert total_utility(plan, weighted) == pytest.approx(1.0)
+    # the other kinds read no weights, so they take none
+    for kind in ("total_throughput", "saturating"):
+        with pytest.raises(ValueError, match="reads no weights"):
+            UtilitySpec(kind, weights=(("a", 2.0),))
 
 
 def test_total_utility_empty():

@@ -152,6 +152,7 @@ def scenario_docs(draw):
         for i, path in enumerate(subpath() for _ in range(draw(st.integers(0, 3))))
     ]
     ids = [r["id"] for r in requests]
+    utility = draw(st.sampled_from(UTILITY_KINDS))
     optional = {
         "physical": {
             "attenuation_alpha_per_km": draw(st.floats(0, 0.1)),
@@ -169,9 +170,11 @@ def scenario_docs(draw):
         },
         "routing": {
             "k": draw(st.integers(1, 6)),
-            "utility": draw(st.sampled_from(UTILITY_KINDS)),
+            "utility": utility,
+            # only weighted_sum reads weights; the parser rejects the rest
             "weights": draw(st.dictionaries(st.sampled_from(ids), st.floats(0, 5))
-                            if ids else st.just({})),
+                            if ids and utility == "weighted_sum"
+                            else st.just({})),
             "policy": draw(st.sampled_from(STATIC_POLICIES)),
         },
         "sim": {
@@ -277,12 +280,17 @@ BAD_INPUTS = [
     # a negative weight would make the allocator never serve r1
     (_set(_CHAIN, ("routing", "weights"), {"r1": -1.0}), "routing.weights.r1"),
     (_set(_CHAIN, ("routing", "weights"), {"zz": 2.0}), "routing.weights.zz"),
+    # only weighted_sum reads weights; other utilities ignored them
+    (_set(_set(_CHAIN, ("routing", "weights"), {"r1": 5.0}),
+          ("routing", "utility"), "saturating"), "routing.weights"),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, where", BAD_INPUTS,
-    ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS],
+    # the last case's path is already an id; a repeat would renumber both
+    ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS[:-1]]
+    + ["routing.weights:unread"],
 )
 def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     if isinstance(doc, dict):
