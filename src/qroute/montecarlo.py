@@ -438,9 +438,11 @@ def _pop_lowest(links, segs, m, link_far, far, index):
 
 
 def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
-    """Swap as soon as possible: sweep the interior nodes until a sweep
-    swaps nothing; node j pairs, in id order, the records ending at j with
-    those starting at j."""
+    """Swap as soon as possible: one sweep of the interior nodes in path
+    order; node j pairs, in id order, the records ending at j with those
+    starting at j. A second sweep would pair nothing: a visit empties one
+    side of node j, and a new segment starts where its left record starts
+    and ends where its right record ends, so that side stays empty."""
     nodes = rp.path.nodes
     qs = rp.path.interior_swap_probs
     n = rp.path.hop_count
@@ -450,30 +452,26 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
     if n == 1:  # a link is already end to end
         delivered = len(hops[0])
         hops[0].clear()
-    changed = n > 1
-    while changed:
-        changed = False
-        for j in range(1, n):
-            m = min(len(hops[j - 1]) + len(ends[j]), len(hops[j]) + len(starts[j]))
-            if not m:
+    for j in range(1, n):
+        m = min(len(hops[j - 1]) + len(ends[j]), len(hops[j]) + len(starts[j]))
+        if not m:
+            continue
+        attempts += m
+        lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
+        rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
+        won = draws.successes(nodes[j], qs[j - 1], m)
+        for (a, left), (b, right), ok in zip(lefts, rights, won):
+            if not ok:
                 continue
-            changed = True
-            attempts += m
-            lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
-            rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
-            won = draws.successes(nodes[j], qs[j - 1], m)
-            for (a, left), (b, right), ok in zip(lefts, rights, won):
-                if not ok:
-                    continue
-                if a == 0 and b == n:
-                    delivered += 1
-                else:
-                    lb = left[1]
-                    rb = right[2]
-                    seg = (next_id, lb, rb, a, b, min(lb + cut[a], rb + cut[b]))
-                    ends[b].append(seg)
-                    starts[a].append(seg)
-                next_id += 1
+            if a == 0 and b == n:
+                delivered += 1
+            else:
+                lb = left[1]
+                rb = right[2]
+                seg = (next_id, lb, rb, a, b, min(lb + cut[a], rb + cut[b]))
+                ends[b].append(seg)
+                starts[a].append(seg)
+            next_id += 1
     stats.record_swaps("adhoc", attempts, next_id - kernel.next_id)
     kernel.next_id = next_id
     kernel.disposed["consumed"] += 2 * attempts

@@ -116,6 +116,11 @@ class NetworkGraph:
     _adjacency: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
+    # derived tables built on first use (ranks, search adjacencies, specs);
+    # not an init field, so `dataclasses.replace` starts a fresh one
+    _memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self):
         node_by_id = {n.id: n for n in self.nodes}
@@ -163,18 +168,16 @@ class NetworkGraph:
         return self._edge_rank()[edge_key(u, v)]
 
     def _node_rank(self):
-        rank = getattr(self, "_node_rank_cache", None)
-        if rank is None:
-            rank = {n.id: i for i, n in enumerate(self.nodes)}
-            object.__setattr__(self, "_node_rank_cache", rank)
-        return rank
+        if "node_rank" not in self._memo:
+            self._memo["node_rank"] = {n.id: i for i, n in enumerate(self.nodes)}
+        return self._memo["node_rank"]
 
     def _edge_rank(self):
-        rank = getattr(self, "_edge_rank_cache", None)
-        if rank is None:
-            rank = {edge_key(e.u, e.v): i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_rank_cache", rank)
-        return rank
+        if "edge_rank" not in self._memo:
+            self._memo["edge_rank"] = {
+                edge_key(e.u, e.v): i for i, e in enumerate(self.edges)
+            }
+        return self._memo["edge_rank"]
 
     def connected_components(self) -> list[tuple[str, ...]]:
         """Components as sorted node-id tuples, largest-first by first id."""

@@ -59,10 +59,7 @@ def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
     per graph and metric. Edges without capacity, and edges of infinite
     cost (p = 0 links under the creation-rate metric), are left out: no
     search may use them."""
-    cache = getattr(graph, "_weighted_adjacency_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(graph, "_weighted_adjacency_cache", cache)
+    cache = graph._memo.setdefault("weighted_adjacency", {})
     adjacency = cache.get(metric)
     if adjacency is None:
         adjacency = {}
@@ -138,7 +135,7 @@ def _dijkstra(
     d: str,
     metric: Metric,
     edge_usable=None,
-    banned_nodes: frozenset[str] = frozenset(),
+    banned_nodes: set[str] | frozenset[str] = frozenset(),
     banned_edges: frozenset[tuple[str, str]] = frozenset(),
 ) -> tuple[float, tuple[str, ...]] | None:
     """Label-setting search from the label `root` = (cost, nodes): it
@@ -148,8 +145,32 @@ def _dijkstra(
 
     `edge_usable(key)` and `banned_edges` filter edges by canonical key;
     `banned_nodes` and the root's other nodes are never entered.
+
+    Under `HOP_COUNT` every step costs 1, and a level-order search replaces
+    the heap: scanning each label's neighbours in id order keeps every level
+    in label order, so `d` is first reached by the label the heap would pop.
     """
     adjacency = _weighted_adjacency(graph, metric)
+    if metric is Metric.HOP_COUNT:
+        # banned nodes and the root's nodes are seen up front, so no level
+        # enters them
+        seen = set(banned_nodes).union(root[1])
+        cost, level = root[0], [root[1]]
+        while level:
+            cost += 1.0
+            reached = []
+            for nodes in level:
+                for nbr, key, _ in adjacency[nodes[-1]]:
+                    if nbr in seen or key in banned_edges:
+                        continue
+                    if edge_usable is not None and not edge_usable(key):
+                        continue
+                    if nbr == d:
+                        return cost, nodes + (nbr,)
+                    seen.add(nbr)
+                    reached.append(nodes + (nbr,))
+            level = reached
+        return None
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
     heap = [root]
@@ -269,11 +290,15 @@ class LogicalTopology:
         norm: dict[tuple[str, str], int] = {}
         for (u, v), c in counts.items():
             e = graph.edge(u, v)
-            if not 0 <= c <= e.capacity:
+            key = edge_key(u, v)
+            if key in norm:
+                raise GraphValidationError(f"edge {key!r}: logical count given twice")
+            # a bool is an int to isinstance, but never a link count
+            if type(c) is not int or not 0 <= c <= e.capacity:
                 raise GraphValidationError(
-                    f"logical count {c} outside 0..{e.capacity} on edge ({u!r}, {v!r})"
+                    f"edge {key!r}: logical count {c!r} is not an int in 0..{e.capacity}"
                 )
-            norm[edge_key(u, v)] = c
+            norm[key] = c
         return cls(counts=norm)
 
 
@@ -294,12 +319,13 @@ def disjoint_paths_on_logical(
     _check_endpoints(graph, s, d)
     remaining = dict(logical.counts)
     blocked: set[str] = set()
+    specs = graph._memo.setdefault("unit_specs", {})  # nodes -> width-1 spec
     paths: list[PathSpec] = []
     while len(paths) < max_paths:
-        usable = lambda key: remaining.get(key, 0) >= 1
+        # an edge is usable while its count is positive (0 and absent are falsy)
         found = _dijkstra(
             graph, _start(Metric.HOP_COUNT, s), d, Metric.HOP_COUNT,
-            edge_usable=usable, banned_nodes=frozenset(blocked),
+            edge_usable=remaining.get, banned_nodes=blocked,
         )
         if found is None:
             break
@@ -308,5 +334,7 @@ def disjoint_paths_on_logical(
             remaining[edge_key(u, v)] -= 1
         if node_disjoint:
             blocked.update(nodes[1:-1])
-        paths.append(path_spec_from_nodes(graph, nodes, width=1))
+        if nodes not in specs:
+            specs[nodes] = path_spec_from_nodes(graph, nodes, width=1)
+        paths.append(specs[nodes])
     return paths

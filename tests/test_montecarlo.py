@@ -345,6 +345,39 @@ def test_simulate_reports_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 
+# sha256 of the reactive reports below with `sim.node_disjoint` set, where
+# each slot's searches may not enter an earlier path's interior nodes;
+# recorded before hop-count searches moved from the heap to a BFS
+PINNED_NODE_DISJOINT_SHA256 = (
+    "5ce4edf5af3a5169b36007352b5039e55f511fffbed08a7e6485544b65b68829"
+)
+
+
+def test_node_disjoint_reactive_reports_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for i, source in enumerate(sorted(SCENARIOS.glob("*.json"))):
+        data = json.loads(source.read_text())
+        data["sim"]["node_disjoint"] = True
+        scenario = tmp_path / source.name
+        scenario.write_text(json.dumps(data))
+        # adhoc (the async chain's policy) needs async forwarding
+        for flags in (["--mode", "sync", "--policy", "doubling"],
+                      ["--mode", "async"]):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{i}-{flags[1]}-{fmt}"
+                rc = run_command(["simulate", "--scenario", str(scenario),
+                                  "--scheme", "reactive", *flags,
+                                  "--slots", "2000", "--format", fmt,
+                                  "--out", str(out)])
+                digest.update(
+                    f"{source.name} {' '.join(flags)} {fmt} -> {rc}\n".encode()
+                )
+                for report in sorted(out.glob("*")) if rc == 0 else ():
+                    digest.update(report.name.encode() + b"\n"
+                                  + report.read_bytes())
+    assert digest.hexdigest() == PINNED_NODE_DISJOINT_SHA256
+
+
 def test_sync_ledger_check_fails_loudly(monkeypatch):
     # a kernel that reports more consumption than the slot created
     from qroute import montecarlo
@@ -659,6 +692,32 @@ def test_reactive_grid_multi_request():
     # parallel policy only materializes fully merged lanes) is disposed
     disposed = stats.entities_disposed
     assert sum(disposed.values()) == stats.links_generated + stats.delivered_total
+
+
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+def test_reactive_routes_through_the_module_attribute(monkeypatch, forwarding):
+    # the traced benchmark wraps `qroute.montecarlo.disjoint_paths_on_logical`
+    # as `pathfind.logical`; every reactive search must pass through it:
+    # one call per request per slot, requests in id order
+    from qroute import montecarlo
+
+    calls = []
+    search = montecarlo.disjoint_paths_on_logical
+
+    def counted(logical, graph, s, d, *args):
+        calls.append((s, d))
+        return search(logical, graph, s, d, *args)
+
+    monkeypatch.setattr(montecarlo, "disjoint_paths_on_logical", counted)
+    g = grid_topology(3, 3, default_edge=EdgeParams(u="", v="", capacity=2,
+                                                    link_prob=0.6))
+    reqs = [Request(id="b", source="0,2", dest="2,0"),
+            Request(id="a", source="0,0", dest="2,2")]
+    slots = 40
+    stats = simulate(g, reqs, SimConfig(scheme="reactive", forwarding=forwarding,
+                                        node_disjoint=True, slots=slots, seed=4))
+    assert stats.delivered_total > 0
+    assert calls == [("0,0", "2,2"), ("0,2", "2,0")] * slots
 
 
 def test_reactive_never_consumes_more_than_realized():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from qroute import (
     widest_path,
 )
 from qroute.netmodel import GraphValidationError, edge_key
+from qroute.pathfind import _dijkstra, _start
 
 
 def triangle():
@@ -257,6 +259,24 @@ def test_logical_counts_validated():
         LogicalTopology.from_counts(g, {("n0", "n1"): 3})
 
 
+def test_logical_counts_reject_an_edge_given_twice():
+    # the reversed entry used to overwrite the first one silently
+    g = chain_graph(2, cap=2)
+    for counts, edge in (({("n0", "n1"): 1, ("n1", "n0"): 2}, "('n0', 'n1')"),
+                         ({("n2", "n1"): 0, ("n0", "n1"): 1, ("n1", "n2"): 0},
+                          "('n1', 'n2')")):
+        with pytest.raises(GraphValidationError, match="given twice") as err:
+            LogicalTopology.from_counts(g, counts)
+        assert edge in str(err.value)
+
+
+@pytest.mark.parametrize("count", [True, False, 1.0, "1", None])
+def test_logical_counts_reject_non_int(count):
+    g = chain_graph(1, cap=2)
+    with pytest.raises(GraphValidationError, match=r"\('n0', 'n1'\)"):
+        LogicalTopology.from_counts(g, {("n0", "n1"): count})
+
+
 # --------------------------------------------------------------------------
 # randomized oracles
 
@@ -373,3 +393,59 @@ def test_k_shortest_residual_view_matches_rebuilt_subgraph():
             )
             rebuilt = k_shortest_paths(sub, s, d, k, metric)
             assert view == rebuilt
+
+
+def test_hop_count_labels_match_unit_length_heap():
+    """Hop-count searches run a breadth-first search; the heap serves the
+    weighted metrics. With every length 1, `SUM_NODE_DISTANCES` prices each
+    path as its hop count, so the heap must return the very same labels and
+    paths, ties included."""
+    rnd = random.Random(314)
+    yen_cases = 0
+    for _ in range(150):
+        g = random_connected_graph(rnd, rnd.randint(4, 12))
+        unit = build_graph(
+            list(g.nodes), [replace(e, length_km=1.0) for e in g.edges], g.phys
+        )
+        counts = {edge_key(e.u, e.v): rnd.randint(0, e.capacity)
+                  for e in g.edges}
+        for _ in range(2):
+            s, d = rnd.sample(g.node_ids(), 2)
+            k = rnd.randint(1, 6)
+            for usable in (None, lambda key: counts[key] >= 1):
+                bfs = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT,
+                                       edge_usable=usable)
+                heap = k_shortest_paths(unit, s, d, k,
+                                        Metric.SUM_NODE_DISTANCES,
+                                        edge_usable=usable)
+                assert bfs == heap
+                yen_cases += 1
+            logical = LogicalTopology.from_counts(g, counts)
+            for node_disjoint in (False, True):
+                got = disjoint_paths_on_logical(logical, g, s, d, 4,
+                                                node_disjoint)
+                assert got == heap_disjoint_paths(unit, g, counts, s, d, 4,
+                                                  node_disjoint)
+    assert yen_cases == 600
+
+
+def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):
+    """`disjoint_paths_on_logical` with each search run by the heap on the
+    unit-length graph; the specs are built on `g`."""
+    metric = Metric.SUM_NODE_DISTANCES
+    remaining = dict(counts)
+    blocked = set()
+    paths = []
+    while len(paths) < max_paths:
+        found = _dijkstra(unit, _start(metric, s), d, metric,
+                          edge_usable=lambda key: remaining[key] >= 1,
+                          banned_nodes=frozenset(blocked))
+        if found is None:
+            break
+        nodes = found[1]
+        for u, v in zip(nodes, nodes[1:]):
+            remaining[edge_key(u, v)] -= 1
+        if node_disjoint:
+            blocked.update(nodes[1:-1])
+        paths.append(path_spec_from_nodes(g, nodes, width=1))
+    return paths
