@@ -78,16 +78,6 @@ class Distribution:
     def mean(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.pmf))
 
-    def allclose(self, other: "Distribution", tol: float = PMF_SUM_TOL) -> bool:
-        if self.cap != other.cap:
-            # Identical distributions may live on different supports when one
-            # side padded with zeros; compare value-wise up to the larger cap.
-            hi = max(self.cap, other.cap)
-            a = self.pmf + (0.0,) * (hi - self.cap)
-            b = other.pmf + (0.0,) * (hi - other.cap)
-            return all(abs(x - y) <= tol for x, y in zip(a, b))
-        return all(abs(x - y) <= tol for x, y in zip(self.pmf, other.pmf))
-
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -383,23 +373,19 @@ def unheralded_path_distribution(path: PathSpec) -> Distribution:
 
 
 def heralded_swap_merge(
-    left: Distribution, right: Distribution, q: float, out_cap: int
+    left: Distribution, right: Distribution, q: float
 ) -> Distribution:
     """Pmf of entanglements spanning two adjacent segments after swapping.
 
     With i links on the left and j on the right the merge node pairs them
-    in id order and attempts min(i, j) swaps, each succeeding with q.
+    in id order and attempts min(i, j) swaps, each succeeding with q, so
+    the result's cap is the smaller of the two.
     """
-    if out_cap != min(left.cap, right.cap):
-        raise ValueError(
-            f"out_cap {out_cap} != min of segment caps "
-            f"({left.cap}, {right.cap})"
-        )
     if not 0 <= q <= 1:
         raise ValueError(f"swap probability {q} outside [0, 1]")
     out = _thin(_min_pmf(left.pmf, right.pmf), q)
-    counters.heralded_merge_ops += (out_cap + 1) ** 2
-    return Distribution(cap=out_cap, pmf=out)
+    counters.heralded_merge_ops += len(out) ** 2
+    return Distribution(cap=len(out) - 1, pmf=out)
 
 
 def heralded_path_distribution(path: PathSpec, order: SwapOrderTree) -> Distribution:
@@ -415,10 +401,8 @@ def heralded_path_distribution(path: PathSpec, order: SwapOrderTree) -> Distribu
         for h, (c, p) in enumerate(zip(path.per_hop_capacity, path.per_hop_prob))
     }
     for a, mid, b in order.schedule:
-        left, right = pools[a, mid], pools[mid, b]
         pools[a, b] = heralded_swap_merge(
-            left, right, path.interior_swap_probs[mid - 1],
-            min(left.cap, right.cap),
+            pools[a, mid], pools[mid, b], path.interior_swap_probs[mid - 1]
         )
     return pools[0, path.hop_count]
 
@@ -439,19 +423,21 @@ def expected_throughput(dist: Distribution) -> float:
     return dist.mean()
 
 
-def optimal_order_search(
-    path: PathSpec, max_path_hops: int = 12
-) -> tuple[SwapOrderTree, float]:
+# the longest path the exhaustive search takes: 58,786 trees at 12 hops
+ORDER_SEARCH_MAX_HOPS = 12
+
+
+def optimal_order_search(path: PathSpec) -> tuple[SwapOrderTree, float]:
     """Exhaustive search over all order trees for the best expected throughput.
 
     The tree count is Catalan(n-1), so this is only viable for short paths;
     ties keep the first tree in canonical enumeration order.
     """
     n = path.hop_count
-    if n > max_path_hops:
+    if n > ORDER_SEARCH_MAX_HOPS:
         raise ValueError(
             f"path has {n} hops; exhaustive order search is limited to "
-            f"{max_path_hops}"
+            f"{ORDER_SEARCH_MAX_HOPS}"
         )
     best_tree = None
     best_ext = -1.0

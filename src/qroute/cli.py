@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import chain
 
 from . import __version__ as TOOL_VERSION
 from . import analytics
@@ -118,20 +119,27 @@ def _on_path(i: int, fn, *args):
         raise ScenarioError(f"analytics.paths[{i}]: {exc}") from None
 
 
-def _cmd_analyze(scenario: Scenario, report: dict, tables: dict) -> None:
+def _cell(value):
+    return "->".join(value) if isinstance(value, (list, tuple)) else value
+
+
+def _table(columns: list[str], records) -> tuple[list[str], list[list]]:
+    """CSV view of JSON result records: one row per record, one cell per
+    column, each column named by its JSON key. Node lists join with `->`."""
+    return columns, [[_cell(r[c]) for c in columns] for r in records]
+
+
+def _cmd_analyze(scenario: Scenario) -> dict:
     results = []
-    dist_tables = {}
-    summary_rows = []
     for i, path in enumerate(_target_paths(scenario)):
         dist = analytics.policy_distribution(path, scenario.analytics.policy)
-        ext = expected_throughput(dist)
         entry = {
             "nodes": list(path.nodes),
             "policy": scenario.analytics.policy.kind,
             "width": path.width,
             "hops": path.hop_count,
             "distribution": list(dist.pmf),
-            "expected_throughput": ext,
+            "expected_throughput": expected_throughput(dist),
         }
         if scenario.analytics.order_search:
             tree, best = _on_path(i, analytics.optimal_order_search, path)
@@ -140,46 +148,41 @@ def _cmd_analyze(scenario: Scenario, report: dict, tables: dict) -> None:
                 "best_throughput": best,
             }
         results.append(entry)
-        dist_tables[f"path{i}_distribution"] = (
-            ["k", "prob"],
-            [[k, p] for k, p in enumerate(dist.pmf)],
+    return {"paths": results}
+
+
+def _analyze_tables(results: dict) -> dict:
+    paths = results["paths"]
+    tables = {
+        f"path{i}_distribution": (
+            ["k", "prob"], [[k, p] for k, p in enumerate(e["distribution"])]
         )
-        summary_rows.append(
-            [i, "->".join(path.nodes), scenario.analytics.policy.kind,
-             path.width, path.hop_count, ext]
-        )
-    report["results"] = {"paths": results}
-    tables.update(dist_tables)
-    tables["summary"] = (
+        for i, e in enumerate(paths)
+    }
+    tables["summary"] = _table(
         ["path", "nodes", "policy", "width", "hops", "expected_throughput"],
-        summary_rows,
+        ({"path": i, **e} for i, e in enumerate(paths)),
     )
+    return tables
 
 
-def _cmd_route(scenario: Scenario, report: dict, tables: dict) -> None:
+def _cmd_route(scenario: Scenario) -> dict:
     plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
-    alloc_rows = []
-    allocations = []
-    for a in plan.allocations:
-        ext = a.throughput()
-        allocations.append(
-            {
-                "request": a.request_id,
-                "nodes": list(a.path.nodes),
-                "width": a.path.width,
-                "policy": a.policy.kind,
-                "expected_throughput": ext,
-            }
-        )
-        alloc_rows.append(
-            [a.request_id, "->".join(a.path.nodes), a.path.width,
-             a.policy.kind, ext]
-        )
+    allocations = [
+        {
+            "request": a.request_id,
+            "nodes": list(a.path.nodes),
+            "width": a.path.width,
+            "policy": a.policy.kind,
+            "expected_throughput": a.throughput(),
+        }
+        for a in plan.allocations
+    ]
     per_request = {
         r.id: request_throughput(plan, r) for r in plan.requests
         if not any(r.id == rid for rid, _ in plan.infeasible)
     }
-    report["results"] = {
+    return {
         "utility_kind": scenario.routing.utility.kind,
         "total_utility": total_utility(plan, scenario.routing.utility),
         "allocations": allocations,
@@ -188,14 +191,20 @@ def _cmd_route(scenario: Scenario, report: dict, tables: dict) -> None:
         "infeasible": [list(item) for item in plan.infeasible],
         "utility_trace": list(plan.utility_trace),
     }
-    tables["allocations"] = (
-        ["request", "nodes", "width", "policy", "expected_throughput"],
-        alloc_rows,
-    )
-    tables["residual"] = (
-        ["edge", "capacity_left"],
-        [[_edge_label(*k), c] for k, c in plan.residual],
-    )
+
+
+def _route_tables(results: dict) -> dict:
+    return {
+        "allocations": _table(
+            ["request", "nodes", "width", "policy", "expected_throughput"],
+            results["allocations"],
+        ),
+        "residual": _table(
+            ["edge", "capacity_left"],
+            ({"edge": e, "capacity_left": c}
+             for e, c in results["residual"].items()),
+        ),
+    }
 
 
 def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
@@ -234,87 +243,77 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
     ))
 
 
-def _cmd_simulate(scenario: Scenario, report: dict, tables: dict) -> None:
+def _cmd_simulate(scenario: Scenario) -> dict:
     if scenario.sim.scheme == "proactive":
         subject = _plan_from_scenario(scenario)
     else:
         subject = list(scenario.requests)
     stats = simulate(scenario.graph, subject, scenario.sim)
-    payload = stats.to_dict()
-    slots = stats.slots_run
-    for entry in payload["per_path"].values():
-        entry["rate"] = entry["delivered"] / slots
-    for entry in payload["per_request"].values():
-        entry["rate"] = entry["delivered"] / slots
-    report["results"] = payload
-    tables["per_request"] = (
-        ["request", "delivered", "rate"],
-        [
-            [rid, e["delivered"], e["rate"]]
-            for rid, e in sorted(payload["per_request"].items())
-        ],
-    )
-    tables["per_path"] = (
-        ["path", "request", "nodes", "width", "delivered", "rate"],
-        [
-            [label, e["request"], "->".join(e["nodes"]), e["width"],
-             e["delivered"], e["rate"]]
-            for label, e in sorted(payload["per_path"].items())
-        ],
-    )
-    tables["histograms"] = (
-        ["path", "k", "slots"],
-        [
-            [label, k, c]
-            for label, e in sorted(payload["per_path"].items())
-            for k, c in enumerate(e["hist"])
-        ],
-    )
+    results = stats.to_dict()
+    for kind in ("per_path", "per_request"):
+        for entry in results[kind].values():
+            entry["rate"] = entry["delivered"] / stats.slots_run
+    return results
 
 
-def _cmd_oracle(scenario: Scenario, report: dict, tables: dict) -> None:
+def _simulate_tables(results: dict) -> dict:
+    per_path = sorted(results["per_path"].items())
+    return {
+        "per_request": _table(
+            ["request", "delivered", "rate"],
+            ({"request": rid, **e}
+             for rid, e in sorted(results["per_request"].items())),
+        ),
+        "per_path": _table(
+            ["path", "request", "nodes", "width", "delivered", "rate"],
+            ({"path": label, **e} for label, e in per_path),
+        ),
+        "histograms": (
+            ["path", "k", "slots"],
+            [[label, k, c] for label, e in per_path
+             for k, c in enumerate(e["hist"])],
+        ),
+    }
+
+
+def _cmd_oracle(scenario: Scenario) -> dict:
     results = []
-    rows = []
-    worst = 0.0
     for i, path in enumerate(_target_paths(scenario)):
         comparisons = []
-        exact = _on_path(i, brute_force_distribution, path, None)
-        got = analytics.unheralded_path_distribution(path)
-        diff = max(
-            abs(a - b)
-            for a, b in zip(
-                exact.pmf + (0.0,) * max(0, got.cap - exact.cap),
-                got.pmf + (0.0,) * max(0, exact.cap - got.cap),
-            )
-        )
-        comparisons.append({"order": "unheralded", "max_abs_diff": diff})
-        rows.append([i, "unheralded", diff])
-        for tree in all_order_trees(path.hop_count):
-            exact = brute_force_distribution(path, tree)
-            got = analytics.heralded_path_distribution(path, tree)
-            diff = max(abs(a - b) for a, b in zip(exact.pmf, got.pmf))
-            comparisons.append(
-                {"order": _tree_label(tree), "max_abs_diff": diff}
-            )
-            rows.append([i, _tree_label(tree), diff])
-        path_worst = max(c["max_abs_diff"] for c in comparisons)
-        worst = max(worst, path_worst)
-        results.append(
-            {
-                "nodes": list(path.nodes),
-                "comparisons": comparisons,
-                "max_abs_diff": path_worst,
-            }
-        )
-    report["results"] = {"paths": results, "max_abs_diff": worst}
-    tables["diffs"] = (["path", "order", "max_abs_diff"], rows)
+        for tree in chain([None], all_order_trees(path.hop_count)):
+            exact = _on_path(i, brute_force_distribution, path, tree)
+            if tree is None:
+                order = "unheralded"
+                got = analytics.unheralded_path_distribution(path)
+            else:
+                order = _tree_label(tree)
+                got = analytics.heralded_path_distribution(path, tree)
+            # brute force and analytics both give the support 0..path.width
+            diff = max(abs(a - b) for a, b in zip(exact.pmf, got.pmf, strict=True))
+            comparisons.append({"order": order, "max_abs_diff": diff})
+        results.append({
+            "nodes": list(path.nodes),
+            "comparisons": comparisons,
+            "max_abs_diff": max(c["max_abs_diff"] for c in comparisons),
+        })
+    worst = max(p["max_abs_diff"] for p in results)
+    return {"paths": results, "max_abs_diff": worst}
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "route": _cmd_route,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
+def _oracle_tables(results: dict) -> dict:
+    return {"diffs": _table(
+        ["path", "order", "max_abs_diff"],
+        ({"path": i, **c} for i, p in enumerate(results["paths"])
+         for c in p["comparisons"]),
+    )}
+
+
+# each command's results, and the CSV tables that view them
+_COMMANDS = {
+    "analyze": (_cmd_analyze, _analyze_tables),
+    "route": (_cmd_route, _route_tables),
+    "simulate": (_cmd_simulate, _simulate_tables),
+    "oracle": (_cmd_oracle, _oracle_tables),
 }
 
 
@@ -338,11 +337,10 @@ def run_command(argv: list[str]) -> int:
         report = _base_report(
             args.command, scenario, scenario_to_dict(scenario), overrides
         )
-        tables: dict = {}
-        _HANDLERS[args.command](scenario, report, tables)
-        written = emit_report(
-            report, scenario.output_format, args.out, args.command, tables
-        )
+        run, view = _COMMANDS[args.command]
+        report["results"] = run(scenario)
+        written = emit_report(report, scenario.output_format, args.out,
+                              args.command, view(report["results"]))
     except ValueError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return 1

@@ -87,7 +87,7 @@ def emit_report(
     fmt: str,
     out_dir: str | Path,
     basename: str,
-    tables: dict[str, tuple[list[str], list[list]]] | None = None,
+    tables: dict[str, tuple[list[str], list[list]]],
 ) -> list[Path]:
     """Write the report; returns the produced file paths.
 
@@ -101,7 +101,7 @@ def emit_report(
     json_path.write_text(canonical_json(report))
     written.append(json_path)
     if fmt == "csv":
-        for name, (header, rows) in sorted((tables or {}).items()):
+        for name, (header, rows) in sorted(tables.items()):
             csv_path = out_dir / f"{basename}_{name}.csv"
             write_csv(csv_path, header, rows)
             written.append(csv_path)

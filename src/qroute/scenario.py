@@ -263,9 +263,11 @@ def _make(where: str, build, /, **kw):
 def _check_route(graph: NetworkGraph, nodes: tuple[str, ...], where: str) -> None:
     if len(nodes) < 2:
         raise ScenarioError(f"{where}: needs at least 2 nodes")
-    for n in nodes:
+    for i, n in enumerate(nodes):
         if not graph.has_node(n):
             raise ScenarioError(f"{where}: unknown node {n!r}")
+        if n in nodes[:i]:
+            raise ScenarioError(f"{where}: route visits node {n!r} twice")
     for u, v in zip(nodes, nodes[1:]):
         if not graph.has_edge(u, v):
             raise ScenarioError(f"{where}: no edge between {u!r} and {v!r}")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import re
@@ -286,11 +287,21 @@ BAD_INPUTS = [
 ]
 
 
+# routes that visit a node twice; each failed later, without its JSON path
+LOOPED_ROUTES = [
+    (_set(_GRID, ("analytics", "paths"), [["0,0", "0,1", "0,0"]]),
+     "analytics.paths[0]"),
+    (_set(_GRID, ("sim", "paths"), [{"request": "r1", "nodes": [
+        "0,0", "0,1", "1,1", "1,0", "0,0", "0,1", "0,2", "1,2", "2,2"]}]),
+     "sim.paths[0]"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc, where", BAD_INPUTS,
+    "doc, where", BAD_INPUTS + LOOPED_ROUTES,
     # the last case's path is already an id; a repeat would renumber both
     ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS[:-1]]
-    + ["routing.weights:unread"],
+    + ["routing.weights:unread"] + [f"loop:{w}" for _, w in LOOPED_ROUTES],
 )
 def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     if isinstance(doc, dict):
@@ -410,6 +421,38 @@ def test_simulate_reports_are_byte_identical(tmp_path):
     b1 = (out1 / "simulate_report.json").read_bytes()
     b2 = (out2 / "simulate_report.json").read_bytes()
     assert b1 == b2
+
+
+# sha256 of the analyze, route and oracle reports below (two_hop_chain
+# turns order search on), recorded before their CSV tables were derived
+# from the JSON results
+PINNED_CLI_REPORTS_SHA256 = (
+    "0d8fbb8edb206b49614c11fbdbee7c06ce018701a1a4b80dcc5cccded66ac041"
+)
+
+
+def test_cli_reports_pinned(tmp_path):
+    runs = (
+        ["analyze"],
+        ["analyze", "--policy", "parallel"],
+        ["analyze", "--policy", "sequential"],
+        ["route"],
+        ["oracle"],
+    )
+    digest = hashlib.sha256()
+    for i, scenario in enumerate(sorted(SCENARIO_DIR.glob("*.json"))):
+        for j, args in enumerate(runs):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{i}-{j}-{fmt}"
+                rc = run_command([*args, "--scenario", str(scenario),
+                                  "--format", fmt, "--out", str(out)])
+                digest.update(
+                    f"{scenario.name} {' '.join(args)} {fmt} -> {rc}\n".encode()
+                )
+                for report in sorted(out.glob("*")) if rc == 0 else ():
+                    digest.update(report.name.encode() + b"\n"
+                                  + report.read_bytes())
+    assert digest.hexdigest() == PINNED_CLI_REPORTS_SHA256
 
 
 def test_oracle_diff_below_tolerance(tmp_path):
