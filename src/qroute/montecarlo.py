@@ -16,6 +16,7 @@ in per-hop FIFOs, segments in per-path lists, all in id order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -36,45 +37,40 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _LINK_DOMAIN = 0x4C494E4B
 _SWAP_DOMAIN = 0x53574150
-_INV53 = 2.0**-53
 
 
-def _mix64(h: int) -> int:
-    """splitmix64 finalizer."""
+def _absorb(base: int, a: int) -> int:
+    """One splitmix64 round: add coordinate `a` to `base`, then finalize.
+    A draw chains one round per coordinate; the simulator's innermost loop."""
+    h = (base + _GAMMA * (a + 1)) & MASK64
     h = (h ^ (h >> 30)) * _M1 & MASK64
     h = (h ^ (h >> 27)) * _M2 & MASK64
     return h ^ (h >> 31)
 
 
+def _threshold(p: float) -> int:
+    """The bound a 64-bit draw `h` succeeds below: `h < _threshold(p)` iff
+    `(h >> 11) * 2**-53 < p`, exactly, since `p * 2**53` and
+    `(h >> 11) * 2**-53` are both exact doubles."""
+    return math.ceil(p * 2.0**53) << 11
+
+
 class KeyedRng:
-    """Stateless uniform stream: each draw is a pure function of the seed
-    and its coordinates (domain, slot, entity index, sequence number)."""
+    """Stateless keyed stream: each draw is a pure function of the seed
+    and its coordinates (domain, slot, entity index, sequence number), one
+    `_absorb` round per coordinate."""
 
     __slots__ = ("_link_base", "_swap_base")
 
     def __init__(self, seed: int):
-        self._link_base = _mix64((seed + _GAMMA * (_LINK_DOMAIN + 1)) & MASK64)
-        self._swap_base = _mix64((seed + _GAMMA * (_SWAP_DOMAIN + 1)) & MASK64)
+        self._link_base = _absorb(seed, _LINK_DOMAIN)
+        self._swap_base = _absorb(seed, _SWAP_DOMAIN)
 
     def link_slot_base(self, slot: int) -> int:
-        return _mix64((self._link_base + _GAMMA * (slot + 1)) & MASK64)
+        return _absorb(self._link_base, slot)
 
     def swap_slot_base(self, slot: int) -> int:
-        return _mix64((self._swap_base + _GAMMA * (slot + 1)) & MASK64)
-
-    @staticmethod
-    def draw_from_base(base: int, a: int, b: int) -> float:
-        # two absorb/finalize rounds, inlined: this is the simulator's
-        # innermost loop
-        h = (base + _GAMMA * (a + 1)) & MASK64
-        h = (h ^ (h >> 30)) * _M1 & MASK64
-        h = (h ^ (h >> 27)) * _M2 & MASK64
-        h ^= h >> 31
-        h = (h + _GAMMA * (b + 1)) & MASK64
-        h = (h ^ (h >> 30)) * _M1 & MASK64
-        h = (h ^ (h >> 27)) * _M2 & MASK64
-        h ^= h >> 31
-        return (h >> 11) * _INV53
+        return _absorb(self._swap_base, slot)
 
 
 @dataclass(frozen=True)
@@ -119,15 +115,6 @@ class SimStats:
     links_generated: int = 0
     entities_disposed: dict = field(default_factory=dict)
 
-    def record_swaps(self, policy_kind: str, attempts: int, successes: int) -> None:
-        if not attempts:
-            return
-        entry = self.swap_counters.setdefault(
-            policy_kind, {"attempts": 0, "successes": 0}
-        )
-        entry["attempts"] += attempts
-        entry["successes"] += successes
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -137,24 +124,34 @@ class SimStats:
 
 
 class _SwapDraws:
-    """One slot's swap randomness: sequence numbers count per node from 0,
-    so identical event orders reproduce identical outcomes across runs."""
+    """One slot's swap randomness, keyed (slot, node rank, sequence number):
+    sequence numbers count per node from 0, so identical event orders
+    reproduce identical outcomes across runs."""
 
-    __slots__ = ("_rank", "_base", "seq")
+    __slots__ = ("_base", "_bases", "_seq")
 
-    def __init__(self, rank: dict[str, int], base: int):
-        self._rank = rank
+    def __init__(self, base: int, nodes: int):
         self._base = base
-        self.seq: dict[str, int] = {}
+        self._bases: list[int | None] = [None] * nodes  # per-node first round
+        self._seq = [0] * nodes
 
-    def successes(self, node: str, q: float, m: int) -> list[bool]:
-        """The next `m` swap outcomes at `node`, in sequence order."""
-        seq = self.seq.get(node, 0)
-        self.seq[node] = seq + m
-        base = self._base
-        rank = self._rank[node]
-        draw = KeyedRng.draw_from_base
-        return [draw(base, rank, s) < q for s in range(seq, seq + m)]
+    def successes(self, rank: int, threshold: int, m: int) -> list[bool]:
+        """The next `m` swap outcomes at node `rank`, in sequence order."""
+        h = self._bases[rank]
+        if h is None:
+            h = self._bases[rank] = _absorb(self._base, rank)
+        seq = self._seq[rank]
+        self._seq[rank] = seq + m
+        return [_absorb(h, s) < threshold for s in range(seq, seq + m)]
+
+
+def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
+    """Add one path's swaps in one slot to the run's per-kind totals; a kind
+    enters when it first attempts a swap, which fixes the report's key order."""
+    if attempts:
+        entry = tally.setdefault(kind, [0, 0])
+        entry[0] += attempts
+        entry[1] += successes
 
 
 @dataclass(frozen=True)
@@ -166,46 +163,49 @@ class _RuntimePath:
     path: PathSpec
     policy: SwapPolicy
     schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
+    swaps: tuple[tuple[int, int], ...]  # (node rank, threshold) per interior node
     channels: tuple[tuple[tuple[str, str], int, int], ...] = ()
 
     @classmethod
-    def build(cls, label, request_id, path, policy, channels=()):
+    def build(cls, label, request_id, path, policy, rank, channels=()):
+        """`rank`: the graph's node ranks, which key the swap draws."""
         schedule = (
             None if policy.kind in ("parallel", "adhoc")
             else policy.order_tree(path.hop_count).schedule
         )
+        swaps = tuple((rank[v], _threshold(q)) for v, q in
+                      zip(path.nodes[1:-1], path.interior_swap_probs))
         return cls(
             label=label, request_id=request_id, path=path, policy=policy,
-            schedule=schedule, channels=tuple(channels),
+            schedule=schedule, swaps=swaps, channels=tuple(channels),
         )
 
 
-def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, stats):
+def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
     """Swapping on per-hop link counts; returns (delivered, consumed,
     segments created). Sync runs every policy through it, async `parallel`.
 
     Draws in the same order as `_exec_tree`, so the outcome equals its
     outcome on a slot that starts empty.
     """
-    nodes = rp.path.nodes
-    qs = rp.path.interior_swap_probs
+    swaps = rp.swaps
     n = len(counts)
     if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
         lanes = min(counts)
-        won = [draws.successes(nodes[j], qs[j - 1], lanes) for j in range(1, n)]
+        won = [draws.successes(r, t, lanes) for r, t in swaps]
         # the all-true column keeps every lane of a one-hop path, which has
         # no interior node to draw at
         delivered = sum(map(all, zip([True] * lanes, *won)))
-        stats.record_swaps("parallel", lanes * (n - 1), sum(map(sum, won)))
+        _tally(tally, "parallel", lanes * (n - 1), sum(map(sum, won)))
         return delivered, lanes * n, delivered
     pools = {(h, h + 1): c for h, c in enumerate(counts)}
     attempts = successes = 0
     for a, mid, b in rp.schedule:  # post-order: both inputs are filled
         m = min(pools[a, mid], pools[mid, b])
-        pools[a, b] = sum(draws.successes(nodes[mid], qs[mid - 1], m))
+        pools[a, b] = sum(draws.successes(*swaps[mid - 1], m))
         attempts += m
         successes += pools[a, b]
-    stats.record_swaps(rp.policy.kind, attempts, successes)
+    _tally(tally, rp.policy.kind, attempts, successes)
     return pools[0, n], 2 * attempts, successes
 
 
@@ -281,10 +281,10 @@ class _AsyncKernel:
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
         self.runs = {  # (edge key, first channel)
             (key, start): _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
-            for (key, start, width), _, _ in schedule
+            for (key, start, width), *_ in schedule
         }
-        self.schedule = [(eidx, p, self.runs[key, start])
-                         for (key, start, _), eidx, p in schedule]
+        self.schedule = [(eidx, chans, threshold, self.runs[key, start])
+                         for (key, start, _), eidx, chans, threshold in schedule]
         self.cutoff = cutoff
         self.next_id = 0  # = entities created
         self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
@@ -321,15 +321,15 @@ class _AsyncKernel:
         Draws are keyed by (slot, edge, channel), so the realization does
         not depend on which channels are occupied."""
         base = rng.link_slot_base(slot)
-        draw = rng.draw_from_base
         first = next_id = self.next_id
-        for eidx, p, run in self.schedule:
+        for eidx, chans, threshold, run in self.schedule:
             links = run.links
             if len(links) == run.width:
                 continue
+            h = _absorb(base, eidx)
             busy = {r[3] for r in links}
-            for ch in range(run.start, run.start + run.width):
-                if ch not in busy and draw(base, eidx, ch) < p:
+            for ch in chans:
+                if ch not in busy and _absorb(h, ch) < threshold:
                     links.append((next_id, slot, slot, ch))
                     next_id += 1
         self.next_id = next_id
@@ -366,10 +366,10 @@ class _AsyncKernel:
             )
 
 
-def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, stats):
+def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, tally):
     """Lane i takes the i-th lowest-id link of every hop; only fully merged
     lanes make a segment, which is delivered at once."""
-    delivered, consumed, _ = _exec_counts(rp, list(map(len, hops)), draws, stats)
+    delivered, consumed, _ = _exec_counts(rp, list(map(len, hops)), draws, tally)
     for hop in hops:
         del hop[:consumed // rp.path.hop_count]
     kernel.next_id += delivered
@@ -378,11 +378,10 @@ def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, stats):
     return delivered
 
 
-def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, stats):
+def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, tally):
     """Merge (a, mid, b) pairs the lowest-id records of extents (a, mid) and
     (mid, b), in post-order; links fill the one-hop extents."""
-    nodes = rp.path.nodes
-    qs = rp.path.interior_swap_probs
+    swaps = rp.swaps
     n = rp.path.hop_count
     pools = store.pools
     cut = store.cutoffs
@@ -395,7 +394,7 @@ def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, stats):
         if not m:
             continue
         out = pools[a, b]
-        won = draws.successes(nodes[mid], qs[mid - 1], m)
+        won = draws.successes(*swaps[mid - 1], m)
         for left, right, ok in zip(lefts, rights, won):
             if ok:
                 lb = left[1]
@@ -407,7 +406,7 @@ def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, stats):
     done = hops[0] if n == 1 else pools[0, n]  # records already end to end
     delivered = len(done)
     done.clear()
-    stats.record_swaps(rp.policy.kind, attempts, next_id - kernel.next_id)
+    _tally(tally, rp.policy.kind, attempts, next_id - kernel.next_id)
     kernel.next_id = next_id
     kernel.disposed["consumed"] += 2 * attempts
     kernel.disposed["delivered"] += delivered
@@ -437,14 +436,13 @@ def _pop_lowest(links, segs, m, link_far, far, index):
     return taken
 
 
-def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
+def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, tally):
     """Swap as soon as possible: one sweep of the interior nodes in path
     order; node j pairs, in id order, the records ending at j with those
     starting at j. A second sweep would pair nothing: a visit empties one
     side of node j, and a new segment starts where its left record starts
     and ends where its right record ends, so that side stays empty."""
-    nodes = rp.path.nodes
-    qs = rp.path.interior_swap_probs
+    swaps = rp.swaps
     n = rp.path.hop_count
     ends, starts, cut = store.ends, store.starts, store.cutoffs
     next_id = kernel.next_id
@@ -459,7 +457,7 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
         attempts += m
         lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
         rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
-        won = draws.successes(nodes[j], qs[j - 1], m)
+        won = draws.successes(*swaps[j - 1], m)
         for (a, left), (b, right), ok in zip(lefts, rights, won):
             if not ok:
                 continue
@@ -472,19 +470,19 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, stats):
                 ends[b].append(seg)
                 starts[a].append(seg)
             next_id += 1
-    stats.record_swaps("adhoc", attempts, next_id - kernel.next_id)
+    _tally(tally, "adhoc", attempts, next_id - kernel.next_id)
     kernel.next_id = next_id
     kernel.disposed["consumed"] += 2 * attempts
     kernel.disposed["delivered"] += delivered
     return delivered
 
 
-def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, stats):
+def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, tally):
     if rp.policy.kind == "parallel":
-        return _exec_parallel(rp, hops, store, kernel, draws, stats)
+        return _exec_parallel(rp, hops, store, kernel, draws, tally)
     if rp.policy.kind == "adhoc":
-        return _exec_adhoc(rp, hops, store, kernel, draws, stats)
-    return _exec_tree(rp, hops, store, kernel, draws, stats)
+        return _exec_adhoc(rp, hops, store, kernel, draws, tally)
+    return _exec_tree(rp, hops, store, kernel, draws, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +490,7 @@ def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, stats):
 
 
 def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
+    rank = graph._node_rank()
     offsets: dict[tuple[str, str], int] = {}
     bound = []
     per_request_counter: dict[str, int] = {}
@@ -516,6 +515,7 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
                 request_id=alloc.request_id,
                 path=alloc.path,
                 policy=alloc.policy,
+                rank=rank,
                 channels=chans,
             )
         )
@@ -525,6 +525,7 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
 def _reactive_paths(graph, requests, counts, config: SimConfig, slot: int):
     """One slot's reactive paths, request by request, found on the realized
     link `counts`; each path takes one link per hop off `counts`."""
+    rank = graph._node_rank()
     for req in requests:
         paths = disjoint_paths_on_logical(
             LogicalTopology(counts=counts), graph, req.source, req.dest,
@@ -534,8 +535,18 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, slot: int):
             for u, v in zip(path.nodes, path.nodes[1:]):
                 counts[edge_key(u, v)] -= 1
             yield _RuntimePath.build(
-                f"{req.id}/{slot}/{p_idx}", req.id, path, config.policy
+                f"{req.id}/{slot}/{p_idx}", req.id, path, config.policy, rank
             )
+
+
+def _link_counts(schedule, base: int) -> list[int]:
+    """One sync slot's new links per schedule entry: each run's first round
+    once, then one round per channel."""
+    made = []
+    for _, eidx, chans, threshold in schedule:
+        h = _absorb(base, eidx)
+        made.append(sum([_absorb(h, ch) < threshold for ch in chans]))
+    return made
 
 
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
@@ -591,15 +602,20 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         request_ids = [r.id for r in requests]
 
     # the link schedule both forwarding modes generate on: one entry per
-    # channel run, ((edge key, first channel, width), edge index, p), in
-    # (edge key, first channel) order, which async link ids follow
+    # channel run, ((edge key, first channel, width), edge index, channel
+    # range, threshold), in (edge key, first channel) order, which async
+    # link ids follow
     schedule = [
-        (run, graph.edge_index(*run[0]), graph.edge(*run[0]).link_prob)
+        (run, graph.edge_index(*run[0]), range(run[1], run[1] + run[2]),
+         _threshold(graph.edge(*run[0]).link_prob))
         for run in sorted(runs)
     ]
     if sync:
         # entities are tallied per slot, since nothing outlives it
         ledger = dict.fromkeys(DISPOSE_REASONS, 0)
+        if not reactive:  # each hop's position in the schedule
+            at = {run: i for i, (run, *_) in enumerate(schedule)}
+            hop_runs = {rp.label: [at[run] for run in rp.channels] for rp in bound}
     else:
         kernel = _AsyncKernel(graph, schedule)
         # proactive segments persist across slots; reactive ones die with it
@@ -608,18 +624,13 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    rank = graph._node_rank()
-    draw = rng.draw_from_base
+    n_nodes = len(graph.nodes)
+    tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     for slot in range(config.slots):
-        draws = _SwapDraws(rank, rng.swap_slot_base(slot))
+        draws = _SwapDraws(rng.swap_slot_base(slot), n_nodes)
         if sync:
-            base = rng.link_slot_base(slot)
-            made = {  # new links per channel run
-                run: sum([draw(base, eidx, ch) < p
-                          for ch in range(run[1], run[1] + run[2])])
-                for run, eidx, p in schedule
-            }
-            created = sum(made.values())
+            made = _link_counts(schedule, rng.link_slot_base(slot))
+            created = sum(made)
             consumed = 0
         else:
             kernel.purge(slot, held.values())
@@ -628,7 +639,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
 
         if reactive:
             counts = (
-                {run[0]: c for run, c in made.items() if c} if sync
+                {run[0]: c for (run, *_), c in zip(schedule, made) if c} if sync
                 else {key: len(run.links)
                       for (key, _), run in kernel.runs.items() if run.links}
             )
@@ -639,14 +650,14 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         for rp in paths:
             if sync:
                 hops = ([1] * rp.path.hop_count if reactive
-                        else [made[run] for run in rp.channels])
-                got, used, segments = _exec_counts(rp, hops, draws, stats)
+                        else [made[i] for i in hop_runs[rp.label]])
+                got, used, segments = _exec_counts(rp, hops, draws, tally)
                 consumed += used
                 created += segments
             else:
                 store = kernel.bind(rp) if reactive else held[rp.label]
                 got = _execute_policy(rp, kernel.take(store), store, kernel,
-                                      draws, stats)
+                                      draws, tally)
                 if reactive:  # its partial segments die with the slot's paths
                     kernel.disposed["discarded"] += store.live()
             slot_totals[rp.request_id] += got
@@ -673,6 +684,8 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         else:
             kernel.end_slot(slot, held.values())
 
+    stats.swap_counters = {kind: {"attempts": a, "successes": s}
+                           for kind, (a, s) in tally.items()}
     stats.entities_disposed = ledger if sync else dict(kernel.disposed)
     return stats
 

@@ -108,6 +108,122 @@ def test_external_phase_skips_occupied_channels():
 
 
 # --------------------------------------------------------------------------
+# keyed draws: the integer thresholds against the float draws they replace
+
+MASK64 = (1 << 64) - 1
+GAMMA, M1, M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def float_draw(base, a, b):
+    """The reference draw: absorb a, then b, into `base` with splitmix64
+    rounds, and scale the top 53 bits of the hash into [0, 1)."""
+    h = base
+    for c in (a, b):
+        h = (h + GAMMA * (c + 1)) & MASK64
+        h = (h ^ (h >> 30)) * M1 & MASK64
+        h = (h ^ (h >> 27)) * M2 & MASK64
+        h ^= h >> 31
+    return (h >> 11) * 2.0**-53
+
+
+def reference_link_counts(schedule, base):
+    """New links per channel run, one float draw per (edge, channel)."""
+    return {
+        run: sum([float_draw(base, eidx, ch) < p
+                  for ch in range(run[1], run[1] + run[2])])
+        for run, eidx, p in schedule
+    }
+
+
+class ReferenceSwapDraws:
+    """Swap outcomes keyed (slot, node rank, per-node sequence number), one
+    float draw each."""
+
+    def __init__(self, rank, base):
+        self._rank = rank
+        self._base = base
+        self.seq = {}
+
+    def successes(self, node, q, m):
+        seq = self.seq.get(node, 0)
+        self.seq[node] = seq + m
+        return [float_draw(self._base, self._rank[node], s) < q
+                for s in range(seq, seq + m)]
+
+
+def neighbours(p):
+    return [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+
+
+# 0, 1, k * 2**-53 and their float neighbours, plus plain floats
+probs = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+    st.floats(0.0, 1.0),
+).flatmap(lambda p: st.sampled_from(neighbours(p)))
+
+
+@pytest.mark.parametrize("p", [
+    q for p in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0) for q in neighbours(p)
+] + [3 * 2.0**-1074])  # and a subnormal
+def test_threshold_equals_float_comparison_at_its_boundary(p):
+    from qroute.montecarlo import _threshold
+
+    t = _threshold(p)
+    for h in (0, t - 2049, t - 2048, t - 1, t, t + 2047, MASK64):
+        if 0 <= h <= MASK64:
+            assert (h < t) == ((h >> 11) * 2.0**-53 < p), (p, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, MASK64),
+    slot=st.integers(0, 10**6),
+    edges=st.lists(
+        st.tuples(st.integers(0, 10**4),  # edge index
+                  st.integers(0, 3),  # first run's first channel
+                  st.lists(st.integers(1, 4), min_size=1, max_size=3),  # widths
+                  probs),
+        min_size=1, max_size=4, unique_by=lambda e: e[0],
+    ),
+)
+def test_link_counts_equal_float_reference(seed, slot, edges):
+    from qroute.montecarlo import KeyedRng, _link_counts, _threshold
+
+    runs = []  # (run, edge index, p): several runs per edge, in channel order
+    for eidx, start, widths, p in edges:
+        for width in widths:
+            runs.append(((("e", str(eidx)), start, width), eidx, p))
+            start += width
+    base = KeyedRng(seed).link_slot_base(slot)
+    schedule = [(run, eidx, range(run[1], run[1] + run[2]), _threshold(p))
+                for run, eidx, p in runs]
+    want = reference_link_counts(runs, base)
+    assert _link_counts(schedule, base) == [want[run] for run, _, _ in runs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, MASK64),
+    slot=st.integers(0, 10**6),
+    qs=st.lists(probs, min_size=1, max_size=4),
+    calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
+                   max_size=12),
+)
+def test_swap_blocks_equal_float_reference(seed, slot, qs, calls):
+    from qroute.montecarlo import KeyedRng, _SwapDraws, _threshold
+
+    rank = {f"v{i}": i for i in range(len(qs))}
+    base = KeyedRng(seed).swap_slot_base(slot)
+    want = ReferenceSwapDraws(rank, base)
+    got = _SwapDraws(base, len(qs))
+    for i, m in calls:  # blocks at each node continue its sequence numbers
+        i %= len(qs)
+        assert (got.successes(i, _threshold(qs[i]), m)
+                == want.successes(f"v{i}", qs[i], m))
+
+
+# --------------------------------------------------------------------------
 # swapping
 
 
@@ -591,6 +707,38 @@ def test_swap_counters_tallied():
     entry = stats.swap_counters["doubling"]
     assert entry["attempts"] == 1000
     assert 0 < entry["successes"] < 1000
+
+
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+def test_swap_counter_keys_follow_first_attempt(forwarding):
+    # the sequential path comes first in the plan, but with seed 1 its
+    # first swap attempt comes after slot 0, so its key comes second; a
+    # kind with no attempt yet has no key
+    g = build_graph(
+        [NodeParams(id=v, swap_prob=0.5) for v in "ambxyz"],
+        [EdgeParams(u="a", v="m", capacity=1, link_prob=0.3),
+         EdgeParams(u="m", v="b", capacity=1, link_prob=0.3),
+         EdgeParams(u="x", v="y", capacity=1, link_prob=1.0),
+         EdgeParams(u="y", v="z", capacity=1, link_prob=1.0)],
+    )
+    paths = [("r1", "amb", SwapPolicy.sequential()),
+             ("r2", "xyz", SwapPolicy.doubling())]
+    plan = AllocationPlan(
+        requests=tuple(Request(id=rid, source=nodes[0], dest=nodes[-1])
+                       for rid, nodes, _ in paths),
+        allocations=tuple(
+            PathAllocation(request_id=rid, policy=policy,
+                           path=path_spec_from_nodes(g, tuple(nodes), width=1))
+            for rid, nodes, policy in paths),
+        residual=(),
+    )
+
+    def kinds(slots):
+        config = SimConfig(forwarding=forwarding, slots=slots, seed=1)
+        return list(simulate(g, plan, config).swap_counters)
+
+    assert kinds(1) == ["doubling"]
+    assert kinds(30) == ["doubling", "sequential"]
 
 
 def test_multi_path_plan_ownership():
