@@ -26,8 +26,8 @@ from .analytics import (
     unheralded_path_distribution,
     werner_fidelity_after_swaps,
 )
+from .draws import KeyedRng
 from .montecarlo import (
-    KeyedRng,
     SimConfig,
     SimStats,
     brute_force_distribution,

@@ -3,9 +3,9 @@
 Each slot runs purge -> external phase (link generation) -> optional
 reactive path computation -> internal phase (swapping) -> bookkeeping.
 All randomness comes from a counter-based stream keyed by the draw's
-coordinates, so runs with the same seed see identical link realizations
-regardless of forwarding mode; that is what makes paired sync-vs-async
-comparisons meaningful.
+coordinates (`draws`), so runs with the same seed see identical link
+realizations regardless of forwarding mode; that is what makes paired
+sync-vs-async comparisons meaningful.
 
 Sync forwarding discards everything at slot end, so a sync slot runs on
 per-hop link counts alone. Async forwarding keeps links and segments until
@@ -16,7 +16,6 @@ in per-hop FIFOs, segments in per-path lists, all in id order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -27,50 +26,10 @@ from .analytics import (
     SwapPolicy,
     validate_tree,
 )
+from .draws import MASK64, KeyedRng, _Plane, _SwapDraws, _SwapLanes, _threshold
 from .netmodel import NetworkGraph, edge_key
 from .pathfind import LogicalTopology, disjoint_paths_on_logical
 from .routing import AllocationPlan, Request
-
-MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
-_LINK_DOMAIN = 0x4C494E4B
-_SWAP_DOMAIN = 0x53574150
-
-
-def _absorb(base: int, a: int) -> int:
-    """One splitmix64 round: add coordinate `a` to `base`, then finalize.
-    A draw chains one round per coordinate; the simulator's innermost loop."""
-    h = (base + _GAMMA * (a + 1)) & MASK64
-    h = (h ^ (h >> 30)) * _M1 & MASK64
-    h = (h ^ (h >> 27)) * _M2 & MASK64
-    return h ^ (h >> 31)
-
-
-def _threshold(p: float) -> int:
-    """The bound a 64-bit draw `h` succeeds below: `h < _threshold(p)` iff
-    `(h >> 11) * 2**-53 < p`, exactly, since `p * 2**53` and
-    `(h >> 11) * 2**-53` are both exact doubles."""
-    return math.ceil(p * 2.0**53) << 11
-
-
-class KeyedRng:
-    """Stateless keyed stream: each draw is a pure function of the seed
-    and its coordinates (domain, slot, entity index, sequence number), one
-    `_absorb` round per coordinate."""
-
-    __slots__ = ("_link_base", "_swap_base")
-
-    def __init__(self, seed: int):
-        self._link_base = _absorb(seed, _LINK_DOMAIN)
-        self._swap_base = _absorb(seed, _SWAP_DOMAIN)
-
-    def link_slot_base(self, slot: int) -> int:
-        return _absorb(self._link_base, slot)
-
-    def swap_slot_base(self, slot: int) -> int:
-        return _absorb(self._swap_base, slot)
 
 
 @dataclass(frozen=True)
@@ -123,28 +82,6 @@ class SimStats:
 # Internal phase
 
 
-class _SwapDraws:
-    """One slot's swap randomness, keyed (slot, node rank, sequence number):
-    sequence numbers count per node from 0, so identical event orders
-    reproduce identical outcomes across runs."""
-
-    __slots__ = ("_base", "_bases", "_seq")
-
-    def __init__(self, base: int, nodes: int):
-        self._base = base
-        self._bases: list[int | None] = [None] * nodes  # per-node first round
-        self._seq = [0] * nodes
-
-    def successes(self, rank: int, threshold: int, m: int) -> list[bool]:
-        """The next `m` swap outcomes at node `rank`, in sequence order."""
-        h = self._bases[rank]
-        if h is None:
-            h = self._bases[rank] = _absorb(self._base, rank)
-        seq = self._seq[rank]
-        self._seq[rank] = seq + m
-        return [_absorb(h, s) < threshold for s in range(seq, seq + m)]
-
-
 def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
     """Add one path's swaps in one slot to the run's per-kind totals; a kind
     enters when it first attempts a swap, which fixes the report's key order."""
@@ -158,16 +95,16 @@ def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
 class _RuntimePath:
     """Per-path execution context precomputed once, reused every slot."""
 
-    label: str
     request_id: str
     path: PathSpec
     policy: SwapPolicy
     schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
     swaps: tuple[tuple[int, int], ...]  # (node rank, threshold) per interior node
     channels: tuple[tuple[tuple[str, str], int, int], ...] = ()
+    label: str = ""  # a proactive path's key in the report
 
     @classmethod
-    def build(cls, label, request_id, path, policy, rank, channels=()):
+    def build(cls, request_id, path, policy, rank, channels=(), label=""):
         """`rank`: the graph's node ranks, which key the swap draws."""
         schedule = (
             None if policy.kind in ("parallel", "adhoc")
@@ -176,8 +113,8 @@ class _RuntimePath:
         swaps = tuple((rank[v], _threshold(q)) for v, q in
                       zip(path.nodes[1:-1], path.interior_swap_probs))
         return cls(
-            label=label, request_id=request_id, path=path, policy=policy,
-            schedule=schedule, swaps=swaps, channels=tuple(channels),
+            request_id=request_id, path=path, policy=policy, schedule=schedule,
+            swaps=swaps, channels=tuple(channels), label=label,
         )
 
 
@@ -283,8 +220,7 @@ class _AsyncKernel:
             (key, start): _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
             for (key, start, width), *_ in schedule
         }
-        self.schedule = [(eidx, chans, threshold, self.runs[key, start])
-                         for (key, start, _), eidx, chans, threshold in schedule]
+        self.schedule = list(zip(_link_spans(schedule), self.runs.values()))
         self.cutoff = cutoff
         self.next_id = 0  # = entities created
         self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
@@ -316,20 +252,19 @@ class _AsyncKernel:
                 expired += k
         self.disposed["expired"] += expired
 
-    def generate(self, rng: KeyedRng, slot: int) -> int:
-        """Link generation on every free channel; returns the links made.
-        Draws are keyed by (slot, edge, channel), so the realization does
-        not depend on which channels are occupied."""
-        base = rng.link_slot_base(slot)
+    def generate(self, bits: bytes, slot: int) -> int:
+        """Link generation on every free channel from the slot's link plane
+        `bits`; returns the links made. Draws are keyed by (slot, edge,
+        channel), so the realization does not depend on which channels are
+        occupied."""
         first = next_id = self.next_id
-        for eidx, chans, threshold, run in self.schedule:
+        for (lo, hi), run in self.schedule:
             links = run.links
-            if len(links) == run.width:
+            if len(links) == run.width or 1 not in bits[lo:hi]:
                 continue
-            h = _absorb(base, eidx)
             busy = {r[3] for r in links}
-            for ch in chans:
-                if ch not in busy and _absorb(h, ch) < threshold:
+            for ch, ok in enumerate(bits[lo:hi], run.start):
+                if ok and ch not in busy:
                     links.append((next_id, slot, slot, ch))
                     next_id += 1
         self.next_id = next_id
@@ -511,42 +446,73 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
             chans.append((key, start, width))
         bound.append(
             _RuntimePath.build(
-                label=f"{alloc.request_id}[{i}]",
                 request_id=alloc.request_id,
                 path=alloc.path,
                 policy=alloc.policy,
                 rank=rank,
                 channels=chans,
+                label=f"{alloc.request_id}[{i}]",
             )
         )
     return bound
 
 
-def _reactive_paths(graph, requests, counts, config: SimConfig, slot: int):
+def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
     """One slot's reactive paths, request by request, found on the realized
-    link `counts`; each path takes one link per hop off `counts`."""
+    link `counts`; each path takes one link per hop off `counts`. `built`
+    keeps each (request id, nodes) path's runtime context across slots."""
     rank = graph._node_rank()
     for req in requests:
         paths = disjoint_paths_on_logical(
             LogicalTopology(counts=counts), graph, req.source, req.dest,
             config.max_paths_per_request, config.node_disjoint,
         )
-        for p_idx, path in enumerate(paths):
+        for path in paths:
             for u, v in zip(path.nodes, path.nodes[1:]):
                 counts[edge_key(u, v)] -= 1
-            yield _RuntimePath.build(
-                f"{req.id}/{slot}/{p_idx}", req.id, path, config.policy, rank
-            )
+            rp = built.get((req.id, path.nodes))
+            if rp is None:
+                rp = built[req.id, path.nodes] = _RuntimePath.build(
+                    req.id, path, config.policy, rank)
+            yield rp
 
 
-def _link_counts(schedule, base: int) -> list[int]:
-    """One sync slot's new links per schedule entry: each run's first round
-    once, then one round per channel."""
-    made = []
-    for _, eidx, chans, threshold in schedule:
-        h = _absorb(base, eidx)
-        made.append(sum([_absorb(h, ch) < threshold for ch in chans]))
-    return made
+def _link_spans(schedule) -> list[tuple[int, int]]:
+    """Each link schedule entry's lanes (lo, hi) in the link plane, which
+    has one lane per channel in schedule order."""
+    ends = list(itertools.accumulate(len(chans) for _, _, chans, _ in schedule))
+    return list(zip([0, *ends], ends))
+
+
+def _swap_lanes(graph: NetworkGraph, bound) -> _SwapLanes:
+    """The swap plane, with each node's cap set to the most draws a sync
+    slot can make there; async draws past it take the scalar chain.
+
+    A proactive path's merges, or its `parallel` lanes, at an interior node
+    draw at most the smaller of the two hop widths beside it, and the node's
+    cap sums that over the `bound` paths. Under the reactive scheme
+    (`bound` None) every path through a node is one wide and takes two of
+    its incident links, so the cap is half the incident capacity.
+    """
+    rank = graph._node_rank()
+    if bound is not None:
+        entries = [(r, t, min(widths[j], widths[j + 1]))
+                   for rp in bound for widths in [rp.path.per_hop_capacity]
+                   for j, (r, t) in enumerate(rp.swaps)]
+    else:
+        incident = dict.fromkeys(rank, 0)
+        for e in graph.edges:
+            incident[e.u] += e.capacity
+            incident[e.v] += e.capacity
+        entries = [(rank[v.id], _threshold(v.swap_prob), incident[v.id] // 2)
+                   for v in graph.nodes]
+    return _SwapLanes.of(len(rank), entries)
+
+
+def _link_plane(schedule) -> _Plane:
+    """The plane of every channel's link draw, keyed (edge index, channel)."""
+    return _Plane((eidx, ch, threshold)
+                  for _, eidx, chans, threshold in schedule for ch in chans)
 
 
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
@@ -610,6 +576,9 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
          _threshold(graph.edge(*run[0]).link_prob))
         for run in sorted(runs)
     ]
+    links = _link_plane(schedule)
+    spans = _link_spans(schedule)
+    swap_lanes = _swap_lanes(graph, bound if not reactive else None)
     if sync:
         # entities are tallied per slot, since nothing outlives it
         ledger = dict.fromkeys(DISPOSE_REASONS, 0)
@@ -624,17 +593,18 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    n_nodes = len(graph.nodes)
+    built: dict = {}  # reactive runtime paths by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     for slot in range(config.slots):
-        draws = _SwapDraws(rng.swap_slot_base(slot), n_nodes)
+        draws = _SwapDraws(rng.swap_slot_base(slot), swap_lanes)
+        bits = links.bits(rng.link_slot_base(slot))
         if sync:
-            made = _link_counts(schedule, rng.link_slot_base(slot))
+            made = [bits.count(1, lo, hi) for lo, hi in spans]
             created = sum(made)
             consumed = 0
         else:
             kernel.purge(slot, held.values())
-            created = kernel.generate(rng, slot)
+            created = kernel.generate(bits, slot)
         stats.links_generated += created
 
         if reactive:
@@ -643,7 +613,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                 else {key: len(run.links)
                       for (key, _), run in kernel.runs.items() if run.links}
             )
-            paths = _reactive_paths(graph, requests, counts, config, slot)
+            paths = _reactive_paths(graph, requests, counts, config, built)
         else:
             paths = bound
         slot_totals = dict.fromkeys(request_ids, 0)

@@ -444,14 +444,14 @@ def apply_overrides(s: Scenario, overrides: dict) -> Scenario:
     """Apply CLI flag overrides; keys follow the flag names."""
     sim = {_SIM_FLAGS[k]: v for k, v in overrides.items() if k in _SIM_FLAGS}
     changes = {}
-    if "policy" in overrides:
-        policy = sim["policy"] = policy_from_name(overrides["policy"])
-        if policy.kind != "adhoc":  # adhoc is simulation-only
-            changes["analytics"] = replace(s.analytics, policy=policy)
-            changes["routing"] = replace(s.routing, policy=policy)
     if "format" in overrides:
         changes["output_format"] = overrides["format"]
     try:
+        if "policy" in overrides:
+            policy = sim["policy"] = policy_from_name(overrides["policy"])
+            if policy.kind != "adhoc":  # adhoc is simulation-only
+                changes["analytics"] = replace(s.analytics, policy=policy)
+                changes["routing"] = replace(s.routing, policy=policy)
         if sim:
             changes["sim"] = replace(s.sim, **sim)
         return replace(s, **changes)

@@ -167,12 +167,30 @@ probs = st.one_of(
     q for p in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0) for q in neighbours(p)
 ] + [3 * 2.0**-1074])  # and a subnormal
 def test_threshold_equals_float_comparison_at_its_boundary(p):
-    from qroute.montecarlo import _threshold
+    from qroute.draws import _threshold
 
     t = _threshold(p)
     for h in (0, t - 2049, t - 2048, t - 1, t, t + 2047, MASK64):
         if 0 <= h <= MASK64:
             assert (h < t) == ((h >> 11) * 2.0**-53 < p), (p, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.integers(0, MASK64),
+    lanes=st.lists(
+        st.tuples(st.one_of(st.integers(0, 10**4), st.integers(0, MASK64)),
+                  st.one_of(st.integers(0, 10**4), st.integers(0, MASK64)),
+                  probs),
+        min_size=1, max_size=300,
+    ),
+)
+def test_plane_equals_float_reference(base, lanes):
+    from qroute.draws import _Plane, _threshold
+
+    plane = _Plane([(a, b, _threshold(p)) for a, b, p in lanes])
+    assert plane.bits(base) == bytes([float_draw(base, a, b) < p
+                                      for a, b, p in lanes])
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,7 +206,8 @@ def test_threshold_equals_float_comparison_at_its_boundary(p):
     ),
 )
 def test_link_counts_equal_float_reference(seed, slot, edges):
-    from qroute.montecarlo import KeyedRng, _link_counts, _threshold
+    from qroute.draws import KeyedRng, _threshold
+    from qroute.montecarlo import _link_plane, _link_spans
 
     runs = []  # (run, edge index, p): several runs per edge, in channel order
     for eidx, start, widths, p in edges:
@@ -199,28 +218,59 @@ def test_link_counts_equal_float_reference(seed, slot, edges):
     schedule = [(run, eidx, range(run[1], run[1] + run[2]), _threshold(p))
                 for run, eidx, p in runs]
     want = reference_link_counts(runs, base)
-    assert _link_counts(schedule, base) == [want[run] for run, _, _ in runs]
+    bits = _link_plane(schedule).bits(base)
+    assert [sum(bits[lo:hi]) for lo, hi in _link_spans(schedule)] \
+        == [want[run] for run, _, _ in runs]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, MASK64),
     slot=st.integers(0, 10**6),
-    qs=st.lists(probs, min_size=1, max_size=4),
+    nodes=st.lists(st.tuples(probs, st.integers(0, 8)),  # (q, plane cap)
+                   min_size=1, max_size=4),
     calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
                    max_size=12),
 )
-def test_swap_blocks_equal_float_reference(seed, slot, qs, calls):
-    from qroute.montecarlo import KeyedRng, _SwapDraws, _threshold
+def test_swap_blocks_equal_float_reference(seed, slot, nodes, calls):
+    # blocks start inside a node's plane cap, cross it or start past it
+    from qroute.draws import KeyedRng, _SwapDraws, _SwapLanes, _threshold
 
+    qs = [q for q, _ in nodes]
     rank = {f"v{i}": i for i in range(len(qs))}
     base = KeyedRng(seed).swap_slot_base(slot)
     want = ReferenceSwapDraws(rank, base)
-    got = _SwapDraws(base, len(qs))
+    got = _SwapDraws(base, _SwapLanes([cap for _, cap in nodes],
+                                      [_threshold(q) for q in qs]))
     for i, m in calls:  # blocks at each node continue its sequence numbers
         i %= len(qs)
         assert (got.successes(i, _threshold(qs[i]), m)
-                == want.successes(f"v{i}", qs[i], m))
+                == bytes(want.successes(f"v{i}", qs[i], m)))
+
+
+def test_swap_lanes_zero_a_node_with_mixed_thresholds():
+    from qroute.draws import _SwapLanes
+
+    lanes = _SwapLanes.of(3, [(0, 5, 2), (2, 7, 1), (0, 5, 1), (2, 9, 4)])
+    assert lanes.caps == [3, 0, 0]
+    assert lanes.first == [0, 3, 3, 3]
+
+
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+def test_one_hop_run_has_an_empty_swap_plane(forwarding):
+    # a one-hop path has no interior node, so its run's swap plane has no lane
+    from qroute.draws import KeyedRng, _Plane
+    from qroute.montecarlo import _bind_plan, _swap_lanes
+
+    assert _Plane([]).bits(KeyedRng(3).swap_slot_base(0)) == b""
+    g = chain_graph(1, p=0.6, cap=2)
+    plan = plan_for_chain(g, 1, width=2, policy=SwapPolicy.parallel())
+    bound = _bind_plan(g, plan)
+    assert _swap_lanes(g, bound).caps == [0, 0]
+    stats = simulate(g, plan, SimConfig(forwarding=forwarding, slots=40, seed=4,
+                                        policy=SwapPolicy.parallel()))
+    assert stats.delivered_total == stats.links_generated > 0
+    assert stats.swap_counters == {}
 
 
 # --------------------------------------------------------------------------

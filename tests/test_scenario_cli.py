@@ -570,19 +570,31 @@ def test_exit_codes(tmp_path, capsys):
     assert "overrides: seed -1 outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["bogus", "explicit"])
+def test_unknown_policy_flag_names_the_overrides(tmp_path, capsys, policy):
+    assert run_command(["simulate", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
+                        "--policy", policy, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"qroute: overrides: unknown swapping policy {policy!r}\n")
+
+
 def test_unknown_flag_exits_one(tmp_path):
     assert run_command(["analyze", "--scenario", "x", "--bogus"]) == 1
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args, "--help"],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    return _python(*args, "--help")
 
 
 def test_module_entry_point_runs_the_cli():
@@ -590,6 +602,13 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "route" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # the link and swap draw planes are stdlib big-integer passes; importing
+    # numpy would add about 0.16 s and 12 MiB to every CLI run
+    proc = _python("-c", "import sys, qroute.cli; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_cli_module_runs_without_warnings():
