@@ -108,32 +108,16 @@ class _Plane:
 class _SwapLanes:
     """A run's swap plane: lanes (node rank, sequence number) for each node's
     first `caps[rank]` sequence numbers of a slot, node by node in rank order,
-    drawn against the node's threshold."""
+    each drawn against its node's threshold `thresholds[rank]`."""
 
-    __slots__ = ("plane", "first", "caps")
+    __slots__ = ("plane", "first", "caps", "thresholds")
 
     def __init__(self, caps: list[int], thresholds: list[int]):
         self.caps = caps
+        self.thresholds = thresholds
         self.first = list(itertools.accumulate(caps, initial=0))
         self.plane = _Plane((r, s, thresholds[r])
                             for r, cap in enumerate(caps) for s in range(cap))
-
-    @classmethod
-    def of(cls, nodes: int, entries) -> _SwapLanes:
-        """Caps summed from `(rank, threshold, cap)` entries. A node whose
-        entries disagree on the threshold gets cap 0, so that every draw
-        there takes the scalar chain with the caller's threshold."""
-        caps = [0] * nodes
-        thresholds: list[int | None] = [None] * nodes
-        mixed = set()
-        for r, t, cap in entries:
-            caps[r] += cap
-            if thresholds[r] not in (None, t):
-                mixed.add(r)
-            thresholds[r] = t
-        for r in mixed:
-            caps[r] = 0
-        return cls(caps, thresholds)
 
 
 class _SwapDraws:
@@ -156,7 +140,7 @@ class _SwapDraws:
         self._bases: list[int | None] = [None] * nodes  # per-node first round
         self._seq = [0] * nodes
 
-    def successes(self, rank: int, threshold: int, m: int) -> bytes:
+    def successes(self, rank: int, m: int) -> bytes:
         """The next `m` swap outcomes at node `rank`, in sequence order, one
         byte (0 or 1) each."""
         seq = self._seq[rank]
@@ -164,16 +148,16 @@ class _SwapDraws:
         lanes = self._lanes
         cap = lanes.caps[rank]
         if seq >= cap or not m:
-            return self._chain(rank, threshold, seq, end)
+            return self._chain(rank, seq, end)
         bits = self._bits
         if bits is None:
             bits = self._bits = lanes.plane.bits(self._base)
         lo = lanes.first[rank]
         if end <= cap:
             return bits[lo + seq:lo + end]
-        return bits[lo + seq:lo + cap] + self._chain(rank, threshold, cap, end)
+        return bits[lo + seq:lo + cap] + self._chain(rank, cap, end)
 
-    def _chain(self, rank: int, threshold: int, seq: int, end: int) -> bytes:
+    def _chain(self, rank: int, seq: int, end: int) -> bytes:
         """Draws `seq` to `end` at node `rank`, one round each after the
         node's first round."""
         if seq == end:
@@ -181,4 +165,5 @@ class _SwapDraws:
         h = self._bases[rank]
         if h is None:
             h = self._bases[rank] = _absorb(self._base, rank)
+        threshold = self._lanes.thresholds[rank]
         return bytes([_absorb(h, s) < threshold for s in range(seq, end)])

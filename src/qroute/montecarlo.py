@@ -28,8 +28,8 @@ from .analytics import (
 )
 from .draws import MASK64, KeyedRng, _Plane, _SwapDraws, _SwapLanes, _threshold
 from .netmodel import NetworkGraph, edge_key
-from .pathfind import LogicalTopology, disjoint_paths_on_logical
-from .routing import AllocationPlan, Request
+from .pathfind import LogicalTopology, disjoint_paths_on_logical, path_spec_from_nodes
+from .routing import AllocationPlan, Request, check_unique_ids
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class _RuntimePath:
     path: PathSpec
     policy: SwapPolicy
     schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
-    swaps: tuple[tuple[int, int], ...]  # (node rank, threshold) per interior node
+    swaps: tuple[int, ...]  # node rank per interior node
     channels: tuple[tuple[tuple[str, str], int, int], ...] = ()
     label: str = ""  # a proactive path's key in the report
 
@@ -110,11 +110,10 @@ class _RuntimePath:
             None if policy.kind in ("parallel", "adhoc")
             else policy.order_tree(path.hop_count).schedule
         )
-        swaps = tuple((rank[v], _threshold(q)) for v, q in
-                      zip(path.nodes[1:-1], path.interior_swap_probs))
         return cls(
             request_id=request_id, path=path, policy=policy, schedule=schedule,
-            swaps=swaps, channels=tuple(channels), label=label,
+            swaps=tuple(rank[v] for v in path.nodes[1:-1]),
+            channels=tuple(channels), label=label,
         )
 
 
@@ -129,7 +128,7 @@ def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
     n = len(counts)
     if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
         lanes = min(counts)
-        won = [draws.successes(r, t, lanes) for r, t in swaps]
+        won = [draws.successes(r, lanes) for r in swaps]
         # the all-true column keeps every lane of a one-hop path, which has
         # no interior node to draw at
         delivered = sum(map(all, zip([True] * lanes, *won)))
@@ -139,7 +138,7 @@ def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
     attempts = successes = 0
     for a, mid, b in rp.schedule:  # post-order: both inputs are filled
         m = min(pools[a, mid], pools[mid, b])
-        pools[a, b] = sum(draws.successes(*swaps[mid - 1], m))
+        pools[a, b] = sum(draws.successes(swaps[mid - 1], m))
         attempts += m
         successes += pools[a, b]
     _tally(tally, rp.policy.kind, attempts, successes)
@@ -329,7 +328,7 @@ def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, tally):
         if not m:
             continue
         out = pools[a, b]
-        won = draws.successes(*swaps[mid - 1], m)
+        won = draws.successes(swaps[mid - 1], m)
         for left, right, ok in zip(lefts, rights, won):
             if ok:
                 lb = left[1]
@@ -392,7 +391,7 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, tally):
         attempts += m
         lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
         rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
-        won = draws.successes(*swaps[j - 1], m)
+        won = draws.successes(swaps[j - 1], m)
         for (a, left), (b, right), ok in zip(lefts, rights, won):
             if not ok:
                 continue
@@ -425,6 +424,8 @@ def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, tally):
 
 
 def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
+    """Each plan path's runtime context on its channel runs. Every draw is
+    made against the graph, so a path must carry the graph's probabilities."""
     rank = graph._node_rank()
     offsets: dict[tuple[str, str], int] = {}
     bound = []
@@ -432,28 +433,27 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
     for alloc in plan.allocations:
         i = per_request_counter.get(alloc.request_id, 0)
         per_request_counter[alloc.request_id] = i + 1
-        chans = []
-        for h in range(alloc.path.hop_count):
-            key = edge_key(alloc.path.nodes[h], alloc.path.nodes[h + 1])
-            width = alloc.path.per_hop_capacity[h]
-            start = offsets.get(key, 0)
-            if start + width > graph.edge(*key).capacity:
+        label = f"{alloc.request_id}[{i}]"
+        path, ours = alloc.path, path_spec_from_nodes(graph, alloc.path.nodes)
+        for name, graph_name in (("per_hop_prob", "link_prob"),
+                                 ("interior_swap_probs", "swap_prob")):
+            if getattr(path, name) != getattr(ours, name):
                 raise ValueError(
-                    f"plan overallocates edge {key}: {start + width} > "
-                    f"{graph.edge(*key).capacity}"
+                    f"path {label}: {name} {getattr(path, name)} differs from "
+                    f"the graph's {graph_name} {getattr(ours, name)}"
                 )
+        chans = []
+        for h, cap in enumerate(ours.per_hop_capacity):
+            key = edge_key(path.nodes[h], path.nodes[h + 1])
+            width = path.per_hop_capacity[h]
+            start = offsets.get(key, 0)
+            if start + width > cap:
+                raise ValueError(
+                    f"plan overallocates edge {key}: {start + width} > {cap}")
             offsets[key] = start + width
             chans.append((key, start, width))
-        bound.append(
-            _RuntimePath.build(
-                request_id=alloc.request_id,
-                path=alloc.path,
-                policy=alloc.policy,
-                rank=rank,
-                channels=chans,
-                label=f"{alloc.request_id}[{i}]",
-            )
-        )
+        bound.append(_RuntimePath.build(alloc.request_id, path, alloc.policy,
+                                        rank, chans, label))
     return bound
 
 
@@ -486,7 +486,8 @@ def _link_spans(schedule) -> list[tuple[int, int]]:
 
 def _swap_lanes(graph: NetworkGraph, bound) -> _SwapLanes:
     """The swap plane, with each node's cap set to the most draws a sync
-    slot can make there; async draws past it take the scalar chain.
+    slot can make there; async draws past it take the scalar chain. Every
+    draw at a node is against the graph's `swap_prob` there.
 
     A proactive path's merges, or its `parallel` lanes, at an interior node
     draw at most the smaller of the two hop widths beside it, and the node's
@@ -495,18 +496,18 @@ def _swap_lanes(graph: NetworkGraph, bound) -> _SwapLanes:
     its incident links, so the cap is half the incident capacity.
     """
     rank = graph._node_rank()
+    caps = [0] * len(rank)
     if bound is not None:
-        entries = [(r, t, min(widths[j], widths[j + 1]))
-                   for rp in bound for widths in [rp.path.per_hop_capacity]
-                   for j, (r, t) in enumerate(rp.swaps)]
+        for rp in bound:
+            widths = rp.path.per_hop_capacity
+            for j, r in enumerate(rp.swaps):
+                caps[r] += min(widths[j], widths[j + 1])
     else:
-        incident = dict.fromkeys(rank, 0)
         for e in graph.edges:
-            incident[e.u] += e.capacity
-            incident[e.v] += e.capacity
-        entries = [(rank[v.id], _threshold(v.swap_prob), incident[v.id] // 2)
-                   for v in graph.nodes]
-    return _SwapLanes.of(len(rank), entries)
+            caps[rank[e.u]] += e.capacity
+            caps[rank[e.v]] += e.capacity
+        caps = [c // 2 for c in caps]
+    return _SwapLanes(caps, [_threshold(v.swap_prob) for v in graph.nodes])
 
 
 def _link_plane(schedule) -> _Plane:
@@ -535,6 +536,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     if not reactive:
         if not isinstance(plan_or_requests, AllocationPlan):
             raise ValueError("proactive simulation needs an AllocationPlan")
+        check_unique_ids(plan_or_requests.requests)
         bound = _bind_plan(graph, plan_or_requests)
         for rp in bound:
             if sync and rp.policy.kind == "adhoc":
@@ -563,6 +565,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         requests = list(plan_or_requests)
         if not all(isinstance(r, Request) for r in requests):
             raise ValueError("reactive simulation needs a list of requests")
+        check_unique_ids(requests)
         requests.sort(key=lambda r: r.id)
         runs = [(edge_key(e.u, e.v), 0, e.capacity) for e in graph.edges]
         request_ids = [r.id for r in requests]
@@ -571,8 +574,9 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     # channel run, ((edge key, first channel, width), edge index, channel
     # range, threshold), in (edge key, first channel) order, which async
     # link ids follow
+    eidx = {edge_key(e.u, e.v): i for i, e in enumerate(graph.edges)}
     schedule = [
-        (run, graph.edge_index(*run[0]), range(run[1], run[1] + run[2]),
+        (run, eidx[run[0]], range(run[1], run[1] + run[2]),
          _threshold(graph.edge(*run[0]).link_prob))
         for run in sorted(runs)
     ]

@@ -164,20 +164,10 @@ class NetworkGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def edge_index(self, u: str, v: str) -> int:
-        return self._edge_rank()[edge_key(u, v)]
-
     def _node_rank(self):
         if "node_rank" not in self._memo:
             self._memo["node_rank"] = {n.id: i for i, n in enumerate(self.nodes)}
         return self._memo["node_rank"]
-
-    def _edge_rank(self):
-        if "edge_rank" not in self._memo:
-            self._memo["edge_rank"] = {
-                edge_key(e.u, e.v): i for i, e in enumerate(self.edges)
-            }
-        return self._memo["edge_rank"]
 
     def connected_components(self) -> list[tuple[str, ...]]:
         """Components as sorted node-id tuples, largest-first by first id."""

@@ -54,6 +54,15 @@ class Request:
 UTILITY_KINDS = ("total_throughput", "saturating", "weighted_sum")
 
 
+def check_unique_ids(requests) -> None:
+    """Results are keyed by request id, so a repeated id would merge two."""
+    seen = set()
+    for req in requests:
+        if req.id in seen:
+            raise ValueError(f"request id {req.id!r} appears more than once")
+        seen.add(req.id)
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Per-request utility; all kinds are non-decreasing in the rate."""
@@ -154,6 +163,7 @@ def allocate(
     endpoints, its hop bound and the set of saturated edges, and are cached
     under that key: a greedy step that saturates no edge reuses them all.
     """
+    check_unique_ids(requests)
     residual = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
     infeasible: list[tuple[str, str]] = []
     live: list[tuple[Request, int]] = []

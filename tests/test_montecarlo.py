@@ -244,16 +244,7 @@ def test_swap_blocks_equal_float_reference(seed, slot, nodes, calls):
                                       [_threshold(q) for q in qs]))
     for i, m in calls:  # blocks at each node continue its sequence numbers
         i %= len(qs)
-        assert (got.successes(i, _threshold(qs[i]), m)
-                == bytes(want.successes(f"v{i}", qs[i], m)))
-
-
-def test_swap_lanes_zero_a_node_with_mixed_thresholds():
-    from qroute.draws import _SwapLanes
-
-    lanes = _SwapLanes.of(3, [(0, 5, 2), (2, 7, 1), (0, 5, 1), (2, 9, 4)])
-    assert lanes.caps == [3, 0, 0]
-    assert lanes.first == [0, 3, 3, 3]
+        assert got.successes(i, m) == bytes(want.successes(f"v{i}", qs[i], m))
 
 
 @pytest.mark.parametrize("forwarding", ["sync", "async"])
@@ -831,6 +822,43 @@ def test_plan_overallocation_rejected():
     )
     with pytest.raises(ValueError, match="overallocates"):
         simulate(g, plan, SimConfig(slots=10, seed=0))
+
+
+@pytest.mark.parametrize("forwarding", ["sync", "async"])
+@pytest.mark.parametrize("field, value, graph_field", [
+    ("per_hop_prob", (0.1, 0.1), "link_prob"),
+    ("interior_swap_probs", (0.1,), "swap_prob"),
+])
+def test_plan_path_probabilities_must_match_the_graph(forwarding, field, value,
+                                                      graph_field):
+    # the simulator draws against the graph, so a path that disagrees with
+    # it is rejected instead of being simulated with half of its numbers
+    g = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.9),
+                      NodeParams(id="", swap_prob=0.5))
+    req = Request(id="r1", source="0,0", dest="0,2")
+    path = path_spec_from_nodes(g, ("0,0", "0,1", "0,2"))
+    plan = AllocationPlan(
+        requests=(req,),
+        allocations=(PathAllocation(request_id="r1",
+                                    path=replace(path, **{field: value}),
+                                    policy=SwapPolicy.doubling()),),
+        residual=(),
+    )
+    with pytest.raises(ValueError,
+                       match=rf"path r1\[0\]: {field} .* graph's {graph_field}"):
+        simulate(g, plan, SimConfig(forwarding=forwarding, slots=10))
+
+
+@pytest.mark.parametrize("scheme", ["proactive", "reactive"])
+def test_simulate_rejects_repeated_request_ids(scheme):
+    # per-request stats are keyed by request id, so two requests would merge
+    g = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.9))
+    requests = [Request(id="r", source="0,0", dest="2,2"),
+                Request(id="r", source="0,2", dest="2,0")]
+    work = (requests if scheme == "reactive"
+            else AllocationPlan(requests=tuple(requests), allocations=(), residual=()))
+    with pytest.raises(ValueError, match="request id 'r' appears more than once"):
+        simulate(g, work, SimConfig(scheme=scheme, slots=10))
 
 
 def test_adhoc_under_sync_rejected():

@@ -17,6 +17,7 @@ from qroute import (
     allocate,
     build_graph,
     expected_throughput,
+    grid_topology,
     max_hops,
     path_spec_from_nodes,
     policy_distribution,
@@ -304,6 +305,16 @@ def test_utility_non_decreasing_in_rate():
         rates = sorted(rnd.uniform(0, 2) for _ in range(50))
         values = [spec.value(req, r) for r in rates]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_allocate_rejects_repeated_request_ids():
+    # widths and rates are keyed by request id, so the second request would
+    # silently share the first one's allocation
+    g = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.9))
+    requests = [Request(id="r", source="0,0", dest="2,2"),
+                Request(id="r", source="0,2", dest="2,0")]
+    with pytest.raises(ValueError, match="request id 'r' appears more than once"):
+        allocate(g, requests, AllocatorConfig())
 
 
 def test_allocator_config_validation():
