@@ -27,12 +27,7 @@ from .analytics import (
     werner_fidelity_after_swaps,
 )
 from .draws import KeyedRng
-from .montecarlo import (
-    SimConfig,
-    SimStats,
-    brute_force_distribution,
-    simulate,
-)
+from .montecarlo import SimConfig, SimStats, simulate
 from .netmodel import (
     EdgeParams,
     NetworkGraph,
@@ -62,3 +57,13 @@ from .routing import (
     total_utility,
 )
 from .scenario import Scenario, parse_scenario, scenario_from_dict, scenario_to_dict
+
+
+def __getattr__(name):
+    # the brute-force oracle is loaded on first use: no other command needs
+    # it, and every run compiles what it imports when bytecode is not cached
+    if name == "brute_force_distribution":
+        from .oracle import brute_force_distribution
+
+        return brute_force_distribution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ from itertools import chain
 from . import __version__ as TOOL_VERSION
 from . import analytics
 from .analytics import all_order_trees, expected_throughput
-from .montecarlo import brute_force_distribution, simulate
+from .montecarlo import simulate
 from .netmodel import classical_delay_ms
 from .pathfind import path_spec_from_nodes
 from .report import emit_report
@@ -277,6 +277,8 @@ def _simulate_tables(results: dict) -> dict:
 
 
 def _cmd_oracle(scenario: Scenario) -> dict:
+    from .oracle import brute_force_distribution  # only this command needs it
+
     results = []
     for i, path in enumerate(_target_paths(scenario)):
         comparisons = []

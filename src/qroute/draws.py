@@ -3,14 +3,17 @@ the seed and the draw's coordinates (domain, slot, entity, sequence number).
 
 A draw chains one splitmix64 round per coordinate (Steele, Lea & Flood,
 OOPSLA 2014) and succeeds when the 64-bit hash is below an integer
-threshold. A slot's many draws are computed together as a plane: SWAR
-("SIMD within a register") over one big integer, one 128-bit lane per draw.
+threshold. The draws of a block of slots are computed together as a
+plane: SWAR ("SIMD within a register") over one big integer, one 128-bit
+lane per draw, slot after slot.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
+from operator import add
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -18,6 +21,9 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _LINK_DOMAIN = 0x4C494E4B
 _SWAP_DOMAIN = 0x53574150
+_LANE = 16  # bytes per lane
+_MASK_LANE = MASK64.to_bytes(_LANE, "little")  # a lane's low 64 bits
+_BLOCK_LANES = 4096  # lanes per block int: 64 KiB
 
 
 def _absorb(base: int, a: int) -> int:
@@ -39,70 +45,139 @@ def _threshold(p: float) -> int:
 class KeyedRng:
     """Stateless keyed stream: each draw is a pure function of the seed
     and its coordinates (domain, slot, entity index, sequence number), one
-    `_absorb` round per coordinate."""
+    `_absorb` round per coordinate. Its two domain keys are the seed
+    absorbed with each domain; `_slot_bases` absorbs the slot next."""
 
-    __slots__ = ("_link_base", "_swap_base")
+    __slots__ = ("link_key", "swap_key")
 
     def __init__(self, seed: int):
-        self._link_base = _absorb(seed, _LINK_DOMAIN)
-        self._swap_base = _absorb(seed, _SWAP_DOMAIN)
-
-    def link_slot_base(self, slot: int) -> int:
-        return _absorb(self._link_base, slot)
-
-    def swap_slot_base(self, slot: int) -> int:
-        return _absorb(self._swap_base, slot)
+        self.link_key = _absorb(seed, _LINK_DOMAIN)
+        self.swap_key = _absorb(seed, _SWAP_DOMAIN)
 
 
-def _pack(values) -> int:
-    """One 128-bit lane per value, lane 0 lowest."""
-    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values),
-                          "little")
+def _lanes(values) -> bytes:
+    """One 16-byte little-endian lane per value, lane 0 first."""
+    return b"".join(v.to_bytes(_LANE, "little") for v in values)
+
+
+def _round(h: int, offset: int, low: int) -> int:
+    """`_absorb` on every lane of `h` at once; lane i of `offset` holds lane
+    i's `_GAMMA * (a + 1)` mod 2**64, and `low` masks each lane to 64 bits."""
+    h += offset  # a step per statement keeps fewer 64 KiB temporaries alive
+    h &= low
+    h ^= h >> 30
+    h &= low
+    h *= _M1
+    h &= low
+    h ^= h >> 27
+    h &= low
+    h *= _M2
+    h &= low
+    h ^= h >> 31
+    return h & low
+
+
+@lru_cache(maxsize=2)
+def _slot_lanes(count: int) -> tuple[int, int, int]:
+    """For `count` lanes: lanes of 1, the 64-bit lane mask, and lanes 1 to
+    `count`."""
+    return (int.from_bytes((b"\x01" + bytes(15)) * count, "little"),
+            int.from_bytes(_MASK_LANE * count, "little"),
+            int.from_bytes(_lanes(range(1, count + 1)), "little"))
+
+
+def _slot_bases(key: int, first: int, count: int) -> bytes:
+    """`_absorb(key, slot)` for the `count` slots from `first`, as one SWAR
+    round over the slot coordinates: a 16-byte lane per slot, in order.
+    Slots stay below 2**64, so no lane's `(slot + 1) * _GAMMA` carries."""
+    ones, low, index = _slot_lanes(count)
+    offsets = (index + first * ones) * _GAMMA & low  # lane k: slot first + k, + 1
+    return _round(key * ones, offsets, low).to_bytes(_LANE * count, "little")
 
 
 class _Plane:
-    """Many two-coordinate draws as one big-integer pass (SWAR): lane i of
-    `bits(base)` is 1 iff `_absorb(_absorb(base, a), b) < threshold` for the
-    i-th lane `(a, b, threshold)`, exactly.
+    """Many two-coordinate draws at every slot of a block, as one big-integer
+    pass (SWAR). For a plane of n lanes `(a, b, threshold)`, byte k * n + i
+    of `block(bases)` is 1 iff `_absorb(_absorb(base, a), b) < threshold`
+    for lane i and the k-th slot base, exactly, and 0 otherwise.
 
-    Each draw owns a 128-bit lane of one int. Masking every lane to its low
-    64 bits after each add and xor-shift keeps lanes apart: a shift moves the
-    next lane's low bits into this lane's top, where the mask drops them, and
-    a masked lane times `_M1` or `_M2` is below 2**128, so a product never
-    carries into the next lane. The test adds `2**64 - threshold` to a lane:
-    bit 64 then holds `h >= threshold`, also at thresholds 0 and 2**64.
+    Each draw owns a 128-bit lane of one int, slot-major: the block's slots
+    in order, each with the plane's n lanes. A slot's base is copied into
+    its n lanes by bytes repetition, and the lane offsets are tiled once per
+    slot, so each lane computes the very chain `_absorb` computes. Masking
+    every lane to its low 64 bits after each add and xor-shift keeps lanes
+    apart: a shift moves the next lane's low bits into this lane's top,
+    where the mask drops them, and a masked lane times `_M1` or `_M2` is
+    below 2**128, so a product never carries into the next lane. The test
+    adds the threshold to `2**64 - 1 - h`: bit 64, the lane's byte 8, then
+    holds `h < threshold`, also at thresholds 0 and 2**64.
     """
 
-    __slots__ = ("_n", "_ones", "_low", "_offsets", "_neg", "_carry")
+    __slots__ = ("_n", "_offsets", "_thresholds", "_tiled")
 
     def __init__(self, lanes):
         lanes = list(lanes)
         self._n = len(lanes)
-        self._ones = _pack([1] * self._n)
-        self._low = MASK64 * self._ones
-        self._carry = self._ones << 64
         self._offsets = tuple(  # each coordinate's addend, as `_absorb` adds it
-            _pack([_GAMMA * (lane[i] + 1) & MASK64 for lane in lanes])
+            _lanes([_GAMMA * (lane[i] + 1) & MASK64 for lane in lanes])
             for i in (0, 1)
         )
         # a 64-bit h is below t iff it is below t clamped to [0, 2**64]
-        self._neg = _pack([(1 << 64) - min(max(t, 0), 1 << 64)
-                           for _, _, t in lanes])
+        self._thresholds = _lanes([min(max(t, 0), 1 << 64) for _, _, t in lanes])
+        self._tiled: tuple = (None, ())  # (slots, lane constants tiled)
 
-    def bits(self, base: int) -> bytes:
-        """Every lane's outcome at `base`, one byte (0 or 1) per lane."""
-        low = self._low
-        h = base * self._ones
-        for offset in self._offsets:
-            h = (h + offset) & low
-            h = (h ^ (h >> 30)) & low
-            h = h * _M1 & low
-            h = (h ^ (h >> 27)) & low
-            h = h * _M2 & low
-            h = (h ^ (h >> 31)) & low
-        carry = self._carry
-        return (((h + self._neg) & carry) ^ carry).to_bytes(
-            16 * self._n, "little")[8::16]
+    def __len__(self) -> int:
+        return self._n
+
+    def block(self, bases: bytes) -> bytes:
+        """Every lane's outcome at each slot base in `bases` (16-byte lanes,
+        as `_slot_bases` gives them), one byte (0 or 1) per lane, slot by
+        slot."""
+        n = self._n
+        count = len(bases) // _LANE
+        if self._tiled[0] != count:
+            self._tiled = (count, [
+                int.from_bytes(lanes * count, "little")
+                for lanes in (*self._offsets, self._thresholds, _MASK_LANE * n)
+            ])
+        first, second, thresholds, low = self._tiled[1]
+        h = _round(_round(int.from_bytes(b"".join(
+            [bases[k:k + _LANE] * n for k in range(0, len(bases), _LANE)]
+        ), "little"), first, low), second, low)
+        h ^= low  # 2**64 - 1 - h
+        h += thresholds
+        return h.to_bytes(_LANE * n * count, "little")[8::_LANE]
+
+
+def _block_slots(planes) -> int:
+    """Slots per block: the most whose lanes fit `_BLOCK_LANES` in each of
+    the `planes`, and in the slot bases' one lane per slot, but at least
+    one. A run's last block takes the slots left."""
+    return max(1, _BLOCK_LANES // max(1, *map(len, planes)))
+
+
+def _link_plane(schedule) -> _Plane:
+    """The plane of every channel's link draw, keyed (edge index, channel),
+    from the link schedule `simulate` builds: one entry per channel run,
+    (run, edge index, channel range, threshold)."""
+    return _Plane((eidx, ch, threshold)
+                  for _, eidx, chans, threshold in schedule for ch in chans)
+
+
+def _link_spans(schedule) -> list[tuple[int, int]]:
+    """Each link schedule entry's lanes (lo, hi) in the link plane, which
+    has one lane per channel in schedule order."""
+    ends = list(itertools.accumulate(len(chans) for _, _, chans, _ in schedule))
+    return list(zip([0, *ends], ends))
+
+
+def _span_counts(bits: bytes, width: int, lo: int, hi: int, size: int) -> list[int]:
+    """Set lanes lo to hi of each of the `size` slots in a block's `bits`,
+    whose slots are `width` lanes each."""
+    count = list(bits[lo::width]) if hi > lo else [0] * size
+    for lane in range(lo + 1, hi):
+        count = list(map(add, count, bits[lane::width]))
+    return count
 
 
 class _SwapLanes:
@@ -120,22 +195,50 @@ class _SwapLanes:
                             for r, cap in enumerate(caps) for s in range(cap))
 
 
+def _swap_lanes(graph, bound) -> _SwapLanes:
+    """The swap plane, with each node's cap set to the most draws a sync
+    slot can make there; async draws past it take the scalar chain. Every
+    draw at a node is against the graph's `swap_prob` there.
+
+    A proactive path's merges, or its `parallel` lanes, at an interior node
+    draw at most the smaller of the two hop widths beside it, and the node's
+    cap sums that over the `bound` paths. Under the reactive scheme
+    (`bound` None) every path through a node is one wide and takes two of
+    its incident links, so the cap is half the incident capacity.
+    """
+    rank = graph._node_rank()
+    caps = [0] * len(rank)
+    if bound is not None:
+        for rp in bound:
+            widths = rp.path.per_hop_capacity
+            for j, r in enumerate(rp.swaps):
+                caps[r] += min(widths[j], widths[j + 1])
+    else:
+        for e in graph.edges:
+            caps[rank[e.u]] += e.capacity
+            caps[rank[e.v]] += e.capacity
+        caps = [c // 2 for c in caps]
+    return _SwapLanes(caps, [_threshold(v.swap_prob) for v in graph.nodes])
+
+
 class _SwapDraws:
     """One slot's swap randomness, keyed (slot, node rank, sequence number):
     sequence numbers count per node from 0, so identical event orders
     reproduce identical outcomes across runs.
 
-    Draws within a node's plane cap are slices of the slot's swap plane,
-    computed on first use; the rest take one `_absorb` round each after the
-    node's first round. Both are the same draws.
+    Draws within a node's plane cap are bytes of slot k's part of a block's
+    swap plane `bits`; the rest take one `_absorb` round each after the
+    node's first round on the slot's base, lane k of the block's `bases`.
+    Both are the same draws.
     """
 
-    __slots__ = ("_base", "_lanes", "_bits", "_bases", "_seq")
+    __slots__ = ("_bits", "_at", "_base", "_lanes", "_bases", "_seq")
 
-    def __init__(self, base: int, lanes: _SwapLanes):
-        self._base = base
+    def __init__(self, bits: bytes, bases: bytes, k: int, lanes: _SwapLanes):
+        self._bits = bits
+        self._at = k * len(lanes.plane)
+        self._base = int.from_bytes(bases[_LANE * k:_LANE * (k + 1)], "little")
         self._lanes = lanes
-        self._bits: bytes | None = None
         nodes = len(lanes.caps)
         self._bases: list[int | None] = [None] * nodes  # per-node first round
         self._seq = [0] * nodes
@@ -149,13 +252,10 @@ class _SwapDraws:
         cap = lanes.caps[rank]
         if seq >= cap or not m:
             return self._chain(rank, seq, end)
-        bits = self._bits
-        if bits is None:
-            bits = self._bits = lanes.plane.bits(self._base)
-        lo = lanes.first[rank]
+        lo = self._at + lanes.first[rank]
         if end <= cap:
-            return bits[lo + seq:lo + end]
-        return bits[lo + seq:lo + cap] + self._chain(rank, cap, end)
+            return self._bits[lo + seq:lo + end]
+        return self._bits[lo + seq:lo + cap] + self._chain(rank, cap, end)
 
     def _chain(self, rank: int, seq: int, end: int) -> bytes:
         """Draws `seq` to `end` at node `rank`, one round each after the

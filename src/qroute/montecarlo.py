@@ -1,4 +1,4 @@
-"""Time-slotted stochastic simulator and the exact enumeration oracle.
+"""Time-slotted stochastic simulator.
 
 Each slot runs purge -> external phase (link generation) -> optional
 reactive path computation -> internal phase (swapping) -> bookkeeping.
@@ -11,22 +11,33 @@ Sync forwarding discards everything at slot end, so a sync slot runs on
 per-hop link counts alone. Async forwarding keeps links and segments until
 a memory cutoff expires them, so it keeps each one as a small record: links
 in per-hop FIFOs, segments in per-path lists, all in id order.
+
+Slots run a block at a time, with the block's draws from one plane pass.
+Proactive sync paths are fixed, so that mode runs the block as columns,
+one entry per slot; the others go slot by slot.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from itertools import repeat
+from operator import add, and_, gt
 
-from .analytics import (
-    Distribution,
-    PathSpec,
-    SwapOrderTree,
-    SwapPolicy,
-    validate_tree,
+from .analytics import PathSpec, SwapPolicy
+from .draws import (
+    MASK64,
+    KeyedRng,
+    _block_slots,
+    _link_plane,
+    _link_spans,
+    _slot_bases,
+    _span_counts,
+    _swap_lanes,
+    _SwapDraws,
+    _threshold,
 )
-from .draws import MASK64, KeyedRng, _Plane, _SwapDraws, _SwapLanes, _threshold
 from .netmodel import NetworkGraph, edge_key
 from .pathfind import LogicalTopology, disjoint_paths_on_logical, path_spec_from_nodes
 from .routing import AllocationPlan, Request, check_unique_ids
@@ -118,8 +129,9 @@ class _RuntimePath:
 
 
 def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
-    """Swapping on per-hop link counts; returns (delivered, consumed,
-    segments created). Sync runs every policy through it, async `parallel`.
+    """Swapping on one slot's per-hop link counts; returns (delivered,
+    consumed, segments created). Reactive sync runs every policy through
+    it, async `parallel`.
 
     Draws in the same order as `_exec_tree`, so the outcome equals its
     outcome on a slot that starts empty.
@@ -143,6 +155,63 @@ def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
         successes += pools[a, b]
     _tally(tally, rp.policy.kind, attempts, successes)
     return pools[0, n], 2 * attempts, successes
+
+
+def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
+    """`_exec_counts` on a block of slots: `hops` holds each hop's column of
+    link counts, and `pos[rank]` each slot's next byte of node `rank` in the
+    block's swap plane `swaps`, moved past the draws made. Returns the
+    columns (delivered, consumed, segments created, attempts) and the
+    successes. Each slot draws its node's next bytes, as `_exec_counts`
+    does, and never past the node's plane cap."""
+    one = repeat(1)
+    n = len(hops)
+    if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
+        lanes = list(map(min, zip(*hops)))
+        won, successes = None, 0
+        for r in rp.swaps:
+            p = pos[r]
+            end = pos[r] = list(map(add, p, lanes))
+            successes += sum(map(swaps.count, one, p, end))
+            # lane i's outcome at this node is bit 8i of the int
+            bits = map(int.from_bytes, map(swaps.__getitem__, map(slice, p, end)),
+                       repeat("little"))
+            won = bits if won is None else map(and_, won, bits)
+        # a one-hop path has no interior node: every lane delivers
+        delivered = lanes if won is None else list(map(int.bit_count, won))
+        return (delivered, [k * n for k in lanes], delivered,
+                [k * (n - 1) for k in lanes], successes)
+    pools = {(h, h + 1): c for h, c in enumerate(hops)}
+    attempts = segments = [0] * len(hops[0])
+    for a, mid, b in rp.schedule:  # post-order: both inputs are filled
+        m = list(map(min, pools[a, mid], pools[mid, b]))
+        p = pos[rp.swaps[mid - 1]]
+        end = pos[rp.swaps[mid - 1]] = list(map(add, p, m))
+        pools[a, b] = list(map(swaps.count, one, p, end))
+        attempts = list(map(add, attempts, m))
+        segments = list(map(add, segments, pools[a, b]))
+    return (pools[0, n], list(map(add, attempts, attempts)), segments,
+            attempts, sum(segments))
+
+
+def _sync_block(bound, runs: dict, swaps: bytes, pos, tally, size: int):
+    """A block of `size` proactive sync slots, path by path, on each channel
+    run's column of new links; returns each path's delivered column and the
+    consumed and segments-created columns. A swap counter enters `tally` at
+    its kind's first attempt in (slot, path) order, as in a per-slot run."""
+    delivered, entries = [], []
+    consumed = segments = [0] * size
+    for i, rp in enumerate(bound):
+        got, used, made, attempts, successes = _exec_columns(
+            rp, [runs[run] for run in rp.channels], swaps, pos)
+        delivered.append(got)
+        consumed = list(map(add, consumed, used))
+        segments = list(map(add, segments, made))
+        first = next(itertools.compress(itertools.count(), attempts), size)
+        entries.append((first, i, rp.policy.kind, sum(attempts), successes))
+    for *_, kind, attempts, successes in sorted(entries):
+        _tally(tally, kind, attempts, successes)
+    return delivered, consumed, segments
 
 
 # ---------------------------------------------------------------------------
@@ -477,45 +546,6 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
             yield rp
 
 
-def _link_spans(schedule) -> list[tuple[int, int]]:
-    """Each link schedule entry's lanes (lo, hi) in the link plane, which
-    has one lane per channel in schedule order."""
-    ends = list(itertools.accumulate(len(chans) for _, _, chans, _ in schedule))
-    return list(zip([0, *ends], ends))
-
-
-def _swap_lanes(graph: NetworkGraph, bound) -> _SwapLanes:
-    """The swap plane, with each node's cap set to the most draws a sync
-    slot can make there; async draws past it take the scalar chain. Every
-    draw at a node is against the graph's `swap_prob` there.
-
-    A proactive path's merges, or its `parallel` lanes, at an interior node
-    draw at most the smaller of the two hop widths beside it, and the node's
-    cap sums that over the `bound` paths. Under the reactive scheme
-    (`bound` None) every path through a node is one wide and takes two of
-    its incident links, so the cap is half the incident capacity.
-    """
-    rank = graph._node_rank()
-    caps = [0] * len(rank)
-    if bound is not None:
-        for rp in bound:
-            widths = rp.path.per_hop_capacity
-            for j, r in enumerate(rp.swaps):
-                caps[r] += min(widths[j], widths[j + 1])
-    else:
-        for e in graph.edges:
-            caps[rank[e.u]] += e.capacity
-            caps[rank[e.v]] += e.capacity
-        caps = [c // 2 for c in caps]
-    return _SwapLanes(caps, [_threshold(v.swap_prob) for v in graph.nodes])
-
-
-def _link_plane(schedule) -> _Plane:
-    """The plane of every channel's link draw, keyed (edge index, channel)."""
-    return _Plane((eidx, ch, threshold)
-                  for _, eidx, chans, threshold in schedule for ch in chans)
-
-
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
     """Run the slotted simulation; fully deterministic for a given seed.
 
@@ -586,9 +616,6 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     if sync:
         # entities are tallied per slot, since nothing outlives it
         ledger = dict.fromkeys(DISPOSE_REASONS, 0)
-        if not reactive:  # each hop's position in the schedule
-            at = {run: i for i, (run, *_) in enumerate(schedule)}
-            hop_runs = {rp.label: [at[run] for run in rp.channels] for rp in bound}
     else:
         kernel = _AsyncKernel(graph, schedule)
         # proactive segments persist across slots; reactive ones die with it
@@ -599,64 +626,80 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
 
     built: dict = {}  # reactive runtime paths by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
-    for slot in range(config.slots):
-        draws = _SwapDraws(rng.swap_slot_base(slot), swap_lanes)
-        bits = links.bits(rng.link_slot_base(slot))
-        if sync:
-            made = [bits.count(1, lo, hi) for lo, hi in spans]
-            created = sum(made)
-            consumed = 0
-        else:
-            kernel.purge(slot, held.values())
-            created = kernel.generate(bits, slot)
-        stats.links_generated += created
+    width, depth = len(links), len(swap_lanes.plane)  # a slot's bytes per plane
+    step = _block_slots((links, swap_lanes.plane))
+    for first in range(0, config.slots, step):
+        size = min(step, config.slots - first)
+        bits = links.block(_slot_bases(rng.link_key, first, size))
+        bases = _slot_bases(rng.swap_key, first, size)
+        swaps = swap_lanes.plane.block(bases)
+        if sync:  # each run's column of new links, and each slot's total
+            made = [_span_counts(bits, width, lo, hi, size) for lo, hi in spans]
+            created = list(map(sum, zip(repeat(0, size), *made)))
+            stats.links_generated += sum(created)
+        path_cols = [[] for _ in stats.per_path]
+        request_cols = {rid: [0] * size for rid in request_ids}
+        consumed = [0] * size
+        if sync and not reactive:
+            pos = [list(itertools.islice(itertools.count(lo, depth), size))
+                   for lo in swap_lanes.first]
+            path_cols, consumed, segments = _sync_block(
+                bound, dict(zip((run for run, *_ in schedule), made)), swaps,
+                pos, tally, size)
+            created = list(map(add, created, segments))
+        else:  # the paths, or the links they bind, depend on the slot
+            for k in range(size):
+                slot = first + k
+                draws = _SwapDraws(swaps, bases, k, swap_lanes)
+                if not sync:
+                    kernel.purge(slot, held.values())
+                    stats.links_generated += kernel.generate(
+                        bits[k * width:(k + 1) * width], slot)
+                if reactive:
+                    counts = (
+                        {run[0]: c[k] for (run, *_), c in zip(schedule, made) if c[k]}
+                        if sync else {key: len(run.links) for (key, _), run
+                                      in kernel.runs.items() if run.links})
+                paths = (_reactive_paths(graph, requests, counts, config, built)
+                         if reactive else bound)
+                for i, rp in enumerate(paths):
+                    if sync:  # reactive: every path holds one link per hop
+                        got, used, new = _exec_counts(
+                            rp, [1] * rp.path.hop_count, draws, tally)
+                        consumed[k] += used
+                        created[k] += new
+                    else:
+                        store = kernel.bind(rp) if reactive else held[rp.label]
+                        got = _execute_policy(rp, kernel.take(store), store,
+                                              kernel, draws, tally)
+                        if reactive:  # its partial segments die with the slot's paths
+                            kernel.disposed["discarded"] += store.live()
+                    if reactive:
+                        request_cols[rp.request_id][k] += got
+                    else:
+                        path_cols[i].append(got)
+                if not sync:
+                    kernel.end_slot(slot, held.values())
 
-        if reactive:
-            counts = (
-                {run[0]: c for (run, *_), c in zip(schedule, made) if c} if sync
-                else {key: len(run.links)
-                      for (key, _), run in kernel.runs.items() if run.links}
-            )
-            paths = _reactive_paths(graph, requests, counts, config, built)
-        else:
-            paths = bound
-        slot_totals = dict.fromkeys(request_ids, 0)
-        for rp in paths:
-            if sync:
-                hops = ([1] * rp.path.hop_count if reactive
-                        else [made[i] for i in hop_runs[rp.label]])
-                got, used, segments = _exec_counts(rp, hops, draws, tally)
-                consumed += used
-                created += segments
-            else:
-                store = kernel.bind(rp) if reactive else held[rp.label]
-                got = _execute_policy(rp, kernel.take(store), store, kernel,
-                                      draws, tally)
-                if reactive:  # its partial segments die with the slot's paths
-                    kernel.disposed["discarded"] += store.live()
-            slot_totals[rp.request_id] += got
-            if not reactive:
-                entry = stats.per_path[rp.label]
-                _count(entry["hist"], got)
-                entry["delivered"] += got
-        for rid, got in slot_totals.items():
-            entry = stats.per_request[rid]
-            _count(entry["hist"], got)
-            entry["delivered"] += got
-            stats.delivered_total += got
-
-        if sync:
-            delivered = sum(slot_totals.values())
-            if consumed + delivered > created:
+        for rp, col in zip(bound if not reactive else (), path_cols):
+            request_cols[rp.request_id] = list(
+                map(add, request_cols[rp.request_id], col))
+            _count(stats.per_path[rp.label], col)
+        for rid, col in request_cols.items():
+            _count(stats.per_request[rid], col)
+            stats.delivered_total += sum(col)
+        if sync:  # a slot may not use more than it made
+            delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
+            over = list(map(gt, map(add, consumed, delivered), created))
+            if True in over:
+                k = over.index(True)
                 raise AssertionError(
-                    f"slot {slot}: consumed {consumed} + delivered "
-                    f"{delivered} > created {created}"
+                    f"slot {first + k}: consumed {consumed[k]} + delivered "
+                    f"{delivered[k]} > created {created[k]}"
                 )
-            ledger["consumed"] += consumed
-            ledger["discarded"] += created - consumed - delivered
-            ledger["delivered"] += delivered
-        else:
-            kernel.end_slot(slot, held.values())
+            ledger["consumed"] += sum(consumed)
+            ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
+            ledger["delivered"] += sum(delivered)
 
     stats.swap_counters = {kind: {"attempts": a, "successes": s}
                            for kind, (a, s) in tally.items()}
@@ -664,107 +707,13 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     return stats
 
 
-def _count(hist: list[int], k: int) -> None:
-    """Count one slot that delivered `k` pairs; async forwarding can deliver
+def _count(entry: dict, delivered: list[int]) -> None:
+    """Add a block's per-slot deliveries to an entry's total and, with one
+    `Counter`, its histogram, which grows: async forwarding can deliver
     more pairs in one slot than a path is wide."""
-    while len(hist) <= k:
-        hist.append(0)
-    hist[k] += 1
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration oracle
-
-_ORACLE_MAX_HOPS = 5
-_ORACLE_MAX_CAP = 3
-
-
-@lru_cache(maxsize=None)
-def _channel_count_weights(cap: int, p: float) -> tuple[float, ...]:
-    """P(k of `cap` trials succeed), by enumerating every bit pattern; the
-    oracle counts both link channels and swap attempts with it."""
-    weights = [0.0] * (cap + 1)
-    for bits in itertools.product((0, 1), repeat=cap):
-        prob = 1.0
-        for b in bits:
-            prob *= p if b else (1.0 - p)
-        weights[sum(bits)] += prob
-    return tuple(weights)
-
-
-def brute_force_distribution(
-    path: PathSpec, order: SwapOrderTree | None = None
-) -> Distribution:
-    """Exact E2E pmf by joint enumeration of link and swap Bernoulli trials.
-
-    `order=None` means unheralded (all interior nodes fire at once on the
-    min-width lanes); a tree gives the heralded semantics where each merge
-    pairs its children's counts. Guarded to tiny paths: the state space is
-    exponential by design.
-    """
-    n = path.hop_count
-    if n > _ORACLE_MAX_HOPS or max(path.per_hop_capacity) > _ORACLE_MAX_CAP:
-        raise ValueError(
-            f"oracle limited to {_ORACLE_MAX_HOPS} hops and cap "
-            f"{_ORACLE_MAX_CAP}; got n={n}, caps={path.per_hop_capacity}"
-        )
-    if order is not None:
-        validate_tree(order, n)
-
-    width = min(path.per_hop_capacity)
-    out = [0.0] * (width + 1)
-    hop_weights = [
-        _channel_count_weights(c, p)
-        for c, p in zip(path.per_hop_capacity, path.per_hop_prob)
-    ]
-
-    for counts in itertools.product(
-        *(range(c + 1) for c in path.per_hop_capacity)
-    ):
-        weight = 1.0
-        for h, k in enumerate(counts):
-            weight *= hop_weights[h][k]
-        if weight == 0.0:
-            continue
-        if order is None:
-            _accumulate_unheralded(path, counts, weight, out)
-        else:
-            for k, prob in _tree_outcomes(path, order, counts).items():
-                out[k] += weight * prob
-    return Distribution(cap=width, pmf=out)
-
-
-def _accumulate_unheralded(path, counts, weight, out):
-    n = path.hop_count
-    lanes = min(counts)
-    if lanes == 0:
-        out[0] += weight
-        return
-    # one lane's end-to-end success needs every interior swap bit set
-    lane_success = 0.0
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        prob = 1.0
-        for q, b in zip(path.interior_swap_probs, bits):
-            prob *= q if b else (1.0 - q)
-        if all(bits):
-            lane_success += prob
-    for lane_bits in itertools.product((0, 1), repeat=lanes):
-        prob = 1.0
-        for b in lane_bits:
-            prob *= lane_success if b else (1.0 - lane_success)
-        out[sum(lane_bits)] += weight * prob
-
-
-def _tree_outcomes(path, tree, counts) -> dict[int, float]:
-    if tree.is_leaf:
-        return {counts[tree.hop]: 1.0}
-    left = _tree_outcomes(path, tree.left, counts)
-    right = _tree_outcomes(path, tree.right, counts)
-    mid = tree.left.span()[1]
-    q = path.interior_swap_probs[mid - 1]
-    acc: dict[int, float] = {}
-    for lc, lp in left.items():
-        for rc, rp in right.items():
-            for s, sp in enumerate(_channel_count_weights(min(lc, rc), q)):
-                acc[s] = acc.get(s, 0.0) + lp * rp * sp
-    return acc
+    hist = entry["hist"]
+    for k, slots in Counter(delivered).items():
+        if k >= len(hist):
+            hist.extend([0] * (k + 1 - len(hist)))
+        hist[k] += slots
+    entry["delivered"] += sum(delivered)

@@ -221,6 +221,11 @@ def k_shortest_paths(
     cost, so it returns the whole candidate already priced. With
     `edge_usable`, every search sees only the edges whose canonical key it
     accepts, as if the others had no capacity.
+
+    A candidate keeps the root index j its spur search found it at, and
+    once accepted it spurs from j on (Lawler's deviation index): each
+    earlier root is its parent's root with the same next edge banned, so
+    those searches would only find paths already seen.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -232,13 +237,14 @@ def k_shortest_paths(
     if first is None:
         return []
     accepted: list[tuple[float, tuple[str, ...]]] = [first]
-    candidates: list[tuple[float, tuple[str, ...]]] = []
+    candidates: list[tuple[float, tuple[str, ...], int]] = []
     seen = {first[1]}
+    deviation = 0
 
     while len(accepted) < k:
         _, prev = accepted[-1]
         root_costs = _prefix_costs(graph, prev, metric)
-        for j in range(len(prev) - 1):
+        for j in range(deviation, len(prev) - 1):
             root = prev[: j + 1]
             banned_edges = frozenset(
                 edge_key(p[j], p[j + 1])
@@ -252,10 +258,11 @@ def k_shortest_paths(
             if found is None or found[1] in seen:
                 continue
             seen.add(found[1])
-            heapq.heappush(candidates, found)
+            heapq.heappush(candidates, (*found, j))  # unique nodes: j breaks no tie
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
+        *label, deviation = heapq.heappop(candidates)
+        accepted.append(tuple(label))
     return accepted
 
 

@@ -30,7 +30,7 @@ from qroute.analytics import (
     doubling_tree,
     sequential_tree,
 )
-from qroute.montecarlo import brute_force_distribution
+from qroute.oracle import brute_force_distribution
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -112,18 +113,24 @@ def test_external_phase_skips_occupied_channels():
 
 MASK64 = (1 << 64) - 1
 GAMMA, M1, M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+LINK, SWAP = 0x4C494E4B, 0x53574150  # the two draw domains
 
 
-def float_draw(base, a, b):
-    """The reference draw: absorb a, then b, into `base` with splitmix64
-    rounds, and scale the top 53 bits of the hash into [0, 1)."""
+def mix(base, *coords):
+    """Absorb each coordinate into `base` with one splitmix64 round."""
     h = base
-    for c in (a, b):
+    for c in coords:
         h = (h + GAMMA * (c + 1)) & MASK64
         h = (h ^ (h >> 30)) * M1 & MASK64
         h = (h ^ (h >> 27)) * M2 & MASK64
         h ^= h >> 31
-    return (h >> 11) * 2.0**-53
+    return h
+
+
+def float_draw(base, a, b):
+    """The reference draw: absorb a, then b, into `base`, and scale the top
+    53 bits of the hash into [0, 1)."""
+    return (mix(base, a, b) >> 11) * 2.0**-53
 
 
 def reference_link_counts(schedule, base):
@@ -177,20 +184,28 @@ def test_threshold_equals_float_comparison_at_its_boundary(p):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    base=st.integers(0, MASK64),
+    key=st.integers(0, MASK64),
+    first=st.one_of(st.integers(0, 10**6), st.integers(0, 2**62)),
+    count=st.integers(1, 12),
     lanes=st.lists(
         st.tuples(st.one_of(st.integers(0, 10**4), st.integers(0, MASK64)),
                   st.one_of(st.integers(0, 10**4), st.integers(0, MASK64)),
                   probs),
-        min_size=1, max_size=300,
+        max_size=300,
     ),
 )
-def test_plane_equals_float_reference(base, lanes):
-    from qroute.draws import _Plane, _threshold
+def test_plane_equals_float_reference(key, first, count, lanes):
+    # a block of `count` slots from `first`: slot by slot, lane by lane
+    from qroute.draws import _Plane, _slot_bases, _threshold
 
+    bases = _slot_bases(key, first, count)
+    assert bases == b"".join(mix(key, slot).to_bytes(16, "little")
+                             for slot in range(first, first + count))
     plane = _Plane([(a, b, _threshold(p)) for a, b, p in lanes])
-    assert plane.bits(base) == bytes([float_draw(base, a, b) < p
-                                      for a, b, p in lanes])
+    assert plane.block(bases) == bytes([
+        float_draw(mix(key, slot), a, b) < p
+        for slot in range(first, first + count) for a, b, p in lanes
+    ])
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,19 +221,18 @@ def test_plane_equals_float_reference(base, lanes):
     ),
 )
 def test_link_counts_equal_float_reference(seed, slot, edges):
-    from qroute.draws import KeyedRng, _threshold
-    from qroute.montecarlo import _link_plane, _link_spans
+    from qroute.draws import KeyedRng, _link_plane, _link_spans, _slot_bases, _threshold
 
     runs = []  # (run, edge index, p): several runs per edge, in channel order
     for eidx, start, widths, p in edges:
         for width in widths:
             runs.append(((("e", str(eidx)), start, width), eidx, p))
             start += width
-    base = KeyedRng(seed).link_slot_base(slot)
     schedule = [(run, eidx, range(run[1], run[1] + run[2]), _threshold(p))
                 for run, eidx, p in runs]
-    want = reference_link_counts(runs, base)
-    bits = _link_plane(schedule).bits(base)
+    want = reference_link_counts(runs, mix(seed, LINK, slot))
+    bits = _link_plane(schedule).block(_slot_bases(KeyedRng(seed).link_key,
+                                                   slot, 1))
     assert [sum(bits[lo:hi]) for lo, hi in _link_spans(schedule)] \
         == [want[run] for run, _, _ in runs]
 
@@ -226,22 +240,24 @@ def test_link_counts_equal_float_reference(seed, slot, edges):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, MASK64),
-    slot=st.integers(0, 10**6),
+    first=st.integers(0, 10**6),
+    k=st.integers(0, 3),
     nodes=st.lists(st.tuples(probs, st.integers(0, 8)),  # (q, plane cap)
                    min_size=1, max_size=4),
     calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
                    max_size=12),
 )
-def test_swap_blocks_equal_float_reference(seed, slot, nodes, calls):
-    # blocks start inside a node's plane cap, cross it or start past it
-    from qroute.draws import KeyedRng, _SwapDraws, _SwapLanes, _threshold
+def test_swap_blocks_equal_float_reference(seed, first, k, nodes, calls):
+    # slot first + k of a block; runs of draws start inside a node's plane
+    # cap, cross it or start past it
+    from qroute.draws import KeyedRng, _slot_bases, _SwapDraws, _SwapLanes, _threshold
 
     qs = [q for q, _ in nodes]
     rank = {f"v{i}": i for i in range(len(qs))}
-    base = KeyedRng(seed).swap_slot_base(slot)
-    want = ReferenceSwapDraws(rank, base)
-    got = _SwapDraws(base, _SwapLanes([cap for _, cap in nodes],
-                                      [_threshold(q) for q in qs]))
+    want = ReferenceSwapDraws(rank, mix(seed, SWAP, first + k))
+    lanes = _SwapLanes([cap for _, cap in nodes], [_threshold(q) for q in qs])
+    bases = _slot_bases(KeyedRng(seed).swap_key, first, k + 2)
+    got = _SwapDraws(lanes.plane.block(bases), bases, k, lanes)
     for i, m in calls:  # blocks at each node continue its sequence numbers
         i %= len(qs)
         assert got.successes(i, m) == bytes(want.successes(f"v{i}", qs[i], m))
@@ -250,10 +266,10 @@ def test_swap_blocks_equal_float_reference(seed, slot, nodes, calls):
 @pytest.mark.parametrize("forwarding", ["sync", "async"])
 def test_one_hop_run_has_an_empty_swap_plane(forwarding):
     # a one-hop path has no interior node, so its run's swap plane has no lane
-    from qroute.draws import KeyedRng, _Plane
-    from qroute.montecarlo import _bind_plan, _swap_lanes
+    from qroute.draws import KeyedRng, _Plane, _slot_bases, _swap_lanes
+    from qroute.montecarlo import _bind_plan
 
-    assert _Plane([]).bits(KeyedRng(3).swap_slot_base(0)) == b""
+    assert _Plane([]).block(_slot_bases(KeyedRng(3).swap_key, 0, 5)) == b""
     g = chain_graph(1, p=0.6, cap=2)
     plan = plan_for_chain(g, 1, width=2, policy=SwapPolicy.parallel())
     bound = _bind_plan(g, plan)
@@ -471,6 +487,134 @@ def test_sync_async_coincide_without_memory(case, seed):
                 == async_.entities_disposed[reason]), reason
 
 
+def per_slot_sync(graph, plan, config):
+    """The proactive sync run slot by slot, the reference for the block
+    kernel: each slot's draws come from a one-slot block, its swaps from
+    `_exec_counts`, and each histogram counts one slot at a time."""
+    from qroute.draws import (
+        KeyedRng, _link_plane, _link_spans, _slot_bases, _swap_lanes,
+        _SwapDraws, _threshold,
+    )
+    from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan, _exec_counts
+    from qroute.netmodel import edge_key
+
+    def count(entry, got):
+        entry["hist"] += [0] * (got + 1 - len(entry["hist"]))
+        entry["hist"][got] += 1
+        entry["delivered"] += got
+
+    rng = KeyedRng(config.seed)
+    bound = _bind_plan(graph, plan)
+    eidx = {edge_key(e.u, e.v): i for i, e in enumerate(graph.edges)}
+    schedule = [(run, eidx[run[0]], range(run[1], run[1] + run[2]),
+                 _threshold(graph.edge(*run[0]).link_prob))
+                for run in sorted(run for rp in bound for run in rp.channels)]
+    links, lanes = _link_plane(schedule), _swap_lanes(graph, bound)
+    stats = SimStats(slots_run=config.slots, seed=config.seed,
+                     scheme="proactive", forwarding="sync",
+                     policy=config.policy.kind)
+    for rp in bound:
+        stats.per_path[rp.label] = {
+            "request": rp.request_id, "nodes": list(rp.path.nodes),
+            "width": rp.path.width, "delivered": 0,
+            "hist": [0] * (rp.path.width + 1)}
+    request_ids = sorted({rp.request_id for rp in bound}
+                         | {r.id for r in plan.requests})
+    stats.per_request = {rid: {"delivered": 0, "hist": [0]}
+                         for rid in request_ids}
+    tally = {}
+    ledger = dict.fromkeys(DISPOSE_REASONS, 0)
+    for slot in range(config.slots):
+        bits = links.block(_slot_bases(rng.link_key, slot, 1))
+        bases = _slot_bases(rng.swap_key, slot, 1)
+        draws = _SwapDraws(lanes.plane.block(bases), bases, 0, lanes)
+        made = {run: bits.count(1, lo, hi)
+                for (run, *_), (lo, hi) in zip(schedule, _link_spans(schedule))}
+        created, consumed = sum(made.values()), 0
+        totals = dict.fromkeys(request_ids, 0)
+        for rp in bound:
+            got, used, segments = _exec_counts(
+                rp, [made[run] for run in rp.channels], draws, tally)
+            consumed += used
+            created += segments
+            totals[rp.request_id] += got
+            count(stats.per_path[rp.label], got)
+        for rid, got in totals.items():
+            count(stats.per_request[rid], got)
+        delivered = sum(totals.values())
+        assert consumed + delivered <= created
+        stats.delivered_total += delivered
+        stats.links_generated += sum(made.values())
+        ledger["consumed"] += consumed
+        ledger["discarded"] += created - consumed - delivered
+        ledger["delivered"] += delivered
+    stats.swap_counters = {kind: {"attempts": a, "successes": s}
+                           for kind, (a, s) in tally.items()}
+    stats.entities_disposed = ledger
+    return stats
+
+
+GRID = [f"{r},{c}" for r in range(3) for c in range(3)]
+GRID_PATHS = [  # every simple path of 1 to 4 hops in a 3x3 grid
+    p for p in (
+        tuple(GRID[i] for i in idx)
+        for n in range(2, 6) for idx in itertools.permutations(range(9), n)
+    )
+    if all(abs(int(a[0]) - int(b[0])) + abs(int(a[2]) - int(b[2])) == 1
+           for a, b in zip(p, p[1:]))
+]
+
+
+@st.composite
+def block_cases(draw):
+    """A proactive sync plan on a 3x3 grid whose paths may share interior
+    nodes, with mixed policies, one-hop paths and links that often fail,
+    and a slot count at or around the block size."""
+    from qroute.draws import _block_slots, _swap_lanes
+    from qroute.montecarlo import _bind_plan
+
+    g = grid_topology(3, 3, default_edge=EdgeParams(u="", v="", capacity=3))
+    g = build_graph(
+        [NodeParams(id=v, swap_prob=draw(st.sampled_from((0.3, 0.5, 1.0))))
+         for v in GRID],
+        [replace(e, link_prob=draw(st.sampled_from((0.0, 0.2, 0.7, 1.0))))
+         for e in g.edges],
+    )
+    residual = {(e.u, e.v): e.capacity for e in g.edges}
+    allocations = []
+    for nodes in draw(st.lists(st.sampled_from(GRID_PATHS), min_size=1,
+                               max_size=6)):
+        width = draw(st.integers(1, 2))
+        keys = [tuple(sorted(pair)) for pair in zip(nodes, nodes[1:])]
+        if any(residual[key] < width for key in keys):
+            continue
+        for key in keys:
+            residual[key] -= width
+        allocations.append(PathAllocation(
+            request_id=f"r{draw(st.integers(0, 2))}",
+            path=path_spec_from_nodes(g, nodes, width=width),
+            policy=draw(st.sampled_from(STATIC_POLICIES))))
+    plan = AllocationPlan(
+        requests=(Request(id="r3", source="0,0", dest="2,2"),),  # no path
+        allocations=tuple(allocations), residual=())
+    bound = _bind_plan(g, plan)
+    link_lanes = sum(sum(rp.path.per_hop_capacity) for rp in bound)
+    block = _block_slots((range(link_lanes), _swap_lanes(g, bound).plane))
+    slots = draw(st.sampled_from((1, block - 1, block, block + 1,
+                                  2 * block + 1, draw(st.integers(1, 99)) | 1)))
+    return g, plan, max(slots, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=block_cases(), seed=st.integers(0, MASK64))
+def test_block_kernel_equals_per_slot_reference(case, seed):
+    g, plan, slots = case
+    config = SimConfig(slots=slots, seed=seed)
+    got, want = simulate(g, plan, config), per_slot_sync(g, plan, config)
+    assert got.to_dict() == want.to_dict()
+    assert list(got.swap_counters) == list(want.swap_counters)
+
+
 # sha256 of the simulate reports below, recorded before the sync simulator
 # moved from spans to link counts
 PINNED_REPORTS_SHA256 = (
@@ -535,8 +679,46 @@ def test_node_disjoint_reactive_reports_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_NODE_DISJOINT_SHA256
 
 
+def overconsume_at(monkeypatch, slot):
+    """Make the proactive sync kernel report 3 more entities consumed in
+    `slot` than it consumed; returns the consumed columns it saw, one per
+    block."""
+    from qroute import montecarlo
+
+    kernel = montecarlo._exec_columns
+    blocks = []
+
+    def overconsume(*args):
+        delivered, consumed, *rest = kernel(*args)
+        first = sum(map(len, blocks))
+        blocks.append(consumed)
+        if first <= slot < first + len(consumed):
+            consumed = list(consumed)
+            consumed[slot - first] += 3
+        return (delivered, consumed, *rest)
+
+    monkeypatch.setattr(montecarlo, "_exec_columns", overconsume)
+    return blocks
+
+
 def test_sync_ledger_check_fails_loudly(monkeypatch):
     # a kernel that reports more consumption than the slot created
+    overconsume_at(monkeypatch, 0)
+    g = chain_graph(2, p=1.0, q=1.0)
+    with pytest.raises(AssertionError, match="slot 0: consumed 5"):
+        simulate(g, plan_for_chain(g, 2), SimConfig(slots=1))
+
+
+def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
+    blocks = overconsume_at(monkeypatch, 2100)
+    g = chain_graph(2, p=1.0, q=1.0)
+    with pytest.raises(AssertionError, match="slot 2100: consumed 5 "):
+        simulate(g, plan_for_chain(g, 2), SimConfig(slots=2500))
+    assert len(blocks) == 2 and len(blocks[0]) < 2100
+
+
+def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
+    # reactive sync runs slot by slot through `_exec_counts`
     from qroute import montecarlo
 
     kernel = montecarlo._exec_counts
@@ -547,8 +729,10 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_exec_counts", overconsume)
     g = chain_graph(2, p=1.0, q=1.0)
-    with pytest.raises(AssertionError, match="slot 0: consumed 5"):
-        simulate(g, plan_for_chain(g, 2), SimConfig(slots=1))
+    with pytest.raises(AssertionError,
+                       match=r"slot 0: consumed 5 \+ delivered 1 > created 3"):
+        simulate(g, [Request(id="r1", source="n0", dest="n2")],
+                 SimConfig(scheme="reactive", slots=1))
 
 
 def _lose_a_link(kernel, rp, hops, store, async_kernel, *rest):

@@ -1,7 +1,9 @@
+import heapq
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_simple_paths,
@@ -25,7 +27,7 @@ from qroute import (
     widest_path,
 )
 from qroute.netmodel import GraphValidationError, edge_key
-from qroute.pathfind import _dijkstra, _start
+from qroute.pathfind import _dijkstra, _prefix_costs, _start
 
 
 def triangle():
@@ -449,3 +451,63 @@ def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):
             blocked.update(nodes[1:-1])
         paths.append(path_spec_from_nodes(g, nodes, width=1))
     return paths
+
+
+def plain_yen(graph, s, d, k, metric, edge_usable=None):
+    """Yen's algorithm with every accepted path spurring from its first
+    node: the reference for the deviation index."""
+    first = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=edge_usable)
+    if first is None:
+        return []
+    accepted, candidates, seen = [first], [], {first[1]}
+    while len(accepted) < k:
+        _, prev = accepted[-1]
+        root_costs = _prefix_costs(graph, prev, metric)
+        for j in range(len(prev) - 1):
+            root = prev[:j + 1]
+            banned = frozenset(edge_key(p[j], p[j + 1]) for _, p in accepted
+                               if len(p) > j + 1 and p[:j + 1] == root)
+            found = _dijkstra(graph, (root_costs[j], root), d, metric,
+                              edge_usable=edge_usable, banned_edges=banned)
+            if found is None or found[1] in seen:
+                continue
+            seen.add(found[1])
+            heapq.heappush(candidates, found)
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return accepted
+
+
+@st.composite
+def tied_graphs(draw):
+    """Small graphs full of ties: 0 km and p = 1 edges price many paths
+    alike, capacity-0 edges are unusable, and an `edge_usable` predicate
+    hides a random set of edges."""
+    n = draw(st.integers(3, 8))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=n - 1,
+                           max_size=len(pairs), unique=True))
+    edges = [EdgeParams(u=u, v=v, capacity=draw(st.sampled_from((0, 1, 2))),
+                        length_km=draw(st.sampled_from((0.0, 0.0, 10.0, 25.0))),
+                        link_prob=draw(st.sampled_from((1.0, 1.0, 0.5, 0.9))))
+             for u, v in sorted(chosen)]
+    g = build_graph([NodeParams(id=i) for i in ids], edges)
+    hidden = draw(st.sets(st.sampled_from(sorted(edge_key(u, v)
+                                                 for u, v in chosen))))
+    usable = draw(st.sampled_from((None, lambda key: key not in hidden)))
+    s, d = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                         unique=True))
+    return g, s, d, usable
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tied_graphs(), k=st.integers(1, 10),
+       metric=st.sampled_from(METRICS))
+def test_deviation_index_yen_equals_plain_yen(case, k, metric):
+    # spurring an accepted path only from the root where it deviated from
+    # its parent finds the same labels, in the same order, ties included
+    g, s, d, usable = case
+    assert (k_shortest_paths(g, s, d, k, metric, edge_usable=usable)
+            == plain_yen(g, s, d, k, metric, edge_usable=usable))
