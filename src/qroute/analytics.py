@@ -63,17 +63,14 @@ def _clean_pmf(values) -> tuple[float, ...]:
 class Distribution:
     """Pmf over the number of simultaneous entanglements, support 0..cap."""
 
-    cap: int
     pmf: tuple[float, ...]
 
     def __post_init__(self):
-        if self.cap < 0:
-            raise DistributionError("cap must be >= 0")
-        if len(self.pmf) != self.cap + 1:
-            raise DistributionError(
-                f"pmf has {len(self.pmf)} entries for cap {self.cap}"
-            )
         object.__setattr__(self, "pmf", _clean_pmf(self.pmf))
+
+    @property
+    def cap(self) -> int:
+        return len(self.pmf) - 1
 
     def mean(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.pmf))
@@ -316,9 +313,7 @@ def link_distribution(cap: int, p: float) -> Distribution:
         raise ValueError(f"link probability {p} outside [0, 1]")
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if cap == 0:
-        return Distribution(cap=0, pmf=(1.0,))
-    return Distribution(cap=cap, pmf=_binom_row(cap, p))
+    return Distribution(_binom_row(cap, p))
 
 
 def subpath_capacity(path: PathSpec, i: int, j: int) -> int:
@@ -369,7 +364,7 @@ def unheralded_path_distribution(path: PathSpec) -> Distribution:
         lanes = _min_pmf(lanes, _binom_row(c, p))
         counters.unheralded_states += len(lanes)
     out = _thin(lanes, math.prod(path.interior_swap_probs))
-    return Distribution(cap=len(out) - 1, pmf=out)
+    return Distribution(out)
 
 
 def heralded_swap_merge(
@@ -385,7 +380,7 @@ def heralded_swap_merge(
         raise ValueError(f"swap probability {q} outside [0, 1]")
     out = _thin(_min_pmf(left.pmf, right.pmf), q)
     counters.heralded_merge_ops += len(out) ** 2
-    return Distribution(cap=len(out) - 1, pmf=out)
+    return Distribution(out)
 
 
 def heralded_path_distribution(path: PathSpec, order: SwapOrderTree) -> Distribution:

@@ -102,9 +102,7 @@ def _base_report(command: str, scenario: Scenario, scenario_dict: dict,
 
 def _target_paths(scenario: Scenario):
     if not scenario.analytics.paths:
-        raise ScenarioError(
-            "this command needs analytics.paths in the scenario"
-        )
+        raise ScenarioError("analytics.paths: this command needs at least one path")
     return [
         path_spec_from_nodes(scenario.graph, nodes)
         for nodes in scenario.analytics.paths
@@ -233,7 +231,7 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
         )
     if not scenario.requests:
         raise ScenarioError(
-            "proactive simulation needs requests or explicit sim.paths"
+            "requests: proactive simulation needs requests or sim.paths"
         )
     # the allocator prices paths with routing.policy; the simulator swaps
     # with sim.policy on every allocated path, as on explicit ones

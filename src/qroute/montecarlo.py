@@ -54,16 +54,20 @@ class SimConfig:
     max_paths_per_request: int = 4
 
     def __post_init__(self):
+        # "<keyword>: why", so a scenario error can name the JSON field
         if self.scheme not in ("proactive", "reactive"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"scheme: unknown scheme {self.scheme!r}")
         if self.forwarding not in ("sync", "async"):
-            raise ValueError(f"unknown forwarding mode {self.forwarding!r}")
+            raise ValueError(f"forwarding: unknown mode {self.forwarding!r}")
         if self.slots < 1:
-            raise ValueError("slots must be >= 1")
+            raise ValueError(f"slots: must be >= 1, got {self.slots}")
         if not 0 <= self.seed <= MASK64:
-            raise ValueError(f"seed {self.seed} outside 0 <= seed < 2**64")
+            raise ValueError(f"seed: {self.seed} outside 0 <= seed < 2**64")
         if self.max_paths_per_request < 1:
-            raise ValueError("max_paths_per_request must be >= 1")
+            raise ValueError(
+                f"max_paths_per_request: must be >= 1, got "
+                f"{self.max_paths_per_request}"
+            )
         if self.policy.kind == "adhoc" and self.forwarding == "sync":
             raise ValueError(
                 "adhoc swapping needs asynchronous forwarding; under sync "

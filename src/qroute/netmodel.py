@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 # Swap success bound for linear-optics Bell measurements; ancilla-assisted
@@ -49,20 +49,29 @@ class PhysicalConstants:
     attenuation_alpha is the fiber loss exponent per km (0.046/km is the
     usual 0.2 dB/km telecom figure); base_efficiency collects source and
     detector efficiencies into one factor; attempts_per_slot is the number
-    of generation attempts one channel gets within a slot's external phase.
+    of generation attempts one channel gets within a slot's external phase;
+    swap_bound_mode caps every node's swap_prob at a Bell-measurement bound
+    ("off" only warns above the ancilla-assisted one).
     """
 
     attenuation_alpha: float = 0.046
     attempts_per_slot: int = 1
     base_efficiency: float = 1.0
+    swap_bound_mode: str = "off"
 
     def __post_init__(self):
+        # "<keyword>: why", so a scenario error can name the JSON field
         if self.attenuation_alpha < 0:
-            raise GraphValidationError("attenuation_alpha must be >= 0")
+            raise GraphValidationError("attenuation_alpha: must be >= 0")
         if self.attempts_per_slot < 1:
-            raise GraphValidationError("attempts_per_slot must be >= 1")
+            raise GraphValidationError("attempts_per_slot: must be >= 1")
         if not 0 < self.base_efficiency <= 1:
-            raise GraphValidationError("base_efficiency must be in (0, 1]")
+            raise GraphValidationError("base_efficiency: must be in (0, 1]")
+        if self.swap_bound_mode not in SWAP_BOUND_MODES:
+            raise GraphValidationError(
+                f"swap_bound_mode: must be one of {SWAP_BOUND_MODES}, "
+                f"got {self.swap_bound_mode!r}"
+            )
 
 
 def link_success_probability(
@@ -107,19 +116,14 @@ class NetworkGraph:
     nodes: tuple[NodeParams, ...]
     edges: tuple[EdgeParams, ...]
     phys: PhysicalConstants
-    _node_by_id: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
-    _edge_by_key: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
-    _adjacency: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
-    # derived tables built on first use (ranks, search adjacencies, specs);
-    # not an init field, so `dataclasses.replace` starts a fresh one
+    # lookups derived from nodes and edges in __post_init__; not init fields,
+    # so `dataclasses.replace` rebuilds them
+    _node_by_id: dict = field(init=False, compare=False, repr=False)
+    _edge_by_key: dict = field(init=False, compare=False, repr=False)
+    _adjacency: dict = field(init=False, compare=False, repr=False)
+    # derived tables built on first use (ranks, search adjacencies, specs)
     _memo: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -223,7 +227,6 @@ def build_graph(
     node_specs: list[NodeParams],
     edge_specs: list[EdgeParams],
     phys: PhysicalConstants | None = None,
-    swap_bound_mode: str = "off",
 ) -> NetworkGraph:
     """Validate specs and assemble an immutable topology.
 
@@ -232,16 +235,12 @@ def build_graph(
     specs listing (B, A) and (A, B) produce identical graphs.
     """
     phys = phys or PhysicalConstants()
-    if swap_bound_mode not in SWAP_BOUND_MODES:
-        raise GraphValidationError(
-            f"swap_bound_mode must be one of {SWAP_BOUND_MODES}, got {swap_bound_mode!r}"
-        )
     ids = [n.id for n in node_specs]
     dupes = {i for i in ids if ids.count(i) > 1}
     if dupes:
         raise GraphValidationError(f"duplicate node ids: {sorted(dupes)}")
     for node in node_specs:
-        _validate_node(node, swap_bound_mode)
+        _validate_node(node, phys.swap_bound_mode)
 
     known = set(ids)
     seen_edges: set[tuple[str, str]] = set()
@@ -282,10 +281,7 @@ def build_graph(
                 raise GraphValidationError(
                     f"edge ({e.u!r}, {e.v!r}): link_prob {p} outside [0, 1]"
                 )
-        normalized.append(
-            EdgeParams(u=key[0], v=key[1], capacity=e.capacity,
-                       length_km=e.length_km, link_prob=p)
-        )
+        normalized.append(replace(e, u=key[0], v=key[1], link_prob=p))
 
     nodes = tuple(sorted(node_specs, key=lambda n: n.id))
     edges = tuple(sorted(normalized, key=lambda e: (e.u, e.v)))
@@ -302,23 +298,19 @@ def grid_topology(
     default_edge: EdgeParams | None = None,
     default_node: NodeParams | None = None,
     phys: PhysicalConstants | None = None,
-    swap_bound_mode: str = "off",
 ) -> NetworkGraph:
     """rows x cols lattice with horizontal and vertical neighbor edges.
 
     Node ids are "row,col"; node and edge parameters are cloned from the
     templates (their id/endpoints fields are ignored).
     """
-    if rows < 1 or cols < 1:
-        raise GraphValidationError("rows and cols must be >= 1")
+    for name, n in (("rows", rows), ("cols", cols)):
+        if n < 1:
+            raise GraphValidationError(f"{name}: must be >= 1, got {n}")
     node_tpl = default_node or NodeParams(id="")
     edge_tpl = default_edge or EdgeParams(u="", v="")
     nodes = [
-        NodeParams(
-            id=grid_node_id(r, c),
-            swap_prob=node_tpl.swap_prob,
-            memory_cutoff_slots=node_tpl.memory_cutoff_slots,
-        )
+        replace(node_tpl, id=grid_node_id(r, c))
         for r in range(rows)
         for c in range(cols)
     ]
@@ -329,14 +321,5 @@ def grid_topology(
                 edges.append((grid_node_id(r, c), grid_node_id(r, c + 1)))
             if r + 1 < rows:
                 edges.append((grid_node_id(r, c), grid_node_id(r + 1, c)))
-    edge_specs = [
-        EdgeParams(
-            u=u,
-            v=v,
-            capacity=edge_tpl.capacity,
-            length_km=edge_tpl.length_km,
-            link_prob=edge_tpl.link_prob,
-        )
-        for u, v in edges
-    ]
-    return build_graph(nodes, edge_specs, phys, swap_bound_mode)
+    edge_specs = [replace(edge_tpl, u=u, v=v) for u, v in edges]
+    return build_graph(nodes, edge_specs, phys)

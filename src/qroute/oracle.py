@@ -66,7 +66,7 @@ def brute_force_distribution(
         else:
             for k, prob in _tree_outcomes(path, order, counts).items():
                 out[k] += weight * prob
-    return Distribution(cap=width, pmf=out)
+    return Distribution(out)
 
 
 def _accumulate_unheralded(path, counts, weight, out):

@@ -139,7 +139,7 @@ class AllocatorConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"k: must be >= 1, got {self.k}")
         if self.policy.kind == "adhoc":
             raise ValueError(
                 "adhoc swapping has no closed-form throughput; plans need a "

@@ -140,20 +140,17 @@ class ExplicitPath:
 @dataclass(frozen=True)
 class Scenario:
     graph: NetworkGraph
-    swap_bound_mode: str = "off"
-    elementary_fidelity: float = 1.0
     requests: tuple[Request, ...] = ()
     analytics: AnalyticsTargets = field(default_factory=AnalyticsTargets)
     routing: AllocatorConfig = field(default_factory=AllocatorConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     explicit_paths: tuple[ExplicitPath, ...] = ()
     output_format: str = "json"
-    version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.output_format not in ("json", "csv"):
             raise ValueError(
-                f"format must be json or csv, got {self.output_format!r}"
+                f"output_format: must be json or csv, got {self.output_format!r}"
             )
 
 
@@ -273,7 +270,7 @@ def _check_route(graph: NetworkGraph, nodes: tuple[str, ...], where: str) -> Non
             raise ScenarioError(f"{where}: no edge between {u!r} and {v!r}")
 
 
-def _graph(gd: dict, phys: PhysicalConstants, mode: str) -> NetworkGraph:
+def _graph(gd: dict, phys: PhysicalConstants) -> NetworkGraph:
     if "grid" in gd:
         if "nodes" in gd or "edges" in gd:
             raise ScenarioError("graph: give either grid or nodes and edges")
@@ -282,7 +279,7 @@ def _graph(gd: dict, phys: PhysicalConstants, mode: str) -> NetworkGraph:
             "graph.grid", grid_topology,
             default_node=NodeParams(id="", **grid.pop("node", {})),
             default_edge=EdgeParams(u="", v="", **grid.pop("edge", {})),
-            phys=phys, swap_bound_mode=mode, **grid,
+            phys=phys, **grid,
         )
     nodes = [
         _make(f"graph.nodes[{i}]", NodeParams, **kw)
@@ -293,7 +290,7 @@ def _graph(gd: dict, phys: PhysicalConstants, mode: str) -> NetworkGraph:
         for i, kw in enumerate(gd.get("edges", ()))
     ]
     return _make("graph", build_graph, node_specs=nodes, edge_specs=edges,
-                 phys=phys, swap_bound_mode=mode)
+                 phys=phys)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -306,28 +303,29 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"version {SCHEMA_VERSION}"
         )
 
-    physical = d.get("physical", {})
-    mode = physical.pop("swap_bound_mode", Scenario.swap_bound_mode)
-    phys = _make("physical", PhysicalConstants, **physical)
-    graph = _graph(d.get("graph", {}), phys, mode)
+    phys = _make("physical", PhysicalConstants, **d.get("physical", {}))
+    graph = _graph(d.get("graph", {}), phys)
 
-    f0 = d.get("elementary_fidelity", Scenario.elementary_fidelity)
+    f0 = d.get("elementary_fidelity", AllocatorConfig.elementary_fidelity)
     if not 0.25 < f0 <= 1:
-        raise ScenarioError(f"elementary_fidelity {f0} outside (0.25, 1]")
+        raise ScenarioError(f"elementary_fidelity: {f0} outside (0.25, 1]")
 
     requests = tuple(
         _make(f"requests[{i}]", Request, **{"id": f"r{i}", **kw})
         for i, kw in enumerate(d.get("requests", ()))
     )
+    declared = {}
     for i, req in enumerate(requests):
         for endpoint in (req.source, req.dest):
             if not graph.has_node(endpoint):
                 raise ScenarioError(
                     f"requests[{i}]: request {req.id!r}: unknown node {endpoint!r}"
                 )
-    if len({r.id for r in requests}) != len(requests):
-        raise ScenarioError("request ids must be unique")
-    declared = {r.id: r for r in requests}
+        if req.id in declared:
+            raise ScenarioError(
+                f"requests[{i}].id: request id {req.id!r} appears more than once"
+            )
+        declared[req.id] = req
 
     analytics = _make("analytics", AnalyticsTargets, **d.get("analytics", {}))
     for i, nodes in enumerate(analytics.paths):
@@ -373,9 +371,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     return _make(
         "output", Scenario,
-        graph=graph, swap_bound_mode=mode, elementary_fidelity=f0,
-        requests=requests, analytics=analytics, routing=routing, sim=sim,
-        explicit_paths=explicit, version=d["version"], **d.get("output", {}),
+        graph=graph, requests=requests, analytics=analytics, routing=routing,
+        sim=sim, explicit_paths=explicit, **d.get("output", {}),
     )
 
 
@@ -420,10 +417,10 @@ def _plain(value, kind):
 def scenario_to_dict(s: Scenario) -> dict:
     """Emit a dict that parses back into an equal Scenario."""
     d = {
-        "version": s.version,
-        "physical": _emit(PHYSICAL, s.graph.phys, s),
+        "version": SCHEMA_VERSION,
+        "physical": _emit(PHYSICAL, s.graph.phys),
         "graph": _emit(GRAPH, s.graph),
-        "elementary_fidelity": s.elementary_fidelity,
+        "elementary_fidelity": s.routing.elementary_fidelity,
         "requests": _plain(s.requests, SCHEMA["requests"]),
         "analytics": _emit(ANALYTICS, s.analytics),
         "routing": _emit(ROUTING, s.routing, s.routing.utility),
@@ -456,4 +453,5 @@ def apply_overrides(s: Scenario, overrides: dict) -> Scenario:
             changes["sim"] = replace(s.sim, **sim)
         return replace(s, **changes)
     except ValueError as exc:
-        raise ScenarioError(f"overrides: {exc}") from None
+        # a range check's "<keyword>: why" reads "overrides: <keyword> why"
+        raise ScenarioError(f"overrides: {str(exc).replace(': ', ' ', 1)}") from None

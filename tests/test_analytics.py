@@ -112,26 +112,26 @@ def test_unheralded_single_hop_is_link_distribution():
 
 
 def test_merge_unit():
-    one = Distribution(cap=1, pmf=(0.0, 1.0))
+    one = Distribution((0.0, 1.0))
     assert_pmf_close(heralded_swap_merge(one, one, 0.5).pmf, (0.5, 0.5))
 
 
 def test_merge_two_attempts():
-    two = Distribution(cap=2, pmf=(0.0, 0.0, 1.0))
+    two = Distribution((0.0, 0.0, 1.0))
     assert_pmf_close(
         heralded_swap_merge(two, two, 0.5).pmf, (0.25, 0.5, 0.25)
     )
 
 
 def test_merge_perfect_swap_passes_min():
-    left = Distribution(cap=1, pmf=(0.5, 0.5))
-    right = Distribution(cap=1, pmf=(0.0, 1.0))
+    left = Distribution((0.5, 0.5))
+    right = Distribution((0.0, 1.0))
     assert_pmf_close(heralded_swap_merge(left, right, 1.0).pmf, (0.5, 0.5))
 
 
 def test_merge_cap_is_the_smaller_cap():
-    one = Distribution(cap=1, pmf=(0.5, 0.5))
-    two = Distribution(cap=2, pmf=(0.5, 0.25, 0.25))
+    one = Distribution((0.5, 0.5))
+    two = Distribution((0.5, 0.25, 0.25))
     # one swap is tried with probability 0.5 * 0.5 and succeeds half the time
     for merged in (heralded_swap_merge(one, two, 0.5),
                    heralded_swap_merge(two, one, 0.5)):
@@ -172,9 +172,9 @@ def test_heterogeneous_heralded_vs_brute_force():
 
 
 def test_expected_throughput_values():
-    assert expected_throughput(Distribution(2, (0.25, 0.5, 0.25))) == 1.0
-    assert expected_throughput(Distribution(1, (0.0, 1.0))) == 1.0
-    assert expected_throughput(Distribution(1, (0.875, 0.125))) == 0.125
+    assert expected_throughput(Distribution((0.25, 0.5, 0.25))) == 1.0
+    assert expected_throughput(Distribution((0.0, 1.0))) == 1.0
+    assert expected_throughput(Distribution((0.875, 0.125))) == 0.125
 
 
 def test_order_search_enumeration_counts():
@@ -318,18 +318,18 @@ def test_max_hops_consistency_randomized():
 
 
 def test_distribution_clamps_tiny_negatives():
-    d = Distribution(cap=1, pmf=(1.0, -1e-16))
+    d = Distribution((1.0, -1e-16))
     assert d.pmf[1] == 0.0
 
 
 def test_distribution_rejects_real_negatives():
     with pytest.raises(DistributionError):
-        Distribution(cap=1, pmf=(1.1, -0.1))
+        Distribution((1.1, -0.1))
 
 
 def test_distribution_rejects_bad_sum():
     with pytest.raises(DistributionError):
-        Distribution(cap=1, pmf=(0.6, 0.5))
+        Distribution((0.6, 0.5))
 
 
 def test_path_spec_rejects_loops():

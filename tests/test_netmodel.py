@@ -70,12 +70,12 @@ def test_node_validation():
 
 def test_swap_bound_modes():
     high = [NodeParams(id="A", swap_prob=0.55)]
-    build_graph(high, [], swap_bound_mode="advanced")
+    build_graph(high, [], PhysicalConstants(swap_bound_mode="advanced"))
     with pytest.raises(GraphValidationError, match="linear-optics"):
-        build_graph(high, [], swap_bound_mode="linear-optics")
+        build_graph(high, [], PhysicalConstants(swap_bound_mode="linear-optics"))
     with pytest.raises(GraphValidationError, match="ancilla"):
         build_graph([NodeParams(id="A", swap_prob=0.6)], [],
-                    swap_bound_mode="advanced")
+                    PhysicalConstants(swap_bound_mode="advanced"))
     with pytest.warns(UserWarning, match="0.579"):
         build_graph([NodeParams(id="A", swap_prob=0.6)], [])
 

@@ -269,21 +269,53 @@ BAD_INPUTS = [
      "requests[0].rate_target"),
     (json.dumps(_set(_CHAIN, ("routing", "weights"), {"r1": 2.0}))
      .replace('"r1": 2.0', '"r1": 2.0, "r1": 3.0'), "routing.weights.r1"),
-    (_set(_CHAIN, ("sim", "max_paths_per_request"), 0), "sim"),
-    (_set(_CHAIN, ("sim", "max_paths_per_request"), -2), "sim"),
     # B-C exists but carries no channel, so no width can be analysed on it
     (_set(_set(_CHAIN, ("graph", "edges", 1, "capacity"), 0),
           ("analytics", "paths"), [["A", "B"], ["A", "B", "C"]]),
      "analytics.paths[1]"),
-    # seeds were folded modulo 2**64, so 2**64 ran as 0 and -1 as 2**64 - 1
-    (_set(_CHAIN, ("sim", "seed"), 2**64), "sim"),
-    (_set(_CHAIN, ("sim", "seed"), -1), "sim"),
     # a negative weight would make the allocator never serve r1
     (_set(_CHAIN, ("routing", "weights"), {"r1": -1.0}), "routing.weights.r1"),
     (_set(_CHAIN, ("routing", "weights"), {"zz": 2.0}), "routing.weights.zz"),
     # only weighted_sum reads weights; other utilities ignored them
     (_set(_set(_CHAIN, ("routing", "weights"), {"r1": 5.0}),
           ("routing", "utility"), "saturating"), "routing.weights"),
+]
+
+
+# (document, JSON path the error must name): each error named only its
+# section or no path at all, or no test reached it. A separate list, so that
+# ids repeated from BAD_INPUTS get a prefix and leave those ids unchanged
+FIELD_ERRORS = [
+    (_set(_CHAIN, ("sim", "max_paths_per_request"), 0),
+     "sim.max_paths_per_request"),
+    (_set(_CHAIN, ("sim", "max_paths_per_request"), -2),
+     "sim.max_paths_per_request"),
+    # seeds were folded modulo 2**64, so 2**64 ran as 0 and -1 as 2**64 - 1
+    (_set(_CHAIN, ("sim", "seed"), 2**64), "sim.seed"),
+    (_set(_CHAIN, ("sim", "seed"), -1), "sim.seed"),
+    (_set(_CHAIN, ("sim", "slots"), 0), "sim.slots"),
+    (_set(_CHAIN, ("sim", "scheme"), "eager"), "sim.scheme"),
+    (_set(_CHAIN, ("sim", "forwarding"), "lazy"), "sim.forwarding"),
+    (_set(_CHAIN, ("sim", "policy"), "bogus"), "sim.policy"),
+    (_set(_CHAIN, ("routing", "k"), 0), "routing.k"),
+    (_set(_GRID, ("graph", "grid", "rows"), 0), "graph.grid.rows"),
+    (_set(_GRID, ("graph", "grid", "cols"), -1), "graph.grid.cols"),
+    (_set(_CHAIN, ("physical", "attenuation_alpha_per_km"), -0.1),
+     "physical.attenuation_alpha_per_km"),
+    (_set(_CHAIN, ("physical", "attempts_per_slot"), 0),
+     "physical.attempts_per_slot"),
+    (_set(_CHAIN, ("physical", "base_efficiency"), 1.5),
+     "physical.base_efficiency"),
+    (_set(_CHAIN, ("physical", "swap_bound_mode"), "on"),
+     "physical.swap_bound_mode"),
+    (_set(_CHAIN, ("elementary_fidelity",), 0.2), "elementary_fidelity"),
+    (_set(_GRID, ("requests", 1, "id"), "r1"), "requests[1].id"),
+    (_set(_CHAIN, ("output", "format"), "xml"), "output.format"),
+    (_set(_CHAIN, ("graph", "edges", 0), {"v": "B"}), "graph.edges[0].u"),
+    (_set(_CHAIN, ("graph", "grid"), {"rows": 1, "cols": 2}), "graph"),
+    (_set(_CHAIN, ("analytics", "paths"), [["A"]]), "analytics.paths[0]"),
+    (_set(_CHAIN, ("sim", "paths"), [{"request": "r1", "nodes": ["A", "C"]}]),
+     "sim.paths[0]"),
 ]
 
 
@@ -298,10 +330,11 @@ LOOPED_ROUTES = [
 
 
 @pytest.mark.parametrize(
-    "doc, where", BAD_INPUTS + LOOPED_ROUTES,
+    "doc, where", BAD_INPUTS + LOOPED_ROUTES + FIELD_ERRORS,
     # the last case's path is already an id; a repeat would renumber both
     ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS[:-1]]
-    + ["routing.weights:unread"] + [f"loop:{w}" for _, w in LOOPED_ROUTES],
+    + ["routing.weights:unread"] + [f"loop:{w}" for _, w in LOOPED_ROUTES]
+    + [f"field:{w}" for _, w in FIELD_ERRORS],
 )
 def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     if isinstance(doc, dict):
@@ -319,22 +352,29 @@ def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
 _SNAKE = ["0,0", "0,1", "0,2", "0,3", "1,3", "1,2", "1,1", "1,0",
           "2,0", "2,1", "2,2", "2,3", "3,3", "3,2"]
 # (command, document, error): limits that only a command meets, once the
-# scenario has parsed; the error must name analytics.paths[1]
+# scenario has parsed; the error leads with the JSON path it names
 COMMAND_LIMITS = {
     "oracle_hops": ("oracle", _set(
         _GRID, ("analytics", "paths"),
         [["0,0", "0,1"], ["0,0", "0,1", "0,2", "1,2", "1,1", "1,0", "2,0"]],
-    ), "oracle limited to 5 hops"),
+    ), "analytics.paths[1]: oracle limited to 5 hops"),
     "oracle_cap": ("oracle", _set(
         _set(_CHAIN, ("graph", "edges", 1, "capacity"), 4),
         ("analytics", "paths"), [["A", "B"], ["B", "C"]],
-    ), "oracle limited to 5 hops and cap 3"),
+    ), "analytics.paths[1]: oracle limited to 5 hops and cap 3"),
     "order_search_hops": ("analyze", _set(
         _set(_set(_set(_GRID, ("graph", "grid", "rows"), 4),
                   ("graph", "grid", "cols"), 4),
              ("analytics", "order_search"), True),
         ("analytics", "paths"), [["0,0", "0,1"], _SNAKE],
-    ), "path has 13 hops; exhaustive order search is limited to 12"),
+    ), "analytics.paths[1]: path has 13 hops; exhaustive order search is "
+       "limited to 12"),
+    "analyze_without_paths": ("analyze", _set(_CHAIN, ("analytics", "paths"), []),
+                              "analytics.paths: "),
+    "oracle_without_paths": ("oracle", _set(_CHAIN, ("analytics", "paths"), []),
+                             "analytics.paths: "),
+    "simulate_without_requests": ("simulate", _set(_CHAIN, ("requests",), []),
+                                  "requests: "),
 }
 
 
@@ -345,7 +385,7 @@ def test_command_limits_name_the_path(case, tmp_path, capsys):
     parse_scenario(path)
     assert run_command([command, "--scenario", str(path),
                         "--out", str(tmp_path / "out")]) == 1
-    assert f"analytics.paths[1]: {error}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"qroute: {error}")
 
 
 def _table_keys(kind) -> set:
@@ -602,6 +642,14 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "route" in proc.stdout
+
+
+def test_bad_input_exits_one_with_one_line(tmp_path):
+    path = write_scenario(tmp_path, _set(_CHAIN, ("sim", "seed"), -1))
+    proc = _python("-m", "qroute", "analyze", "--scenario", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "qroute: sim.seed: -1 outside 0 <= seed < 2**64\n")
 
 
 def test_cli_import_leaves_numpy_out():
