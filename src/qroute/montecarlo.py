@@ -39,7 +39,13 @@ from .draws import (
     _threshold,
 )
 from .netmodel import NetworkGraph, edge_key
-from .pathfind import LogicalTopology, disjoint_paths_on_logical, path_spec_from_nodes
+from .pathfind import (
+    LogicalTopology,
+    _edge_index,
+    _path_edges,
+    disjoint_paths_on_logical,
+    path_spec_from_nodes,
+)
 from .routing import AllocationPlan, Request, check_unique_ids
 
 
@@ -532,21 +538,26 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
 
 def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
     """One slot's reactive paths, request by request, found on the realized
-    link `counts`; each path takes one link per hop off `counts`. `built`
-    keeps each (request id, nodes) path's runtime context across slots."""
-    rank = graph._node_rank()
+    link `counts` (a list in `graph.edges` order); each path takes one link
+    per hop off `counts`. `built` keeps each (request id, nodes) path's
+    runtime context and edge indices across slots."""
+    logical = LogicalTopology(counts=counts)
     for req in requests:
         paths = disjoint_paths_on_logical(
-            LogicalTopology(counts=counts), graph, req.source, req.dest,
+            logical, graph, req.source, req.dest,
             config.max_paths_per_request, config.node_disjoint,
         )
         for path in paths:
-            for u, v in zip(path.nodes, path.nodes[1:]):
-                counts[edge_key(u, v)] -= 1
-            rp = built.get((req.id, path.nodes))
-            if rp is None:
-                rp = built[req.id, path.nodes] = _RuntimePath.build(
-                    req.id, path, config.policy, rank)
+            entry = built.get((req.id, path.nodes))
+            if entry is None:
+                entry = built[req.id, path.nodes] = (
+                    _RuntimePath.build(req.id, path, config.policy,
+                                       graph._node_rank()),
+                    _path_edges(graph, path.nodes),
+                )
+            rp, edges = entry
+            for i in edges:
+                counts[i] -= 1
             yield rp
 
 
@@ -608,7 +619,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     # channel run, ((edge key, first channel, width), edge index, channel
     # range, threshold), in (edge key, first channel) order, which async
     # link ids follow
-    eidx = {edge_key(e.u, e.v): i for i, e in enumerate(graph.edges)}
+    eidx = _edge_index(graph)
     schedule = [
         (run, eidx[run[0]], range(run[1], run[1] + run[2]),
          _threshold(graph.edge(*run[0]).link_prob))
@@ -628,7 +639,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    built: dict = {}  # reactive runtime paths by (request id, nodes)
+    built: dict = {}  # reactive (runtime path, edge indices) by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     width, depth = len(links), len(swap_lanes.plane)  # a slot's bytes per plane
     step = _block_slots((links, swap_lanes.plane))
@@ -659,11 +670,9 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                     kernel.purge(slot, held.values())
                     stats.links_generated += kernel.generate(
                         bits[k * width:(k + 1) * width], slot)
-                if reactive:
-                    counts = (
-                        {run[0]: c[k] for (run, *_), c in zip(schedule, made) if c[k]}
-                        if sync else {key: len(run.links) for (key, _), run
-                                      in kernel.runs.items() if run.links})
+                if reactive:  # one run per edge, so both follow edge order
+                    counts = ([c[k] for c in made] if sync else
+                              [len(run.links) for run in kernel.runs.values()])
                 paths = (_reactive_paths(graph, requests, counts, config, built)
                          if reactive else bound)
                 for i, rp in enumerate(paths):

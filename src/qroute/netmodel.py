@@ -32,6 +32,18 @@ class NodeParams:
     swap_prob: float = 0.5
     memory_cutoff_slots: int = 1
 
+    def __post_init__(self):
+        if not 0 <= self.swap_prob <= 1:
+            self._reject("swap_prob", "outside [0, 1]")
+        if self.memory_cutoff_slots < 1:
+            self._reject("memory_cutoff_slots", "below 1")
+
+    def _reject(self, name: str, why: str):
+        # "<keyword>: why", so a scenario error can name the JSON field; a
+        # grid's template node has no id yet
+        node = f"node {self.id!r}" if self.id else "template node"
+        raise GraphValidationError(f"{name}: {node} has {name} {getattr(self, name)}, {why}")
+
 
 @dataclass(frozen=True)
 class EdgeParams:
@@ -40,6 +52,20 @@ class EdgeParams:
     capacity: int = 1
     length_km: float = 0.0
     link_prob: float | None = None
+
+    def __post_init__(self):
+        if self.capacity < 0:
+            self._reject("capacity", "below 0")
+        if self.length_km < 0:
+            self._reject("length_km", "below 0")
+        if self.link_prob is not None and not 0 <= self.link_prob <= 1:
+            self._reject("link_prob", "outside [0, 1]")
+
+    def _reject(self, name: str, why: str):
+        # "<keyword>: why", so a scenario error can name the JSON field; a
+        # grid's template edge has no endpoints yet
+        edge = f"edge ({self.u!r}, {self.v!r})" if self.u or self.v else "template edge"
+        raise GraphValidationError(f"{name}: {edge} has {name} {getattr(self, name)}, {why}")
 
 
 @dataclass(frozen=True)
@@ -197,14 +223,8 @@ class NetworkGraph:
 
 
 def _validate_node(node: NodeParams, swap_bound_mode: str) -> None:
-    if not 0 <= node.swap_prob <= 1:
-        raise GraphValidationError(
-            f"node {node.id!r}: swap_prob {node.swap_prob} outside [0, 1]"
-        )
-    if node.memory_cutoff_slots < 1:
-        raise GraphValidationError(
-            f"node {node.id!r}: memory_cutoff_slots must be >= 1"
-        )
+    """The swap-bound checks, which need the physical constants; the
+    range checks are `NodeParams`'."""
     if swap_bound_mode == "linear-optics" and node.swap_prob > LINEAR_OPTICS_SWAP_BOUND:
         raise GraphValidationError(
             f"node {node.id!r}: swap_prob {node.swap_prob} exceeds the "
@@ -253,14 +273,6 @@ def build_graph(
                 raise GraphValidationError(
                     f"edge ({e.u!r}, {e.v!r}) references unknown node {endpoint!r}"
                 )
-        if e.capacity < 0:
-            raise GraphValidationError(
-                f"edge ({e.u!r}, {e.v!r}): capacity must be >= 0"
-            )
-        if e.length_km < 0:
-            raise GraphValidationError(
-                f"edge ({e.u!r}, {e.v!r}): length_km must be >= 0"
-            )
         key = edge_key(e.u, e.v)
         if key in seen_edges:
             raise GraphValidationError(
@@ -268,19 +280,14 @@ def build_graph(
                 "channels via capacity, not repeated edges"
             )
         seen_edges.add(key)
-        if e.link_prob is None:
+        p = e.link_prob
+        if p is None:
             p = link_success_probability(
                 e.length_km,
                 phys.attenuation_alpha,
                 phys.base_efficiency,
                 phys.attempts_per_slot,
             )
-        else:
-            p = e.link_prob
-            if not 0 <= p <= 1:
-                raise GraphValidationError(
-                    f"edge ({e.u!r}, {e.v!r}): link_prob {p} outside [0, 1]"
-                )
         normalized.append(replace(e, u=key[0], v=key[1], link_prob=p))
 
     nodes = tuple(sorted(node_specs, key=lambda n: n.id))

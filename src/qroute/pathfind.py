@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .analytics import PathSpec, expected_throughput, heralded_path_distribution, sequential_tree
@@ -55,13 +55,14 @@ def _step(metric: Metric, e: EdgeParams) -> float:
 
 
 def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
-    """node -> ((nbr, edge key, step), ...) in neighbour order, built once
-    per graph and metric. Edges without capacity, and edges of infinite
-    cost (p = 0 links under the creation-rate metric), are left out: no
-    search may use them."""
+    """node -> ((nbr, edge index, step), ...) in neighbour order, built once
+    per graph and metric; the index is the edge's place in `graph.edges`.
+    Edges without capacity, and edges of infinite cost (p = 0 links under
+    the creation-rate metric), are left out: no search may use them."""
     cache = graph._memo.setdefault("weighted_adjacency", {})
     adjacency = cache.get(metric)
     if adjacency is None:
+        index = _edge_index(graph)
         adjacency = {}
         for node in graph.node_ids():
             entries = []
@@ -69,10 +70,51 @@ def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
                 e = graph.edge(node, nbr)
                 step = _step(metric, e)
                 if e.capacity >= 1 and step != math.inf:
-                    entries.append((nbr, edge_key(node, nbr), step))
+                    entries.append((nbr, index[edge_key(node, nbr)], step))
             adjacency[node] = tuple(entries)
         cache[metric] = adjacency
     return adjacency
+
+
+def _rank_adjacency(graph: NetworkGraph):
+    """(node ids by rank, rank -> ((nbr rank, edge index), ...)): the
+    hop-count adjacency on node ranks, built once per graph. `graph.nodes`
+    is sorted by id, so rank order is id order."""
+    table = graph._memo.get("rank_adjacency")
+    if table is None:
+        rank = graph._node_rank()
+        hops = _weighted_adjacency(graph, Metric.HOP_COUNT)
+        ids = graph.node_ids()
+        table = graph._memo["rank_adjacency"] = (ids, tuple(
+            tuple((rank[nbr], i) for nbr, i, _ in hops[v]) for v in ids
+        ))
+    return table
+
+
+def _edge_index(graph: NetworkGraph) -> dict[tuple[str, str], int]:
+    """Canonical edge key -> the edge's place in `graph.edges`."""
+    index = graph._memo.get("edge_index")
+    if index is None:
+        index = graph._memo["edge_index"] = {
+            (e.u, e.v): i for i, e in enumerate(graph.edges)
+        }
+    return index
+
+
+def _path_edges(graph: NetworkGraph, nodes: tuple[str, ...]) -> tuple[int, ...]:
+    """The `graph.edges` index of each hop along `nodes`."""
+    index = _edge_index(graph)
+    return tuple(index[edge_key(u, v)] for u, v in zip(nodes, nodes[1:]))
+
+
+def _edge_filter(graph: NetworkGraph, edge_usable) -> list:
+    """The per-edge filter, in `graph.edges` order, that the predicate
+    `edge_usable(key)` describes: it is read once per edge. Without a
+    predicate every edge passes (capacity-0 edges are never searched)."""
+    if edge_usable is None:
+        return [True] * len(graph.edges)
+    # edges are stored under their canonical key, u <= v
+    return [edge_usable((e.u, e.v)) for e in graph.edges]
 
 
 def path_spec_from_nodes(
@@ -140,37 +182,25 @@ def _dijkstra(
 ) -> tuple[float, tuple[str, ...]] | None:
     """Label-setting search from the label `root` = (cost, nodes): it
     extends the root's last node and returns the whole label (cost, nodes)
-    that reaches `d`. Heap entries carry the node sequence so equal costs
-    resolve to the lexicographically smallest path.
+    that reaches `d`.
 
     `edge_usable(key)` and `banned_edges` filter edges by canonical key;
     `banned_nodes` and the root's other nodes are never entered.
-
-    Under `HOP_COUNT` every step costs 1, and a level-order search replaces
-    the heap: scanning each label's neighbours in id order keeps every level
-    in label order, so `d` is first reached by the label the heap would pop.
     """
-    adjacency = _weighted_adjacency(graph, metric)
+    usable = _edge_filter(graph, edge_usable)
+    index = _edge_index(graph)
+    for key in banned_edges:
+        usable[index[key]] = False
+    return _search(graph, root, d, metric, usable, banned_nodes)
+
+
+def _search(graph, root, d, metric, usable, banned_nodes=()):
+    """`_dijkstra` on the per-edge filter `usable` (in `graph.edges`
+    order, truthy = usable). Heap entries carry the node sequence so equal
+    costs resolve to the lexicographically smallest path."""
     if metric is Metric.HOP_COUNT:
-        # banned nodes and the root's nodes are seen up front, so no level
-        # enters them
-        seen = set(banned_nodes).union(root[1])
-        cost, level = root[0], [root[1]]
-        while level:
-            cost += 1.0
-            reached = []
-            for nodes in level:
-                for nbr, key, _ in adjacency[nodes[-1]]:
-                    if nbr in seen or key in banned_edges:
-                        continue
-                    if edge_usable is not None and not edge_usable(key):
-                        continue
-                    if nbr == d:
-                        return cost, nodes + (nbr,)
-                    seen.add(nbr)
-                    reached.append(nodes + (nbr,))
-            level = reached
-        return None
+        return _hop_search(graph, root, d, usable, banned_nodes)
+    adjacency = _weighted_adjacency(graph, metric)
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
     heap = [root]
@@ -186,15 +216,51 @@ def _dijkstra(
         done.add(cur)
         if cur == d:
             return cost, nodes
-        for nbr, key, step in adjacency[cur]:
-            if nbr in done or key in banned_edges:
-                continue
-            if edge_usable is not None and not edge_usable(key):
+        for nbr, i, step in adjacency[cur]:
+            if nbr in done or not usable[i]:
                 continue
             nxt = cost * step if multiply else cost + step
             if nxt == inf:
                 continue
             push(heap, (nxt, nodes + (nbr,)))
+    return None
+
+
+def _hop_search(graph, root, d, usable, banned_nodes):
+    """`_search` under `HOP_COUNT`, where every step costs 1: a level-order
+    search on node ranks replaces the heap. Scanning each node's neighbours
+    in rank (= id) order keeps every level in label order, so `d` is first
+    reached by the label the heap would pop. Each reached node keeps the
+    node it was reached from; the label is built once, at `d`."""
+    ids, adjacency = _rank_adjacency(graph)
+    rank = graph._node_rank()
+    # banned nodes and the root's nodes are seen up front, so no level
+    # enters them
+    seen = bytearray(len(ids))
+    for v in banned_nodes:
+        seen[rank[v]] = 1
+    for v in root[1]:
+        seen[rank[v]] = 1
+    start, target = rank[root[1][-1]], rank[d]
+    parent = [0] * len(ids)
+    cost, level = root[0], [start]
+    while level:
+        cost += 1.0
+        reached = []
+        for cur in level:
+            for nbr, i in adjacency[cur]:
+                if seen[nbr] or not usable[i]:
+                    continue
+                parent[nbr] = cur
+                if nbr == target:
+                    tail = []
+                    while nbr != start:
+                        tail.append(ids[nbr])
+                        nbr = parent[nbr]
+                    return cost, root[1] + tuple(reversed(tail))
+                seen[nbr] = 1
+                reached.append(nbr)
+        level = reached
     return None
 
 
@@ -220,7 +286,8 @@ def k_shortest_paths(
     Each spur search grows from the root's label, the root prefix with its
     cost, so it returns the whole candidate already priced. With
     `edge_usable`, every search sees only the edges whose canonical key it
-    accepts, as if the others had no capacity.
+    accepts, as if the others had no capacity; it is read once per edge,
+    and each spur search clears its banned next edges in a copy.
 
     A candidate keeps the root index j its spur search found it at, and
     once accepted it spurs from j on (Lawler's deviation index): each
@@ -233,28 +300,27 @@ def k_shortest_paths(
         raise ValueError(f"metric {metric} is not additive")
     _check_endpoints(graph, s, d)
 
-    first = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=edge_usable)
+    usable = _edge_filter(graph, edge_usable)
+    first = _search(graph, _start(metric, s), d, metric, usable)
     if first is None:
         return []
     accepted: list[tuple[float, tuple[str, ...]]] = [first]
+    hops: list[tuple[int, ...]] = []  # each accepted path's edge indices
     candidates: list[tuple[float, tuple[str, ...], int]] = []
     seen = {first[1]}
     deviation = 0
 
     while len(accepted) < k:
         _, prev = accepted[-1]
+        hops.append(_path_edges(graph, prev))
         root_costs = _prefix_costs(graph, prev, metric)
         for j in range(deviation, len(prev) - 1):
             root = prev[: j + 1]
-            banned_edges = frozenset(
-                edge_key(p[j], p[j + 1])
-                for _, p in accepted
-                if len(p) > j + 1 and p[: j + 1] == root
-            )
-            found = _dijkstra(
-                graph, (root_costs[j], root), d, metric,
-                edge_usable=edge_usable, banned_edges=banned_edges,
-            )
+            spur = usable.copy()
+            for (_, p), edges in zip(accepted, hops):
+                if len(p) > j + 1 and p[: j + 1] == root:
+                    spur[edges[j]] = False
+            found = _search(graph, (root_costs[j], root), d, metric, spur)
             if found is None or found[1] in seen:
                 continue
             seen.add(found[1])
@@ -276,11 +342,11 @@ def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
     # Any path inside the >= width subgraph has exactly that width when no
     # wider threshold connects s to d.
     for width in sorted({e.capacity for e in graph.edges if e.capacity >= 1}, reverse=True):
-        usable = lambda key: graph.edge(*key).capacity >= width
+        usable = [e.capacity >= width for e in graph.edges]
         # creation-rate costs can all be infinite (p = 0 links); hop count
         # then still finds a route if one exists
         for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
-            found = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=usable)
+            found = _search(graph, _start(metric, s), d, metric, usable)
             if found is not None:
                 return path_spec_from_nodes(graph, found[1])
     return None
@@ -288,24 +354,29 @@ def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
 
 @dataclass
 class LogicalTopology:
-    """Realized entangled links per edge for the current slot."""
+    """Realized entangled links for the current slot: `counts[i]` is edge
+    `graph.edges[i]`'s."""
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    counts: list[int]
 
     @classmethod
     def from_counts(cls, graph: NetworkGraph, counts: dict) -> "LogicalTopology":
-        norm: dict[tuple[str, str], int] = {}
+        """From an {(u, v): count} map, checked; absent edges count 0."""
+        index = _edge_index(graph)
+        norm = [0] * len(graph.edges)
+        given: set[tuple[str, str]] = set()
         for (u, v), c in counts.items():
             e = graph.edge(u, v)
             key = edge_key(u, v)
-            if key in norm:
+            if key in given:
                 raise GraphValidationError(f"edge {key!r}: logical count given twice")
             # a bool is an int to isinstance, but never a link count
             if type(c) is not int or not 0 <= c <= e.capacity:
                 raise GraphValidationError(
                     f"edge {key!r}: logical count {c!r} is not an int in 0..{e.capacity}"
                 )
-            norm[key] = c
+            given.add(key)
+            norm[index[key]] = c
         return cls(counts=norm)
 
 
@@ -321,27 +392,28 @@ def disjoint_paths_on_logical(
 
     Repeatedly takes the shortest path through edges that still have an
     unconsumed link, then removes one link unit per used edge (and the
-    interior nodes too, when node-disjoint paths are requested).
+    interior nodes too, when node-disjoint paths are requested), in a copy:
+    `logical.counts` is left as it was.
     """
     _check_endpoints(graph, s, d)
-    remaining = dict(logical.counts)
+    # the per-edge filter: an edge is usable while its count is positive
+    remaining = list(logical.counts)
     blocked: set[str] = set()
-    specs = graph._memo.setdefault("unit_specs", {})  # nodes -> width-1 spec
+    # nodes -> (width-1 spec, edge indices)
+    specs = graph._memo.setdefault("unit_specs", {})
     paths: list[PathSpec] = []
     while len(paths) < max_paths:
-        # an edge is usable while its count is positive (0 and absent are falsy)
-        found = _dijkstra(
-            graph, _start(Metric.HOP_COUNT, s), d, Metric.HOP_COUNT,
-            edge_usable=remaining.get, banned_nodes=blocked,
-        )
+        found = _hop_search(graph, _start(Metric.HOP_COUNT, s), d, remaining, blocked)
         if found is None:
             break
         nodes = found[1]
-        for u, v in zip(nodes, nodes[1:]):
-            remaining[edge_key(u, v)] -= 1
+        entry = specs.get(nodes)
+        if entry is None:
+            entry = specs[nodes] = (path_spec_from_nodes(graph, nodes, width=1),
+                                    _path_edges(graph, nodes))
+        for i in entry[1]:
+            remaining[i] -= 1
         if node_disjoint:
             blocked.update(nodes[1:-1])
-        if nodes not in specs:
-            specs[nodes] = path_spec_from_nodes(graph, nodes, width=1)
-        paths.append(specs[nodes])
+        paths.append(entry[0])
     return paths

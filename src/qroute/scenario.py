@@ -277,8 +277,10 @@ def _graph(gd: dict, phys: PhysicalConstants) -> NetworkGraph:
         grid = gd["grid"]
         return _make(
             "graph.grid", grid_topology,
-            default_node=NodeParams(id="", **grid.pop("node", {})),
-            default_edge=EdgeParams(u="", v="", **grid.pop("edge", {})),
+            default_node=_make("graph.grid.node", NodeParams, id="",
+                               **grid.pop("node", {})),
+            default_edge=_make("graph.grid.edge", EdgeParams, u="", v="",
+                               **grid.pop("edge", {})),
             phys=phys, **grid,
         )
     nodes = [

@@ -51,20 +51,22 @@ def test_parallel_edges_rejected():
 @pytest.mark.parametrize(
     "edge,message",
     [
-        (EdgeParams(u="A", v="B", capacity=-1), "capacity"),
-        (EdgeParams(u="A", v="B", length_km=-2.0), "length_km"),
-        (EdgeParams(u="A", v="B", link_prob=1.5), "link_prob"),
+        ({"capacity": -1}, "capacity"),
+        ({"length_km": -2.0}, "length_km"),
+        ({"link_prob": 1.5}, "link_prob"),
     ],
 )
 def test_edge_validation(edge, message):
+    # the edge is built inside the check: `EdgeParams` rejects the range
     with pytest.raises(GraphValidationError, match=message):
-        build_graph([NodeParams(id="A"), NodeParams(id="B")], [edge])
+        build_graph([NodeParams(id="A"), NodeParams(id="B")],
+                    [EdgeParams(u="A", v="B", **edge)])
 
 
 def test_node_validation():
-    with pytest.raises(GraphValidationError, match="swap_prob"):
+    with pytest.raises(GraphValidationError, match="swap_prob: "):
         build_graph([NodeParams(id="A", swap_prob=1.2)], [])
-    with pytest.raises(GraphValidationError, match="memory_cutoff"):
+    with pytest.raises(GraphValidationError, match="memory_cutoff_slots: "):
         build_graph([NodeParams(id="A", memory_cutoff_slots=0)], [])
 
 

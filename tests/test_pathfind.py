@@ -279,6 +279,22 @@ def test_logical_counts_reject_non_int(count):
         LogicalTopology.from_counts(g, {("n0", "n1"): count})
 
 
+def test_logical_counts_follow_edge_order_and_stay_unchanged():
+    # the simulator hands its live per-slot list to the search, and takes
+    # the used links off it itself: the search must work on a copy
+    g = grid_topology(2, 2, EdgeParams(u="", v="", capacity=2))
+    logical = LogicalTopology.from_counts(
+        g, {("1,1", "0,1"): 2, ("0,0", "0,1"): 1, ("1,0", "1,1"): 2})
+    keys = [(e.u, e.v) for e in g.edges]
+    assert keys == [("0,0", "0,1"), ("0,0", "1,0"), ("0,1", "1,1"), ("1,0", "1,1")]
+    assert logical.counts == [1, 0, 2, 2]
+    for node_disjoint in (False, True):
+        paths = disjoint_paths_on_logical(logical, g, "0,0", "1,1", 4,
+                                          node_disjoint)
+        assert [p.nodes for p in paths] == [("0,0", "0,1", "1,1")]
+        assert logical.counts == [1, 0, 2, 2]
+
+
 # --------------------------------------------------------------------------
 # randomized oracles
 
@@ -367,6 +383,18 @@ def test_hop_count_ties_break_lexicographically():
         assert shortest_path(g, s, d, Metric.HOP_COUNT).nodes == want
 
 
+def test_k_shortest_reads_edge_usable_once_per_edge():
+    # Yen builds one per-edge filter per call; each spur search clears its
+    # banned edges in a copy instead of asking the predicate again
+    g = grid_topology(3, 3)
+    for metric in METRICS:
+        asked = []
+        usable = lambda key: asked.append(key) or key != ("1,1", "1,2")
+        paths = k_shortest_paths(g, "0,0", "2,2", 5, metric, edge_usable=usable)
+        assert len(paths) == 5
+        assert asked and len(asked) == len(set(asked))
+
+
 def test_k_shortest_residual_view_matches_rebuilt_subgraph():
     """An `edge_usable` residual predicate must pick the same paths as Yen
     on a graph rebuilt from the edges with residual left, capacity set to
@@ -404,31 +432,44 @@ def test_hop_count_labels_match_unit_length_heap():
     paths, ties included."""
     rnd = random.Random(314)
     yen_cases = 0
-    for _ in range(150):
-        g = random_connected_graph(rnd, rnd.randint(4, 12))
+
+    def compare(g, counts, s, d, k):
+        nonlocal yen_cases
         unit = build_graph(
             list(g.nodes), [replace(e, length_km=1.0) for e in g.edges], g.phys
         )
+        for usable in (None, lambda key: counts[key] >= 1):
+            bfs = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT,
+                                   edge_usable=usable)
+            heap = k_shortest_paths(unit, s, d, k,
+                                    Metric.SUM_NODE_DISTANCES,
+                                    edge_usable=usable)
+            assert bfs == heap
+            yen_cases += 1
+        logical = LogicalTopology.from_counts(g, counts)
+        for node_disjoint in (False, True):
+            got = disjoint_paths_on_logical(logical, g, s, d, 4, node_disjoint)
+            assert got == heap_disjoint_paths(unit, g, counts, s, d, 4,
+                                              node_disjoint)
+
+    for _ in range(150):
+        g = random_connected_graph(rnd, rnd.randint(4, 12))
         counts = {edge_key(e.u, e.v): rnd.randint(0, e.capacity)
                   for e in g.edges}
         for _ in range(2):
             s, d = rnd.sample(g.node_ids(), 2)
-            k = rnd.randint(1, 6)
-            for usable in (None, lambda key: counts[key] >= 1):
-                bfs = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT,
-                                       edge_usable=usable)
-                heap = k_shortest_paths(unit, s, d, k,
-                                        Metric.SUM_NODE_DISTANCES,
-                                        edge_usable=usable)
-                assert bfs == heap
-                yen_cases += 1
-            logical = LogicalTopology.from_counts(g, counts)
-            for node_disjoint in (False, True):
-                got = disjoint_paths_on_logical(logical, g, s, d, 4,
-                                                node_disjoint)
-                assert got == heap_disjoint_paths(unit, g, counts, s, d, 4,
-                                                  node_disjoint)
-    assert yen_cases == 600
+            compare(g, counts, s, d, rnd.randint(1, 6))
+    # "n10" sorts before "n9": the search must scan neighbours in id order,
+    # not in numeric order, so n0-n10-n1 wins the tie with n0-n9-n1
+    tied = build_graph(
+        [NodeParams(id=f"n{i}") for i in (0, 1, 9, 10)],
+        [EdgeParams(u=u, v=v, capacity=2)
+         for u, v in (("n0", "n9"), ("n9", "n1"), ("n0", "n10"), ("n10", "n1"))],
+    )
+    compare(tied, {edge_key(e.u, e.v): 2 for e in tied.edges}, "n0", "n1", 3)
+    assert k_shortest_paths(tied, "n0", "n1", 1, Metric.HOP_COUNT) == [
+        (2.0, ("n0", "n10", "n1"))]
+    assert yen_cases == 602
 
 
 def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):

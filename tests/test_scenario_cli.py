@@ -316,6 +316,27 @@ FIELD_ERRORS = [
     (_set(_CHAIN, ("analytics", "paths"), [["A"]]), "analytics.paths[0]"),
     (_set(_CHAIN, ("sim", "paths"), [{"request": "r1", "nodes": ["A", "C"]}]),
      "sim.paths[0]"),
+    # node and edge ranges were checked by build_graph, which named only
+    # `graph` or `graph.grid`
+    (_set(_CHAIN, ("graph", "edges", 1, "capacity"), -1), "graph.edges[1].capacity"),
+    (_set(_CHAIN, ("graph", "edges", 0, "length_km"), -1.0),
+     "graph.edges[0].length_km"),
+    (_set(_CHAIN, ("graph", "edges", 1, "link_prob"), 1.5),
+     "graph.edges[1].link_prob"),
+    (_set(_CHAIN, ("graph", "nodes", 2, "swap_prob"), 1.2),
+     "graph.nodes[2].swap_prob"),
+    (_set(_CHAIN, ("graph", "nodes", 0, "memory_cutoff_slots"), 0),
+     "graph.nodes[0].memory_cutoff_slots"),
+    (_set(_GRID, ("graph", "grid", "edge", "capacity"), -1),
+     "graph.grid.edge.capacity"),
+    (_set(_GRID, ("graph", "grid", "edge", "length_km"), -2.0),
+     "graph.grid.edge.length_km"),
+    (_set(_GRID, ("graph", "grid", "edge", "link_prob"), -0.1),
+     "graph.grid.edge.link_prob"),
+    (_set(_GRID, ("graph", "grid", "node", "swap_prob"), 1.5),
+     "graph.grid.node.swap_prob"),
+    (_set(_GRID, ("graph", "grid", "node", "memory_cutoff_slots"), 0),
+     "graph.grid.node.memory_cutoff_slots"),
 ]
 
 
