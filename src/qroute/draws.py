@@ -159,15 +159,16 @@ def _block_slots(planes) -> int:
 def _link_plane(schedule) -> _Plane:
     """The plane of every channel's link draw, keyed (edge index, channel),
     from the link schedule `simulate` builds: one entry per channel run,
-    (run, edge index, channel range, threshold)."""
-    return _Plane((eidx, ch, threshold)
-                  for _, eidx, chans, threshold in schedule for ch in chans)
+    (run, channel range, threshold), where a run is (edge index, first
+    channel, width)."""
+    return _Plane((run[0], ch, threshold)
+                  for run, chans, threshold in schedule for ch in chans)
 
 
 def _link_spans(schedule) -> list[tuple[int, int]]:
     """Each link schedule entry's lanes (lo, hi) in the link plane, which
     has one lane per channel in schedule order."""
-    ends = list(itertools.accumulate(len(chans) for _, _, chans, _ in schedule))
+    ends = list(itertools.accumulate(len(chans) for _, chans, _ in schedule))
     return list(zip([0, *ends], ends))
 
 
@@ -206,7 +207,7 @@ def _swap_lanes(graph, bound) -> _SwapLanes:
     (`bound` None) every path through a node is one wide and takes two of
     its incident links, so the cap is half the incident capacity.
     """
-    rank = graph._node_rank()
+    rank = graph.node_rank
     caps = [0] * len(rank)
     if bound is not None:
         for rp in bound:

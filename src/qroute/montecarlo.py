@@ -38,10 +38,9 @@ from .draws import (
     _SwapDraws,
     _threshold,
 )
-from .netmodel import NetworkGraph, edge_key
+from .netmodel import NetworkGraph
 from .pathfind import (
     LogicalTopology,
-    _edge_index,
     _path_edges,
     disjoint_paths_on_logical,
     path_spec_from_nodes,
@@ -121,11 +120,12 @@ class _RuntimePath:
     policy: SwapPolicy
     schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
     swaps: tuple[int, ...]  # node rank per interior node
-    channels: tuple[tuple[tuple[str, str], int, int], ...] = ()
+    # per hop, the channel run it binds: (edge index, first channel, width)
+    channels: tuple[tuple[int, int, int], ...]
     label: str = ""  # a proactive path's key in the report
 
     @classmethod
-    def build(cls, request_id, path, policy, rank, channels=(), label=""):
+    def build(cls, request_id, path, policy, rank, channels, label=""):
         """`rank`: the graph's node ranks, which key the swap draws."""
         schedule = (
             None if policy.kind in ("parallel", "adhoc")
@@ -294,10 +294,9 @@ class _AsyncKernel:
     def __init__(self, graph: NetworkGraph, schedule):
         """`schedule`: the link schedule `simulate` builds."""
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
-        self.runs = {  # (edge key, first channel)
-            (key, start): _Channels(start, width, min(cutoff[key[0]], cutoff[key[1]]))
-            for (key, start, width), *_ in schedule
-        }
+        lifetime = [min(cutoff[e.u], cutoff[e.v]) for e in graph.edges]
+        self.runs = {run: _Channels(run[1], run[2], lifetime[run[0]])
+                     for run, *_ in schedule}
         self.schedule = list(zip(_link_spans(schedule), self.runs.values()))
         self.cutoff = cutoff
         self.next_id = 0  # = entities created
@@ -306,15 +305,10 @@ class _AsyncKernel:
         self._taken: list[tuple[list, list]] = []
 
     def bind(self, rp: _RuntimePath) -> _PathStore:
-        """A path's store: a proactive hop binds the run it owns, a reactive
-        hop its edge's one run."""
-        nodes = rp.path.nodes
-        spots = (
-            [(key, start) for key, start, _ in rp.channels] if rp.channels
-            else [(edge_key(u, v), 0) for u, v in zip(nodes, nodes[1:])]
-        )
-        return _PathStore(rp, [self.runs[spot].links for spot in spots],
-                          tuple(self.cutoff[v] for v in nodes))
+        """A path's store on the runs its hops bind: a proactive hop owns
+        its run, a reactive hop shares its edge's one run."""
+        return _PathStore(rp, [self.runs[run].links for run in rp.channels],
+                          tuple(self.cutoff[v] for v in rp.path.nodes))
 
     def purge(self, slot: int, held) -> None:
         """Expire links and the segments in `held` whose memory ran out."""
@@ -505,8 +499,7 @@ def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, tally):
 def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
     """Each plan path's runtime context on its channel runs. Every draw is
     made against the graph, so a path must carry the graph's probabilities."""
-    rank = graph._node_rank()
-    offsets: dict[tuple[str, str], int] = {}
+    offsets: dict[int, int] = {}  # edge index -> next free channel
     bound = []
     per_request_counter: dict[str, int] = {}
     for alloc in plan.allocations:
@@ -522,17 +515,15 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
                     f"the graph's {graph_name} {getattr(ours, name)}"
                 )
         chans = []
-        for h, cap in enumerate(ours.per_hop_capacity):
-            key = edge_key(path.nodes[h], path.nodes[h + 1])
-            width = path.per_hop_capacity[h]
-            start = offsets.get(key, 0)
-            if start + width > cap:
-                raise ValueError(
-                    f"plan overallocates edge {key}: {start + width} > {cap}")
-            offsets[key] = start + width
-            chans.append((key, start, width))
+        for i, width in zip(_path_edges(graph, path.nodes), path.per_hop_capacity):
+            e, start = graph.edges[i], offsets.get(i, 0)
+            if start + width > e.capacity:
+                raise ValueError(f"plan overallocates edge {(e.u, e.v)}: "
+                                 f"{start + width} > {e.capacity}")
+            offsets[i] = start + width
+            chans.append((i, start, width))
         bound.append(_RuntimePath.build(alloc.request_id, path, alloc.policy,
-                                        rank, chans, label))
+                                        graph.node_rank, chans, label))
     return bound
 
 
@@ -540,7 +531,7 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
     """One slot's reactive paths, request by request, found on the realized
     link `counts` (a list in `graph.edges` order); each path takes one link
     per hop off `counts`. `built` keeps each (request id, nodes) path's
-    runtime context and edge indices across slots."""
+    runtime context across slots; each hop binds its edge's one run."""
     logical = LogicalTopology(counts=counts)
     for req in requests:
         paths = disjoint_paths_on_logical(
@@ -548,15 +539,13 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
             config.max_paths_per_request, config.node_disjoint,
         )
         for path in paths:
-            entry = built.get((req.id, path.nodes))
-            if entry is None:
-                entry = built[req.id, path.nodes] = (
-                    _RuntimePath.build(req.id, path, config.policy,
-                                       graph._node_rank()),
-                    _path_edges(graph, path.nodes),
-                )
-            rp, edges = entry
-            for i in edges:
+            rp = built.get((req.id, path.nodes))
+            if rp is None:
+                rp = built[req.id, path.nodes] = _RuntimePath.build(
+                    req.id, path, config.policy, graph.node_rank,
+                    [(i, 0, graph.edges[i].capacity)
+                     for i in _path_edges(graph, path.nodes)])
+            for i, _, _ in rp.channels:
                 counts[i] -= 1
             yield rp
 
@@ -612,17 +601,16 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             raise ValueError("reactive simulation needs a list of requests")
         check_unique_ids(requests)
         requests.sort(key=lambda r: r.id)
-        runs = [(edge_key(e.u, e.v), 0, e.capacity) for e in graph.edges]
+        runs = [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
         request_ids = [r.id for r in requests]
 
     # the link schedule both forwarding modes generate on: one entry per
-    # channel run, ((edge key, first channel, width), edge index, channel
-    # range, threshold), in (edge key, first channel) order, which async
-    # link ids follow
-    eidx = _edge_index(graph)
+    # channel run, ((edge index, first channel, width), channel range,
+    # threshold), in (edge index, first channel) order, which async link
+    # ids follow
     schedule = [
-        (run, eidx[run[0]], range(run[1], run[1] + run[2]),
-         _threshold(graph.edge(*run[0]).link_prob))
+        (run, range(run[1], run[1] + run[2]),
+         _threshold(graph.edges[run[0]].link_prob))
         for run in sorted(runs)
     ]
     links = _link_plane(schedule)
@@ -639,7 +627,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    built: dict = {}  # reactive (runtime path, edge indices) by (request id, nodes)
+    built: dict = {}  # reactive runtime paths by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     width, depth = len(links), len(swap_lanes.plane)  # a slot's bytes per plane
     step = _block_slots((links, swap_lanes.plane))

@@ -136,7 +136,10 @@ class NetworkGraph:
     """Validated, immutable undirected topology with physical parameters.
 
     Nodes are sorted by id and edges by canonical endpoint pair, so two
-    graphs built from the same specs compare and hash identically.
+    graphs built from the same specs compare and hash identically. A node's
+    rank is its place in `nodes`, and an edge's index its place in `edges`;
+    since both are sorted, rank order is id order and index order is key
+    order. The constructor rejects nodes or edges out of that order.
     """
 
     nodes: tuple[NodeParams, ...]
@@ -144,26 +147,45 @@ class NetworkGraph:
     phys: PhysicalConstants
     # lookups derived from nodes and edges in __post_init__; not init fields,
     # so `dataclasses.replace` rebuilds them
-    _node_by_id: dict = field(init=False, compare=False, repr=False)
-    _edge_by_key: dict = field(init=False, compare=False, repr=False)
+    node_rank: dict = field(init=False, compare=False, repr=False)
+    edge_index: dict = field(init=False, compare=False, repr=False)
     _adjacency: dict = field(init=False, compare=False, repr=False)
-    # derived tables built on first use (ranks, search adjacencies, specs)
+    # derived tables built on first use (search adjacencies, specs)
     _memo: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        node_by_id = {n.id: n for n in self.nodes}
-        edge_by_key = {}
-        adjacency: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            edge_by_key[edge_key(e.u, e.v)] = e
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
+        ids = [n.id for n in self.nodes]
+        keys = [(e.u, e.v) for e in self.edges]
+        for prev, v in zip(ids, ids[1:]):
+            if not prev < v:
+                raise GraphValidationError(
+                    f"node {v!r} follows {prev!r}: node ids must be strictly increasing"
+                )
+        node_rank = {v: i for i, v in enumerate(ids)}
+        adjacency: dict[str, list[str]] = {v: [] for v in ids}
+        for i, (u, v) in enumerate(keys):
+            for endpoint in (u, v):
+                if endpoint not in node_rank:
+                    raise GraphValidationError(
+                        f"edge {(u, v)!r} references unknown node {endpoint!r}"
+                    )
+            if not u < v:
+                raise GraphValidationError(f"edge {(u, v)!r} is not canonical: needs u < v")
+            if i and not keys[i - 1] < (u, v):
+                raise GraphValidationError(
+                    f"edge {(u, v)!r} follows {keys[i - 1]!r}: edges must be "
+                    "strictly increasing by (u, v)"
+                )
+            adjacency[u].append(v)
+            adjacency[v].append(u)
         for nbrs in adjacency.values():
             nbrs.sort()
-        object.__setattr__(self, "_node_by_id", MappingProxyType(node_by_id))
-        object.__setattr__(self, "_edge_by_key", MappingProxyType(edge_by_key))
+        object.__setattr__(self, "node_rank", MappingProxyType(node_rank))
+        object.__setattr__(
+            self, "edge_index", MappingProxyType({k: i for i, k in enumerate(keys)})
+        )
         object.__setattr__(
             self,
             "_adjacency",
@@ -172,32 +194,27 @@ class NetworkGraph:
 
     def node(self, node_id: str) -> NodeParams:
         try:
-            return self._node_by_id[node_id]
+            return self.nodes[self.node_rank[node_id]]
         except KeyError:
             raise GraphValidationError(f"unknown node {node_id!r}") from None
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._node_by_id
+        return node_id in self.node_rank
 
     def edge(self, u: str, v: str) -> EdgeParams:
         try:
-            return self._edge_by_key[edge_key(u, v)]
+            return self.edges[self.edge_index[edge_key(u, v)]]
         except KeyError:
             raise GraphValidationError(f"no edge between {u!r} and {v!r}") from None
 
     def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self._edge_by_key
+        return edge_key(u, v) in self.edge_index
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self._adjacency[node_id]
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
-
-    def _node_rank(self):
-        if "node_rank" not in self._memo:
-            self._memo["node_rank"] = {n.id: i for i, n in enumerate(self.nodes)}
-        return self._memo["node_rank"]
 
     def connected_components(self) -> list[tuple[str, ...]]:
         """Components as sorted node-id tuples, largest-first by first id."""

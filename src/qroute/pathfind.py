@@ -62,17 +62,14 @@ def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
     cache = graph._memo.setdefault("weighted_adjacency", {})
     adjacency = cache.get(metric)
     if adjacency is None:
-        index = _edge_index(graph)
-        adjacency = {}
-        for node in graph.node_ids():
-            entries = []
-            for nbr in graph.neighbors(node):
-                e = graph.edge(node, nbr)
-                step = _step(metric, e)
-                if e.capacity >= 1 and step != math.inf:
-                    entries.append((nbr, index[edge_key(node, nbr)], step))
-            adjacency[node] = tuple(entries)
-        cache[metric] = adjacency
+        entries = {v: [] for v in graph.node_ids()}
+        for i, e in enumerate(graph.edges):
+            step = _step(metric, e)
+            if e.capacity >= 1 and step != math.inf:
+                entries[e.u].append((e.v, i, step))
+                entries[e.v].append((e.u, i, step))
+        # a node's neighbours are distinct, so this sorts by neighbour id
+        adjacency = cache[metric] = {v: tuple(sorted(es)) for v, es in entries.items()}
     return adjacency
 
 
@@ -82,7 +79,7 @@ def _rank_adjacency(graph: NetworkGraph):
     is sorted by id, so rank order is id order."""
     table = graph._memo.get("rank_adjacency")
     if table is None:
-        rank = graph._node_rank()
+        rank = graph.node_rank
         hops = _weighted_adjacency(graph, Metric.HOP_COUNT)
         ids = graph.node_ids()
         table = graph._memo["rank_adjacency"] = (ids, tuple(
@@ -91,19 +88,9 @@ def _rank_adjacency(graph: NetworkGraph):
     return table
 
 
-def _edge_index(graph: NetworkGraph) -> dict[tuple[str, str], int]:
-    """Canonical edge key -> the edge's place in `graph.edges`."""
-    index = graph._memo.get("edge_index")
-    if index is None:
-        index = graph._memo["edge_index"] = {
-            (e.u, e.v): i for i, e in enumerate(graph.edges)
-        }
-    return index
-
-
 def _path_edges(graph: NetworkGraph, nodes: tuple[str, ...]) -> tuple[int, ...]:
     """The `graph.edges` index of each hop along `nodes`."""
-    index = _edge_index(graph)
+    index = graph.edge_index
     return tuple(index[edge_key(u, v)] for u, v in zip(nodes, nodes[1:]))
 
 
@@ -171,33 +158,23 @@ def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
         raise GraphValidationError("source and destination must differ")
 
 
-def _dijkstra(
+def _search(
     graph: NetworkGraph,
     root: tuple[float, tuple[str, ...]],
     d: str,
     metric: Metric,
-    edge_usable=None,
-    banned_nodes: set[str] | frozenset[str] = frozenset(),
-    banned_edges: frozenset[tuple[str, str]] = frozenset(),
+    usable,
+    banned_nodes=(),
 ) -> tuple[float, tuple[str, ...]] | None:
-    """Label-setting search from the label `root` = (cost, nodes): it
-    extends the root's last node and returns the whole label (cost, nodes)
-    that reaches `d`.
+    """Label-setting (Dijkstra) search from the label `root` = (cost,
+    nodes): it extends the root's last node and returns the whole label
+    (cost, nodes) that reaches `d`.
 
-    `edge_usable(key)` and `banned_edges` filter edges by canonical key;
-    `banned_nodes` and the root's other nodes are never entered.
+    `usable` filters edges, one entry per edge in `graph.edges` order
+    (truthy = usable); `banned_nodes` and the root's other nodes are never
+    entered. Heap entries carry the node sequence so equal costs resolve
+    to the lexicographically smallest path.
     """
-    usable = _edge_filter(graph, edge_usable)
-    index = _edge_index(graph)
-    for key in banned_edges:
-        usable[index[key]] = False
-    return _search(graph, root, d, metric, usable, banned_nodes)
-
-
-def _search(graph, root, d, metric, usable, banned_nodes=()):
-    """`_dijkstra` on the per-edge filter `usable` (in `graph.edges`
-    order, truthy = usable). Heap entries carry the node sequence so equal
-    costs resolve to the lexicographically smallest path."""
     if metric is Metric.HOP_COUNT:
         return _hop_search(graph, root, d, usable, banned_nodes)
     adjacency = _weighted_adjacency(graph, metric)
@@ -233,7 +210,7 @@ def _hop_search(graph, root, d, usable, banned_nodes):
     reached by the label the heap would pop. Each reached node keeps the
     node it was reached from; the label is built once, at `d`."""
     ids, adjacency = _rank_adjacency(graph)
-    rank = graph._node_rank()
+    rank = graph.node_rank
     # banned nodes and the root's nodes are seen up front, so no level
     # enters them
     seen = bytearray(len(ids))
@@ -271,7 +248,7 @@ def shortest_path(
     if not metric.additive:
         raise ValueError(f"metric {metric} is not additive; Dijkstra needs subpath optimality")
     _check_endpoints(graph, s, d)
-    found = _dijkstra(graph, _start(metric, s), d, metric)
+    found = _search(graph, _start(metric, s), d, metric, _edge_filter(graph, None))
     if found is None:
         return None
     return path_spec_from_nodes(graph, found[1])
@@ -362,7 +339,6 @@ class LogicalTopology:
     @classmethod
     def from_counts(cls, graph: NetworkGraph, counts: dict) -> "LogicalTopology":
         """From an {(u, v): count} map, checked; absent edges count 0."""
-        index = _edge_index(graph)
         norm = [0] * len(graph.edges)
         given: set[tuple[str, str]] = set()
         for (u, v), c in counts.items():
@@ -376,7 +352,7 @@ class LogicalTopology:
                     f"edge {key!r}: logical count {c!r} is not an int in 0..{e.capacity}"
                 )
             given.add(key)
-            norm[index[key]] = c
+            norm[graph.edge_index[key]] = c
         return cls(counts=norm)
 
 

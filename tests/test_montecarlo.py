@@ -133,12 +133,13 @@ def float_draw(base, a, b):
     return (mix(base, a, b) >> 11) * 2.0**-53
 
 
-def reference_link_counts(schedule, base):
-    """New links per channel run, one float draw per (edge, channel)."""
+def reference_link_counts(runs, base):
+    """New links per channel run (edge index, first channel, width), one
+    float draw per (edge index, channel)."""
     return {
-        run: sum([float_draw(base, eidx, ch) < p
+        run: sum([float_draw(base, run[0], ch) < p
                   for ch in range(run[1], run[1] + run[2])])
-        for run, eidx, p in schedule
+        for run, p in runs
     }
 
 
@@ -223,18 +224,18 @@ def test_plane_equals_float_reference(key, first, count, lanes):
 def test_link_counts_equal_float_reference(seed, slot, edges):
     from qroute.draws import KeyedRng, _link_plane, _link_spans, _slot_bases, _threshold
 
-    runs = []  # (run, edge index, p): several runs per edge, in channel order
+    runs = []  # (run, p): several runs per edge, in channel order
     for eidx, start, widths, p in edges:
         for width in widths:
-            runs.append(((("e", str(eidx)), start, width), eidx, p))
+            runs.append(((eidx, start, width), p))
             start += width
-    schedule = [(run, eidx, range(run[1], run[1] + run[2]), _threshold(p))
-                for run, eidx, p in runs]
+    schedule = [(run, range(run[1], run[1] + run[2]), _threshold(p))
+                for run, p in runs]
     want = reference_link_counts(runs, mix(seed, LINK, slot))
     bits = _link_plane(schedule).block(_slot_bases(KeyedRng(seed).link_key,
                                                    slot, 1))
     assert [sum(bits[lo:hi]) for lo, hi in _link_spans(schedule)] \
-        == [want[run] for run, _, _ in runs]
+        == [want[run] for run, _ in runs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,7 +497,6 @@ def per_slot_sync(graph, plan, config):
         _SwapDraws, _threshold,
     )
     from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan, _exec_counts
-    from qroute.netmodel import edge_key
 
     def count(entry, got):
         entry["hist"] += [0] * (got + 1 - len(entry["hist"]))
@@ -505,9 +505,8 @@ def per_slot_sync(graph, plan, config):
 
     rng = KeyedRng(config.seed)
     bound = _bind_plan(graph, plan)
-    eidx = {edge_key(e.u, e.v): i for i, e in enumerate(graph.edges)}
-    schedule = [(run, eidx[run[0]], range(run[1], run[1] + run[2]),
-                 _threshold(graph.edge(*run[0]).link_prob))
+    schedule = [(run, range(run[1], run[1] + run[2]),
+                 _threshold(graph.edges[run[0]].link_prob))
                 for run in sorted(run for rp in bound for run in rp.channels)]
     links, lanes = _link_plane(schedule), _swap_lanes(graph, bound)
     stats = SimStats(slots_run=config.slots, seed=config.seed,

@@ -11,7 +11,7 @@ from qroute import (
     grid_topology,
     link_success_probability,
 )
-from qroute.netmodel import GraphValidationError, classical_delay_ms
+from qroute.netmodel import GraphValidationError, NetworkGraph, classical_delay_ms
 
 
 def test_minimal_graph():
@@ -46,6 +46,29 @@ def test_parallel_edges_rejected():
             [NodeParams(id="A"), NodeParams(id="B")],
             [EdgeParams(u="A", v="B"), EdgeParams(u="B", v="A")],
         )
+
+
+@pytest.mark.parametrize(
+    "names,ends,message",
+    [
+        ("ba", [], "node 'a' follows 'b'"),
+        ("aa", [], "node 'a' follows 'a'"),
+        ("abc", [("b", "a"), ("c", "b")], r"edge \('b', 'a'\) is not canonical"),
+        ("ab", [("a", "a")], "not canonical"),
+        ("abc", [("b", "c"), ("a", "b")], r"edge \('a', 'b'\) follows \('b', 'c'\)"),
+        ("ab", [("a", "b"), ("a", "b")], "follows"),
+        ("ab", [("a", "x")], "unknown node 'x'"),
+    ],
+    ids=["ids-descending", "ids-repeated", "edge-reversed", "self-loop",
+         "edges-descending", "edges-repeated", "unknown-endpoint"],
+)
+def test_graph_constructor_rejects_specs_out_of_order(names, ends, message):
+    # a node's rank and an edge's index are its place in the sorted tuples,
+    # so a graph built without `build_graph` must already be in that order
+    with pytest.raises(GraphValidationError, match=message):
+        NetworkGraph(nodes=tuple(NodeParams(id=i) for i in names),
+                     edges=tuple(EdgeParams(u=u, v=v, link_prob=0.5) for u, v in ends),
+                     phys=PhysicalConstants())
 
 
 @pytest.mark.parametrize(

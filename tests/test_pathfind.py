@@ -27,7 +27,7 @@ from qroute import (
     widest_path,
 )
 from qroute.netmodel import GraphValidationError, edge_key
-from qroute.pathfind import _dijkstra, _prefix_costs, _start
+from qroute.pathfind import _prefix_costs, _search, _start
 
 
 def triangle():
@@ -480,9 +480,8 @@ def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):
     blocked = set()
     paths = []
     while len(paths) < max_paths:
-        found = _dijkstra(unit, _start(metric, s), d, metric,
-                          edge_usable=lambda key: remaining[key] >= 1,
-                          banned_nodes=frozenset(blocked))
+        usable = [remaining[e.u, e.v] >= 1 for e in unit.edges]
+        found = _search(unit, _start(metric, s), d, metric, usable, blocked)
         if found is None:
             break
         nodes = found[1]
@@ -497,7 +496,9 @@ def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):
 def plain_yen(graph, s, d, k, metric, edge_usable=None):
     """Yen's algorithm with every accepted path spurring from its first
     node: the reference for the deviation index."""
-    first = _dijkstra(graph, _start(metric, s), d, metric, edge_usable=edge_usable)
+    keys = [(e.u, e.v) for e in graph.edges]
+    usable = [edge_usable is None or edge_usable(key) for key in keys]
+    first = _search(graph, _start(metric, s), d, metric, usable)
     if first is None:
         return []
     accepted, candidates, seen = [first], [], {first[1]}
@@ -506,10 +507,10 @@ def plain_yen(graph, s, d, k, metric, edge_usable=None):
         root_costs = _prefix_costs(graph, prev, metric)
         for j in range(len(prev) - 1):
             root = prev[:j + 1]
-            banned = frozenset(edge_key(p[j], p[j + 1]) for _, p in accepted
-                               if len(p) > j + 1 and p[:j + 1] == root)
-            found = _dijkstra(graph, (root_costs[j], root), d, metric,
-                              edge_usable=edge_usable, banned_edges=banned)
+            banned = {edge_key(p[j], p[j + 1]) for _, p in accepted
+                      if len(p) > j + 1 and p[:j + 1] == root}
+            spur = [ok and key not in banned for ok, key in zip(usable, keys)]
+            found = _search(graph, (root_costs[j], root), d, metric, spur)
             if found is None or found[1] in seen:
                 continue
             seen.add(found[1])

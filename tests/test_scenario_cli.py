@@ -424,6 +424,12 @@ def test_readme_schema_keys_match_tables():
     assert set(re.findall(r'"(\w+)"\s*:', block)) == _table_keys(SCHEMA)
 
 
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick tour")[1].split("```python")[1]
+    exec(block.split("```")[0], {})
+
+
 def test_repo_scenarios_parse():
     for name in ("two_hop_chain.json", "grid_3x3.json",
                  "async_adhoc_chain.json"):
