@@ -192,6 +192,11 @@ class NetworkGraph:
             MappingProxyType({k: tuple(v) for k, v in adjacency.items()}),
         )
 
+    def __reduce__(self):
+        # the lookup maps are read-only proxies, which cannot be pickled:
+        # rebuild them, and rerun the checks, from the three fields
+        return NetworkGraph, (self.nodes, self.edges, self.phys)
+
     def node(self, node_id: str) -> NodeParams:
         try:
             return self.nodes[self.node_rank[node_id]]

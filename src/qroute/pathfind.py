@@ -94,16 +94,6 @@ def _path_edges(graph: NetworkGraph, nodes: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(index[edge_key(u, v)] for u, v in zip(nodes, nodes[1:]))
 
 
-def _edge_filter(graph: NetworkGraph, edge_usable) -> list:
-    """The per-edge filter, in `graph.edges` order, that the predicate
-    `edge_usable(key)` describes: it is read once per edge. Without a
-    predicate every edge passes (capacity-0 edges are never searched)."""
-    if edge_usable is None:
-        return [True] * len(graph.edges)
-    # edges are stored under their canonical key, u <= v
-    return [edge_usable((e.u, e.v)) for e in graph.edges]
-
-
 def path_spec_from_nodes(
     graph: NetworkGraph, nodes: tuple[str, ...], width: int | None = None
 ) -> PathSpec:
@@ -244,27 +234,24 @@ def _hop_search(graph, root, d, usable, banned_nodes):
 def shortest_path(
     graph: NetworkGraph, s: str, d: str, metric: Metric
 ) -> PathSpec | None:
-    """Minimum-cost loop-free path under an additive metric, or None."""
-    if not metric.additive:
-        raise ValueError(f"metric {metric} is not additive; Dijkstra needs subpath optimality")
-    _check_endpoints(graph, s, d)
-    found = _search(graph, _start(metric, s), d, metric, _edge_filter(graph, None))
-    if found is None:
-        return None
-    return path_spec_from_nodes(graph, found[1])
+    """Minimum-cost loop-free path under an additive metric, or None: Yen
+    with k = 1."""
+    found = k_shortest_paths(graph, s, d, 1, metric)
+    return path_spec_from_nodes(graph, found[0][1]) if found else None
 
 
 def k_shortest_paths(
-    graph: NetworkGraph, s: str, d: str, k: int, metric: Metric, edge_usable=None
+    graph: NetworkGraph, s: str, d: str, k: int, metric: Metric, usable=None
 ) -> list[tuple[float, tuple[str, ...]]]:
     """Yen's algorithm: up to k loop-free paths as (cost, nodes) labels in
     non-decreasing cost, each cost equal to `path_cost` of its path.
 
     Each spur search grows from the root's label, the root prefix with its
-    cost, so it returns the whole candidate already priced. With
-    `edge_usable`, every search sees only the edges whose canonical key it
-    accepts, as if the others had no capacity; it is read once per edge,
-    and each spur search clears its banned next edges in a copy.
+    cost, so it returns the whole candidate already priced. `usable` is a
+    per-edge filter in `graph.edges` order (truthy = usable; None = every
+    edge): every search sees only the usable edges, as if the others had no
+    capacity. It is never written to; each spur search clears its banned
+    next edges in a copy.
 
     A candidate keeps the root index j its spur search found it at, and
     once accepted it spurs from j on (Lawler's deviation index): each
@@ -277,7 +264,8 @@ def k_shortest_paths(
         raise ValueError(f"metric {metric} is not additive")
     _check_endpoints(graph, s, d)
 
-    usable = _edge_filter(graph, edge_usable)
+    if usable is None:
+        usable = [True] * len(graph.edges)
     first = _search(graph, _start(metric, s), d, metric, usable)
     if first is None:
         return []
@@ -293,7 +281,7 @@ def k_shortest_paths(
         root_costs = _prefix_costs(graph, prev, metric)
         for j in range(deviation, len(prev) - 1):
             root = prev[: j + 1]
-            spur = usable.copy()
+            spur = list(usable)
             for (_, p), edges in zip(accepted, hops):
                 if len(p) > j + 1 and p[: j + 1] == root:
                     spur[edges[j]] = False

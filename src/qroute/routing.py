@@ -3,10 +3,12 @@
 The allocator is a greedy marginal-utility heuristic: each step commits a
 single +1 width increment on the (request, path) pair with the largest
 utility gain, drawn from k-shortest candidates over the edges with residual
-capacity left and capped by the fidelity hop bound. Candidate lists are
-cached per request and set of saturated edges, so Yen runs again for a
-request only once an increment has used up an edge. An exact MILP would
-be NP-hard territory; the greedy trades optimality for anytime behavior.
+capacity left and capped by the fidelity hop bound. The residual is one
+list in `graph.edges` order, and Yen reads that same list as its edge
+filter. Candidate lists are cached per request and dropped when an
+increment uses up an edge, so Yen runs again for a request only then. An
+exact MILP would be NP-hard territory; the greedy trades optimality for
+anytime behavior.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .analytics import (
     max_hops,
     policy_distribution,
 )
-from .netmodel import NetworkGraph, edge_key
-from .pathfind import Metric, k_shortest_paths, path_spec_from_nodes
+from .netmodel import NetworkGraph
+from .pathfind import Metric, _path_edges, k_shortest_paths, path_spec_from_nodes
 
 MIN_GAIN = 1e-12  # utility increments at or below this are noise: stop there
 
@@ -158,13 +160,16 @@ def allocate(
     edge capacities and every chosen route within the request's fidelity
     hop bound; infeasible requests are reported, not fatal.
 
-    Yen runs on `graph` itself and sees only edges with residual capacity
-    left. Its candidates for a request are therefore fixed by the request's
-    endpoints, its hop bound and the set of saturated edges, and are cached
-    under that key: a greedy step that saturates no edge reuses them all.
+    Yen runs on `graph` itself, with the residual list as its edge filter,
+    so it sees only edges with residual capacity left. Its candidates for a
+    request are therefore fixed by the request's endpoints, its hop bound
+    and the set of saturated edges. They are cached under the first two,
+    and the cache is cleared whenever a commit saturates an edge: saturated
+    sets only grow, so an entry made before that could never be used again,
+    and a greedy step that saturates no edge reuses them all.
     """
     check_unique_ids(requests)
-    residual = {edge_key(e.u, e.v): e.capacity for e in graph.edges}
+    residual = [e.capacity for e in graph.edges]
     infeasible: list[tuple[str, str]] = []
     live: list[tuple[Request, int]] = []
     for req in requests:
@@ -189,25 +194,23 @@ def allocate(
         spec = path_spec_from_nodes(graph, nodes, width=width)
         return expected_throughput(policy_distribution(spec, config.policy))
 
-    usable = lambda key: residual[key] >= 1
-    # (source, dest, hop bound, saturated edges) -> candidate node sequences
+    # route -> its edge indices, for the feasibility check and the commit
+    hops = functools.cache(functools.partial(_path_edges, graph))
+    # (source, dest, hop bound) -> candidate node sequences, for the
+    # current set of saturated edges
     route_cache: dict[tuple, list[tuple[str, ...]]] = {}
 
-    def candidate_routes(
-        req: Request, bound: int, saturated: frozenset
-    ) -> list[tuple[str, ...]]:
-        key = (req.source, req.dest, bound, saturated)
+    def candidate_routes(req: Request, bound: int) -> list[tuple[str, ...]]:
+        key = (req.source, req.dest, bound)
         routes = route_cache.get(key)
         if routes is None:
-            routes = []
+            routes = route_cache[key] = []
             for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
                 for _, nodes in k_shortest_paths(
-                    graph, req.source, req.dest, config.k, metric,
-                    edge_usable=usable,
+                    graph, req.source, req.dest, config.k, metric, usable=residual
                 ):
                     if len(nodes) - 1 <= bound and nodes not in routes:
                         routes.append(nodes)
-            route_cache[key] = routes
         return routes
 
     # gains computed at different accumulated rates pick up last-ulp noise,
@@ -223,17 +226,12 @@ def allocate(
     trace = [0.0]
     while True:
         best = None  # (gain, request id, nodes, new width, rate delta)
-        saturated = frozenset(k for k, c in residual.items() if c < 1)
         for req, bound in live:
             mine = widths[req.id]
             rate = rates[req.id]
             value = config.utility.value(req, rate)
-            for nodes in dict.fromkeys(
-                [*mine, *candidate_routes(req, bound, saturated)]
-            ):
-                if any(
-                    residual[edge_key(u, v)] < 1 for u, v in zip(nodes, nodes[1:])
-                ):
+            for nodes in dict.fromkeys([*mine, *candidate_routes(req, bound)]):
+                if not all(residual[i] for i in hops(nodes)):
                     continue
                 w = mine.get(nodes, 0)
                 delta = ext_at(nodes, w + 1) - ext_at(nodes, w)
@@ -245,8 +243,10 @@ def allocate(
             break
         gain, rid, nodes, w, delta = best
         widths[rid][nodes] = w
-        for u, v in zip(nodes, nodes[1:]):
-            residual[edge_key(u, v)] -= 1
+        for i in hops(nodes):
+            residual[i] -= 1
+            if not residual[i]:
+                route_cache.clear()
         rates[rid] += delta
         trace.append(trace[-1] + gain)
 
@@ -262,7 +262,7 @@ def allocate(
     return AllocationPlan(
         requests=tuple(requests),
         allocations=allocations,
-        residual=tuple(sorted(residual.items())),
+        residual=tuple(zip(graph.edge_index, residual)),  # key order is index order
         infeasible=tuple(infeasible),
         utility_trace=tuple(trace),
     )

@@ -1,15 +1,22 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qroute import (
     EdgeParams,
+    Metric,
     NodeParams,
     PhysicalConstants,
+    Request,
+    SimConfig,
     build_graph,
     grid_topology,
+    k_shortest_paths,
     link_success_probability,
+    simulate,
 )
 from qroute.netmodel import GraphValidationError, NetworkGraph, classical_delay_ms
 
@@ -218,3 +225,19 @@ def test_connected_components_reported():
 
 def test_classical_delay():
     assert classical_delay_ms(20.0) == pytest.approx(0.1)
+
+
+def test_graph_survives_pickle_and_deepcopy():
+    # a process pool hands each replica its graph by pickling it
+    g = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.8))
+    requests = [Request(id="r", source="0,0", dest="2,2")]
+    config = SimConfig(scheme="reactive", slots=200, seed=7)
+    want_paths = k_shortest_paths(g, "0,0", "2,2", 5, Metric.HOP_COUNT)
+    want_stats = simulate(g, requests, config).to_dict()
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert twin == g and twin is not g
+        assert twin.edge_index == g.edge_index and twin.node_rank == g.node_rank
+        with pytest.raises(TypeError):
+            twin.edge_index[("0,0", "0,1")] = 5  # the maps stay read-only
+        assert k_shortest_paths(twin, "0,0", "2,2", 5, Metric.HOP_COUNT) == want_paths
+        assert simulate(twin, requests, config).to_dict() == want_stats

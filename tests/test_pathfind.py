@@ -348,13 +348,11 @@ def test_k_shortest_costs_equal_path_cost():
     rnd = random.Random(7)
     for _ in range(60):
         g = random_connected_graph(rnd, rnd.randint(4, 8))
-        residual = {
-            edge_key(e.u, e.v): rnd.randint(0, e.capacity) for e in g.edges
-        }
+        residual = [rnd.randint(0, e.capacity) for e in g.edges]
         s, d = rnd.sample(g.node_ids(), 2)
         for metric in METRICS:
-            for usable in (None, lambda key: residual[key] >= 1):
-                got = k_shortest_paths(g, s, d, 6, metric, edge_usable=usable)
+            for usable in (None, residual):
+                got = k_shortest_paths(g, s, d, 6, metric, usable=usable)
                 for cost, nodes in got:
                     spec = path_spec_from_nodes(g, nodes)
                     assert cost == path_cost(g, spec, metric)
@@ -383,44 +381,45 @@ def test_hop_count_ties_break_lexicographically():
         assert shortest_path(g, s, d, Metric.HOP_COUNT).nodes == want
 
 
-def test_k_shortest_reads_edge_usable_once_per_edge():
-    # Yen builds one per-edge filter per call; each spur search clears its
-    # banned edges in a copy instead of asking the predicate again
-    g = grid_topology(3, 3)
+def test_k_shortest_leaves_usable_unchanged():
+    # the allocator hands Yen its live residual list: each spur search must
+    # clear its banned edges in a copy, never in the list it was given
+    g = grid_topology(4, 4, EdgeParams(u="", v="", capacity=3))
+    rnd = random.Random(5)
     for metric in METRICS:
-        asked = []
-        usable = lambda key: asked.append(key) or key != ("1,1", "1,2")
-        paths = k_shortest_paths(g, "0,0", "2,2", 5, metric, edge_usable=usable)
-        assert len(paths) == 5
-        assert asked and len(asked) == len(set(asked))
+        residual = [rnd.randint(1, 3) for _ in g.edges]
+        residual[g.edge_index["1,1", "1,2"]] = 0
+        kept = list(residual)
+        paths = k_shortest_paths(g, "0,0", "3,3", 8, metric, usable=residual)
+        assert len(paths) > 1
+        assert residual == kept
+        for _, nodes in paths:
+            assert all(kept[g.edge_index[edge_key(u, v)]]
+                       for u, v in zip(nodes, nodes[1:]))
 
 
 def test_k_shortest_residual_view_matches_rebuilt_subgraph():
-    """An `edge_usable` residual predicate must pick the same paths as Yen
-    on a graph rebuilt from the edges with residual left, capacity set to
-    the residual."""
+    """A residual list as the `usable` filter must pick the same paths as
+    Yen on a graph rebuilt from the edges with residual left, capacity set
+    to the residual."""
     rnd = random.Random(1971)
     for _ in range(60):
         g = random_connected_graph(rnd, rnd.randint(4, 8))
-        residual = {
-            edge_key(e.u, e.v): rnd.randint(0, e.capacity) for e in g.edges
-        }
+        residual = [rnd.randint(0, e.capacity) for e in g.edges]
         sub = build_graph(
             list(g.nodes),
             [
-                EdgeParams(u=e.u, v=e.v, capacity=residual[edge_key(e.u, e.v)],
+                EdgeParams(u=e.u, v=e.v, capacity=r,
                            length_km=e.length_km, link_prob=e.link_prob)
-                for e in g.edges
-                if residual[edge_key(e.u, e.v)] >= 1
+                for e, r in zip(g.edges, residual)
+                if r >= 1
             ],
             g.phys,
         )
         s, d = rnd.sample(g.node_ids(), 2)
         k = rnd.randint(1, 5)
         for metric in METRICS:
-            view = k_shortest_paths(
-                g, s, d, k, metric, edge_usable=lambda key: residual[key] >= 1
-            )
+            view = k_shortest_paths(g, s, d, k, metric, usable=residual)
             rebuilt = k_shortest_paths(sub, s, d, k, metric)
             assert view == rebuilt
 
@@ -438,12 +437,11 @@ def test_hop_count_labels_match_unit_length_heap():
         unit = build_graph(
             list(g.nodes), [replace(e, length_km=1.0) for e in g.edges], g.phys
         )
-        for usable in (None, lambda key: counts[key] >= 1):
-            bfs = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT,
-                                   edge_usable=usable)
-            heap = k_shortest_paths(unit, s, d, k,
-                                    Metric.SUM_NODE_DISTANCES,
-                                    edge_usable=usable)
+        # `unit` has `g`'s edges, in the same order
+        for usable in (None, [counts[e.u, e.v] for e in g.edges]):
+            bfs = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT, usable=usable)
+            heap = k_shortest_paths(unit, s, d, k, Metric.SUM_NODE_DISTANCES,
+                                    usable=usable)
             assert bfs == heap
             yen_cases += 1
         logical = LogicalTopology.from_counts(g, counts)
@@ -493,11 +491,12 @@ def heap_disjoint_paths(unit, g, counts, s, d, max_paths, node_disjoint):
     return paths
 
 
-def plain_yen(graph, s, d, k, metric, edge_usable=None):
+def plain_yen(graph, s, d, k, metric, usable=None):
     """Yen's algorithm with every accepted path spurring from its first
     node: the reference for the deviation index."""
     keys = [(e.u, e.v) for e in graph.edges]
-    usable = [edge_usable is None or edge_usable(key) for key in keys]
+    if usable is None:
+        usable = [True] * len(keys)
     first = _search(graph, _start(metric, s), d, metric, usable)
     if first is None:
         return []
@@ -524,8 +523,8 @@ def plain_yen(graph, s, d, k, metric, edge_usable=None):
 @st.composite
 def tied_graphs(draw):
     """Small graphs full of ties: 0 km and p = 1 edges price many paths
-    alike, capacity-0 edges are unusable, and an `edge_usable` predicate
-    hides a random set of edges."""
+    alike, capacity-0 edges are unusable, and a `usable` filter hides a
+    random set of edges."""
     n = draw(st.integers(3, 8))
     ids = [f"v{i}" for i in range(n)]
     pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
@@ -536,9 +535,9 @@ def tied_graphs(draw):
                         link_prob=draw(st.sampled_from((1.0, 1.0, 0.5, 0.9))))
              for u, v in sorted(chosen)]
     g = build_graph([NodeParams(id=i) for i in ids], edges)
-    hidden = draw(st.sets(st.sampled_from(sorted(edge_key(u, v)
-                                                 for u, v in chosen))))
-    usable = draw(st.sampled_from((None, lambda key: key not in hidden)))
+    hidden = draw(st.sets(st.integers(0, len(edges) - 1)))
+    usable = draw(st.sampled_from(
+        (None, [i not in hidden for i in range(len(edges))])))
     s, d = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
                          unique=True))
     return g, s, d, usable
@@ -551,5 +550,5 @@ def test_deviation_index_yen_equals_plain_yen(case, k, metric):
     # spurring an accepted path only from the root where it deviated from
     # its parent finds the same labels, in the same order, ties included
     g, s, d, usable = case
-    assert (k_shortest_paths(g, s, d, k, metric, edge_usable=usable)
-            == plain_yen(g, s, d, k, metric, edge_usable=usable))
+    assert (k_shortest_paths(g, s, d, k, metric, usable=usable)
+            == plain_yen(g, s, d, k, metric, usable=usable))

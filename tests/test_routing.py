@@ -24,6 +24,7 @@ from qroute import (
     request_throughput,
     total_utility,
 )
+from qroute import routing
 from qroute.netmodel import edge_key
 from qroute.routing import PathAllocation
 from qroute.scenario import parse_scenario
@@ -356,3 +357,34 @@ def test_allocate_plans_pinned():
         plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
         digest.update(_plan_fingerprint(plan).encode())
     assert digest.hexdigest() == PINNED_PLANS_SHA256
+
+
+# Yen calls `allocate` makes on the plans above. Candidates are cached per
+# request and dropped only when an increment saturates an edge, so Yen runs
+# again exactly then: a cache dropped more often raises these counts, and
+# one never dropped lowers them (or changes a plan).
+PINNED_YEN_CALLS = {
+    "random instances": 16996,
+    "async_adhoc_chain.json": 4,
+    "grid_3x3.json": 12,
+    "two_hop_chain.json": 4,
+}
+
+
+def test_allocate_yen_calls_pinned(monkeypatch):
+    calls = []
+    real = routing.k_shortest_paths
+    monkeypatch.setattr(routing, "k_shortest_paths",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    got = {}
+    rnd = random.Random(4321)
+    for _ in range(1000):
+        g, reqs = random_instance(rnd)
+        allocate(g, reqs, AllocatorConfig(k=3, elementary_fidelity=0.98))
+    got["random instances"] = len(calls)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        calls.clear()
+        scenario = parse_scenario(path)
+        allocate(scenario.graph, list(scenario.requests), scenario.routing)
+        got[path.name] = len(calls)
+    assert got == PINNED_YEN_CALLS
