@@ -148,6 +148,33 @@ def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
         raise GraphValidationError("source and destination must differ")
 
 
+def _level_step(graph: NetworkGraph) -> float | None:
+    """The creation-rate step s = 1/p when the level search may replace the
+    heap under `INVERSE_CREATION_RATE`, else None; memoised on the graph.
+
+    It is s when every edge with capacity >= 1 has one link probability p
+    with 0 < p < 1, so s > 1, and 1.0 multiplied by s once per hop of the
+    longest loop-free path (`len(nodes) - 1` hops) stays finite. Then every
+    label with h hops past a root carries the same product, each level costs
+    strictly more than the one before (c * s > c for every finite c >= 1),
+    and no label reaches infinity: the heap pops in (hops, nodes) order,
+    the order the level search reaches them in.
+    """
+    memo = graph._memo
+    if "level_step" not in memo:
+        probs = {e.link_prob for e in graph.edges if e.capacity >= 1}
+        step = None
+        if len(probs) == 1 and 0 < min(probs) < 1:
+            step = 1.0 / min(probs)  # the factor `_step` gives every edge
+            cost = 1.0
+            for _ in range(len(graph.nodes) - 1):
+                cost *= step
+            if cost == math.inf:
+                step = None
+        memo["level_step"] = step
+    return memo["level_step"]
+
+
 def _search(
     graph: NetworkGraph,
     root: tuple[float, tuple[str, ...]],
@@ -156,17 +183,29 @@ def _search(
     usable,
     banned_nodes=(),
 ) -> tuple[float, tuple[str, ...]] | None:
-    """Label-setting (Dijkstra) search from the label `root` = (cost,
-    nodes): it extends the root's last node and returns the whole label
-    (cost, nodes) that reaches `d`.
+    """Least-cost search from the label `root` = (cost, nodes): it extends
+    the root's last node and returns the whole label (cost, nodes) that
+    reaches `d`, ties going to the lexicographically smallest nodes.
 
     `usable` filters edges, one entry per edge in `graph.edges` order
     (truthy = usable); `banned_nodes` and the root's other nodes are never
-    entered. Heap entries carry the node sequence so equal costs resolve
-    to the lexicographically smallest path.
+    entered. `HOP_COUNT` runs the level search, and so does
+    `INVERSE_CREATION_RATE` on a graph with one link probability (see
+    `_level_step`); every other case runs Dijkstra's heap.
     """
     if metric is Metric.HOP_COUNT:
         return _hop_search(graph, root, d, usable, banned_nodes)
+    if metric is Metric.INVERSE_CREATION_RATE:
+        step = _level_step(graph)
+        if step is not None:
+            return _hop_search(graph, root, d, usable, banned_nodes, step)
+    return _heap_search(graph, root, d, metric, usable, banned_nodes)
+
+
+def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
+    """`_search` by label-setting (Dijkstra): heap entries carry the node
+    sequence so equal costs resolve to the lexicographically smallest
+    path."""
     adjacency = _weighted_adjacency(graph, metric)
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
@@ -193,12 +232,15 @@ def _search(
     return None
 
 
-def _hop_search(graph, root, d, usable, banned_nodes):
-    """`_search` under `HOP_COUNT`, where every step costs 1: a level-order
-    search on node ranks replaces the heap. Scanning each node's neighbours
-    in rank (= id) order keeps every level in label order, so `d` is first
-    reached by the label the heap would pop. Each reached node keeps the
-    node it was reached from; the label is built once, at `d`."""
+def _hop_search(graph, root, d, usable, banned_nodes, step=None):
+    """`_search` where every hop costs the same: a level-order search on
+    node ranks replaces the heap. A level adds 1 to the cost under
+    `HOP_COUNT`, and multiplies it by `step` under the creation-rate metric,
+    the multiplications the heap and `_prefix_costs` make. Scanning each
+    node's neighbours in rank (= id) order keeps every level in label
+    order, so `d` is first reached by the label the heap would pop. Each
+    reached node keeps the node it was reached from; the label is built
+    once, at `d`."""
     ids, adjacency = _rank_adjacency(graph)
     rank = graph.node_rank
     # banned nodes and the root's nodes are seen up front, so no level
@@ -212,7 +254,7 @@ def _hop_search(graph, root, d, usable, banned_nodes):
     parent = [0] * len(ids)
     cost, level = root[0], [start]
     while level:
-        cost += 1.0
+        cost = cost + 1.0 if step is None else cost * step
         reached = []
         for cur in level:
             for nbr, i in adjacency[cur]:

@@ -26,7 +26,13 @@ from .analytics import (
     policy_distribution,
 )
 from .netmodel import NetworkGraph
-from .pathfind import Metric, _path_edges, k_shortest_paths, path_spec_from_nodes
+from .pathfind import (
+    Metric,
+    _level_step,
+    _path_edges,
+    k_shortest_paths,
+    path_spec_from_nodes,
+)
 
 MIN_GAIN = 1e-12  # utility increments at or below this are noise: stop there
 
@@ -167,6 +173,11 @@ def allocate(
     and the cache is cleared whenever a commit saturates an edge: saturated
     sets only grow, so an entry made before that could never be used again,
     and a greedy step that saturates no edge reuses them all.
+
+    Yen runs under the creation rate, then under the hop count for routes
+    that ranking misses. On a graph with one link probability p < 1 (see
+    `pathfind._level_step`) both rank paths by hop count and return the
+    same node lists, so the second pass is skipped: one Yen call per key.
     """
     check_unique_ids(requests)
     residual = [e.capacity for e in graph.edges]
@@ -199,13 +210,16 @@ def allocate(
     # (source, dest, hop bound) -> candidate node sequences, for the
     # current set of saturated edges
     route_cache: dict[tuple, list[tuple[str, ...]]] = {}
+    metrics = (Metric.INVERSE_CREATION_RATE,)
+    if _level_step(graph) is None:
+        metrics += (Metric.HOP_COUNT,)
 
     def candidate_routes(req: Request, bound: int) -> list[tuple[str, ...]]:
         key = (req.source, req.dest, bound)
         routes = route_cache.get(key)
         if routes is None:
             routes = route_cache[key] = []
-            for metric in (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT):
+            for metric in metrics:
                 for _, nodes in k_shortest_paths(
                     graph, req.source, req.dest, config.k, metric, usable=residual
                 ):

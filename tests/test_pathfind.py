@@ -1,9 +1,10 @@
 import heapq
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     all_simple_paths,
@@ -26,8 +27,9 @@ from qroute import (
     shortest_path,
     widest_path,
 )
+from qroute import pathfind
 from qroute.netmodel import GraphValidationError, edge_key
-from qroute.pathfind import _prefix_costs, _search, _start
+from qroute.pathfind import _heap_search, _level_step, _prefix_costs, _search, _start
 
 
 def triangle():
@@ -552,3 +554,97 @@ def test_deviation_index_yen_equals_plain_yen(case, k, metric):
     g, s, d, usable = case
     assert (k_shortest_paths(g, s, d, k, metric, usable=usable)
             == plain_yen(g, s, d, k, metric, usable=usable))
+
+
+# --------------------------------------------------------------------------
+# one link probability: creation-rate searches run by levels
+
+
+@st.composite
+def one_prob_graphs(draw):
+    """Small graphs whose usable edges share one link probability p < 1,
+    with a root label grown along a path the heap found, banned nodes, and
+    an optional `usable` filter."""
+    n = draw(st.integers(3, 9))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=n - 1,
+                           max_size=len(pairs), unique=True))
+    p = draw(st.sampled_from((0.5, 0.8, 0.9, 0.99)))
+    edges = [EdgeParams(u=u, v=v, capacity=draw(st.integers(0, 2)),
+                        length_km=draw(st.floats(0.0, 50.0)), link_prob=p)
+             for u, v in sorted(chosen)]
+    assume(any(e.capacity >= 1 for e in edges))
+    g = build_graph([NodeParams(id=i) for i in ids], edges)
+    hidden = draw(st.sets(st.integers(0, len(edges) - 1)))
+    usable = draw(st.sampled_from(
+        (None, [i not in hidden for i in range(len(edges))])))
+    s, t = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                         unique=True))
+    metric = Metric.INVERSE_CREATION_RATE
+    root = _start(metric, s)
+    found = _heap_search(g, root, t, metric, usable or [True] * len(edges))
+    if found is not None:
+        j = draw(st.integers(0, len(found[1]) - 2))
+        root = (_prefix_costs(g, found[1], metric)[j], found[1][:j + 1])
+    rest = [v for v in ids if v not in root[1]]
+    d = draw(st.sampled_from(rest))
+    banned = draw(st.sets(st.sampled_from(rest)))
+    return g, root, d, usable, banned
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=one_prob_graphs())
+def test_level_search_equals_heap_with_one_link_probability(case):
+    g, root, d, usable, banned = case
+    assert _level_step(g) is not None
+    metric = Metric.INVERSE_CREATION_RATE
+    filt = usable or [True] * len(g.edges)
+    # whole labels, cost included, compared with ==
+    assert (_search(g, root, d, metric, filt, banned)
+            == _heap_search(g, root, d, metric, filt, banned))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=one_prob_graphs(), k=st.integers(1, 10))
+def test_level_yen_and_widest_equal_heap_with_one_link_probability(case, k):
+    g, root, d, usable, _ = case
+    s = root[1][0]
+    metric = Metric.INVERSE_CREATION_RATE
+    got = k_shortest_paths(g, s, d, k, metric, usable=usable)
+    widest = widest_path(g, s, d)
+    # the reference: every creation-rate search on the heap
+    with mock.patch.object(pathfind, "_level_step", lambda graph: None):
+        assert got == plain_yen(g, s, d, k, metric, usable=usable)
+        assert widest == widest_path(g, s, d)
+    # both metrics rank paths by hop count, so Yen finds the same routes
+    hops = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT, usable=usable)
+    assert [nodes for _, nodes in got] == [nodes for _, nodes in hops]
+
+
+def test_level_step_needs_one_probability_below_one_and_a_finite_product():
+    def graph(probs, caps=None):
+        n = len(probs) + 1
+        caps = caps or [1] * len(probs)
+        return build_graph(
+            [NodeParams(id=f"n{i}") for i in range(n)],
+            [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
+             for i, (p, c) in enumerate(zip(probs, caps))])
+
+    assert _level_step(graph([0.5, 0.5, 0.5])) == 2.0
+    assert _level_step(graph([1.0, 1.0])) is None
+    assert _level_step(graph([0.5, 0.8])) is None
+    assert _level_step(graph([0.5, 0.0])) is None
+    # a capacity-0 edge is never searched, so its p does not count
+    assert _level_step(graph([0.5, 0.0, 0.5], caps=[1, 0, 2])) == 2.0
+    assert _level_step(graph([0.5, 1.0], caps=[0, 1])) is None
+    # 1e100 ** 3 is finite, 1e100 ** 4 is not
+    assert _level_step(graph([1e-100] * 3)) == 1e100
+    metric = Metric.INVERSE_CREATION_RATE
+    for hops in (4, 5, 8):
+        tiny = graph([1e-100] * hops)
+        assert _level_step(tiny) is None
+        # the heap drops every label whose cost overflows
+        end = f"n{hops}"
+        assert _search(tiny, _start(metric, "n0"), end, metric, [True] * hops) is None
+        assert k_shortest_paths(tiny, "n0", end, 2, metric) == []

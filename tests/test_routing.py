@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from qroute import (
     request_throughput,
     total_utility,
 )
-from qroute import routing
+from qroute import pathfind, routing
 from qroute.netmodel import edge_key
 from qroute.routing import PathAllocation
 from qroute.scenario import parse_scenario
@@ -362,12 +363,15 @@ def test_allocate_plans_pinned():
 # Yen calls `allocate` makes on the plans above. Candidates are cached per
 # request and dropped only when an increment saturates an edge, so Yen runs
 # again exactly then: a cache dropped more often raises these counts, and
-# one never dropped lowers them (or changes a plan).
+# one never dropped lowers them (or changes a plan). Every scenario's edges
+# share one link probability, so Yen runs once per cached key, under the
+# creation rate alone; the random instances mix probabilities and run it
+# under the hop count as well.
 PINNED_YEN_CALLS = {
     "random instances": 16996,
-    "async_adhoc_chain.json": 4,
-    "grid_3x3.json": 12,
-    "two_hop_chain.json": 4,
+    "async_adhoc_chain.json": 2,
+    "grid_3x3.json": 6,
+    "two_hop_chain.json": 2,
 }
 
 
@@ -388,3 +392,32 @@ def test_allocate_yen_calls_pinned(monkeypatch):
         allocate(scenario.graph, list(scenario.requests), scenario.routing)
         got[path.name] = len(calls)
     assert got == PINNED_YEN_CALLS
+
+
+def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
+    # with one p on every edge both metrics rank paths by hop count, so the
+    # hop-count Yen pass that `allocate` skips could add no route
+    rnd = random.Random(2071)
+    config = AllocatorConfig(k=3, elementary_fidelity=0.98)
+    instances = []
+    for i in range(240):
+        g, reqs = random_instance(rnd)
+        p = (1e-100, 1e-60, 0.3, 0.5, 0.8, 0.99)[i % 6]  # tiny p overflows
+        edges = [replace(e, link_prob=p) for e in g.edges]
+        instances.append((build_graph(list(g.nodes), edges, g.phys), reqs))
+
+    calls = []
+    real = routing.k_shortest_paths
+    monkeypatch.setattr(routing, "k_shortest_paths",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+
+    def fingerprints():
+        calls.clear()
+        return [_plan_fingerprint(allocate(g, reqs, config)) for g, reqs in instances]
+
+    by_levels = fingerprints()
+    level_calls = len(calls)
+    for module in (pathfind, routing):
+        monkeypatch.setattr(module, "_level_step", lambda graph: None)
+    assert by_levels == fingerprints()
+    assert level_calls < len(calls)
