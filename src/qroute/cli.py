@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -25,8 +26,6 @@ from .routing import (
     PathAllocation,
     Request,
     allocate,
-    request_throughput,
-    total_utility,
 )
 from .scenario import Scenario, ScenarioError, apply_overrides, parse_scenario
 
@@ -166,23 +165,33 @@ def _analyze_tables(results: dict) -> dict:
 
 def _cmd_route(scenario: Scenario) -> dict:
     plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
+    utility = scenario.routing.utility
+    # each allocation priced once; the sums are `request_throughput`'s and
+    # `total_utility`'s, taken in their order
+    ext = [a.throughput() for a in plan.allocations]
+    served = {
+        r.id: math.fsum(x for a, x in zip(plan.allocations, ext)
+                        if a.request_id == r.id)
+        for r in plan.requests
+    }
     allocations = [
         {
             "request": a.request_id,
             "nodes": list(a.path.nodes),
             "width": a.path.width,
             "policy": a.policy.kind,
-            "expected_throughput": a.throughput(),
+            "expected_throughput": x,
         }
-        for a in plan.allocations
+        for a, x in zip(plan.allocations, ext)
     ]
     per_request = {
-        r.id: request_throughput(plan, r) for r in plan.requests
+        r.id: served[r.id] for r in plan.requests
         if not any(r.id == rid for rid, _ in plan.infeasible)
     }
     return {
-        "utility_kind": scenario.routing.utility.kind,
-        "total_utility": total_utility(plan, scenario.routing.utility),
+        "utility_kind": utility.kind,
+        "total_utility": math.fsum(utility.value(r, served[r.id])
+                                   for r in plan.requests),
         "allocations": allocations,
         "request_throughput": per_request,
         "residual": {_edge_label(*k): c for k, c in plan.residual},

@@ -175,6 +175,17 @@ def _level_step(graph: NetworkGraph) -> float | None:
     return memo["level_step"]
 
 
+def _certain_links(graph: NetworkGraph) -> bool:
+    """True when every edge with capacity >= 1 has link probability 1, so
+    every creation-rate step is 1.0 and every label keeps its root's cost;
+    memoised on the graph."""
+    memo = graph._memo
+    if "certain_links" not in memo:
+        memo["certain_links"] = {
+            e.link_prob for e in graph.edges if e.capacity >= 1} == {1.0}
+    return memo["certain_links"]
+
+
 def _search(
     graph: NetworkGraph,
     root: tuple[float, tuple[str, ...]],
@@ -190,8 +201,11 @@ def _search(
     `usable` filters edges, one entry per edge in `graph.edges` order
     (truthy = usable); `banned_nodes` and the root's other nodes are never
     entered. `HOP_COUNT` runs the level search, and so does
-    `INVERSE_CREATION_RATE` on a graph with one link probability (see
-    `_level_step`); every other case runs Dijkstra's heap.
+    `INVERSE_CREATION_RATE` on a graph with one link probability p < 1 (see
+    `_level_step`). When that probability is 1 (see `_certain_links`) every
+    creation-rate label costs the root's cost, the heap would pop labels in
+    node order alone, and the depth-first search runs. Every other case
+    runs Dijkstra's heap.
     """
     if metric is Metric.HOP_COUNT:
         return _hop_search(graph, root, d, usable, banned_nodes)
@@ -199,6 +213,8 @@ def _search(
         step = _level_step(graph)
         if step is not None:
             return _hop_search(graph, root, d, usable, banned_nodes, step)
+        if _certain_links(graph):
+            return _dfs_search(graph, root, d, usable, banned_nodes)
     return _heap_search(graph, root, d, metric, usable, banned_nodes)
 
 
@@ -270,6 +286,43 @@ def _hop_search(graph, root, d, usable, banned_nodes, step=None):
                 seen[nbr] = 1
                 reached.append(nbr)
         level = reached
+    return None
+
+
+def _dfs_search(graph, root, d, usable, banned_nodes):
+    """`_search` where every label costs the root's cost, so the heap pops
+    the smallest node sequence: a depth-first search on node ranks replaces
+    it. The label the heap pops is smaller than every other live label and
+    no other live label extends it, so its smallest unsettled child is the
+    heap's next pop; pushing children in reverse rank order puts that child
+    on top of the stack. A node is settled, with its parent, when popped,
+    and the label is built once, when `d` is popped."""
+    ids, adjacency = _rank_adjacency(graph)
+    rank = graph.node_rank
+    # banned nodes and the root's other nodes are settled up front
+    done = bytearray(len(ids))
+    for v in banned_nodes:
+        done[rank[v]] = 1
+    for v in root[1][:-1]:
+        done[rank[v]] = 1
+    start, target = rank[root[1][-1]], rank[d]
+    parent = [0] * len(ids)
+    stack = [(start, start)]
+    while stack:
+        cur, up = stack.pop()
+        if done[cur]:
+            continue
+        parent[cur] = up
+        if cur == target:
+            tail = []
+            while cur != start:
+                tail.append(ids[cur])
+                cur = parent[cur]
+            return root[0], root[1] + tuple(reversed(tail))
+        done[cur] = 1
+        for nbr, i in reversed(adjacency[cur]):
+            if not done[nbr] and usable[i]:
+                stack.append((nbr, cur))
     return None
 
 

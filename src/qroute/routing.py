@@ -5,9 +5,11 @@ single +1 width increment on the (request, path) pair with the largest
 utility gain, drawn from k-shortest candidates over the edges with residual
 capacity left and capped by the fidelity hop bound. The residual is one
 list in `graph.edges` order, and Yen reads that same list as its edge
-filter. Candidate lists are cached per request and dropped when an
-increment uses up an edge, so Yen runs again for a request only then. An
-exact MILP would be NP-hard territory; the greedy trades optimality for
+filter. Candidate lists are cached per request and dropped only when an
+increment uses up an edge one of Yen's paths for them runs over, so Yen
+runs again for a request only then. Routes are priced by their link and
+swap probabilities and width, so routes alike in those share one pricing.
+An exact MILP would be NP-hard territory; the greedy trades optimality for
 anytime behavior.
 """
 
@@ -49,14 +51,12 @@ class Request:
 
     def __post_init__(self):
         if self.source == self.dest:
-            raise ValueError(f"request {self.id!r}: source equals dest")
+            raise ValueError(f"dest: equals source {self.source!r}")
         if self.rate_target <= 0:
-            raise ValueError(f"request {self.id!r}: rate_target must be > 0")
+            raise ValueError(f"rate_target: must be > 0, got {self.rate_target}")
         if not 0.25 < self.min_fidelity <= 1:
             raise ValueError(
-                f"request {self.id!r}: min_fidelity {self.min_fidelity} "
-                "outside (0.25, 1]"
-            )
+                f"min_fidelity: {self.min_fidelity} outside (0.25, 1]")
 
 
 UTILITY_KINDS = ("total_throughput", "saturating", "weighted_sum")
@@ -157,6 +157,13 @@ class AllocatorConfig:
             raise ValueError("elementary_fidelity outside (0.25, 1]")
 
 
+def _drop_stale(route_cache: dict, i: int) -> None:
+    """Drop the cached candidates whose Yen paths use edge `i`, which has
+    just saturated; the others stay exact (see `allocate`)."""
+    for key in [key for key, (_, used) in route_cache.items() if i in used]:
+        del route_cache[key]
+
+
 def allocate(
     graph: NetworkGraph, requests: list[Request], config: AllocatorConfig
 ) -> AllocationPlan:
@@ -170,9 +177,15 @@ def allocate(
     so it sees only edges with residual capacity left. Its candidates for a
     request are therefore fixed by the request's endpoints, its hop bound
     and the set of saturated edges. They are cached under the first two,
-    and the cache is cleared whenever a commit saturates an edge: saturated
-    sets only grow, so an entry made before that could never be used again,
-    and a greedy step that saturates no edge reuses them all.
+    with the edge indices of every path Yen returned (before the hop-bound
+    filter, under each metric). When a commit saturates an edge, only the
+    entries whose paths use it are dropped: Yen returns the k best paths,
+    and the k best that avoid an edge none of them uses are the same k.
+
+    A route is priced by its link probabilities, interior swap
+    probabilities and width, all that `policy_distribution` reads under the
+    call's one policy, so on a grid built from one template every route
+    with the same hop count and width is priced once.
 
     Yen runs under the creation rate, then under the hop count for routes
     that ranking misses. On a graph with one link probability p < 1 (see
@@ -199,33 +212,45 @@ def allocate(
     rates: dict[str, float] = {req.id: 0.0 for req, _ in live}
 
     @functools.cache
+    def route(nodes: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
+        """A route's edge indices, for the feasibility check and the commit,
+        and its pricing key: its link and interior swap probabilities."""
+        spec = path_spec_from_nodes(graph, nodes, width=1)
+        return _path_edges(graph, nodes), (spec.per_hop_prob, spec.interior_swap_probs)
+
+    # (link probabilities, swap probabilities, width) -> expected throughput
+    priced: dict[tuple, float] = {}
+
     def ext_at(nodes: tuple[str, ...], width: int) -> float:
         if not width:
             return 0.0
-        spec = path_spec_from_nodes(graph, nodes, width=width)
-        return expected_throughput(policy_distribution(spec, config.policy))
+        key = (*route(nodes)[1], width)
+        ext = priced.get(key)
+        if ext is None:
+            spec = path_spec_from_nodes(graph, nodes, width=width)
+            ext = priced[key] = expected_throughput(
+                policy_distribution(spec, config.policy))
+        return ext
 
-    # route -> its edge indices, for the feasibility check and the commit
-    hops = functools.cache(functools.partial(_path_edges, graph))
-    # (source, dest, hop bound) -> candidate node sequences, for the
-    # current set of saturated edges
-    route_cache: dict[tuple, list[tuple[str, ...]]] = {}
+    # (source, dest, hop bound) -> (candidate node sequences, the edge
+    # indices of every path Yen returned for them)
+    route_cache: dict[tuple, tuple[list[tuple[str, ...]], set[int]]] = {}
     metrics = (Metric.INVERSE_CREATION_RATE,)
     if _level_step(graph) is None:
         metrics += (Metric.HOP_COUNT,)
 
     def candidate_routes(req: Request, bound: int) -> list[tuple[str, ...]]:
         key = (req.source, req.dest, bound)
-        routes = route_cache.get(key)
-        if routes is None:
-            routes = route_cache[key] = []
+        if key not in route_cache:
+            routes, used = route_cache[key] = [], set()
             for metric in metrics:
                 for _, nodes in k_shortest_paths(
                     graph, req.source, req.dest, config.k, metric, usable=residual
                 ):
+                    used.update(route(nodes)[0])
                     if len(nodes) - 1 <= bound and nodes not in routes:
                         routes.append(nodes)
-        return routes
+        return route_cache[key][0]
 
     # gains computed at different accumulated rates pick up last-ulp noise,
     # so "equal" needs a window for the deterministic tie-break to apply
@@ -245,7 +270,7 @@ def allocate(
             rate = rates[req.id]
             value = config.utility.value(req, rate)
             for nodes in dict.fromkeys([*mine, *candidate_routes(req, bound)]):
-                if not all(residual[i] for i in hops(nodes)):
+                if not all(residual[i] for i in route(nodes)[0]):
                     continue
                 w = mine.get(nodes, 0)
                 delta = ext_at(nodes, w + 1) - ext_at(nodes, w)
@@ -257,10 +282,10 @@ def allocate(
             break
         gain, rid, nodes, w, delta = best
         widths[rid][nodes] = w
-        for i in hops(nodes):
+        for i in route(nodes)[0]:
             residual[i] -= 1
             if not residual[i]:
-                route_cache.clear()
+                _drop_stale(route_cache, i)
         rates[rid] += delta
         trace.append(trace[-1] + gain)
 

@@ -298,11 +298,11 @@ def _graph(gd: dict, phys: PhysicalConstants) -> NetworkGraph:
 def scenario_from_dict(data: dict) -> Scenario:
     d = _read(data, SCHEMA, "")
     if "version" not in d:
-        raise ScenarioError("scenario is missing the version field")
+        raise ScenarioError("version: missing field")
     if d["version"] != SCHEMA_VERSION:
         raise ScenarioError(
-            f"unsupported scenario version {d['version']}; this build reads "
-            f"version {SCHEMA_VERSION}"
+            f"version: unsupported scenario version {d['version']}; this build "
+            f"reads version {SCHEMA_VERSION}"
         )
 
     phys = _make("physical", PhysicalConstants, **d.get("physical", {}))

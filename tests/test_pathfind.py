@@ -29,7 +29,14 @@ from qroute import (
 )
 from qroute import pathfind
 from qroute.netmodel import GraphValidationError, edge_key
-from qroute.pathfind import _heap_search, _level_step, _prefix_costs, _search, _start
+from qroute.pathfind import (
+    _certain_links,
+    _heap_search,
+    _level_step,
+    _prefix_costs,
+    _search,
+    _start,
+)
 
 
 def triangle():
@@ -648,3 +655,67 @@ def test_level_step_needs_one_probability_below_one_and_a_finite_product():
         end = f"n{hops}"
         assert _search(tiny, _start(metric, "n0"), end, metric, [True] * hops) is None
         assert k_shortest_paths(tiny, "n0", end, 2, metric) == []
+
+
+# --------------------------------------------------------------------------
+# p = 1: creation-rate searches run depth-first
+
+
+@st.composite
+def certain_graphs(draw):
+    """`tied_graphs` with every link probability set to 1, so that every
+    creation-rate label costs its root's cost, with a root label grown
+    along a path the heap found, and banned nodes."""
+    g, s, t, usable = draw(tied_graphs())
+    assume(any(e.capacity >= 1 for e in g.edges))
+    g = build_graph(list(g.nodes), [replace(e, link_prob=1.0) for e in g.edges])
+    metric = Metric.INVERSE_CREATION_RATE
+    root = _start(metric, s)
+    found = _heap_search(g, root, t, metric, usable or [True] * len(g.edges))
+    if found is not None:
+        j = draw(st.integers(0, len(found[1]) - 2))
+        root = (_prefix_costs(g, found[1], metric)[j], found[1][:j + 1])
+    rest = [v for v in g.node_ids() if v not in root[1]]
+    d = draw(st.sampled_from(rest))
+    banned = draw(st.sets(st.sampled_from(rest)))
+    return g, root, d, usable, banned
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=certain_graphs())
+def test_depth_first_search_equals_heap_with_certain_links(case):
+    g, root, d, usable, banned = case
+    assert _certain_links(g) and _level_step(g) is None
+    metric = Metric.INVERSE_CREATION_RATE
+    filt = usable or [True] * len(g.edges)
+    # whole labels, cost included, compared with ==
+    assert (_search(g, root, d, metric, filt, banned)
+            == _heap_search(g, root, d, metric, filt, banned))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=certain_graphs(), k=st.integers(1, 10))
+def test_depth_first_yen_and_widest_equal_heap_with_certain_links(case, k):
+    g, root, d, usable, _ = case
+    s = root[1][0]
+    metric = Metric.INVERSE_CREATION_RATE
+    got = k_shortest_paths(g, s, d, k, metric, usable=usable)
+    widest = widest_path(g, s, d)
+    # the reference: every creation-rate search on the heap
+    with mock.patch.object(pathfind, "_certain_links", lambda graph: False):
+        assert got == plain_yen(g, s, d, k, metric, usable=usable)
+        assert widest == widest_path(g, s, d)
+
+
+def test_certain_links_needs_p_one_on_every_edge_with_capacity():
+    def graph(probs, caps):
+        return build_graph(
+            [NodeParams(id=f"n{i}") for i in range(len(probs) + 1)],
+            [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
+             for i, (p, c) in enumerate(zip(probs, caps))])
+
+    assert _certain_links(graph([1.0, 1.0], [1, 2]))
+    assert not _certain_links(graph([1.0, 0.5], [1, 1]))
+    # a capacity-0 edge is never searched, so its p does not count
+    assert _certain_links(graph([1.0, 0.5], [1, 0]))
+    assert not _certain_links(graph([1.0, 1.0], [0, 0]))

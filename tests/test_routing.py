@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -360,38 +361,121 @@ def test_allocate_plans_pinned():
     assert digest.hexdigest() == PINNED_PLANS_SHA256
 
 
-# Yen calls `allocate` makes on the plans above. Candidates are cached per
-# request and dropped only when an increment saturates an edge, so Yen runs
-# again exactly then: a cache dropped more often raises these counts, and
-# one never dropped lowers them (or changes a plan). Every scenario's edges
-# share one link probability, so Yen runs once per cached key, under the
-# creation rate alone; the random instances mix probabilities and run it
-# under the hop count as well.
-PINNED_YEN_CALLS = {
-    "random instances": 16996,
-    "async_adhoc_chain.json": 2,
-    "grid_3x3.json": 6,
-    "two_hop_chain.json": 2,
+def tied_grid(n, count):
+    """The n x n grid with `grid_topology`'s defaults (capacity 1, 0 km, so
+    p = 1: every creation-rate label ties) and `count` requests, each
+    between two distinct nodes drawn in row-major id order."""
+    g = grid_topology(n, n)
+    ids = [f"{r},{c}" for r in range(n) for c in range(n)]
+    rnd = random.Random(5)
+    return g, [Request(id=f"r{i}", source=s, dest=d, min_fidelity=0.5)
+               for i, (s, d) in enumerate(rnd.sample(ids, 2) for _ in range(count))]
+
+
+# What `allocate` does on the plans above, and on the 8x8 tied grid: (Yen
+# calls, `policy_distribution` calls, and `_search` calls run by levels, by
+# the p = 1 depth-first search and on the heap). Candidates are cached per
+# (source, dest, hop bound) with the edges of every path Yen returned for
+# them, and an entry is dropped only when an edge those paths use
+# saturates, so Yen runs again exactly then: an entry dropped more often
+# raises the Yen counts, and one kept too long lowers them (or changes a
+# plan). Routes are priced by their link and swap probabilities and width,
+# so routes alike in those share one pricing. Every scenario's edges share
+# one link probability p < 1, so Yen runs once per cached key, under the
+# creation rate alone, by levels; the random instances mix probabilities
+# and run it under the hop count as well, with creation-rate searches on
+# the heap. The tied grid has p = 1, so none of its searches is on the heap.
+PINNED_LEDGER = {
+    "random instances": (14790, 8861, 28788, 0, 30530),
+    "async_adhoc_chain.json": (2, 1, 5, 0, 0),
+    "grid_3x3.json": (5, 2, 30, 0, 0),
+    "two_hop_chain.json": (2, 1, 4, 0, 0),
+    "tied grid 8x8": (156, 56, 1587, 3285, 0),
 }
 
 
 def test_allocate_yen_calls_pinned(monkeypatch):
-    calls = []
-    real = routing.k_shortest_paths
-    monkeypatch.setattr(routing, "k_shortest_paths",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: (
+            counts.update([name]) or real(*args, **kwargs)))
+
+    count(routing, "k_shortest_paths")
+    count(routing, "policy_distribution")
+    for name in ("_hop_search", "_dfs_search", "_heap_search"):
+        count(pathfind, name)
+
+    def ledger():
+        got = tuple(counts[name] for name in (
+            "k_shortest_paths", "policy_distribution",
+            "_hop_search", "_dfs_search", "_heap_search"))
+        counts.clear()
+        return got
+
     got = {}
     rnd = random.Random(4321)
     for _ in range(1000):
         g, reqs = random_instance(rnd)
         allocate(g, reqs, AllocatorConfig(k=3, elementary_fidelity=0.98))
-    got["random instances"] = len(calls)
+    got["random instances"] = ledger()
     for path in sorted(SCENARIOS.glob("*.json")):
-        calls.clear()
         scenario = parse_scenario(path)
         allocate(scenario.graph, list(scenario.requests), scenario.routing)
-        got[path.name] = len(calls)
-    assert got == PINNED_YEN_CALLS
+        got[path.name] = ledger()
+    g, reqs = tied_grid(8, 8)
+    allocate(g, reqs, AllocatorConfig(k=5))
+    got["tied grid 8x8"] = ledger()
+    assert got == PINNED_LEDGER
+
+
+def test_allocate_per_edge_drop_equals_full_clear(monkeypatch):
+    # the k best paths that avoid an edge no returned path uses are the
+    # same k, so dropping only the entries whose paths use a saturated
+    # edge must give the plans of clearing every entry on any saturation
+    instances = []
+    rnd = random.Random(7)
+    for _ in range(150):
+        # k = 1 and 3-6 hop bounds on 7-9 nodes: Yen's one path often runs
+        # past the bound, and its edges must count all the same
+        g = random_connected_graph(rnd, rnd.randint(7, 9), max_cap=2)
+        reqs = [Request(id=f"r{i}", source=s, dest=d,
+                        min_fidelity=rnd.uniform(0.93, 0.97))
+                for i, (s, d) in enumerate(rnd.sample(g.node_ids(), 2)
+                                           for _ in range(rnd.randint(2, 3)))]
+        instances.append((g, reqs, AllocatorConfig(k=1, elementary_fidelity=0.99)))
+    for _ in range(100):
+        g, reqs = random_instance(rnd)
+        instances.append((g, reqs, AllocatorConfig(k=3, elementary_fidelity=0.98)))
+    for n, count in ((3, 3), (4, 4), (5, 6)):
+        for k in (1, 2, 5):
+            instances.append((*tied_grid(n, count), AllocatorConfig(k=k)))
+
+    def fingerprints():
+        return [_plan_fingerprint(allocate(g, reqs, config))
+                for g, reqs, config in instances]
+
+    per_edge = fingerprints()
+    monkeypatch.setattr(routing, "_drop_stale", lambda cache, i: cache.clear())
+    assert per_edge == fingerprints()
+
+
+def test_allocate_prices_each_route_by_its_own_probabilities():
+    # links share one p but nodes swap with different q, so routes of one
+    # hop count share link probabilities and not swap probabilities: the
+    # trace must still sum the gains of routes priced one by one
+    rnd = random.Random(12)
+    config = AllocatorConfig(k=4)
+    for _ in range(20):
+        g = grid_topology(4, 4, EdgeParams(u="", v="", capacity=2, link_prob=0.8))
+        nodes = [replace(v, swap_prob=rnd.choice((0.3, 0.6, 0.9))) for v in g.nodes]
+        g = build_graph(nodes, list(g.edges))
+        pairs = (rnd.sample(g.node_ids(), 2) for _ in range(3))
+        reqs = [Request(id=f"r{i}", source=s, dest=d) for i, (s, d) in enumerate(pairs)]
+        plan = allocate(g, reqs, config)
+        total = total_utility(plan, config.utility)
+        assert plan.utility_trace[-1] == pytest.approx(total)
 
 
 def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):

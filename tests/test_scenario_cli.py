@@ -337,6 +337,12 @@ FIELD_ERRORS = [
      "graph.grid.node.swap_prob"),
     (_set(_GRID, ("graph", "grid", "node", "memory_cutoff_slots"), 0),
      "graph.grid.node.memory_cutoff_slots"),
+    # Request's own range checks named the request, not the field
+    (_set(_CHAIN, ("requests", 0, "rate_target"), -1.0), "requests[0].rate_target"),
+    (_set(_CHAIN, ("requests", 0, "min_fidelity"), 0.2), "requests[0].min_fidelity"),
+    (_set(_CHAIN, ("requests", 0, "dest"), "A"), "requests[0].dest"),
+    ({k: v for k, v in _CHAIN.items() if k != "version"}, "version"),
+    (_set(_CHAIN, ("version",), 7), "version"),
 ]
 
 
