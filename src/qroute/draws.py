@@ -251,18 +251,23 @@ class _SwapDraws:
         end = self._seq[rank] = seq + m
         lanes = self._lanes
         cap = lanes.caps[rank]
-        if seq >= cap or not m:
-            return self._chain(rank, seq, end)
         lo = self._at + lanes.first[rank]
         if end <= cap:
             return self._bits[lo + seq:lo + end]
-        return self._bits[lo + seq:lo + cap] + self._chain(rank, cap, end)
+        # past the cap: the plane's bytes up to it, if any, then the chain
+        return self._bits[lo + seq:lo + cap] + self._chain(rank, max(seq, cap), end)
+
+    def success(self, rank: int) -> int:
+        """The next swap outcome at node `rank`: `successes(rank, 1)[0]`."""
+        seq = self._seq[rank]
+        self._seq[rank] = seq + 1
+        if seq < self._lanes.caps[rank]:
+            return self._bits[self._at + self._lanes.first[rank] + seq]
+        return self._chain(rank, seq, seq + 1)[0]
 
     def _chain(self, rank: int, seq: int, end: int) -> bytes:
         """Draws `seq` to `end` at node `rank`, one round each after the
         node's first round."""
-        if seq == end:
-            return b""
         h = self._bases[rank]
         if h is None:
             h = self._bases[rank] = _absorb(self._base, rank)

@@ -138,42 +138,33 @@ class _RuntimePath:
         )
 
 
-def _exec_counts(rp: _RuntimePath, counts: list[int], draws: _SwapDraws, tally):
-    """Swapping on one slot's per-hop link counts; returns (delivered,
-    consumed, segments created). Reactive sync runs every policy through
-    it, async `parallel`.
-
-    Draws in the same order as `_exec_tree`, so the outcome equals its
-    outcome on a slot that starts empty.
-    """
-    swaps = rp.swaps
-    n = len(counts)
-    if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
-        lanes = min(counts)
-        won = [draws.successes(r, lanes) for r in swaps]
-        # the all-true column keeps every lane of a one-hop path, which has
-        # no interior node to draw at
-        delivered = sum(map(all, zip([True] * lanes, *won)))
-        _tally(tally, "parallel", lanes * (n - 1), sum(map(sum, won)))
-        return delivered, lanes * n, delivered
-    pools = {(h, h + 1): c for h, c in enumerate(counts)}
-    attempts = successes = 0
-    for a, mid, b in rp.schedule:  # post-order: both inputs are filled
-        m = min(pools[a, mid], pools[mid, b])
-        pools[a, b] = sum(draws.successes(swaps[mid - 1], m))
-        attempts += m
-        successes += pools[a, b]
-    _tally(tally, rp.policy.kind, attempts, successes)
-    return pools[0, n], 2 * attempts, successes
+def _exec_single(rp: _RuntimePath, draws: _SwapDraws, tally):
+    """Swapping on a reactive sync path, one link per hop; returns
+    (delivered, consumed, segments created). Under `parallel` each interior
+    node draws one byte, and a merge draws one when both sides hold a pair."""
+    if rp.schedule is None:
+        won = [draws.success(r) for r in rp.swaps]
+        _tally(tally, "parallel", len(won), sum(won))
+        # a one-hop path draws nothing and delivers its link
+        return int(0 not in won), len(won) + 1, int(0 not in won)
+    held, won = [], []  # post-order: flags of the extents no merge took yet
+    for a, mid, b in rp.schedule:
+        right = held.pop() if b > mid + 1 else 1  # a one-hop extent holds its link
+        left = held.pop() if mid > a + 1 else 1
+        if left and right:
+            won.append(draws.success(rp.swaps[mid - 1]))
+        held.append(left and right and won[-1])
+    _tally(tally, rp.policy.kind, len(won), sum(won))
+    return (held[0] if held else 1), 2 * len(won), sum(won)
 
 
 def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
-    """`_exec_counts` on a block of slots: `hops` holds each hop's column of
-    link counts, and `pos[rank]` each slot's next byte of node `rank` in the
+    """Swapping on a block of slots: `hops` holds each hop's column of link
+    counts, and `pos[rank]` each slot's next byte of node `rank` in the
     block's swap plane `swaps`, moved past the draws made. Returns the
     columns (delivered, consumed, segments created, attempts) and the
-    successes. Each slot draws its node's next bytes, as `_exec_counts`
-    does, and never past the node's plane cap."""
+    successes. Each slot draws as the tests' reference `_exec_counts` and
+    the one-link walk `_exec_single` do, never past the node's plane cap."""
     one = repeat(1)
     n = len(hops)
     if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
@@ -374,13 +365,19 @@ class _AsyncKernel:
 
 
 def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, tally):
-    """Lane i takes the i-th lowest-id link of every hop; only fully merged
-    lanes make a segment, which is delivered at once."""
-    delivered, consumed, _ = _exec_counts(rp, list(map(len, hops)), draws, tally)
+    """Lane i takes each hop's i-th lowest-id link and each interior node's
+    i-th draw, as the tests' reference `_exec_counts` does, and one lane as
+    `_exec_single` does; a fully merged lane delivers at once."""
+    lanes = min(map(len, hops))
+    won = [draws.successes(r, lanes) for r in rp.swaps]
+    # the all-true column keeps every lane of a one-hop path, which has no
+    # interior node to draw at
+    delivered = sum(map(all, zip([True] * lanes, *won)))
+    _tally(tally, "parallel", lanes * len(won), sum(map(sum, won)))
     for hop in hops:
-        del hop[:consumed // rp.path.hop_count]
+        del hop[:lanes]
     kernel.next_id += delivered
-    kernel.disposed["consumed"] += consumed
+    kernel.disposed["consumed"] += lanes * len(hops)
     kernel.disposed["delivered"] += delivered
     return delivered
 
@@ -665,8 +662,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                          if reactive else bound)
                 for i, rp in enumerate(paths):
                     if sync:  # reactive: every path holds one link per hop
-                        got, used, new = _exec_counts(
-                            rp, [1] * rp.path.hop_count, draws, tally)
+                        got, used, new = _exec_single(rp, draws, tally)
                         consumed[k] += used
                         created[k] += new
                     else:

@@ -245,12 +245,12 @@ def test_link_counts_equal_float_reference(seed, slot, edges):
     k=st.integers(0, 3),
     nodes=st.lists(st.tuples(probs, st.integers(0, 8)),  # (q, plane cap)
                    min_size=1, max_size=4),
-    calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
+    calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.booleans()),
                    max_size=12),
 )
 def test_swap_blocks_equal_float_reference(seed, first, k, nodes, calls):
     # slot first + k of a block; runs of draws start inside a node's plane
-    # cap, cross it or start past it
+    # cap, cross it or start past it, as one block or one byte at a time
     from qroute.draws import KeyedRng, _slot_bases, _SwapDraws, _SwapLanes, _threshold
 
     qs = [q for q, _ in nodes]
@@ -259,9 +259,11 @@ def test_swap_blocks_equal_float_reference(seed, first, k, nodes, calls):
     lanes = _SwapLanes([cap for _, cap in nodes], [_threshold(q) for q in qs])
     bases = _slot_bases(KeyedRng(seed).swap_key, first, k + 2)
     got = _SwapDraws(lanes.plane.block(bases), bases, k, lanes)
-    for i, m in calls:  # blocks at each node continue its sequence numbers
+    for i, m, bytewise in calls:  # each call continues the node's sequence
         i %= len(qs)
-        assert got.successes(i, m) == bytes(want.successes(f"v{i}", qs[i], m))
+        drawn = (bytes(got.success(i) for _ in range(m)) if bytewise
+                 else got.successes(i, m))
+        assert drawn == bytes(want.successes(f"v{i}", qs[i], m))
 
 
 @pytest.mark.parametrize("forwarding", ["sync", "async"])
@@ -488,6 +490,35 @@ def test_sync_async_coincide_without_memory(case, seed):
                 == async_.entities_disposed[reason]), reason
 
 
+def _exec_counts(rp, counts, draws, tally):
+    """The reference swapping kernel on one slot's per-hop link counts;
+    returns (delivered, consumed, segments created). The block kernel
+    (`_exec_columns`) and the one-link kernel (`_exec_single`) must equal
+    it, and `_exec_tree` on a slot that starts empty draws in its order.
+    """
+    from qroute.montecarlo import _tally
+
+    swaps = rp.swaps
+    n = len(counts)
+    if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
+        lanes = min(counts)
+        won = [draws.successes(r, lanes) for r in swaps]
+        # the all-true column keeps every lane of a one-hop path, which has
+        # no interior node to draw at
+        delivered = sum(map(all, zip([True] * lanes, *won)))
+        _tally(tally, "parallel", lanes * (n - 1), sum(map(sum, won)))
+        return delivered, lanes * n, delivered
+    pools = {(h, h + 1): c for h, c in enumerate(counts)}
+    attempts = successes = 0
+    for a, mid, b in rp.schedule:  # post-order: both inputs are filled
+        m = min(pools[a, mid], pools[mid, b])
+        pools[a, b] = sum(draws.successes(swaps[mid - 1], m))
+        attempts += m
+        successes += pools[a, b]
+    _tally(tally, rp.policy.kind, attempts, successes)
+    return pools[0, n], 2 * attempts, successes
+
+
 def per_slot_sync(graph, plan, config):
     """The proactive sync run slot by slot, the reference for the block
     kernel: each slot's draws come from a one-slot block, its swaps from
@@ -496,7 +527,7 @@ def per_slot_sync(graph, plan, config):
         KeyedRng, _link_plane, _link_spans, _slot_bases, _swap_lanes,
         _SwapDraws, _threshold,
     )
-    from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan, _exec_counts
+    from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan
 
     def count(entry, got):
         entry["hist"] += [0] * (got + 1 - len(entry["hist"]))
@@ -614,6 +645,52 @@ def test_block_kernel_equals_per_slot_reference(case, seed):
     assert list(got.swap_counters) == list(want.swap_counters)
 
 
+@st.composite
+def one_link_cases(draw):
+    """A path of 1 to 7 hops under `parallel`, `sequential`, `doubling` or
+    an explicit tree, whose interior nodes are drawn from 9 ranks; each rank
+    gets a plane cap (0 sends every draw to the scalar chain), a swap
+    probability and a count of sequence numbers used before the path."""
+    n = draw(st.integers(1, 7))
+    tree = SwapPolicy.explicit(draw(st.sampled_from(list(all_order_trees(n)))))
+    policy = draw(st.sampled_from(STATIC_POLICIES + (tree,)))
+    path = make_path([1] * n, [0.5] * n, [0.5] * (n - 1))
+    rank = dict(zip(path.nodes, draw(st.permutations(range(9)))))
+    nodes = st.lists(st.integers(0, 4), min_size=9, max_size=9)
+    return (path, policy, rank, draw(nodes), draw(nodes),
+            draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+                          min_size=9, max_size=9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_link_cases(), key=st.integers(0, MASK64), k=st.integers(0, 1))
+def test_one_link_walk_equals_counts_reference(case, key, k):
+    # reactive sync paths hold one link per hop: the flag walk must draw the
+    # very bytes the counts kernel draws on all-ones counts, and no others
+    from qroute.draws import _slot_bases, _SwapDraws, _SwapLanes, _threshold
+    from qroute.montecarlo import _exec_single, _RuntimePath
+
+    path, policy, rank, caps, used, probs = case
+    rp = _RuntimePath.build("r", path, policy, rank, ())
+    lanes = _SwapLanes(caps, [_threshold(p) for p in probs])
+    bases = _slot_bases(key, 7, 2)  # slot k of a two-slot block
+    bits = lanes.plane.block(bases)
+
+    def run(kernel):
+        draws = _SwapDraws(bits, bases, k, lanes)
+        for r, m in enumerate(used):
+            draws.successes(r, m)
+        tally = {"adhoc": [3, 1]}
+        return kernel(draws, tally), tally, draws
+
+    want, want_tally, ref = run(
+        lambda draws, tally: _exec_counts(rp, [1] * path.hop_count, draws, tally))
+    got, got_tally, walk = run(lambda draws, tally: _exec_single(rp, draws, tally))
+    assert got == want
+    assert got_tally == want_tally and list(got_tally) == list(want_tally)
+    assert walk._seq == ref._seq
+
+
 # sha256 of the simulate reports below, recorded before the sync simulator
 # moved from spans to link counts
 PINNED_REPORTS_SHA256 = (
@@ -678,6 +755,30 @@ def test_node_disjoint_reactive_reports_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_NODE_DISJOINT_SHA256
 
 
+# sha256 of the reactive sync reports below, recorded while reactive sync
+# still swapped each found path through the general counts kernel
+PINNED_REACTIVE_SYNC_SHA256 = (
+    "c78acdea09b2c90ba43f1d5fda35598ee9976ce41dd10971f48daefe86f35697"
+)
+
+
+def test_reactive_sync_reports_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
+        for policy in ("doubling", "sequential"):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{i}-{policy}-{fmt}"
+                rc = run_command(["simulate", "--scenario", str(scenario),
+                                  "--scheme", "reactive", "--mode", "sync",
+                                  "--policy", policy, "--slots", "2000",
+                                  "--format", fmt, "--out", str(out)])
+                digest.update(f"{scenario.name} {policy} {fmt} -> {rc}\n".encode())
+                for report in sorted(out.glob("*")) if rc == 0 else ():
+                    digest.update(report.name.encode() + b"\n"
+                                  + report.read_bytes())
+    assert digest.hexdigest() == PINNED_REACTIVE_SYNC_SHA256
+
+
 def overconsume_at(monkeypatch, slot):
     """Make the proactive sync kernel report 3 more entities consumed in
     `slot` than it consumed; returns the consumed columns it saw, one per
@@ -717,16 +818,16 @@ def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
 
 
 def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
-    # reactive sync runs slot by slot through `_exec_counts`
+    # reactive sync runs slot by slot, each path through `_exec_single`
     from qroute import montecarlo
 
-    kernel = montecarlo._exec_counts
+    kernel = montecarlo._exec_single
 
     def overconsume(*args):
         delivered, consumed, segments = kernel(*args)
         return delivered, consumed + 3, segments
 
-    monkeypatch.setattr(montecarlo, "_exec_counts", overconsume)
+    monkeypatch.setattr(montecarlo, "_exec_single", overconsume)
     g = chain_graph(2, p=1.0, q=1.0)
     with pytest.raises(AssertionError,
                        match=r"slot 0: consumed 5 \+ delivered 1 > created 3"):
