@@ -1,9 +1,10 @@
 """Multi-request allocation on a grid, with a simulation cross-check.
 
 Allocates capacity for diagonal requests on an n x n grid, prints the
-chosen paths (including how the whole-path sequential-throughput score
-re-ranks the k-shortest candidates), then simulates the plan and compares
-simulated rates against the analytic expectation.
+chosen paths (including how each k-shortest candidate's expected
+throughput under sequential swapping, `expected_throughput` of its
+`policy_distribution`, re-ranks the creation-rate order), then simulates
+the plan and compares simulated rates against the analytic expectation.
 
 Usage: python scripts/grid_allocation.py [--size 3] [--cap 2] [--slots 20000]
 """
@@ -15,12 +16,14 @@ from qroute import (
     Metric,
     Request,
     SimConfig,
+    SwapPolicy,
     UtilitySpec,
     allocate,
+    expected_throughput,
     grid_topology,
     k_shortest_paths,
-    path_cost,
     path_spec_from_nodes,
+    policy_distribution,
     request_throughput,
     simulate,
     total_utility,
@@ -60,7 +63,7 @@ def main():
     for _, nodes in k_shortest_paths(g, "0,0", corner, args.k,
                                      Metric.INVERSE_CREATION_RATE):
         cand = path_spec_from_nodes(g, nodes)
-        score = -path_cost(g, cand, Metric.EXPECTED_THROUGHPUT_SEQUENTIAL)
+        score = expected_throughput(policy_distribution(cand, SwapPolicy.sequential()))
         print(f"  {'->'.join(nodes):<40} seq-throughput {score:.4f}")
 
     config = AllocatorConfig(k=args.k, utility=UtilitySpec("saturating"))

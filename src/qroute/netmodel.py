@@ -149,8 +149,10 @@ class NetworkGraph:
     # so `dataclasses.replace` rebuilds them
     node_rank: dict = field(init=False, compare=False, repr=False)
     edge_index: dict = field(init=False, compare=False, repr=False)
-    _adjacency: dict = field(init=False, compare=False, repr=False)
-    # derived tables built on first use (search adjacencies, specs)
+    # adjacency[rank] is ((neighbour rank, edge index), ...) over every
+    # edge, capacity 0 included, sorted by neighbour rank
+    adjacency: tuple = field(init=False, compare=False, repr=False)
+    # derived tables built on first use (search tables, specs)
     _memo: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -164,7 +166,7 @@ class NetworkGraph:
                     f"node {v!r} follows {prev!r}: node ids must be strictly increasing"
                 )
         node_rank = {v: i for i, v in enumerate(ids)}
-        adjacency: dict[str, list[str]] = {v: [] for v in ids}
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, (u, v) in enumerate(keys):
             for endpoint in (u, v):
                 if endpoint not in node_rank:
@@ -178,19 +180,17 @@ class NetworkGraph:
                     f"edge {(u, v)!r} follows {keys[i - 1]!r}: edges must be "
                     "strictly increasing by (u, v)"
                 )
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for nbrs in adjacency.values():
-            nbrs.sort()
+            # edges come in (u, v) order, so a node's edges to lower ranks
+            # all come before its edges to higher ranks, each run in
+            # neighbour order: the lists are built sorted
+            ru, rv = node_rank[u], node_rank[v]
+            adjacency[ru].append((rv, i))
+            adjacency[rv].append((ru, i))
         object.__setattr__(self, "node_rank", MappingProxyType(node_rank))
         object.__setattr__(
             self, "edge_index", MappingProxyType({k: i for i, k in enumerate(keys)})
         )
-        object.__setattr__(
-            self,
-            "_adjacency",
-            MappingProxyType({k: tuple(v) for k, v in adjacency.items()}),
-        )
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
 
     def __reduce__(self):
         # the lookup maps are read-only proxies, which cannot be pickled:
@@ -216,32 +216,22 @@ class NetworkGraph:
         return edge_key(u, v) in self.edge_index
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self._adjacency[node_id]
+        return tuple(self.nodes[r].id for r, _ in self.adjacency[self.node_rank[node_id]])
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def connected_components(self) -> list[tuple[str, ...]]:
-        """Components as sorted node-id tuples, largest-first by first id."""
-        seen: set[str] = set()
-        comps = []
-        for start in self.node_ids():
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nbr in self.neighbors(cur):
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            comps.append(tuple(sorted(comp)))
-        return comps
-
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        """True when every node reaches every other; capacity-0 edges
+        connect too."""
+        seen = bytearray(len(self.nodes))
+        stack = [0] if self.nodes else []
+        while stack:
+            cur = stack.pop()
+            if not seen[cur]:
+                seen[cur] = 1
+                stack.extend(nbr for nbr, _ in self.adjacency[cur])
+        return all(seen)
 
 
 def _validate_node(node: NodeParams, swap_bound_mode: str) -> None:

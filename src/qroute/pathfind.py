@@ -12,28 +12,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analytics import PathSpec, expected_throughput, heralded_path_distribution, sequential_tree
-from .netmodel import EdgeParams, GraphValidationError, NetworkGraph, edge_key
+from .analytics import PathSpec
+from .netmodel import GraphValidationError, NetworkGraph, edge_key
 
 
 class Metric(Enum):
     HOP_COUNT = "hop_count"
     SUM_NODE_DISTANCES = "sum_node_distances"
     INVERSE_CREATION_RATE = "inverse_creation_rate"
-    BOTTLENECK_WIDTH = "bottleneck_width"
-    EXPECTED_THROUGHPUT_SEQUENTIAL = "expected_throughput_sequential"
-
-    @property
-    def additive(self) -> bool:
-        """True when per-hop costs compose monotonically (Dijkstra-safe)."""
-        return self in _ADDITIVE
-
-
-_ADDITIVE = {
-    Metric.HOP_COUNT,
-    Metric.SUM_NODE_DISTANCES,
-    Metric.INVERSE_CREATION_RATE,
-}
 
 
 def _start(metric: Metric, s: str) -> tuple[float, tuple[str, ...]]:
@@ -42,48 +28,35 @@ def _start(metric: Metric, s: str) -> tuple[float, tuple[str, ...]]:
     return (1.0 if metric is Metric.INVERSE_CREATION_RATE else 0.0), (s,)
 
 
-def _step(metric: Metric, e: EdgeParams) -> float:
-    """One hop's cost: a factor under the creation-rate metric, an addend
-    under the other additive metrics."""
-    if metric is Metric.HOP_COUNT:
-        return 1.0
-    if metric is Metric.SUM_NODE_DISTANCES:
-        return e.length_km
-    if metric is Metric.INVERSE_CREATION_RATE:
-        return 1.0 / e.link_prob if e.link_prob > 0 else math.inf
-    raise ValueError(f"metric {metric} is not additive")
-
-
-def _weighted_adjacency(graph: NetworkGraph, metric: Metric):
-    """node -> ((nbr, edge index, step), ...) in neighbour order, built once
-    per graph and metric; the index is the edge's place in `graph.edges`.
-    Edges without capacity, and edges of infinite cost (p = 0 links under
-    the creation-rate metric), are left out: no search may use them."""
-    cache = graph._memo.setdefault("weighted_adjacency", {})
-    adjacency = cache.get(metric)
-    if adjacency is None:
-        entries = {v: [] for v in graph.node_ids()}
-        for i, e in enumerate(graph.edges):
-            step = _step(metric, e)
-            if e.capacity >= 1 and step != math.inf:
-                entries[e.u].append((e.v, i, step))
-                entries[e.v].append((e.u, i, step))
-        # a node's neighbours are distinct, so this sorts by neighbour id
-        adjacency = cache[metric] = {v: tuple(sorted(es)) for v, es in entries.items()}
-    return adjacency
+def _steps(graph: NetworkGraph, metric: Metric) -> tuple[float, ...]:
+    """Each edge's cost step in `graph.edges` order, built once per graph
+    and metric: a factor 1/p under the creation-rate metric (infinite for
+    p = 0 links, which no search extends), an addend 1 or `length_km`
+    under the sums."""
+    cache = graph._memo.setdefault("steps", {})
+    steps = cache.get(metric)
+    if steps is None:
+        if metric is Metric.HOP_COUNT:
+            steps = (1.0,) * len(graph.edges)
+        elif metric is Metric.SUM_NODE_DISTANCES:
+            steps = tuple(e.length_km for e in graph.edges)
+        else:
+            steps = tuple(1.0 / e.link_prob if e.link_prob > 0 else math.inf
+                          for e in graph.edges)
+        cache[metric] = steps
+    return steps
 
 
 def _rank_adjacency(graph: NetworkGraph):
     """(node ids by rank, rank -> ((nbr rank, edge index), ...)): the
-    hop-count adjacency on node ranks, built once per graph. `graph.nodes`
-    is sorted by id, so rank order is id order."""
+    graph's adjacency without its capacity-0 edges, which no search may
+    use, built once per graph. Rank order is id order."""
     table = graph._memo.get("rank_adjacency")
     if table is None:
-        rank = graph.node_rank
-        hops = _weighted_adjacency(graph, Metric.HOP_COUNT)
-        ids = graph.node_ids()
-        table = graph._memo["rank_adjacency"] = (ids, tuple(
-            tuple((rank[nbr], i) for nbr, i, _ in hops[v]) for v in ids
+        edges = graph.edges
+        table = graph._memo["rank_adjacency"] = (graph.node_ids(), tuple(
+            tuple((nbr, i) for nbr, i in nbrs if edges[i].capacity >= 1)
+            for nbrs in graph.adjacency
         ))
     return table
 
@@ -91,7 +64,12 @@ def _rank_adjacency(graph: NetworkGraph):
 def _path_edges(graph: NetworkGraph, nodes: tuple[str, ...]) -> tuple[int, ...]:
     """The `graph.edges` index of each hop along `nodes`."""
     index = graph.edge_index
-    return tuple(index[edge_key(u, v)] for u, v in zip(nodes, nodes[1:]))
+    try:
+        return tuple(index[edge_key(u, v)] for u, v in zip(nodes, nodes[1:]))
+    except KeyError:
+        for u, v in zip(nodes, nodes[1:]):
+            graph.edge(u, v)  # raises, naming the first missing hop
+        raise
 
 
 def path_spec_from_nodes(
@@ -99,46 +77,32 @@ def path_spec_from_nodes(
 ) -> PathSpec:
     """Build a PathSpec along `nodes`, using edge capacities unless a
     uniform allocated width is given."""
-    caps = []
-    probs = []
-    for u, v in zip(nodes, nodes[1:]):
-        e = graph.edge(u, v)
-        caps.append(e.capacity if width is None else width)
-        probs.append(e.link_prob)
-    swaps = tuple(graph.node(n).swap_prob for n in nodes[1:-1])
+    hops = [graph.edges[i] for i in _path_edges(graph, nodes)]
     return PathSpec(
         nodes=tuple(nodes),
-        per_hop_capacity=tuple(caps),
-        per_hop_prob=tuple(probs),
-        interior_swap_probs=swaps,
+        per_hop_capacity=tuple(e.capacity if width is None else width for e in hops),
+        per_hop_prob=tuple(e.link_prob for e in hops),
+        interior_swap_probs=tuple(graph.node(n).swap_prob for n in nodes[1:-1]),
     )
 
 
-def _prefix_costs(graph: NetworkGraph, nodes: tuple[str, ...], metric: Metric) -> list[float]:
-    """Cost of every prefix of `nodes` under an additive metric, composed
-    hop by hop from the start exactly as the searches compose it."""
+def _prefix_costs(graph: NetworkGraph, edges: tuple[int, ...], metric: Metric) -> list[float]:
+    """Cost of every prefix of the path along the `graph.edges` indices
+    `edges`, composed hop by hop from the empty path's cost (see `_start`)
+    exactly as the searches compose it."""
+    steps = _steps(graph, metric)
     multiply = metric is Metric.INVERSE_CREATION_RATE
-    costs = [_start(metric, nodes[0])[0]]
-    for u, v in zip(nodes, nodes[1:]):
-        step = _step(metric, graph.edge(u, v))
-        costs.append(costs[-1] * step if multiply else costs[-1] + step)
+    costs = [1.0 if multiply else 0.0]
+    for i in edges:
+        costs.append(costs[-1] * steps[i] if multiply else costs[-1] + steps[i])
     return costs
 
 
 def path_cost(graph: NetworkGraph, path: PathSpec, metric: Metric) -> float:
-    """Whole-path score under a metric (lower is better for every metric).
-
-    Additive metrics are priced by the same hop-by-hop rule the searches
-    use, so a cost they return equals `path_cost` of its path exactly.
-    """
-    if metric.additive:
-        return _prefix_costs(graph, path.nodes, metric)[-1]
-    if metric is Metric.BOTTLENECK_WIDTH:
-        return -float(min(path.per_hop_capacity))
-    if metric is Metric.EXPECTED_THROUGHPUT_SEQUENTIAL:
-        dist = heralded_path_distribution(path, sequential_tree(path.hop_count))
-        return -expected_throughput(dist)
-    raise ValueError(f"unknown metric {metric}")
+    """Whole-path cost under a metric (lower is better), priced by the
+    hop-by-hop rule the searches use, so a cost they return equals
+    `path_cost` of its path exactly."""
+    return _prefix_costs(graph, _path_edges(graph, path.nodes), metric)[-1]
 
 
 def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
@@ -165,7 +129,7 @@ def _level_step(graph: NetworkGraph) -> float | None:
         probs = {e.link_prob for e in graph.edges if e.capacity >= 1}
         step = None
         if len(probs) == 1 and 0 < min(probs) < 1:
-            step = 1.0 / min(probs)  # the factor `_step` gives every edge
+            step = 1.0 / min(probs)  # the factor `_steps` gives every edge
             cost = 1.0
             for _ in range(len(graph.nodes) - 1):
                 cost *= step
@@ -219,32 +183,41 @@ def _search(
 
 
 def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
-    """`_search` by label-setting (Dijkstra): heap entries carry the node
-    sequence so equal costs resolve to the lexicographically smallest
-    path."""
-    adjacency = _weighted_adjacency(graph, metric)
+    """`_search` by label-setting (Dijkstra) on node ranks: heap entries
+    carry the rank sequence from the root's last node on, and rank order is
+    id order, so equal costs resolve to the lexicographically smallest path.
+    A hop of infinite cost (a p = 0 link under the creation-rate metric) is
+    never pushed."""
+    ids, adjacency = _rank_adjacency(graph)
+    steps = _steps(graph, metric)
+    rank = graph.node_rank
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
-    heap = [root]
     # banned nodes and the root's other nodes are never pushed, so they can
     # share the settled set
-    done: set[str] = set(banned_nodes).union(root[1][:-1])
+    done = bytearray(len(ids))
+    for v in banned_nodes:
+        done[rank[v]] = 1
+    for v in root[1][:-1]:
+        done[rank[v]] = 1
+    target = rank[d]
+    heap = [(root[0], (rank[root[1][-1]],))]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, nodes = pop(heap)
-        cur = nodes[-1]
-        if cur in done:
+        cost, path = pop(heap)
+        cur = path[-1]
+        if done[cur]:
             continue
-        done.add(cur)
-        if cur == d:
-            return cost, nodes
-        for nbr, i, step in adjacency[cur]:
-            if nbr in done or not usable[i]:
+        done[cur] = 1
+        if cur == target:
+            return cost, root[1] + tuple(ids[r] for r in path[1:])
+        for nbr, i in adjacency[cur]:
+            if done[nbr] or not usable[i]:
                 continue
-            nxt = cost * step if multiply else cost + step
+            nxt = cost * steps[i] if multiply else cost + steps[i]
             if nxt == inf:
                 continue
-            push(heap, (nxt, nodes + (nbr,)))
+            push(heap, (nxt, path + (nbr,)))
     return None
 
 
@@ -329,8 +302,8 @@ def _dfs_search(graph, root, d, usable, banned_nodes):
 def shortest_path(
     graph: NetworkGraph, s: str, d: str, metric: Metric
 ) -> PathSpec | None:
-    """Minimum-cost loop-free path under an additive metric, or None: Yen
-    with k = 1."""
+    """Minimum-cost loop-free path under a metric, or None: Yen with
+    k = 1."""
     found = k_shortest_paths(graph, s, d, 1, metric)
     return path_spec_from_nodes(graph, found[0][1]) if found else None
 
@@ -355,8 +328,6 @@ def k_shortest_paths(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not metric.additive:
-        raise ValueError(f"metric {metric} is not additive")
     _check_endpoints(graph, s, d)
 
     if usable is None:
@@ -373,7 +344,7 @@ def k_shortest_paths(
     while len(accepted) < k:
         _, prev = accepted[-1]
         hops.append(_path_edges(graph, prev))
-        root_costs = _prefix_costs(graph, prev, metric)
+        root_costs = _prefix_costs(graph, hops[-1], metric)
         for j in range(deviation, len(prev) - 1):
             root = prev[: j + 1]
             spur = list(usable)

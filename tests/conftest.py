@@ -87,16 +87,20 @@ def random_connected_graph(rnd: random.Random, n_nodes: int, max_cap=3,
 
 
 def all_simple_paths(graph: NetworkGraph, s: str, d: str):
-    """Every loop-free node sequence from s to d using capacity>=1 edges."""
+    """Every loop-free node sequence from s to d using capacity>=1 edges,
+    neighbours tried in id order."""
+    nbrs: dict[str, list[str]] = {}
+    for e in graph.edges:
+        if e.capacity >= 1:
+            nbrs.setdefault(e.u, []).append(e.v)
+            nbrs.setdefault(e.v, []).append(e.u)
 
     def walk(current, visited):
         if current == d:
             yield tuple(visited)
             return
-        for nbr in graph.neighbors(current):
+        for nbr in sorted(nbrs.get(current, ())):
             if nbr in visited:
-                continue
-            if graph.edge(current, nbr).capacity < 1:
                 continue
             visited.append(nbr)
             yield from walk(nbr, visited)

@@ -1,6 +1,8 @@
+import collections
 import copy
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -220,7 +222,62 @@ def test_connected_components_reported():
         [EdgeParams(u="A", v="B"), EdgeParams(u="C", v="D")],
     )
     assert not g.is_connected()
-    assert g.connected_components() == [("A", "B"), ("C", "D")]
+
+
+def random_sparse_graph(rnd):
+    """Up to 9 nodes, some of them isolated, with capacity-0 edges among
+    the rest."""
+    ids = [f"v{i}" for i in range(rnd.randint(1, 9))]
+    edges = [EdgeParams(u=u, v=v, capacity=rnd.choice((0, 0, 1, 2)), link_prob=0.5)
+             for i, u in enumerate(ids) for v in ids[i + 1:]
+             if rnd.random() < 0.25]
+    return build_graph([NodeParams(id=v) for v in ids], edges)
+
+
+def union_find_connected(graph):
+    """The reference: union-find over `graph.edges`, any capacity."""
+    parent = {n.id: n.id for n in graph.nodes}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in graph.edges:
+        parent[root(e.u)] = root(e.v)
+    return len({root(n.id) for n in graph.nodes}) <= 1
+
+
+def test_is_connected_matches_union_find():
+    rnd = random.Random(23)
+    outcomes = set()
+    for _ in range(400):
+        g = random_sparse_graph(rnd)
+        want = union_find_connected(g)
+        assert g.is_connected() == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    # capacity-0 edges still connect
+    g = build_graph([NodeParams(id=i) for i in "AB"],
+                    [EdgeParams(u="A", v="B", capacity=0)])
+    assert g.is_connected()
+
+
+def test_adjacency_lists_each_edge_twice_in_rank_order():
+    rnd = random.Random(29)
+    for _ in range(200):
+        g = random_sparse_graph(rnd)
+        seen = collections.Counter()
+        for r, nbrs in enumerate(g.adjacency):
+            assert [nbr for nbr, _ in nbrs] == sorted({nbr for nbr, _ in nbrs})
+            for nbr, i in nbrs:
+                e = g.edges[i]
+                assert {e.u, e.v} == {g.nodes[r].id, g.nodes[nbr].id}
+                seen[i] += 1
+            ids = g.neighbors(g.nodes[r].id)
+            assert ids == tuple(sorted(ids))
+            assert ids == tuple(g.nodes[nbr].id for nbr, _ in nbrs)
+        assert seen == collections.Counter({i: 2 for i in range(len(g.edges))})
 
 
 def test_classical_delay():

@@ -10,8 +10,10 @@ Work is counted by wrapping module attributes from outside, as
 import collections
 from pathlib import Path
 
-from qroute import montecarlo, pathfind
+from qroute import AllocatorConfig, allocate, montecarlo, pathfind
 from qroute.cli import run_command
+from qroute.netmodel import NetworkGraph
+from test_routing import tied_grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -49,3 +51,19 @@ def test_reactive_sync_op_counts_pinned(monkeypatch, tmp_path):
     got = dict(counts)
     got["swap bytes by rank"] = [sum(col) for col in zip(*(d._seq for d in slots))]
     assert got == PINNED_REACTIVE_SYNC
+
+
+# `allocate` on the 8x8 tied grid, k = 5: edge lookups by key. Routes,
+# specs and Yen's root costs read hops by the edge indices the searches
+# return, so none is made (25,584 when each hop was looked up by key)
+PINNED_ALLOCATE_EDGE_LOOKUPS = 0
+
+
+def test_allocate_edge_lookups_pinned(monkeypatch):
+    calls = collections.Counter()
+    real = NetworkGraph.edge
+    monkeypatch.setattr(NetworkGraph, "edge", lambda *args: (
+        calls.update(["edge"]) or real(*args)))
+    g, reqs = tied_grid(8, 8)
+    allocate(g, reqs, AllocatorConfig(k=5))
+    assert calls["edge"] == PINNED_ALLOCATE_EDGE_LOOKUPS

@@ -1,4 +1,6 @@
+import collections
 import heapq
+import math
 import random
 from dataclasses import replace
 from unittest import mock
@@ -33,6 +35,7 @@ from qroute.pathfind import (
     _certain_links,
     _heap_search,
     _level_step,
+    _path_edges,
     _prefix_costs,
     _search,
     _start,
@@ -79,11 +82,6 @@ def test_zero_capacity_edges_are_infeasible():
     )
     path = shortest_path(g, "A", "C", Metric.HOP_COUNT)
     assert path.nodes == ("A", "B", "C")  # dead edge never used
-
-
-def test_shortest_rejects_nonadditive_metric():
-    with pytest.raises(ValueError, match="not additive"):
-        shortest_path(triangle(), "A", "C", Metric.BOTTLENECK_WIDTH)
 
 
 def test_shortest_unknown_node():
@@ -178,15 +176,9 @@ def test_path_cost_values():
         ],
     )
     p2 = path_spec_from_nodes(g2, ("a", "b", "c"))
-    assert path_cost(g2, p2, Metric.BOTTLENECK_WIDTH) == -2.0
     assert path_cost(g2, p2, Metric.HOP_COUNT) == 2.0
-
-
-def test_path_cost_expected_throughput_score():
-    g = chain_graph(2, p=0.5, cap=1)
-    path = path_spec_from_nodes(g, ("n0", "n1", "n2"))
-    score = path_cost(g, path, Metric.EXPECTED_THROUGHPUT_SEQUENTIAL)
-    assert score == pytest.approx(-0.125)
+    with pytest.raises(GraphValidationError, match="no edge between 'c' and 'a'"):
+        path_spec_from_nodes(g2, ("b", "c", "a"))
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +361,39 @@ def test_k_shortest_costs_equal_path_cost():
                 assert costs == sorted(costs)
 
 
+def test_k_shortest_skips_dead_edges_and_matches_enumeration():
+    # capacity-0 edges stay out of every search's table, and p = 0 links
+    # reach the heap, which never extends a hop of infinite cost
+    rnd = random.Random(61)
+    crossed = collections.Counter()
+    for _ in range(80):
+        n = rnd.randint(4, 8)
+        ids = [f"v{i}" for i in range(n)]
+        edges = [EdgeParams(u=u, v=v, capacity=rnd.choice((0, 1, 1, 2)),
+                            length_km=rnd.uniform(1.0, 50.0),
+                            link_prob=rnd.choice((0.0, rnd.uniform(0.1, 1.0))))
+                 for i, u in enumerate(ids) for v in ids[i + 1:]
+                 if rnd.random() < 0.5]
+        g = build_graph([NodeParams(id=v) for v in ids], edges)
+        s, d = rnd.sample(ids, 2)
+        enumerated = list(all_simple_paths(g, s, d))
+        k = rnd.randint(1, 8)
+        for metric in METRICS:
+            finite = sorted(c for c in (oracle_cost(g, p, metric.value) for p in enumerated)
+                            if c != math.inf)
+            got = k_shortest_paths(g, s, d, k, metric)
+            assert [cost for cost, _ in got] == pytest.approx(finite[:k])
+            for _, nodes in got:
+                hops = [g.edge(u, v) for u, v in zip(nodes, nodes[1:])]
+                assert all(e.capacity >= 1 for e in hops)
+                if metric is Metric.INVERSE_CREATION_RATE:
+                    assert all(e.link_prob > 0 for e in hops)
+                crossed[metric] += any(e.link_prob == 0 for e in hops)
+    # the sums do route over p = 0 links; the creation rate never does
+    assert crossed[Metric.HOP_COUNT] and crossed[Metric.SUM_NODE_DISTANCES]
+    assert not crossed[Metric.INVERSE_CREATION_RATE]
+
+
 def test_widest_matches_enumeration():
     rnd = random.Random(17)
     for _ in range(25):
@@ -512,7 +537,7 @@ def plain_yen(graph, s, d, k, metric, usable=None):
     accepted, candidates, seen = [first], [], {first[1]}
     while len(accepted) < k:
         _, prev = accepted[-1]
-        root_costs = _prefix_costs(graph, prev, metric)
+        root_costs = _prefix_costs(graph, _path_edges(graph, prev), metric)
         for j in range(len(prev) - 1):
             root = prev[:j + 1]
             banned = {edge_key(p[j], p[j + 1]) for _, p in accepted
@@ -593,7 +618,7 @@ def one_prob_graphs(draw):
     found = _heap_search(g, root, t, metric, usable or [True] * len(edges))
     if found is not None:
         j = draw(st.integers(0, len(found[1]) - 2))
-        root = (_prefix_costs(g, found[1], metric)[j], found[1][:j + 1])
+        root = (_prefix_costs(g, _path_edges(g, found[1]), metric)[j], found[1][:j + 1])
     rest = [v for v in ids if v not in root[1]]
     d = draw(st.sampled_from(rest))
     banned = draw(st.sets(st.sampled_from(rest)))
@@ -674,7 +699,7 @@ def certain_graphs(draw):
     found = _heap_search(g, root, t, metric, usable or [True] * len(g.edges))
     if found is not None:
         j = draw(st.integers(0, len(found[1]) - 2))
-        root = (_prefix_costs(g, found[1], metric)[j], found[1][:j + 1])
+        root = (_prefix_costs(g, _path_edges(g, found[1]), metric)[j], found[1][:j + 1])
     rest = [v for v in g.node_ids() if v not in root[1]]
     d = draw(st.sampled_from(rest))
     banned = draw(st.sets(st.sampled_from(rest)))

@@ -481,6 +481,21 @@ def test_analyze_reports_expected_throughput(tmp_path, capsys):
     assert report["metadata"]["one_way_classical_delay_ms"]["A|B"] == pytest.approx(0.1)
 
 
+def test_analyze_counts_capacity_zero_edges_as_connecting(tmp_path):
+    # two halves joined only by a capacity-0 edge are one component
+    edges = [{"u": "A", "v": "B", "capacity": 1, "link_prob": 0.5},
+             {"u": "B", "v": "C", "capacity": 0, "link_prob": 0.5},
+             {"u": "C", "v": "D", "capacity": 1, "link_prob": 0.5}]
+    for joined, connected in ((edges, True), (edges[::2], False)):
+        data = minimal_scenario(analytics={"paths": [["A", "B"]]})
+        data["graph"] = {"nodes": [{"id": v} for v in "ABCD"], "edges": joined}
+        out = tmp_path / str(connected)
+        assert run_command(["analyze", "--scenario", str(write_scenario(tmp_path, data)),
+                            "--out", str(out)]) == 0
+        report = json.loads((out / "analyze_report.json").read_text())
+        assert report["metadata"]["connected"] is connected
+
+
 def test_simulate_reports_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     for out in (out1, out2):
