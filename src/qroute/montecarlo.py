@@ -75,8 +75,8 @@ class SimConfig:
             )
         if self.policy.kind == "adhoc" and self.forwarding == "sync":
             raise ValueError(
-                "adhoc swapping needs asynchronous forwarding; under sync "
-                "everything is regenerated each slot"
+                "policy: adhoc swapping needs asynchronous forwarding; under "
+                "sync everything is regenerated each slot"
             )
 
 
@@ -104,7 +104,8 @@ class SimStats:
 
 def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
     """Add one path's swaps in one slot to the run's per-kind totals; a kind
-    enters when it first attempts a swap, which fixes the report's key order."""
+    enters when it first attempts a swap, which fixes the key order of
+    `SimStats.swap_counters`."""
     if attempts:
         entry = tally.setdefault(kind, [0, 0])
         entry[0] += attempts

@@ -139,7 +139,9 @@ class NetworkGraph:
     graphs built from the same specs compare and hash identically. A node's
     rank is its place in `nodes`, and an edge's index its place in `edges`;
     since both are sorted, rank order is id order and index order is key
-    order. The constructor rejects nodes or edges out of that order.
+    order. The constructor is the one check of a topology's structure: it
+    rejects duplicate ids, self-loops, unknown endpoints, repeated edges, and
+    nodes or edges out of that order.
     """
 
     nodes: tuple[NodeParams, ...]
@@ -160,14 +162,18 @@ class NetworkGraph:
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
         keys = [(e.u, e.v) for e in self.edges]
+        # in sorted input a repeated id or edge sits next to its twin
         for prev, v in zip(ids, ids[1:]):
             if not prev < v:
                 raise GraphValidationError(
+                    f"duplicate node id {v!r}" if prev == v else
                     f"node {v!r} follows {prev!r}: node ids must be strictly increasing"
                 )
         node_rank = {v: i for i, v in enumerate(ids)}
         adjacency: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, (u, v) in enumerate(keys):
+            if u == v:
+                raise GraphValidationError(f"self-loop on node {u!r}")
             for endpoint in (u, v):
                 if endpoint not in node_rank:
                     raise GraphValidationError(
@@ -177,6 +183,9 @@ class NetworkGraph:
                 raise GraphValidationError(f"edge {(u, v)!r} is not canonical: needs u < v")
             if i and not keys[i - 1] < (u, v):
                 raise GraphValidationError(
+                    f"duplicate edge between {u!r} and {v!r}; model parallel "
+                    "channels via capacity, not repeated edges"
+                    if keys[i - 1] == (u, v) else
                     f"edge {(u, v)!r} follows {keys[i - 1]!r}: edges must be "
                     "strictly increasing by (u, v)"
                 )
@@ -260,38 +269,19 @@ def build_graph(
     edge_specs: list[EdgeParams],
     phys: PhysicalConstants | None = None,
 ) -> NetworkGraph:
-    """Validate specs and assemble an immutable topology.
+    """Derive, canonicalise and sort the specs, then assemble an immutable
+    topology; `NetworkGraph`'s constructor checks their structure.
 
     Edges without an explicit link_prob get one derived from their length
     via link_success_probability. Edge endpoint order is normalized, so
     specs listing (B, A) and (A, B) produce identical graphs.
     """
     phys = phys or PhysicalConstants()
-    ids = [n.id for n in node_specs]
-    dupes = {i for i in ids if ids.count(i) > 1}
-    if dupes:
-        raise GraphValidationError(f"duplicate node ids: {sorted(dupes)}")
     for node in node_specs:
         _validate_node(node, phys.swap_bound_mode)
-
-    known = set(ids)
-    seen_edges: set[tuple[str, str]] = set()
     normalized = []
     for e in edge_specs:
-        if e.u == e.v:
-            raise GraphValidationError(f"self-loop on node {e.u!r}")
-        for endpoint in (e.u, e.v):
-            if endpoint not in known:
-                raise GraphValidationError(
-                    f"edge ({e.u!r}, {e.v!r}) references unknown node {endpoint!r}"
-                )
-        key = edge_key(e.u, e.v)
-        if key in seen_edges:
-            raise GraphValidationError(
-                f"duplicate edge between {key[0]!r} and {key[1]!r}; model parallel "
-                "channels via capacity, not repeated edges"
-            )
-        seen_edges.add(key)
+        u, v = edge_key(e.u, e.v)
         p = e.link_prob
         if p is None:
             p = link_success_probability(
@@ -300,7 +290,7 @@ def build_graph(
                 phys.base_efficiency,
                 phys.attempts_per_slot,
             )
-        normalized.append(replace(e, u=key[0], v=key[1], link_prob=p))
+        normalized.append(replace(e, u=u, v=v, link_prob=p))
 
     nodes = tuple(sorted(node_specs, key=lambda n: n.id))
     edges = tuple(sorted(normalized, key=lambda e: (e.u, e.v)))

@@ -80,7 +80,7 @@ class UtilitySpec:
 
     def __post_init__(self):
         if self.kind not in UTILITY_KINDS:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
+            raise ValueError(f"kind: unknown utility kind {self.kind!r}")
         if self.weights and self.kind != "weighted_sum":
             raise ValueError(
                 f"weights: utility {self.kind!r} reads no weights; only "
@@ -150,8 +150,8 @@ class AllocatorConfig:
             raise ValueError(f"k: must be >= 1, got {self.k}")
         if self.policy.kind == "adhoc":
             raise ValueError(
-                "adhoc swapping has no closed-form throughput; plans need a "
-                "static policy"
+                "policy: adhoc swapping has no closed-form throughput; plans "
+                "need a static policy"
             )
         if not 0.25 < self.elementary_fidelity <= 1:
             raise ValueError("elementary_fidelity outside (0.25, 1]")

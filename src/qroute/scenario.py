@@ -122,7 +122,7 @@ class AnalyticsTargets:
 
     def __post_init__(self):
         if self.policy.kind == "adhoc":
-            raise ValueError("policy cannot be adhoc (no closed-form distribution)")
+            raise ValueError("policy: cannot be adhoc (no closed-form distribution)")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class ExplicitPath:
 
     def __post_init__(self):
         if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+            raise ValueError(f"width: must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)

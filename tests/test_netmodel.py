@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -40,7 +41,7 @@ def test_dangling_endpoint_rejected():
 
 
 def test_duplicate_node_id_rejected():
-    with pytest.raises(GraphValidationError, match="duplicate node ids"):
+    with pytest.raises(GraphValidationError, match="duplicate node id 'A'"):
         build_graph([NodeParams(id="A"), NodeParams(id="A")], [])
 
 
@@ -61,11 +62,11 @@ def test_parallel_edges_rejected():
     "names,ends,message",
     [
         ("ba", [], "node 'a' follows 'b'"),
-        ("aa", [], "node 'a' follows 'a'"),
+        ("aa", [], "duplicate node id 'a'"),
         ("abc", [("b", "a"), ("c", "b")], r"edge \('b', 'a'\) is not canonical"),
-        ("ab", [("a", "a")], "not canonical"),
+        ("ab", [("a", "a")], "self-loop on node 'a'"),
         ("abc", [("b", "c"), ("a", "b")], r"edge \('a', 'b'\) follows \('b', 'c'\)"),
-        ("ab", [("a", "b"), ("a", "b")], "follows"),
+        ("ab", [("a", "b"), ("a", "b")], "duplicate edge between 'a' and 'b'"),
         ("ab", [("a", "x")], "unknown node 'x'"),
     ],
     ids=["ids-descending", "ids-repeated", "edge-reversed", "self-loop",
@@ -78,6 +79,71 @@ def test_graph_constructor_rejects_specs_out_of_order(names, ends, message):
         NetworkGraph(nodes=tuple(NodeParams(id=i) for i in names),
                      edges=tuple(EdgeParams(u=u, v=v, link_prob=0.5) for u, v in ends),
                      phys=PhysicalConstants())
+
+
+FAULTS = ("duplicate node id", "self-loop", "unknown node", "duplicate edge")
+
+
+@st.composite
+def spec_lists(draw):
+    """Small node and edge spec lists in any order, with at most one fault;
+    capacity-0 edges are valid and drawn too."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    pairs = [(u, v) for u in names for v in names if u < v]
+    ends = [draw(st.sampled_from([(u, v), (v, u)]))
+            for u, v in draw(st.lists(st.sampled_from(pairs), unique=True))] if pairs else []
+    fault = draw(st.sampled_from((None,) + FAULTS))
+    if fault == "duplicate node id":
+        names.append(draw(st.sampled_from(names)))
+    elif fault == "self-loop":
+        node = draw(st.sampled_from(names))
+        ends.append((node, node))
+    elif fault == "unknown node":
+        ends.append(draw(st.sampled_from([(names[0], "z"), ("z", names[0])])))
+    elif fault == "duplicate edge" and ends:  # both orientations of one edge
+        u, v = draw(st.sampled_from(ends))
+        ends.append((v, u))
+    nodes = draw(st.permutations([NodeParams(id=i) for i in names]))
+    edges = draw(st.permutations([
+        EdgeParams(u=u, v=v, capacity=draw(st.integers(0, 2)), link_prob=0.5)
+        for u, v in ends
+    ]))
+    return nodes, edges
+
+
+def naive_fault(nodes, edges):
+    """The fault a set-based reading of the specs finds, or None."""
+    ids = [n.id for n in nodes]
+    if len(set(ids)) < len(ids):
+        return "duplicate node id"
+    if any(e.u == e.v for e in edges):
+        return "self-loop"
+    if any(end not in ids for e in edges for end in (e.u, e.v)):
+        return "unknown node"
+    if len({frozenset((e.u, e.v)) for e in edges}) < len(edges):
+        return "duplicate edge"
+    return None
+
+
+@given(spec_lists())
+def test_graph_checks_match_a_naive_checker(specs):
+    nodes, edges = specs
+    canonical = [dataclasses.replace(e, u=min(e.u, e.v), v=max(e.u, e.v)) for e in edges]
+    sorted_nodes = tuple(sorted(nodes, key=lambda n: n.id))
+    sorted_edges = tuple(sorted(canonical, key=lambda e: (e.u, e.v)))
+    builds = (
+        lambda: build_graph(nodes, edges),
+        lambda: NetworkGraph(nodes=sorted_nodes, edges=sorted_edges,
+                             phys=PhysicalConstants()),
+    )
+    fault = naive_fault(nodes, edges)
+    for build in builds:
+        if fault is None:
+            g = build()
+            assert (g.nodes, g.edges) == (sorted_nodes, sorted_edges)
+        else:
+            with pytest.raises(GraphValidationError, match=fault):
+                build()
 
 
 @pytest.mark.parametrize(

@@ -257,7 +257,8 @@ BAD_INPUTS = [
     # r1 is declared A -> D, but its explicit path stops at C
     (_set(_ADHOC, ("sim", "paths"), [{**_ABCD, "nodes": ["A", "B", "C"]}]),
      "sim.paths[0]"),
-    (_set(_ADHOC, ("sim", "paths"), [_AB, {**_CD, "width": 0}]), "sim.paths[1]"),
+    (_set(_ADHOC, ("sim", "paths"), [_AB, {**_CD, "width": 0}]),
+     "sim.paths[1].width"),
     # every edge has capacity 1, and A-B is already taken
     (_set(_ADHOC, ("sim", "paths"), [_AB, _CD, _ABCD]), "sim.paths[2]"),
     # JSON text, since a dict cannot hold a key twice; a plain JSON reader
@@ -346,6 +347,18 @@ FIELD_ERRORS = [
 ]
 
 
+# (document, JSON path): each model check named only its section. A separate
+# list, so that the repeated sim.policy id leaves FIELD_ERRORS' one unchanged
+PREFIXED_CHECKS = [
+    (_set(_CHAIN, ("routing", "utility"), "bogus"), "routing.utility"),
+    (_set(_CHAIN, ("routing", "policy"), "adhoc"), "routing.policy"),
+    (_set(_CHAIN, ("analytics", "policy"), "adhoc"), "analytics.policy"),
+    (_set(_CHAIN, ("sim", "policy"), "adhoc"), "sim.policy"),
+    (_set(_CHAIN, ("sim", "paths"), [{"request": "r1", "nodes": ["A", "B", "C"],
+                                      "width": 0}]), "sim.paths[0].width"),
+]
+
+
 # routes that visit a node twice; each failed later, without its JSON path
 LOOPED_ROUTES = [
     (_set(_GRID, ("analytics", "paths"), [["0,0", "0,1", "0,0"]]),
@@ -357,11 +370,12 @@ LOOPED_ROUTES = [
 
 
 @pytest.mark.parametrize(
-    "doc, where", BAD_INPUTS + LOOPED_ROUTES + FIELD_ERRORS,
+    "doc, where", BAD_INPUTS + LOOPED_ROUTES + FIELD_ERRORS + PREFIXED_CHECKS,
     # the last case's path is already an id; a repeat would renumber both
     ids=[w if isinstance(d, dict) else f"duplicate:{w}" for d, w in BAD_INPUTS[:-1]]
     + ["routing.weights:unread"] + [f"loop:{w}" for _, w in LOOPED_ROUTES]
-    + [f"field:{w}" for _, w in FIELD_ERRORS],
+    + [f"field:{w}" for _, w in FIELD_ERRORS]
+    + [f"check:{w}" for _, w in PREFIXED_CHECKS],
 )
 def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     if isinstance(doc, dict):
@@ -656,6 +670,16 @@ def test_exit_codes(tmp_path, capsys):
     assert run_command(["simulate", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
                         "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert "overrides: seed -1 outside" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_two(tmp_path, capsys):
+    # an --out that names a file cannot become a directory: not a config
+    # problem, so the run fails as a runtime error
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_command(["analyze", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
+                        "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("qroute: FileExistsError: ")
 
 
 @pytest.mark.parametrize("policy", ["bogus", "explicit"])
