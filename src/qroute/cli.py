@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
 from . import analytics
@@ -334,6 +335,12 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
+        # a file where the output directory must go is bad input (exit 1);
+        # only a failure the input cannot show up front exits 2
+        out = Path(args.out)
+        on_disk = next(p for p in (out, *out.parents) if p.exists())
+        if not on_disk.is_dir():
+            raise ValueError(f"--out: {str(on_disk)!r} is not a directory")
         scenario = parse_scenario(args.scenario)
         overrides = {
             key: getattr(args, key)

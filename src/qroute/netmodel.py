@@ -264,6 +264,18 @@ def _validate_node(node: NodeParams, swap_bound_mode: str) -> None:
         )
 
 
+def _link_prob(edge: EdgeParams, phys: PhysicalConstants) -> float:
+    """The edge's link_prob, derived from its length when not given."""
+    if edge.link_prob is not None:
+        return edge.link_prob
+    return link_success_probability(
+        edge.length_km,
+        phys.attenuation_alpha,
+        phys.base_efficiency,
+        phys.attempts_per_slot,
+    )
+
+
 def build_graph(
     node_specs: list[NodeParams],
     edge_specs: list[EdgeParams],
@@ -274,23 +286,18 @@ def build_graph(
 
     Edges without an explicit link_prob get one derived from their length
     via link_success_probability. Edge endpoint order is normalized, so
-    specs listing (B, A) and (A, B) produce identical graphs.
+    specs listing (B, A) and (A, B) produce identical graphs. An edge is
+    copied only when it needs either; the others are used as given.
     """
     phys = phys or PhysicalConstants()
     for node in node_specs:
         _validate_node(node, phys.swap_bound_mode)
     normalized = []
     for e in edge_specs:
-        u, v = edge_key(e.u, e.v)
-        p = e.link_prob
-        if p is None:
-            p = link_success_probability(
-                e.length_km,
-                phys.attenuation_alpha,
-                phys.base_efficiency,
-                phys.attempts_per_slot,
-            )
-        normalized.append(replace(e, u=u, v=v, link_prob=p))
+        if e.link_prob is None or e.u > e.v:
+            u, v = edge_key(e.u, e.v)
+            e = replace(e, u=u, v=v, link_prob=_link_prob(e, phys))
+        normalized.append(e)
 
     nodes = tuple(sorted(node_specs, key=lambda n: n.id))
     edges = tuple(sorted(normalized, key=lambda e: (e.u, e.v)))
@@ -310,25 +317,32 @@ def grid_topology(
 ) -> NetworkGraph:
     """rows x cols lattice with horizontal and vertical neighbor edges.
 
-    Node ids are "row,col"; node and edge parameters are cloned from the
-    templates (their id/endpoints fields are ignored).
+    Node ids are "row,col"; node and edge parameters are taken from the
+    templates (their id/endpoints fields are ignored). Each node and edge is
+    built once, with canonical endpoints and the template's link_prob, so
+    `build_graph` copies none of them.
     """
     for name, n in (("rows", rows), ("cols", cols)):
         if n < 1:
             raise GraphValidationError(f"{name}: must be >= 1, got {n}")
+    phys = phys or PhysicalConstants()
     node_tpl = default_node or NodeParams(id="")
     edge_tpl = default_edge or EdgeParams(u="", v="")
+    p = _link_prob(edge_tpl, phys)
+    ids = [[grid_node_id(r, c) for c in range(cols)] for r in range(rows)]
     nodes = [
-        replace(node_tpl, id=grid_node_id(r, c))
-        for r in range(rows)
-        for c in range(cols)
+        NodeParams(node_id, node_tpl.swap_prob, node_tpl.memory_cutoff_slots)
+        for row in ids
+        for node_id in row
     ]
     edges = []
     for r in range(rows):
         for c in range(cols):
             if c + 1 < cols:
-                edges.append((grid_node_id(r, c), grid_node_id(r, c + 1)))
+                edges.append(edge_key(ids[r][c], ids[r][c + 1]))
             if r + 1 < rows:
-                edges.append((grid_node_id(r, c), grid_node_id(r + 1, c)))
-    edge_specs = [replace(edge_tpl, u=u, v=v) for u, v in edges]
+                edges.append(edge_key(ids[r][c], ids[r + 1][c]))
+    edge_specs = [
+        EdgeParams(u, v, edge_tpl.capacity, edge_tpl.length_km, p) for u, v in edges
+    ]
     return build_graph(nodes, edge_specs, phys)

@@ -7,7 +7,8 @@ byte for byte. CSV tables use the same float formatting.
 
 from __future__ import annotations
 
-import json
+# what json.dumps runs for a str under its defaults, without its dispatch
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
@@ -32,7 +33,7 @@ def _write_value(value, out: list[str], indent: int) -> None:
     elif isinstance(value, float):
         out.append(format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -40,7 +41,7 @@ def _write_value(value, out: list[str], indent: int) -> None:
         out.append("{\n")
         keys = sorted(value, key=str)
         for i, k in enumerate(keys):
-            out.append(f"{pad}  {json.dumps(str(k))}: ")
+            out.append(f"{pad}  {encode_basestring_ascii(str(k))}: ")
             _write_value(value[k], out, indent + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")

@@ -7,8 +7,11 @@ capacity left and capped by the fidelity hop bound. The residual is one
 list in `graph.edges` order, and Yen reads that same list as its edge
 filter. Candidate lists are cached per request and dropped only when an
 increment uses up an edge one of Yen's paths for them runs over, so Yen
-runs again for a request only then. Routes are priced by their link and
-swap probabilities and width, so routes alike in those share one pricing.
+runs again for a request only then. Each request's scored candidates are
+kept across steps too, and rebuilt only when a commit changes its widths or
+saturates an edge its candidates or allocated routes run over. Routes are
+priced by their link and swap probabilities and width, so routes alike in
+those share one pricing.
 An exact MILP would be NP-hard territory; the greedy trades optimality for
 anytime behavior.
 """
@@ -164,6 +167,16 @@ def _drop_stale(route_cache: dict, i: int) -> None:
         del route_cache[key]
 
 
+def _drop_scores(scores: dict, rid: str, saturated: list[int]) -> None:
+    """Drop the scored candidates of request `rid`, just committed, and of
+    every request that watches an edge in `saturated`; the others stay
+    exact (see `allocate`)."""
+    scores.pop(rid, None)
+    for other in [other for other, (_, watched) in scores.items()
+                  if any(i in watched for i in saturated)]:
+        del scores[other]
+
+
 def allocate(
     graph: NetworkGraph, requests: list[Request], config: AllocatorConfig
 ) -> AllocationPlan:
@@ -181,6 +194,16 @@ def allocate(
     filter, under each metric). When a commit saturates an edge, only the
     entries whose paths use it are dropped: Yen returns the k best paths,
     and the k best that avoid an edge none of them uses are the same k.
+
+    A request's scored candidates read only its rate, its widths and
+    whether each edge of its routes still has residual capacity, so they
+    are kept across steps and rebuilt only when the request was just
+    committed or an edge they watch saturates: an edge of any path Yen
+    returned for its key (the key's entry is then dropped too) or of one of
+    its allocated routes. A kept score is the one a rebuild would compute,
+    and every step folds all of them with `beats` in request order and then
+    in scan order, so each plan is the one a full rescan gives, ties within
+    `beats`' window included.
 
     A route is priced by its link probabilities, interior swap
     probabilities and width, all that `policy_distribution` reads under the
@@ -239,7 +262,7 @@ def allocate(
     if _level_step(graph) is None:
         metrics += (Metric.HOP_COUNT,)
 
-    def candidate_routes(req: Request, bound: int) -> list[tuple[str, ...]]:
+    def candidate_routes(req: Request, bound: int) -> tuple[list, set[int]]:
         key = (req.source, req.dest, bound)
         if key not in route_cache:
             routes, used = route_cache[key] = [], set()
@@ -250,7 +273,25 @@ def allocate(
                     used.update(route(nodes)[0])
                     if len(nodes) - 1 <= bound and nodes not in routes:
                         routes.append(nodes)
-        return route_cache[key][0]
+        return route_cache[key]
+
+    def score(req: Request, bound: int) -> tuple[list[tuple], set[int]]:
+        """The request's candidates (gain, request id, nodes, new width,
+        rate delta) over its open routes in scan order, and the edges whose
+        saturation would change them."""
+        mine = widths[req.id]
+        rate = rates[req.id]
+        value = config.utility.value(req, rate)
+        routes, used = candidate_routes(req, bound)
+        cands = []
+        for nodes in dict.fromkeys([*mine, *routes]):
+            if not all(residual[i] for i in route(nodes)[0]):
+                continue
+            w = mine.get(nodes, 0)
+            delta = ext_at(nodes, w + 1) - ext_at(nodes, w)
+            gain = config.utility.value(req, rate + delta) - value
+            cands.append((gain, req.id, nodes, w + 1, delta))
+        return cands, used.union(*(route(nodes)[0] for nodes in mine))
 
     # gains computed at different accumulated rates pick up last-ulp noise,
     # so "equal" needs a window for the deterministic tie-break to apply
@@ -262,31 +303,29 @@ def allocate(
             return True
         return cand[0] >= best[0] - tie and cand[1:3] < best[1:3]
 
+    # request id -> (its candidates, the edges they watch), from `score`
+    scores: dict[str, tuple[list[tuple], set[int]]] = {}
     trace = [0.0]
     while True:
         best = None  # (gain, request id, nodes, new width, rate delta)
         for req, bound in live:
-            mine = widths[req.id]
-            rate = rates[req.id]
-            value = config.utility.value(req, rate)
-            for nodes in dict.fromkeys([*mine, *candidate_routes(req, bound)]):
-                if not all(residual[i] for i in route(nodes)[0]):
-                    continue
-                w = mine.get(nodes, 0)
-                delta = ext_at(nodes, w + 1) - ext_at(nodes, w)
-                gain = config.utility.value(req, rate + delta) - value
-                cand = (gain, req.id, nodes, w + 1, delta)
+            if req.id not in scores:
+                scores[req.id] = score(req, bound)
+            for cand in scores[req.id][0]:
                 if beats(cand, best):
                     best = cand
         if best is None or best[0] <= MIN_GAIN:
             break
         gain, rid, nodes, w, delta = best
         widths[rid][nodes] = w
+        saturated = []
         for i in route(nodes)[0]:
             residual[i] -= 1
             if not residual[i]:
                 _drop_stale(route_cache, i)
+                saturated.append(i)
         rates[rid] += delta
+        _drop_scores(scores, rid, saturated)
         trace.append(trace[-1] + gain)
 
     allocations = tuple(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,14 @@ from qroute import (
     link_success_probability,
     simulate,
 )
-from qroute.netmodel import GraphValidationError, NetworkGraph, classical_delay_ms
+from qroute import netmodel
+from qroute.netmodel import (
+    SWAP_BOUND_MODES,
+    GraphValidationError,
+    NetworkGraph,
+    classical_delay_ms,
+    edge_key,
+)
 
 
 def test_minimal_graph():
@@ -262,6 +270,65 @@ def test_grid_counts(rows, cols):
     g = grid_topology(rows, cols)
     assert len(g.nodes) == rows * cols
     assert len(g.edges) == rows * (cols - 1) + cols * (rows - 1)
+
+
+def two_copy_grid(rows, cols, default_edge, default_node, phys):
+    """The reference: `grid_topology` as it was built before, the templates
+    copied once per node and edge, then every edge copied again by
+    `build_graph` to make its endpoints canonical and set its link_prob."""
+    node_tpl = default_node or NodeParams(id="")
+    edge_tpl = default_edge or EdgeParams(u="", v="")
+    nodes = [dataclasses.replace(node_tpl, id=f"{r},{c}")
+             for r in range(rows) for c in range(cols)]
+    pairs = [((r, c), (r + dr, c + dc)) for r in range(rows) for c in range(cols)
+             for dr, dc in ((0, 1), (1, 0)) if r + dr < rows and c + dc < cols]
+    edges = [dataclasses.replace(edge_tpl, u="%d,%d" % a, v="%d,%d" % b)
+             for a, b in pairs]
+    phys = phys or PhysicalConstants()
+    for node in nodes:
+        netmodel._validate_node(node, phys.swap_bound_mode)
+    normalized = []
+    for e in edges:
+        u, v = edge_key(e.u, e.v)
+        p = e.link_prob
+        if p is None:
+            p = link_success_probability(e.length_km, phys.attenuation_alpha,
+                                         phys.base_efficiency, phys.attempts_per_slot)
+        normalized.append(dataclasses.replace(e, u=u, v=v, link_prob=p))
+    return NetworkGraph(tuple(sorted(nodes, key=lambda n: n.id)),
+                        tuple(sorted(normalized, key=lambda e: (e.u, e.v))), phys)
+
+
+def _outcome(build, *args):
+    """The graph or error message `build` gives, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(*args)
+        except GraphValidationError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@given(
+    # past 10 columns or rows, "r,9" sorts after "r,10": edges flip
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    edge=st.none() | st.builds(
+        EdgeParams, u=st.just(""), v=st.just(""), capacity=st.integers(0, 3),
+        length_km=st.floats(0, 1e4),
+        link_prob=st.sampled_from((None, 0.0, 1.0)) | st.floats(0, 1)),
+    node=st.none() | st.builds(
+        NodeParams, id=st.just(""), swap_prob=st.floats(0, 1),
+        memory_cutoff_slots=st.integers(1, 5)),
+    phys=st.none() | st.builds(
+        PhysicalConstants, attenuation_alpha=st.floats(0, 1),
+        attempts_per_slot=st.integers(1, 4), base_efficiency=st.floats(0.01, 1),
+        swap_bound_mode=st.sampled_from(SWAP_BOUND_MODES)),
+)
+def test_grid_equals_two_copy_reference(rows, cols, edge, node, phys):
+    assert _outcome(grid_topology, rows, cols, edge, node, phys) == _outcome(
+        two_copy_grid, rows, cols, edge, node, phys)
 
 
 def test_grid_round_trips_through_build_graph():

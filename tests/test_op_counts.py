@@ -8,9 +8,11 @@ Work is counted by wrapping module attributes from outside, as
 """
 
 import collections
+import json
+import random
 from pathlib import Path
 
-from qroute import AllocatorConfig, allocate, montecarlo, pathfind
+from qroute import AllocatorConfig, allocate, montecarlo, pathfind, routing
 from qroute.cli import run_command
 from qroute.netmodel import NetworkGraph
 from test_routing import tied_grid
@@ -27,14 +29,21 @@ PINNED_REACTIVE_SYNC = {
 }
 
 
-def test_reactive_sync_op_counts_pinned(monkeypatch, tmp_path):
+def counter(monkeypatch):
+    """A Counter, and a function that counts the calls to `owner.name` in it
+    under that name."""
     counts = collections.Counter()
 
-    def count(module, name):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, **kwargs: (
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: (
             counts.update([name]) or real(*args, **kwargs)))
 
+    return counts, count
+
+
+def test_reactive_sync_op_counts_pinned(monkeypatch, tmp_path):
+    counts, count = counter(monkeypatch)
     count(montecarlo, "disjoint_paths_on_logical")
     count(pathfind, "_hop_search")
     slots = []  # each slot's swap draws
@@ -67,3 +76,54 @@ def test_allocate_edge_lookups_pinned(monkeypatch):
     g, reqs = tied_grid(8, 8)
     allocate(g, reqs, AllocatorConfig(k=5))
     assert calls["edge"] == PINNED_ALLOCATE_EDGE_LOOKUPS
+
+
+# `route` on an 8x8 grid shaped like the `route_grid` bench workload. The
+# allocator keeps each request's scores until a commit changes them, so
+# `UtilitySpec.value` runs once per request rescored and once per open
+# route it scores (865 calls when every step rescored every request); Yen,
+# the hop-count searches under it and the pricing are unchanged by that
+PINNED_ROUTE_GRID = {
+    "value": 230,
+    "k_shortest_paths": 37,
+    "policy_distribution": 22,
+    "_hop_search": 490,
+}
+
+
+def route_grid_scenario() -> dict:
+    """8x8 grid, capacity 3, 20 km links with p = 0.8, q = 0.5; 8 requests
+    3-6 hops apart at a 0.9 fidelity floor (f0 = 0.99), k = 4, saturating
+    utility, doubling policy."""
+    rnd = random.Random(8)
+    cells = [(r, c) for r in range(8) for c in range(8)]
+    requests = []
+    for i in range(8):
+        src = rnd.choice(cells)
+        dst = rnd.choice([d for d in cells
+                          if 3 <= abs(d[0] - src[0]) + abs(d[1] - src[1]) <= 6])
+        requests.append({"id": f"r{i}", "source": "%d,%d" % src,
+                         "dest": "%d,%d" % dst, "min_fidelity": 0.9})
+    return {
+        "version": 1,
+        "graph": {"grid": {
+            "rows": 8, "cols": 8,
+            "node": {"swap_prob": 0.5},
+            "edge": {"capacity": 3, "length_km": 20.0, "link_prob": 0.8},
+        }},
+        "elementary_fidelity": 0.99,
+        "requests": requests,
+        "routing": {"k": 4, "utility": "saturating", "policy": "doubling"},
+    }
+
+
+def test_route_grid_op_counts_pinned(monkeypatch, tmp_path):
+    counts, count = counter(monkeypatch)
+    count(routing.UtilitySpec, "value")
+    count(routing, "k_shortest_paths")
+    count(routing, "policy_distribution")
+    count(pathfind, "_hop_search")
+    path = tmp_path / "route_grid.json"
+    path.write_text(json.dumps(route_grid_scenario()))
+    assert run_command(["route", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert dict(counts) == PINNED_ROUTE_GRID

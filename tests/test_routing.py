@@ -430,10 +430,8 @@ def test_allocate_yen_calls_pinned(monkeypatch):
     assert got == PINNED_LEDGER
 
 
-def test_allocate_per_edge_drop_equals_full_clear(monkeypatch):
-    # the k best paths that avoid an edge no returned path uses are the
-    # same k, so dropping only the entries whose paths use a saturated
-    # edge must give the plans of clearing every entry on any saturation
+def cache_instances():
+    """Allocator instances on which a kept cache entry can go stale."""
     instances = []
     rnd = random.Random(7)
     for _ in range(150):
@@ -451,14 +449,83 @@ def test_allocate_per_edge_drop_equals_full_clear(monkeypatch):
     for n, count in ((3, 3), (4, 4), (5, 6)):
         for k in (1, 2, 5):
             instances.append((*tied_grid(n, count), AllocatorConfig(k=k)))
+    return instances
 
-    def fingerprints():
-        return [_plan_fingerprint(allocate(g, reqs, config))
-                for g, reqs, config in instances]
 
-    per_edge = fingerprints()
+def fingerprints(instances):
+    return [_plan_fingerprint(allocate(g, reqs, config))
+            for g, reqs, config in instances]
+
+
+def test_allocate_per_edge_drop_equals_full_clear(monkeypatch):
+    # the k best paths that avoid an edge no returned path uses are the
+    # same k, so dropping only the entries whose paths use a saturated
+    # edge must give the plans of clearing every entry on any saturation
+    instances = cache_instances()
+    per_edge = fingerprints(instances)
     monkeypatch.setattr(routing, "_drop_stale", lambda cache, i: cache.clear())
-    assert per_edge == fingerprints()
+    assert per_edge == fingerprints(instances)
+
+
+def tie_instances():
+    """`weighted_sum` grids with one link probability, whose requests'
+    weights differ by less than `beats`' tie window, by exactly nothing, or
+    by a little more than the window: routes of one hop count and width
+    gain alike, so many steps pick among near-ties."""
+    instances = []
+    rnd = random.Random(25)
+    for _ in range(40):
+        n = rnd.randint(3, 5)
+        edge = EdgeParams(u="", v="", capacity=rnd.randint(1, 3), link_prob=0.8)
+        g = grid_topology(n, n, edge)
+        pairs = [rnd.sample(g.node_ids(), 2) for _ in range(rnd.randint(2, 5))]
+        reqs = [Request(id=f"r{i}", source=s, dest=d) for i, (s, d) in enumerate(pairs)]
+        weights = tuple(
+            (req.id, rnd.choice((1.0, 1 + 3e-13, 1 - 3e-13, 1 + 3e-12))) for req in reqs)
+        utility = UtilitySpec("weighted_sum", weights=weights)
+        instances.append((g, reqs, AllocatorConfig(k=rnd.choice((1, 3, 5)), utility=utility)))
+    return instances
+
+
+def test_allocate_kept_scores_equal_full_rescan(monkeypatch):
+    # a request's scores are kept until it is committed or an edge of its
+    # Yen paths or allocated routes saturates; dropping every request's
+    # scores on every step must give the same plans, near-ties included
+    instances = cache_instances() + tie_instances()
+    kept = fingerprints(instances)
+    with monkeypatch.context() as m:
+        m.setattr(routing, "_drop_scores", lambda scores, rid, saturated: scores.clear())
+        assert kept == fingerprints(instances)
+
+    # Yen keeps returning an open path it returned before, so an allocated
+    # route stays watched through the Yen paths until it closes. A stand-in
+    # that skips its best path whenever an odd number of edges is saturated
+    # leaves the allocated routes' own edges as the only watch. Here r0
+    # takes A-B; r1 saturates A-D, so r0's Yen paths are fetched again and
+    # the stand-in leaves A-B out; r2 then saturates A-B, and r0 must not
+    # widen it again
+    g = build_graph(
+        [NodeParams(id=i, swap_prob=0.5) for i in "ABDEF"],
+        [EdgeParams(u="A", v="B", capacity=2, link_prob=0.9),
+         EdgeParams(u="A", v="D", capacity=1, link_prob=0.6),
+         EdgeParams(u="D", v="B", capacity=1, link_prob=0.1),
+         EdgeParams(u="B", v="E", capacity=1, link_prob=1.0),
+         EdgeParams(u="B", v="F", capacity=1, link_prob=0.5),
+         EdgeParams(u="F", v="E", capacity=1, link_prob=1.0)],
+    )
+    reqs = [Request(id="r0", source="A", dest="B", rate_target=1.0),
+            Request(id="r1", source="A", dest="D", rate_target=0.5),
+            Request(id="r2", source="A", dest="E", rate_target=0.2)]
+    instances.append((g, reqs, AllocatorConfig(k=2, utility=UtilitySpec("saturating"))))
+    real = routing.k_shortest_paths
+
+    def fickle(graph, s, d, k, metric, usable):
+        return real(graph, s, d, k, metric, usable=usable)[usable.count(0) % 2:]
+
+    monkeypatch.setattr(routing, "k_shortest_paths", fickle)
+    kept = fingerprints(instances)
+    monkeypatch.setattr(routing, "_drop_scores", lambda scores, rid, saturated: scores.clear())
+    assert kept == fingerprints(instances)
 
 
 def test_allocate_prices_each_route_by_its_own_probabilities():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qroute import cli
 from qroute.cli import run_command
 from qroute.report import canonical_json, format_float
 from qroute.routing import UTILITY_KINDS
@@ -478,6 +479,38 @@ def test_canonical_json_sorted_and_stable():
     assert parsed == {"b": [1, 2.5], "a": {"y": True, "x": None}}
 
 
+def dumps_writer(value, indent=0) -> str:
+    """The reference: the report writer as it was, strings and keys through
+    `json.dumps` with its defaults."""
+    pad = "  " * indent
+    if isinstance(value, dict) and value:
+        items = [f"{pad}  {json.dumps(str(k))}: {dumps_writer(value[k], indent + 1)}"
+                 for k in sorted(value, key=str)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and value:
+        items = [pad + "  " + dumps_writer(v, indent + 1) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, float):
+        return format_float(value)
+    return json.dumps(value)
+
+
+# every code point, lone surrogates included, weighted towards the ones
+# JSON escapes: quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\u2028\ud800\udfff\U0001f600')
+                | st.characters(exclude_categories=()), max_size=12)
+
+
+@given(st.recursive(
+    _TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+))
+def test_canonical_json_equals_dumps_writer(doc):
+    assert canonical_json(doc) == dumps_writer(doc) + "\n"
+
+
 # --------------------------------------------------------------------------
 # CLI
 
@@ -672,14 +705,31 @@ def test_exit_codes(tmp_path, capsys):
     assert "overrides: seed -1 outside" in capsys.readouterr().err
 
 
-def test_runtime_failure_exits_two(tmp_path, capsys):
-    # an --out that names a file cannot become a directory: not a config
-    # problem, so the run fails as a runtime error
-    taken = tmp_path / "taken"
-    taken.write_text("")
+# (--out under the run's directory, the existing file it names or lies
+# under): each failed only when the report was written, with exit 2
+BAD_OUT = [("taken", "taken"), ("taken/report", "taken")]
+
+
+@pytest.mark.parametrize("out, taken", BAD_OUT, ids=[o for o, _ in BAD_OUT])
+def test_out_naming_a_file_exits_one(out, taken, tmp_path, capsys):
+    (tmp_path / taken).write_text("")
     assert run_command(["analyze", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
-                        "--out", str(taken)]) == 2
-    assert capsys.readouterr().err.startswith("qroute: FileExistsError: ")
+                        "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qroute: --out: {str(tmp_path / taken)!r} is not a directory\n")
+    assert (tmp_path / taken).read_text() == ""
+
+
+def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # a write that fails on a valid --out is not a config problem, so the
+    # run fails as a runtime error
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_report", full_disk)
+    assert run_command(["analyze", "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
+                        "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("qroute: OSError: ")
 
 
 @pytest.mark.parametrize("policy", ["bogus", "explicit"])
