@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import add, and_, gt
+from operator import add, and_, ge, gt
 
 from .analytics import PathSpec, SwapPolicy
 from .draws import (
@@ -225,19 +225,12 @@ DISPOSE_REASONS = ("consumed", "expired", "discarded", "delivered")
 
 class _Channels:
     """A run of an edge's channels that one owner binds from, and the live
-    links on it as (id, birth, birth, channel) records in id order.
+    links on it as (id, birth, birth, channel) records in id order."""
 
-    A proactive path's hop owns its own run; under the reactive scheme a
-    whole edge is one run. Ids come from one counter in creation order, so
-    within a run id order is (birth slot, channel) order, and every policy,
-    and expiry too, takes links off the front.
-    """
+    __slots__ = ("start", "cutoff", "links")
 
-    __slots__ = ("start", "width", "cutoff", "links")
-
-    def __init__(self, start: int, width: int, cutoff: int):
+    def __init__(self, start: int, cutoff: int):
         self.start = start
-        self.width = width
         self.cutoff = cutoff  # slots a link lives: min over its two ends
         self.links: list[tuple[int, int, int, int]] = []
 
@@ -253,11 +246,12 @@ class _PathStore:
     (`starts`), and takes it out of both together.
     """
 
-    __slots__ = ("runs", "widths", "cutoffs", "pools", "ends", "starts", "held")
+    __slots__ = ("runs", "owned", "cutoffs", "pools", "ends", "starts", "held")
 
     def __init__(self, rp: _RuntimePath, runs: list[list], cutoffs: tuple[int, ...]):
         self.runs = runs
-        self.widths = rp.path.per_hop_capacity
+        self.owned = all(map(ge, rp.path.per_hop_capacity,
+                             (width for *_, width in rp.channels)))
         self.cutoffs = cutoffs  # per path position
         self.pools = {(a, b): [] for a, _, b in rp.schedule or ()}
         adhoc = rp.policy.kind == "adhoc"
@@ -281,13 +275,20 @@ class _PathStore:
 
 class _AsyncKernel:
     """Async run state: link runs, the id counter and the entity ledger
-    (created == live + disposed), checked every slot."""
+    (created == live + disposed), checked every slot.
+
+    A proactive path's hop owns its own run; under the reactive scheme a
+    whole edge is one run. Ids come from one counter in creation order, so
+    within a run id order is (birth slot, channel) order, and every policy,
+    and expiry too, takes links off the front. A new segment has the
+    largest id so far, so appending keeps every list in id order.
+    """
 
     def __init__(self, graph: NetworkGraph, schedule):
         """`schedule`: the link schedule `simulate` builds."""
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
         lifetime = [min(cutoff[e.u], cutoff[e.v]) for e in graph.edges]
-        self.runs = {run: _Channels(run[1], run[2], lifetime[run[0]])
+        self.runs = {run: _Channels(run[1], lifetime[run[0]])
                      for run, *_ in schedule}
         self.schedule = list(zip(_link_spans(schedule), self.runs.values()))
         self.cutoff = cutoff
@@ -324,23 +325,23 @@ class _AsyncKernel:
         first = next_id = self.next_id
         for (lo, hi), run in self.schedule:
             links = run.links
-            if len(links) == run.width or 1 not in bits[lo:hi]:
-                continue
-            busy = {r[3] for r in links}
-            for ch, ok in enumerate(bits[lo:hi], run.start):
-                if ok and ch not in busy:
+            busy = {r[3] for r in links} if links else ()  # channels in use
+            for ch in itertools.compress(itertools.count(run.start), bits[lo:hi]):
+                if ch not in busy:
                     links.append((next_id, slot, slot, ch))
                     next_id += 1
         self.next_id = next_id
         return next_id - first
 
-    def take(self, store: _PathStore) -> list[list]:
+    def take(self, rp: _RuntimePath, store: _PathStore) -> list[list]:
         """The links a path works on this slot: on each hop, the lowest-id
-        links that no earlier path took this slot, at most the hop's width."""
+        links that no earlier path took this slot, at most the hop's width.
+        A hop that may take all of its run's links gets the run's own list;
+        so does every hop of a path as wide as its runs, as proactive ones are."""
+        if store.owned:
+            return store.runs
         hops = []
-        for links, width in zip(store.runs, store.widths):
-            # a proactive run has one owner, and a reactive path that takes
-            # an edge's last links leaves none for a later path's counts
+        for links, width in zip(store.runs, rp.path.per_hop_capacity):
             if width >= len(links):
                 hops.append(links)
                 continue
@@ -418,26 +419,22 @@ def _exec_tree(rp: _RuntimePath, hops, store, kernel, draws, tally):
     return delivered
 
 
-def _pop_lowest(links, segs, m, link_far, far, index):
+def _pop_lowest(links, segs, m, far, index):
     """Pop the m lowest-id records off a hop's links and an id-ordered
-    segment list; return (far end position, record) pairs. A popped segment
-    also leaves `index`, which files it under its far end `seg[far]`."""
-    if not segs:
-        taken = [(link_far, r) for r in links[:m]]
+    segment list. A popped segment also leaves `index`, which files it under
+    its far end `seg[far]`."""
+    if not segs:  # no merge: the m lowest links
+        taken = links[:m]
         del links[:m]
         return taken
     taken = []
-    i = k = 0
-    while i + k < m:
-        if i < len(links) and (k == len(segs) or links[i][0] < segs[k][0]):
-            taken.append((link_far, links[i]))
-            i += 1
+    while len(taken) < m:
+        if links and (not segs or links[0][0] < segs[0][0]):
+            taken.append(links.pop(0))
         else:
-            seg = segs[k]
+            seg = segs.pop(0)
             index[seg[far]].remove(seg)
-            taken.append((seg[far], seg))
-            k += 1
-    del links[:i], segs[:k]
+            taken.append(seg)
     return taken
 
 
@@ -446,7 +443,9 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, tally):
     order; node j pairs, in id order, the records ending at j with those
     starting at j. A second sweep would pair nothing: a visit empties one
     side of node j, and a new segment starts where its left record starts
-    and ends where its right record ends, so that side stays empty."""
+    and ends where its right record ends, so that side stays empty. The
+    pops hand over bare records, and each pair reads its far ends off them:
+    a segment (a 6-tuple) holds its own, and a link's is the next node."""
     swaps = rp.swaps
     n = rp.path.hop_count
     ends, starts, cut = store.ends, store.starts, store.cutoffs
@@ -460,12 +459,12 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, tally):
         if not m:
             continue
         attempts += m
-        lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
-        rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
+        lefts = _pop_lowest(hops[j - 1], ends[j], m, 3, starts)
+        rights = _pop_lowest(hops[j], starts[j], m, 4, ends)
         won = draws.successes(swaps[j - 1], m)
-        for (a, left), (b, right), ok in zip(lefts, rights, won):
-            if not ok:
-                continue
+        for left, right in itertools.compress(zip(lefts, rights), won):
+            a = left[3] if len(left) == 6 else j - 1
+            b = right[4] if len(right) == 6 else j + 1
             if a == 0 and b == n:
                 delivered += 1
             else:
@@ -668,7 +667,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                         created[k] += new
                     else:
                         store = kernel.bind(rp) if reactive else held[rp.label]
-                        got = _execute_policy(rp, kernel.take(store), store,
+                        got = _execute_policy(rp, kernel.take(rp, store), store,
                                               kernel, draws, tally)
                         if reactive:  # its partial segments die with the slot's paths
                             kernel.disposed["discarded"] += store.live()

@@ -981,6 +981,172 @@ def test_async_reports_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_ASYNC_SHA256
 
 
+def _pop_lowest(links, segs, m, link_far, far, index):
+    """Pop the m lowest-id records off a hop's links and an id-ordered
+    segment list; return (far end position, record) pairs. A popped segment
+    also leaves `index`, which files it under its far end `seg[far]`."""
+    if not segs:
+        taken = [(link_far, r) for r in links[:m]]
+        del links[:m]
+        return taken
+    taken = []
+    i = k = 0
+    while i + k < m:
+        if i < len(links) and (k == len(segs) or links[i][0] < segs[k][0]):
+            taken.append((link_far, links[i]))
+            i += 1
+        else:
+            seg = segs[k]
+            index[seg[far]].remove(seg)
+            taken.append((seg[far], seg))
+            k += 1
+    del links[:i], segs[:k]
+    return taken
+
+
+def _exec_adhoc(rp, hops, store, kernel, draws, tally):
+    """The reference adhoc kernel, which merges each side's links and
+    segments record by record and pairs (far end, record) tuples; the
+    simulator's `_exec_adhoc` must equal it in results and draws."""
+    from qroute.montecarlo import _tally
+
+    swaps = rp.swaps
+    n = rp.path.hop_count
+    ends, starts, cut = store.ends, store.starts, store.cutoffs
+    next_id = kernel.next_id
+    attempts = delivered = 0
+    if n == 1:  # a link is already end to end
+        delivered = len(hops[0])
+        hops[0].clear()
+    for j in range(1, n):
+        m = min(len(hops[j - 1]) + len(ends[j]), len(hops[j]) + len(starts[j]))
+        if not m:
+            continue
+        attempts += m
+        lefts = _pop_lowest(hops[j - 1], ends[j], m, j - 1, 3, starts)
+        rights = _pop_lowest(hops[j], starts[j], m, j + 1, 4, ends)
+        won = draws.successes(swaps[j - 1], m)
+        for (a, left), (b, right), ok in zip(lefts, rights, won):
+            if not ok:
+                continue
+            if a == 0 and b == n:
+                delivered += 1
+            else:
+                lb = left[1]
+                rb = right[2]
+                seg = (next_id, lb, rb, a, b, min(lb + cut[a], rb + cut[b]))
+                ends[b].append(seg)
+                starts[a].append(seg)
+            next_id += 1
+    _tally(tally, "adhoc", attempts, next_id - kernel.next_id)
+    kernel.next_id = next_id
+    kernel.disposed["consumed"] += 2 * attempts
+    kernel.disposed["delivered"] += delivered
+    return delivered
+
+
+ADHOC_CASES = [name for name, *_, config in async_memory_cases()
+               if config["policy"].kind == "adhoc"]
+
+
+@pytest.mark.parametrize("seed", (5, 12))
+@pytest.mark.parametrize("name", ADHOC_CASES)
+def test_adhoc_kernel_equals_pair_reference(monkeypatch, name, seed):
+    # proactive, shared edges, and reactive with node_disjoint off and on:
+    # the same stats, and the same swap bytes drawn at each node each slot
+    from qroute import montecarlo
+
+    ((g, subject, config),) = [case[1:] for case in async_memory_cases()
+                               if case[0] == name]
+
+    def run():
+        slots = []
+
+        class Draws(montecarlo._SwapDraws):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slots.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_SwapDraws", Draws)
+            stats = simulate(g, subject, SimConfig(forwarding="async", slots=1500,
+                                                   seed=seed, **config))
+        return stats, [d._seq for d in slots]
+
+    got, got_draws = run()
+    monkeypatch.setattr(montecarlo, "_exec_adhoc", _exec_adhoc)
+    want, want_draws = run()
+    assert got.swap_counters["adhoc"]["successes"] > 0
+    assert got == want
+    assert got_draws == want_draws
+
+
+def test_adhoc_pairs_mixed_sides_in_id_order():
+    # node 2 of a 5-hop path: its left side holds links of hop 1 and
+    # segments (0, 2), its right side links of hop 2 and segments (2, 4)
+    # and (2, 5), with ids interleaved across the two kinds on each side
+    from types import SimpleNamespace
+
+    from qroute.montecarlo import DISPOSE_REASONS, _exec_adhoc, _PathStore, _RuntimePath
+
+    path = make_path([3] * 5, [0.5] * 5, [0.5] * 4)
+    rp = _RuntimePath.build("r", path, SwapPolicy.adhoc(),
+                            {v: i for i, v in enumerate(path.nodes)}, ())
+    runs = [[] for _ in range(5)]
+    store = _PathStore(rp, runs, (10,) * 6)
+
+    def link(i, hop):
+        runs[hop].append((i, 10 * i, 10 * i, 0))
+
+    def seg(i, a, b):
+        s = (i, 10 * i, 10 * i + 1, a, b, 99)
+        store.ends[b].append(s)
+        store.starts[a].append(s)
+
+    link(1, 1), seg(2, 0, 2), seg(3, 2, 4), link(4, 1), link(5, 2)
+    seg(6, 0, 2), seg(7, 2, 5), link(8, 2), link(9, 1)
+    kernel = SimpleNamespace(next_id=20, disposed=dict.fromkeys(DISPOSE_REASONS, 0))
+    draws = SimpleNamespace(successes=lambda rank, m: b"\x01" * m)
+    tally = {}
+    assert _exec_adhoc(rp, runs, store, kernel, draws, tally) == 0
+    # left 1 (link), 2 (seg), 4 (link), 6 (seg) meet right 3 (seg), 5 (link),
+    # 7 (seg), 8 (link) in id order, and link 9 waits. A new segment takes
+    # its left record's left birth and far end, and its right record's
+    made = [(20, 10, 31, 1, 4, 20), (21, 20, 50, 0, 3, 30),
+            (22, 40, 71, 1, 5, 50), (23, 60, 80, 0, 3, 70)]
+    # each sits under the node it ends at and the one it starts at, and no
+    # popped segment stays in either list
+    assert sorted(store.ends[3] + store.ends[4] + store.ends[5]) == made
+    assert sorted(store.starts[0] + store.starts[1]) == made
+    assert store.ends[2] == store.starts[2] == []
+    assert runs[1] == [(9, 90, 90, 0)] and runs[2] == []
+    assert tally == {"adhoc": [4, 4]} and kernel.next_id == 24
+
+
+def test_take_hands_owned_runs_whole_and_cuts_shared_ones():
+    # a reactive path one link wide, over a capacity-1 edge and a
+    # capacity-3 edge: it owns the first run, and shares the second
+    from qroute.draws import _threshold
+    from qroute.montecarlo import _AsyncKernel, _RuntimePath
+
+    g = build_graph([NodeParams(id=f"n{i}", swap_prob=0.5) for i in range(3)],
+                    [EdgeParams(u="n0", v="n1", capacity=1, link_prob=0.5),
+                     EdgeParams(u="n1", v="n2", capacity=3, link_prob=0.5)])
+    runs = [(i, 0, e.capacity) for i, e in enumerate(g.edges)]
+    kernel = _AsyncKernel(g, [(run, range(run[2]), _threshold(0.5)) for run in runs])
+    assert kernel.generate(b"\x01" * 4, 0) == 4
+    path = path_spec_from_nodes(g, ("n0", "n1", "n2"), width=1)
+    rp = _RuntimePath.build("r", path, SwapPolicy.adhoc(), g.node_rank, runs)
+    store = kernel.bind(rp)
+    owned, shared = store.runs
+    assert not store.owned
+    hops = kernel.take(rp, store)
+    assert hops[0] is owned and hops[1] == [(1, 0, 0, 0)]
+    assert shared == [(2, 0, 0, 1), (3, 0, 0, 2)]
+    kernel.end_slot(0, [store])  # the unused link goes back in front
+    assert shared == [(1, 0, 0, 0), (2, 0, 0, 1), (3, 0, 0, 2)]
+
+
 def test_async_path_histogram_grows_past_width():
     # segments kept in memory can meet in one slot and deliver more pairs
     # than the path is wide (this overflowed the per-path histogram)

@@ -12,6 +12,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from qroute import AllocatorConfig, allocate, montecarlo, pathfind, routing
 from qroute.cli import run_command
 from qroute.netmodel import NetworkGraph
@@ -127,3 +129,44 @@ def test_route_grid_op_counts_pinned(monkeypatch, tmp_path):
     path.write_text(json.dumps(route_grid_scenario()))
     assert run_command(["route", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     assert dict(counts) == PINNED_ROUTE_GRID
+
+
+# async_adhoc_chain.json at 400 slots, under its own `adhoc` policy and under
+# `doubling`: the records the async kernel creates (its final `next_id`:
+# links plus segments), the swap bytes drawn at each node by rank, and the
+# draws past a node's plane cap (`_SwapDraws._chain` calls)
+PINNED_ASYNC = {
+    "adhoc": {"records": 1088, "swap bytes by rank": [0, 288, 204, 0], "_chain": 0},
+    "doubling": {"records": 956, "swap bytes by rank": [0, 284, 142, 0], "_chain": 0},
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_ASYNC))
+def test_async_op_counts_pinned(monkeypatch, tmp_path, policy):
+    kernels, slots, chains = [], [], collections.Counter()
+
+    class Kernel(montecarlo._AsyncKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    class Draws(montecarlo._SwapDraws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            slots.append(self)
+
+        def _chain(self, *args):
+            chains.update(["_chain"])
+            return super()._chain(*args)
+
+    monkeypatch.setattr(montecarlo, "_AsyncKernel", Kernel)
+    monkeypatch.setattr(montecarlo, "_SwapDraws", Draws)
+    assert run_command(["simulate", "--scenario",
+                        str(SCENARIOS / "async_adhoc_chain.json"),
+                        "--policy", policy, "--slots", "400",
+                        "--out", str(tmp_path)]) == 0
+    (kernel,) = kernels
+    got = {"records": kernel.next_id,
+           "swap bytes by rank": [sum(col) for col in zip(*(d._seq for d in slots))],
+           "_chain": chains["_chain"]}
+    assert got == PINNED_ASYNC[policy]
