@@ -63,7 +63,7 @@ def main():
     for _, nodes in k_shortest_paths(g, "0,0", corner, args.k,
                                      Metric.INVERSE_CREATION_RATE):
         cand = path_spec_from_nodes(g, nodes)
-        score = expected_throughput(policy_distribution(cand, SwapPolicy.sequential()))
+        score = expected_throughput(policy_distribution(cand, SwapPolicy("sequential")))
         print(f"  {'->'.join(nodes):<40} seq-throughput {score:.4f}")
 
     config = AllocatorConfig(k=args.k, utility=UtilitySpec("saturating"))

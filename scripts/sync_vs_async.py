@@ -52,7 +52,7 @@ def main():
                                    seed=args.seed),
         "async doubling": SimConfig(forwarding="async", slots=args.slots,
                                     seed=args.seed),
-        "async adhoc": SimConfig(forwarding="async", policy=SwapPolicy.adhoc(),
+        "async adhoc": SimConfig(forwarding="async", policy=SwapPolicy("adhoc"),
                                  slots=args.slots, seed=args.seed),
     }
     closed_form = args.p**args.hops * args.q ** (args.hops - 1)

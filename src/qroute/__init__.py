@@ -22,7 +22,6 @@ from .analytics import (
     optimal_order_search,
     policy_distribution,
     sequential_tree,
-    subpath_capacity,
     unheralded_path_distribution,
     werner_fidelity_after_swaps,
 )
@@ -38,7 +37,6 @@ from .netmodel import (
     link_success_probability,
 )
 from .pathfind import (
-    LogicalTopology,
     Metric,
     disjoint_paths_on_logical,
     k_shortest_paths,

@@ -68,10 +68,6 @@ class Distribution:
     def __post_init__(self):
         object.__setattr__(self, "pmf", _clean_pmf(self.pmf))
 
-    @property
-    def cap(self) -> int:
-        return len(self.pmf) - 1
-
     def mean(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.pmf))
 
@@ -121,14 +117,6 @@ class PathSpec:
     @property
     def width(self) -> int:
         return min(self.per_hop_capacity)
-
-    def reversed(self) -> "PathSpec":
-        return PathSpec(
-            nodes=self.nodes[::-1],
-            per_hop_capacity=self.per_hop_capacity[::-1],
-            per_hop_prob=self.per_hop_prob[::-1],
-            interior_swap_probs=self.interior_swap_probs[::-1],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +250,6 @@ class SwapPolicy:
         if (self.kind == "explicit") != (self.tree is not None):
             raise ValueError("explicit policies carry a tree; others must not")
 
-    @classmethod
-    def sequential(cls) -> "SwapPolicy":
-        return cls("sequential")
-
-    @classmethod
-    def doubling(cls) -> "SwapPolicy":
-        return cls("doubling")
-
-    @classmethod
-    def parallel(cls) -> "SwapPolicy":
-        return cls("parallel")
-
-    @classmethod
-    def adhoc(cls) -> "SwapPolicy":
-        return cls("adhoc")
-
-    @classmethod
-    def explicit(cls, tree: SwapOrderTree) -> "SwapPolicy":
-        return cls("explicit", tree=tree)
-
     def order_tree(self, n_hops: int) -> SwapOrderTree:
         if self.kind == "sequential":
             return sequential_tree(n_hops)
@@ -314,13 +282,6 @@ def link_distribution(cap: int, p: float) -> Distribution:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     return Distribution(_binom_row(cap, p))
-
-
-def subpath_capacity(path: PathSpec, i: int, j: int) -> int:
-    """Width of the subpath between path node indices i < j."""
-    if not 0 <= i < j <= path.hop_count:
-        raise ValueError(f"need 0 <= i < j <= {path.hop_count}, got ({i}, {j})")
-    return min(path.per_hop_capacity[i:j])
 
 
 def _min_pmf(left, right) -> list[float]:

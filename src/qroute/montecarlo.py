@@ -39,12 +39,7 @@ from .draws import (
     _threshold,
 )
 from .netmodel import NetworkGraph
-from .pathfind import (
-    LogicalTopology,
-    _path_edges,
-    disjoint_paths_on_logical,
-    path_spec_from_nodes,
-)
+from .pathfind import _path_edges, disjoint_paths_on_logical, path_spec_from_nodes
 from .routing import AllocationPlan, Request, check_unique_ids
 
 
@@ -52,7 +47,7 @@ from .routing import AllocationPlan, Request, check_unique_ids
 class SimConfig:
     scheme: str = "proactive"  # proactive | reactive
     forwarding: str = "sync"  # sync | async
-    policy: SwapPolicy = field(default_factory=SwapPolicy.doubling)
+    policy: SwapPolicy = SwapPolicy("doubling")
     slots: int = 1000
     seed: int = 0
     node_disjoint: bool = False
@@ -529,10 +524,9 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
     link `counts` (a list in `graph.edges` order); each path takes one link
     per hop off `counts`. `built` keeps each (request id, nodes) path's
     runtime context across slots; each hop binds its edge's one run."""
-    logical = LogicalTopology(counts=counts)
     for req in requests:
         paths = disjoint_paths_on_logical(
-            logical, graph, req.source, req.dest,
+            counts, graph, req.source, req.dest,
             config.max_paths_per_request, config.node_disjoint,
         )
         for path in paths:

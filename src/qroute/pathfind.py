@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .analytics import PathSpec
@@ -383,51 +382,25 @@ def widest_path(graph: NetworkGraph, s: str, d: str) -> PathSpec | None:
     return None
 
 
-@dataclass
-class LogicalTopology:
-    """Realized entangled links for the current slot: `counts[i]` is edge
-    `graph.edges[i]`'s."""
-
-    counts: list[int]
-
-    @classmethod
-    def from_counts(cls, graph: NetworkGraph, counts: dict) -> "LogicalTopology":
-        """From an {(u, v): count} map, checked; absent edges count 0."""
-        norm = [0] * len(graph.edges)
-        given: set[tuple[str, str]] = set()
-        for (u, v), c in counts.items():
-            e = graph.edge(u, v)
-            key = edge_key(u, v)
-            if key in given:
-                raise GraphValidationError(f"edge {key!r}: logical count given twice")
-            # a bool is an int to isinstance, but never a link count
-            if type(c) is not int or not 0 <= c <= e.capacity:
-                raise GraphValidationError(
-                    f"edge {key!r}: logical count {c!r} is not an int in 0..{e.capacity}"
-                )
-            given.add(key)
-            norm[graph.edge_index[key]] = c
-        return cls(counts=norm)
-
-
 def disjoint_paths_on_logical(
-    logical: LogicalTopology,
+    counts: list[int],
     graph: NetworkGraph,
     s: str,
     d: str,
     max_paths: int,
     node_disjoint: bool = False,
 ) -> list[PathSpec]:
-    """Greedy hop-count routing on the realized links.
+    """Greedy hop-count routing on a slot's realized links, `counts[i]` of
+    them on edge `graph.edges[i]`.
 
     Repeatedly takes the shortest path through edges that still have an
     unconsumed link, then removes one link unit per used edge (and the
     interior nodes too, when node-disjoint paths are requested), in a copy:
-    `logical.counts` is left as it was.
+    `counts` is left as it was.
     """
     _check_endpoints(graph, s, d)
     # the per-edge filter: an edge is usable while its count is positive
-    remaining = list(logical.counts)
+    remaining = list(counts)
     blocked: set[str] = set()
     # nodes -> (width-1 spec, edge indices)
     specs = graph._memo.setdefault("unit_specs", {})

@@ -107,7 +107,9 @@ class PathAllocation:
     path: PathSpec  # per_hop_capacity holds the allocated widths
     policy: SwapPolicy
 
+    @functools.cached_property
     def throughput(self) -> float:
+        """Expected E2E pairs per slot on this path, priced once."""
         return expected_throughput(policy_distribution(self.path, self.policy))
 
 
@@ -132,7 +134,7 @@ class AllocationPlan:
 
 def request_throughput(plan: AllocationPlan, req: Request) -> float:
     """Expected E2E pairs per slot served to one request (sum over its paths)."""
-    return math.fsum(a.throughput() for a in plan.allocations_for(req.id))
+    return math.fsum(a.throughput for a in plan.allocations_for(req.id))
 
 
 def total_utility(plan: AllocationPlan, spec: UtilitySpec) -> float:
@@ -145,7 +147,7 @@ def total_utility(plan: AllocationPlan, spec: UtilitySpec) -> float:
 class AllocatorConfig:
     k: int = 5
     utility: UtilitySpec = field(default_factory=UtilitySpec)
-    policy: SwapPolicy = field(default_factory=SwapPolicy.doubling)
+    policy: SwapPolicy = SwapPolicy("doubling")
     elementary_fidelity: float = 1.0
 
     def __post_init__(self):

@@ -117,7 +117,7 @@ def policy_from_name(name: str) -> SwapPolicy:
 @dataclass(frozen=True)
 class AnalyticsTargets:
     paths: tuple[tuple[str, ...], ...] = ()
-    policy: SwapPolicy = field(default_factory=SwapPolicy.doubling)
+    policy: SwapPolicy = SwapPolicy("doubling")
     order_search: bool = False
 
     def __post_init__(self):

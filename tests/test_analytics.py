@@ -18,7 +18,6 @@ from qroute import (
     max_hops,
     optimal_order_search,
     policy_distribution,
-    subpath_capacity,
     unheralded_path_distribution,
     werner_fidelity_after_swaps,
 )
@@ -58,23 +57,6 @@ def test_link_distribution_zero_cap():
 def test_link_distribution_rejects_bad_p():
     with pytest.raises(ValueError):
         link_distribution(2, 1.5)
-
-
-# --------------------------------------------------------------------------
-# subpath capacity
-
-
-def test_subpath_capacity():
-    path = make_path([2, 3, 1, 4], [0.5] * 4, [0.5] * 3)
-    assert subpath_capacity(path, 0, 4) == 1
-    assert subpath_capacity(path, 0, 2) == 2
-
-
-def test_subpath_capacity_single_hop():
-    path = make_path([5], [0.5], [])
-    assert subpath_capacity(path, 0, 1) == 5
-    with pytest.raises(ValueError):
-        subpath_capacity(path, 1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +117,7 @@ def test_merge_cap_is_the_smaller_cap():
     # one swap is tried with probability 0.5 * 0.5 and succeeds half the time
     for merged in (heralded_swap_merge(one, two, 0.5),
                    heralded_swap_merge(two, one, 0.5)):
-        assert merged.cap == 1
+        assert len(merged.pmf) == 2
         assert_pmf_close(merged.pmf, (0.875, 0.125))
 
 
@@ -347,17 +329,17 @@ def test_path_spec_shape_checks():
 def test_policy_distribution_adhoc_rejected():
     path = make_path([1, 1], [0.5, 0.5], [0.5])
     with pytest.raises(ValueError, match="adhoc"):
-        policy_distribution(path, SwapPolicy.adhoc())
+        policy_distribution(path, SwapPolicy("adhoc"))
 
 
 def test_policy_distribution_selects_formula():
     path = make_path([2, 2], [0.7, 0.8], [0.5])
     assert_pmf_close(
-        policy_distribution(path, SwapPolicy.parallel()).pmf,
+        policy_distribution(path, SwapPolicy("parallel")).pmf,
         unheralded_path_distribution(path).pmf,
     )
     assert_pmf_close(
-        policy_distribution(path, SwapPolicy.doubling()).pmf,
+        policy_distribution(path, SwapPolicy("doubling")).pmf,
         heralded_path_distribution(path, doubling_tree(2)).pmf,
     )
 
@@ -381,7 +363,12 @@ def test_distributions_are_normalized(path):
 @settings(max_examples=150, deadline=None)
 def test_unheralded_direction_invariance(path):
     forward = unheralded_path_distribution(path)
-    backward = unheralded_path_distribution(path.reversed())
+    backward = unheralded_path_distribution(PathSpec(
+        nodes=path.nodes[::-1],
+        per_hop_capacity=path.per_hop_capacity[::-1],
+        per_hop_prob=path.per_hop_prob[::-1],
+        interior_swap_probs=path.interior_swap_probs[::-1],
+    ))
     assert_pmf_close(forward.pmf, backward.pmf, 1e-9)
 
 

@@ -22,6 +22,7 @@ from qroute import (
     build_graph,
     grid_topology,
     link_distribution,
+    max_hops,
     path_spec_from_nodes,
     simulate,
     unheralded_path_distribution,
@@ -42,7 +43,7 @@ def plan_for_chain(graph, n_hops, width=1, policy=None, rid="r1"):
         requests=(req,),
         allocations=(
             PathAllocation(request_id=rid, path=path,
-                           policy=policy or SwapPolicy.doubling()),
+                           policy=policy or SwapPolicy("doubling")),
         ),
         residual=(),
     )
@@ -274,11 +275,11 @@ def test_one_hop_run_has_an_empty_swap_plane(forwarding):
 
     assert _Plane([]).block(_slot_bases(KeyedRng(3).swap_key, 0, 5)) == b""
     g = chain_graph(1, p=0.6, cap=2)
-    plan = plan_for_chain(g, 1, width=2, policy=SwapPolicy.parallel())
+    plan = plan_for_chain(g, 1, width=2, policy=SwapPolicy("parallel"))
     bound = _bind_plan(g, plan)
     assert _swap_lanes(g, bound).caps == [0, 0]
     stats = simulate(g, plan, SimConfig(forwarding=forwarding, slots=40, seed=4,
-                                        policy=SwapPolicy.parallel()))
+                                        policy=SwapPolicy("parallel")))
     assert stats.delivered_total == stats.links_generated > 0
     assert stats.swap_counters == {}
 
@@ -289,7 +290,7 @@ def test_one_hop_run_has_an_empty_swap_plane(forwarding):
 
 @pytest.mark.parametrize(
     "policy",
-    [SwapPolicy.sequential(), SwapPolicy.doubling(), SwapPolicy.parallel()],
+    [SwapPolicy("sequential"), SwapPolicy("doubling"), SwapPolicy("parallel")],
 )
 def test_two_hop_lane_certain_swap(policy):
     g = chain_graph(2, p=1.0, q=1.0)
@@ -306,8 +307,8 @@ def test_two_hop_lane_certain_swap(policy):
 
 def test_parallel_missing_link_delivers_nothing():
     g = chain_with_probs([1.0, 0.0])
-    plan = plan_for_chain(g, 2, policy=SwapPolicy.parallel())
-    stats = simulate(g, plan, SimConfig(slots=1, policy=SwapPolicy.parallel()))
+    plan = plan_for_chain(g, 2, policy=SwapPolicy("parallel"))
+    stats = simulate(g, plan, SimConfig(slots=1, policy=SwapPolicy("parallel")))
     assert stats.delivered_total == 0
     assert stats.swap_counters == {}
     # the surviving link is not swapped; sync discards it at slot end
@@ -350,8 +351,8 @@ def test_async_adhoc_beats_sync_with_memory():
     sync = simulate(g, plan_for_chain(g, 3),
                     SimConfig(forwarding="sync", slots=slots, seed=11))
     adhoc = simulate(
-        g, plan_for_chain(g, 3, policy=SwapPolicy.adhoc()),
-        SimConfig(forwarding="async", policy=SwapPolicy.adhoc(),
+        g, plan_for_chain(g, 3, policy=SwapPolicy("adhoc")),
+        SimConfig(forwarding="async", policy=SwapPolicy("adhoc"),
                   slots=slots, seed=11),
     )
     assert set(adhoc.swap_counters) == {"adhoc"}
@@ -359,7 +360,7 @@ def test_async_adhoc_beats_sync_with_memory():
 
 
 STATIC_POLICIES = (
-    SwapPolicy.sequential(), SwapPolicy.doubling(), SwapPolicy.parallel()
+    SwapPolicy("sequential"), SwapPolicy("doubling"), SwapPolicy("parallel")
 )
 
 
@@ -367,7 +368,7 @@ STATIC_POLICIES = (
 def test_one_hop_parallel_delivers_every_link(forwarding):
     # a one-hop path has no interior node: each link is already end to end
     g = chain_graph(1, p=0.6, cap=3)
-    plan = plan_for_chain(g, 1, width=3, policy=SwapPolicy.parallel())
+    plan = plan_for_chain(g, 1, width=3, policy=SwapPolicy("parallel"))
     stats = simulate(g, plan, SimConfig(forwarding=forwarding, slots=50, seed=9))
     made = stats.links_generated
     assert made > 0 and stats.delivered_total == made
@@ -462,7 +463,7 @@ def sim_cases(draw):
         nodes = ids[a:b + 1]
         path = path_spec_from_nodes(
             g, nodes[::-1] if draw(st.booleans()) else nodes, width=width)
-        trees = [SwapPolicy.explicit(t) for t in all_order_trees(b - a)]
+        trees = [SwapPolicy("explicit", t) for t in all_order_trees(b - a)]
         allocations.append(PathAllocation(
             request_id=f"r{i % 2}", path=path,
             policy=draw(st.sampled_from(STATIC_POLICIES + tuple(trees)))))
@@ -652,7 +653,7 @@ def one_link_cases(draw):
     gets a plane cap (0 sends every draw to the scalar chain), a swap
     probability and a count of sequence numbers used before the path."""
     n = draw(st.integers(1, 7))
-    tree = SwapPolicy.explicit(draw(st.sampled_from(list(all_order_trees(n)))))
+    tree = SwapPolicy("explicit", draw(st.sampled_from(list(all_order_trees(n)))))
     policy = draw(st.sampled_from(STATIC_POLICIES + (tree,)))
     path = make_path([1] * n, [0.5] * n, [0.5] * (n - 1))
     rank = dict(zip(path.nodes, draw(st.permutations(range(9)))))
@@ -896,22 +897,22 @@ def async_memory_cases():
     """(name, graph, plan or requests, config) async runs in which links
     and segments outlive their slot."""
     chain = memory_chain(4, cap=3)
-    tree = SwapPolicy.explicit(list(all_order_trees(4))[3])
-    for policy in (SwapPolicy.sequential(), SwapPolicy.doubling(),
-                   SwapPolicy.parallel(), tree, SwapPolicy.adhoc()):
+    tree = SwapPolicy("explicit", list(all_order_trees(4))[3])
+    for policy in (SwapPolicy("sequential"), SwapPolicy("doubling"),
+                   SwapPolicy("parallel"), tree, SwapPolicy("adhoc")):
         # per-hop widths differ, and the path runs against the edge order
         plan = chain_plan(chain, [("r1", (4, 3, 2, 1, 0), (2, 3, 2, 3), policy)])
         yield policy.kind, chain, plan, dict(policy=policy)
     # paths that share edges at different channel offsets
     shared = memory_chain(5, cap=3, p=0.5, cutoffs=(4, 3, 5, 2))
     plan = chain_plan(shared, [
-        ("r1", (0, 1, 2, 3), (1, 1, 1), SwapPolicy.adhoc()),
-        ("r2", (5, 4, 3, 2, 1), (2, 2, 2, 1), SwapPolicy.doubling()),
-        ("r2", (3, 4, 5), (1, 1), SwapPolicy.parallel()),
-        ("r1", (0, 1), (2,), SwapPolicy.sequential()),
-        ("r3", (1, 2), (1,), SwapPolicy.adhoc()),
+        ("r1", (0, 1, 2, 3), (1, 1, 1), SwapPolicy("adhoc")),
+        ("r2", (5, 4, 3, 2, 1), (2, 2, 2, 1), SwapPolicy("doubling")),
+        ("r2", (3, 4, 5), (1, 1), SwapPolicy("parallel")),
+        ("r1", (0, 1), (2,), SwapPolicy("sequential")),
+        ("r3", (1, 2), (1,), SwapPolicy("adhoc")),
     ])
-    yield "shared", shared, plan, dict(policy=SwapPolicy.adhoc())
+    yield "shared", shared, plan, dict(policy=SwapPolicy("adhoc"))
     grid = grid_topology(
         3, 3, default_node=NodeParams(id="", swap_prob=0.5,
                                       memory_cutoff_slots=3),
@@ -919,10 +920,10 @@ def async_memory_cases():
     requests = [Request(id="a", source="0,0", dest="2,2"),
                 Request(id="b", source="0,2", dest="2,0"),
                 Request(id="c", source="1,0", dest="1,2")]
-    for disjoint, policy in ((False, SwapPolicy.adhoc()),
-                             (True, SwapPolicy.doubling()),
-                             (False, SwapPolicy.sequential()),
-                             (True, SwapPolicy.adhoc())):
+    for disjoint, policy in ((False, SwapPolicy("adhoc")),
+                             (True, SwapPolicy("doubling")),
+                             (False, SwapPolicy("sequential")),
+                             (True, SwapPolicy("adhoc"))):
         yield (f"reactive {disjoint} {policy.kind}", grid, requests,
                dict(scheme="reactive", policy=policy, node_disjoint=disjoint,
                     max_paths_per_request=3))
@@ -931,7 +932,7 @@ def async_memory_cases():
     requests = [Request(id="a", source="n0", dest="n3"),
                 Request(id="b", source="n1", dest="n3")]
     yield "reactive shared edges", chain, requests, dict(
-        scheme="reactive", policy=SwapPolicy.sequential(),
+        scheme="reactive", policy=SwapPolicy("sequential"),
         max_paths_per_request=3)
 
 
@@ -1090,7 +1091,7 @@ def test_adhoc_pairs_mixed_sides_in_id_order():
     from qroute.montecarlo import DISPOSE_REASONS, _exec_adhoc, _PathStore, _RuntimePath
 
     path = make_path([3] * 5, [0.5] * 5, [0.5] * 4)
-    rp = _RuntimePath.build("r", path, SwapPolicy.adhoc(),
+    rp = _RuntimePath.build("r", path, SwapPolicy("adhoc"),
                             {v: i for i, v in enumerate(path.nodes)}, ())
     runs = [[] for _ in range(5)]
     store = _PathStore(rp, runs, (10,) * 6)
@@ -1136,7 +1137,7 @@ def test_take_hands_owned_runs_whole_and_cuts_shared_ones():
     kernel = _AsyncKernel(g, [(run, range(run[2]), _threshold(0.5)) for run in runs])
     assert kernel.generate(b"\x01" * 4, 0) == 4
     path = path_spec_from_nodes(g, ("n0", "n1", "n2"), width=1)
-    rp = _RuntimePath.build("r", path, SwapPolicy.adhoc(), g.node_rank, runs)
+    rp = _RuntimePath.build("r", path, SwapPolicy("adhoc"), g.node_rank, runs)
     store = kernel.bind(rp)
     owned, shared = store.runs
     assert not store.owned
@@ -1151,7 +1152,7 @@ def test_async_path_histogram_grows_past_width():
     # segments kept in memory can meet in one slot and deliver more pairs
     # than the path is wide (this overflowed the per-path histogram)
     g = memory_chain(4, cap=3)
-    tree = SwapPolicy.explicit(list(all_order_trees(4))[3])
+    tree = SwapPolicy("explicit", list(all_order_trees(4))[3])
     plan = chain_plan(g, [("r1", (4, 3, 2, 1, 0), (2, 3, 1, 3), tree)])
     stats = simulate(g, plan, SimConfig(forwarding="async", slots=1500, seed=5))
     entry = stats.per_path["r1[0]"]
@@ -1212,8 +1213,8 @@ def test_swap_counter_keys_follow_first_attempt(forwarding):
          EdgeParams(u="x", v="y", capacity=1, link_prob=1.0),
          EdgeParams(u="y", v="z", capacity=1, link_prob=1.0)],
     )
-    paths = [("r1", "amb", SwapPolicy.sequential()),
-             ("r2", "xyz", SwapPolicy.doubling())]
+    paths = [("r1", "amb", SwapPolicy("sequential")),
+             ("r2", "xyz", SwapPolicy("doubling"))]
     plan = AllocationPlan(
         requests=tuple(Request(id=rid, source=nodes[0], dest=nodes[-1])
                        for rid, nodes, _ in paths),
@@ -1241,8 +1242,8 @@ def test_multi_path_plan_ownership():
     plan = AllocationPlan(
         requests=(req,),
         allocations=(
-            PathAllocation(request_id="r1", path=path, policy=SwapPolicy.doubling()),
-            PathAllocation(request_id="r1", path=path, policy=SwapPolicy.doubling()),
+            PathAllocation(request_id="r1", path=path, policy=SwapPolicy("doubling")),
+            PathAllocation(request_id="r1", path=path, policy=SwapPolicy("doubling")),
         ),
         residual=(),
     )
@@ -1266,7 +1267,7 @@ def test_plan_overallocation_rejected():
         requests=(req,),
         allocations=(
             PathAllocation(request_id="r1", path=path,
-                           policy=SwapPolicy.doubling()),
+                           policy=SwapPolicy("doubling")),
         ),
         residual=(),
     )
@@ -1291,7 +1292,7 @@ def test_plan_path_probabilities_must_match_the_graph(forwarding, field, value,
         requests=(req,),
         allocations=(PathAllocation(request_id="r1",
                                     path=replace(path, **{field: value}),
-                                    policy=SwapPolicy.doubling()),),
+                                    policy=SwapPolicy("doubling")),),
         residual=(),
     )
     with pytest.raises(ValueError,
@@ -1313,10 +1314,10 @@ def test_simulate_rejects_repeated_request_ids(scheme):
 
 def test_adhoc_under_sync_rejected():
     with pytest.raises(ValueError, match="adhoc"):
-        SimConfig(forwarding="sync", policy=SwapPolicy.adhoc())
+        SimConfig(forwarding="sync", policy=SwapPolicy("adhoc"))
     # the sync kernel has no adhoc order, so a plan cannot slip one in either
     g = chain_graph(2)
-    plan = plan_for_chain(g, 2, policy=SwapPolicy.adhoc())
+    plan = plan_for_chain(g, 2, policy=SwapPolicy("adhoc"))
     with pytest.raises(ValueError, match=r"r1\[0\]: adhoc swapping needs async"):
         simulate(g, plan, SimConfig(slots=1))
 
@@ -1343,12 +1344,28 @@ def test_reactive_single_chain_rate():
     slots = 50_000
     stats = simulate(
         g, [req],
-        SimConfig(scheme="reactive", policy=SwapPolicy.parallel(),
+        SimConfig(scheme="reactive", policy=SwapPolicy("parallel"),
                   slots=slots, seed=6),
     )
     want = 0.8**3 * 0.5**2
     rate = stats.delivered_total / slots
     assert abs(rate - want) <= three_se(want, slots)
+
+
+def test_reactive_ignores_fidelity_bound():
+    # a proactive plan keeps every route within the request's fidelity hop
+    # bound, so a 12-hop chain past the 10-hop bound gets no allocation; the
+    # reactive scheme routes each slot by hop count with no limit, so it
+    # still delivers there, a pair every slot with certain links and swaps
+    g = chain_graph(12, p=1.0, q=1.0)
+    req = Request(id="r1", source="n0", dest="n12", min_fidelity=0.9)
+    assert max_hops(0.99, 0.9) == 10
+    plan = allocate(g, [req], AllocatorConfig(elementary_fidelity=0.99))
+    assert plan.allocations == () and plan.infeasible == ()
+    for forwarding in ("sync", "async"):
+        stats = simulate(g, [req], SimConfig(scheme="reactive",
+                                             forwarding=forwarding, slots=50))
+        assert stats.per_request["r1"]["delivered"] == 50
 
 
 def test_reactive_grid_multi_request():
@@ -1359,7 +1376,7 @@ def test_reactive_grid_multi_request():
     ]
     stats = simulate(
         g, reqs,
-        SimConfig(scheme="reactive", policy=SwapPolicy.parallel(),
+        SimConfig(scheme="reactive", policy=SwapPolicy("parallel"),
                   slots=3000, seed=14),
     )
     assert set(stats.per_request) == {"a", "b"}
@@ -1380,9 +1397,9 @@ def test_reactive_routes_through_the_module_attribute(monkeypatch, forwarding):
     calls = []
     search = montecarlo.disjoint_paths_on_logical
 
-    def counted(logical, graph, s, d, *args):
+    def counted(counts, graph, s, d, *args):
         calls.append((s, d))
-        return search(logical, graph, s, d, *args)
+        return search(counts, graph, s, d, *args)
 
     monkeypatch.setattr(montecarlo, "disjoint_paths_on_logical", counted)
     g = grid_topology(3, 3, default_edge=EdgeParams(u="", v="", capacity=2,
@@ -1401,7 +1418,7 @@ def test_reactive_never_consumes_more_than_realized():
     reqs = [Request(id="a", source="0,0", dest="1,2")]
     stats = simulate(
         g, reqs,
-        SimConfig(scheme="reactive", policy=SwapPolicy.parallel(),
+        SimConfig(scheme="reactive", policy=SwapPolicy("parallel"),
                   slots=2000, seed=77),
     )
     consumed = stats.entities_disposed["consumed"]

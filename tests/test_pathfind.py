@@ -17,7 +17,6 @@ from conftest import (
 )
 from qroute import (
     EdgeParams,
-    LogicalTopology,
     Metric,
     NodeParams,
     build_graph,
@@ -185,6 +184,12 @@ def test_path_cost_values():
 # logical-topology routing
 
 
+def edge_counts(g, counts: dict) -> list[int]:
+    """A slot's link counts in `g.edges` order, from {(u, v): count} with
+    canonical keys; absent edges count 0."""
+    return [counts.get((e.u, e.v), 0) for e in g.edges]
+
+
 def test_disjoint_paths_on_grid_realization():
     g = grid_topology(3, 3)
     counts = {}
@@ -193,8 +198,8 @@ def test_disjoint_paths_on_grid_realization():
         ("0,0", "1,0"), ("1,0", "2,0"), ("2,0", "2,1"), ("2,1", "2,2"),
     ]:
         counts[(u, v)] = 1
-    logical = LogicalTopology.from_counts(g, counts)
-    paths = disjoint_paths_on_logical(logical, g, "0,0", "2,2", max_paths=4)
+    paths = disjoint_paths_on_logical(edge_counts(g, counts), g, "0,0", "2,2",
+                                      max_paths=4)
     assert len(paths) == 2
     used = [p.nodes for p in paths]
     assert ("0,0", "0,1", "0,2", "1,2", "2,2") in used
@@ -203,16 +208,13 @@ def test_disjoint_paths_on_grid_realization():
 
 def test_disjoint_paths_no_links_near_source():
     g = grid_topology(2, 2)
-    logical = LogicalTopology.from_counts(g, {("0,1", "1,1"): 1})
-    assert disjoint_paths_on_logical(logical, g, "0,0", "1,1", 3) == []
+    counts = edge_counts(g, {("0,1", "1,1"): 1})
+    assert disjoint_paths_on_logical(counts, g, "0,0", "1,1", 3) == []
 
 
 def test_disjoint_paths_single_chain():
     g = chain_graph(2)
-    logical = LogicalTopology.from_counts(
-        g, {("n0", "n1"): 1, ("n1", "n2"): 1}
-    )
-    paths = disjoint_paths_on_logical(logical, g, "n0", "n2", 3)
+    paths = disjoint_paths_on_logical([1, 1], g, "n0", "n2", 3)
     assert [p.nodes for p in paths] == [("n0", "n1", "n2")]
     assert paths[0].per_hop_capacity == (1, 1)
 
@@ -224,10 +226,10 @@ def test_disjoint_paths_conserve_link_budget():
         counts = {
             edge_key(e.u, e.v): rnd.randint(0, e.capacity) for e in g.edges
         }
-        logical = LogicalTopology.from_counts(g, counts)
         ids = g.node_ids()
         s, d = rnd.sample(ids, 2)
-        paths = disjoint_paths_on_logical(logical, g, s, d, max_paths=5)
+        paths = disjoint_paths_on_logical(edge_counts(g, counts), g, s, d,
+                                          max_paths=5)
         used: dict = {}
         for p in paths:
             for u, v in zip(p.nodes, p.nodes[1:]):
@@ -246,54 +248,27 @@ def test_disjoint_paths_node_disjoint_flag():
             EdgeParams(u="M", v="B"), EdgeParams(u="B", v="D"),
         ],
     )
-    counts = {edge_key(e.u, e.v): 1 for e in g.edges}
-    logical = LogicalTopology.from_counts(g, counts)
-    link_disjoint = disjoint_paths_on_logical(logical, g, "S", "D", 4)
+    counts = [1] * len(g.edges)
+    link_disjoint = disjoint_paths_on_logical(counts, g, "S", "D", 4)
     assert len(link_disjoint) == 2
     node_disjoint = disjoint_paths_on_logical(
-        logical, g, "S", "D", 4, node_disjoint=True
+        counts, g, "S", "D", 4, node_disjoint=True
     )
     assert len(node_disjoint) == 1
-
-
-def test_logical_counts_validated():
-    g = chain_graph(1, cap=2)
-    with pytest.raises(GraphValidationError):
-        LogicalTopology.from_counts(g, {("n0", "n1"): 3})
-
-
-def test_logical_counts_reject_an_edge_given_twice():
-    # the reversed entry used to overwrite the first one silently
-    g = chain_graph(2, cap=2)
-    for counts, edge in (({("n0", "n1"): 1, ("n1", "n0"): 2}, "('n0', 'n1')"),
-                         ({("n2", "n1"): 0, ("n0", "n1"): 1, ("n1", "n2"): 0},
-                          "('n1', 'n2')")):
-        with pytest.raises(GraphValidationError, match="given twice") as err:
-            LogicalTopology.from_counts(g, counts)
-        assert edge in str(err.value)
-
-
-@pytest.mark.parametrize("count", [True, False, 1.0, "1", None])
-def test_logical_counts_reject_non_int(count):
-    g = chain_graph(1, cap=2)
-    with pytest.raises(GraphValidationError, match=r"\('n0', 'n1'\)"):
-        LogicalTopology.from_counts(g, {("n0", "n1"): count})
 
 
 def test_logical_counts_follow_edge_order_and_stay_unchanged():
     # the simulator hands its live per-slot list to the search, and takes
     # the used links off it itself: the search must work on a copy
     g = grid_topology(2, 2, EdgeParams(u="", v="", capacity=2))
-    logical = LogicalTopology.from_counts(
-        g, {("1,1", "0,1"): 2, ("0,0", "0,1"): 1, ("1,0", "1,1"): 2})
     keys = [(e.u, e.v) for e in g.edges]
     assert keys == [("0,0", "0,1"), ("0,0", "1,0"), ("0,1", "1,1"), ("1,0", "1,1")]
-    assert logical.counts == [1, 0, 2, 2]
+    counts = [1, 0, 2, 2]
     for node_disjoint in (False, True):
-        paths = disjoint_paths_on_logical(logical, g, "0,0", "1,1", 4,
+        paths = disjoint_paths_on_logical(counts, g, "0,0", "1,1", 4,
                                           node_disjoint)
         assert [p.nodes for p in paths] == [("0,0", "0,1", "1,1")]
-        assert logical.counts == [1, 0, 2, 2]
+        assert counts == [1, 0, 2, 2]
 
 
 # --------------------------------------------------------------------------
@@ -478,9 +453,9 @@ def test_hop_count_labels_match_unit_length_heap():
                                     usable=usable)
             assert bfs == heap
             yen_cases += 1
-        logical = LogicalTopology.from_counts(g, counts)
         for node_disjoint in (False, True):
-            got = disjoint_paths_on_logical(logical, g, s, d, 4, node_disjoint)
+            got = disjoint_paths_on_logical(edge_counts(g, counts), g, s, d, 4,
+                                            node_disjoint)
             assert got == heap_disjoint_paths(unit, g, counts, s, d, 4,
                                               node_disjoint)
 

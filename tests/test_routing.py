@@ -35,7 +35,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def one_path_plan(graph, req, nodes, width=1, policy=None):
-    policy = policy or SwapPolicy.doubling()
+    policy = policy or SwapPolicy("doubling")
     return AllocationPlan(
         requests=(req,),
         allocations=(
@@ -71,10 +71,10 @@ def test_request_throughput_sums_paths():
         allocations=(
             PathAllocation(request_id="r",
                            path=path_spec_from_nodes(g, ("S", "D"), width=1),
-                           policy=SwapPolicy.doubling()),
+                           policy=SwapPolicy("doubling")),
             PathAllocation(request_id="r",
                            path=path_spec_from_nodes(g, ("S", "A", "D"), width=1),
-                           policy=SwapPolicy.doubling()),
+                           policy=SwapPolicy("doubling")),
         ),
         residual=(),
     )
@@ -324,7 +324,7 @@ def test_allocator_config_validation():
     with pytest.raises(ValueError):
         AllocatorConfig(k=0)
     with pytest.raises(ValueError):
-        AllocatorConfig(policy=SwapPolicy.adhoc())
+        AllocatorConfig(policy=SwapPolicy("adhoc"))
     with pytest.raises(ValueError):
         UtilitySpec("bogus")
 

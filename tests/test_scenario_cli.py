@@ -438,11 +438,23 @@ def _table_keys(kind) -> set:
     return set()
 
 
-def test_readme_schema_keys_match_tables():
+def _readme_schema_example() -> str:
     readme = (ROOT / "README.md").read_text()
     block = readme.split("### Scenario schema")[1].split("```jsonc")[1]
-    block = block.split("```")[0]
+    return block.split("```")[0]
+
+
+def test_readme_schema_keys_match_tables():
+    block = _readme_schema_example()
     assert set(re.findall(r'"(\w+)"\s*:', block)) == _table_keys(SCHEMA)
+
+
+def test_readme_schema_example_parses():
+    # the example with its `//` comments stripped is a scenario
+    text = re.sub(r"//.*", "", _readme_schema_example())
+    s = scenario_from_dict(json.loads(text))
+    assert [n.id for n in s.graph.nodes] == ["A", "B"]
+    assert s.explicit_paths[0].nodes == ("A", "B")
 
 
 def test_readme_quick_tour_runs():
@@ -588,6 +600,37 @@ def test_cli_reports_pinned(tmp_path):
                     digest.update(report.name.encode() + b"\n"
                                   + report.read_bytes())
     assert digest.hexdigest() == PINNED_CLI_REPORTS_SHA256
+
+
+# sha256 of every command's reports on the coverage scenarios, which run the
+# code paths the top-level scenarios miss (the heap search, derived link
+# probabilities, the depth-first search, weighted utilities, node-disjoint
+# reactive routing); recorded before the library surface only tests reached
+# was deleted
+PINNED_COVERAGE_REPORTS_SHA256 = (
+    "0bffecb0fe6eda57c69c3e4c07ec8df89021d5ef949285a8d20180a64c46a9db"
+)
+
+
+def test_coverage_reports_pinned(tmp_path):
+    runs = (
+        ["analyze"],
+        ["route"],
+        ["simulate"],
+        ["oracle"],
+        ["simulate", "--scheme", "reactive", "--mode", "sync", "--policy", "doubling"],
+        ["simulate", "--scheme", "reactive", "--mode", "async"],
+    )
+    digest = hashlib.sha256()
+    for i, scenario in enumerate(sorted((SCENARIO_DIR / "coverage").glob("*.json"))):
+        for j, args in enumerate(runs):
+            out = tmp_path / f"{i}-{j}"
+            rc = run_command([*args, "--scenario", str(scenario), "--slots", "500",
+                              "--format", "csv", "--out", str(out)])
+            digest.update(f"{scenario.name} {' '.join(args)} -> {rc}\n".encode())
+            for report in sorted(out.glob("*")) if rc == 0 else ():
+                digest.update(report.name.encode() + b"\n" + report.read_bytes())
+    assert digest.hexdigest() == PINNED_COVERAGE_REPORTS_SHA256
 
 
 def test_oracle_diff_below_tolerance(tmp_path):
