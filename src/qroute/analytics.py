@@ -157,7 +157,9 @@ class SwapOrderTree:
     @cached_property
     def schedule(self) -> tuple[tuple[int, int, int], ...]:
         """Post-order (left start, merge node, right end) triples, so both
-        inputs of a swap exist before it; empty for a leaf."""
+        inputs of a swap exist before it; empty for a leaf. Computed once
+        per tree, and each named tree is built once per size, so the
+        analytic fold and the simulator share it."""
         ops: list[tuple[int, int, int]] = []
 
         def walk(node: SwapOrderTree) -> tuple[int, int]:

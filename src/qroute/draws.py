@@ -43,10 +43,8 @@ def _threshold(p: float) -> int:
 
 
 class KeyedRng:
-    """Stateless keyed stream: each draw is a pure function of the seed
-    and its coordinates (domain, slot, entity index, sequence number), one
-    `_absorb` round per coordinate. Its two domain keys are the seed
-    absorbed with each domain; `_slot_bases` absorbs the slot next."""
+    """A seed's two domain keys, link and swap: the seed absorbed with each
+    domain; `_slot_bases` absorbs the slot next."""
 
     __slots__ = ("link_key", "swap_key")
 
@@ -110,7 +108,8 @@ class _Plane:
     where the mask drops them, and a masked lane times `_M1` or `_M2` is
     below 2**128, so a product never carries into the next lane. The test
     adds the threshold to `2**64 - 1 - h`: bit 64, the lane's byte 8, then
-    holds `h < threshold`, also at thresholds 0 and 2**64.
+    holds `h < threshold`, also at thresholds 0 and 2**64. A block takes
+    about 30 big-integer operations, whatever its lane count.
     """
 
     __slots__ = ("_n", "_offsets", "_thresholds", "_tiled")
@@ -199,7 +198,8 @@ class _SwapLanes:
 def _swap_lanes(graph, bound) -> _SwapLanes:
     """The swap plane, with each node's cap set to the most draws a sync
     slot can make there; async draws past it take the scalar chain. Every
-    draw at a node is against the graph's `swap_prob` there.
+    draw at a node is against one threshold, from the graph's `swap_prob`
+    there, computed once per run.
 
     A proactive path's merges, or its `parallel` lanes, at an interior node
     draw at most the smaller of the two hop widths beside it, and the node's

@@ -257,6 +257,13 @@ class _PathStore:
     def live(self) -> int:
         return sum(map(len, self.held))
 
+    def discard(self) -> int:
+        """Drop every segment; returns how many there were."""
+        live = self.live()
+        for held in self.held + self.starts if live else ():
+            held.clear()
+        return live
+
     def purge(self, slot: int) -> int:
         expired = 0
         for held in self.held:
@@ -293,8 +300,7 @@ class _AsyncKernel:
         self._taken: list[tuple[list, list]] = []
 
     def bind(self, rp: _RuntimePath) -> _PathStore:
-        """A path's store on the runs its hops bind: a proactive hop owns
-        its run, a reactive hop shares its edge's one run."""
+        """A path's store on the runs its hops bind."""
         return _PathStore(rp, [self.runs[run].links for run in rp.channels],
                           tuple(self.cutoff[v] for v in rp.path.nodes))
 
@@ -476,12 +482,11 @@ def _exec_adhoc(rp: _RuntimePath, hops, store, kernel, draws, tally):
     return delivered
 
 
-def _execute_policy(rp: _RuntimePath, hops, store, kernel, draws, tally):
-    if rp.policy.kind == "parallel":
-        return _exec_parallel(rp, hops, store, kernel, draws, tally)
-    if rp.policy.kind == "adhoc":
-        return _exec_adhoc(rp, hops, store, kernel, draws, tally)
-    return _exec_tree(rp, hops, store, kernel, draws, tally)
+_EXECUTE = {"parallel": _exec_parallel, "adhoc": _exec_adhoc}  # else `_exec_tree`
+
+
+def _execute_policy(rp: _RuntimePath, *args):
+    return _EXECUTE.get(rp.policy.kind, _exec_tree)(rp, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -519,30 +524,36 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
     return bound
 
 
-def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict):
+def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict, bind):
     """One slot's reactive paths, request by request, found on the realized
     link `counts` (a list in `graph.edges` order); each path takes one link
-    per hop off `counts`. `built` keeps each (request id, nodes) path's
-    runtime context across slots; each hop binds its edge's one run."""
+    per hop off `counts`. Yields (runtime context, store): `built` keeps
+    both for each (request id, nodes) across slots, the store bound once by
+    `bind` (None under sync forwarding); each hop binds its edge's one run."""
     for req in requests:
         paths = disjoint_paths_on_logical(
             counts, graph, req.source, req.dest,
             config.max_paths_per_request, config.node_disjoint,
         )
         for path in paths:
-            rp = built.get((req.id, path.nodes))
-            if rp is None:
-                rp = built[req.id, path.nodes] = _RuntimePath.build(
+            entry = built.get((req.id, path.nodes))
+            if entry is None:
+                rp = _RuntimePath.build(
                     req.id, path, config.policy, graph.node_rank,
                     [(i, 0, graph.edges[i].capacity)
                      for i in _path_edges(graph, path.nodes)])
-            for i, _, _ in rp.channels:
+                entry = built[req.id, path.nodes] = (rp, bind and bind(rp))
+            for i, _, _ in entry[0].channels:
                 counts[i] -= 1
-            yield rp
+            yield entry
 
 
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
     """Run the slotted simulation; fully deterministic for a given seed.
+
+    Every slot checks the entity ledger: under sync, from the block's
+    columns, that no slot used more than it made; under async,
+    `_AsyncKernel.end_slot`.
 
     Replicas with different seeds share no mutable state and can run in
     parallel; within one run, slots are processed sequentially.
@@ -612,13 +623,14 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         ledger = dict.fromkeys(DISPOSE_REASONS, 0)
     else:
         kernel = _AsyncKernel(graph, schedule)
-        # proactive segments persist across slots; reactive ones die with it
-        held = {} if reactive else {rp.label: kernel.bind(rp) for rp in bound}
+        # the proactive paths' stores, whose segments persist across slots;
+        # a reactive path's store is kept in `built`
+        held = [] if reactive else [kernel.bind(rp) for rp in bound]
 
     for rid in request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
 
-    built: dict = {}  # reactive runtime paths by (request id, nodes)
+    built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     width, depth = len(links), len(swap_lanes.plane)  # a slot's bytes per plane
     step = _block_slots((links, swap_lanes.plane))
@@ -646,31 +658,31 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                 slot = first + k
                 draws = _SwapDraws(swaps, bases, k, swap_lanes)
                 if not sync:
-                    kernel.purge(slot, held.values())
+                    kernel.purge(slot, held)
                     stats.links_generated += kernel.generate(
                         bits[k * width:(k + 1) * width], slot)
                 if reactive:  # one run per edge, so both follow edge order
                     counts = ([c[k] for c in made] if sync else
                               [len(run.links) for run in kernel.runs.values()])
-                paths = (_reactive_paths(graph, requests, counts, config, built)
-                         if reactive else bound)
-                for i, rp in enumerate(paths):
+                paths = (_reactive_paths(graph, requests, counts, config, built,
+                                         None if sync else kernel.bind)
+                         if reactive else zip(bound, held))
+                for i, (rp, store) in enumerate(paths):
                     if sync:  # reactive: every path holds one link per hop
                         got, used, new = _exec_single(rp, draws, tally)
                         consumed[k] += used
                         created[k] += new
                     else:
-                        store = kernel.bind(rp) if reactive else held[rp.label]
                         got = _execute_policy(rp, kernel.take(rp, store), store,
                                               kernel, draws, tally)
-                        if reactive:  # its partial segments die with the slot's paths
-                            kernel.disposed["discarded"] += store.live()
+                        if reactive:  # its partial segments die with the slot's path
+                            kernel.disposed["discarded"] += store.discard()
                     if reactive:
                         request_cols[rp.request_id][k] += got
                     else:
                         path_cols[i].append(got)
                 if not sync:
-                    kernel.end_slot(slot, held.values())
+                    kernel.end_slot(slot, held)
 
         for rp, col in zip(bound if not reactive else (), path_cols):
             request_cols[rp.request_id] = list(

@@ -34,8 +34,9 @@ def brute_force_distribution(
 
     `order=None` means unheralded (all interior nodes fire at once on the
     min-width lanes); a tree gives the heralded semantics where each merge
-    pairs its children's counts. Guarded to tiny paths: the state space is
-    exponential by design.
+    pairs its children's counts, by a walk of the tree itself, not of the
+    `schedule` the analytics and the simulator share, so it checks that
+    too. Guarded to tiny paths: the state space is exponential by design.
     """
     n = path.hop_count
     if n > _ORACLE_MAX_HOPS or max(path.per_hop_capacity) > _ORACLE_MAX_CAP:

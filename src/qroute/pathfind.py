@@ -121,7 +121,8 @@ def _level_step(graph: NetworkGraph) -> float | None:
     label with h hops past a root carries the same product, each level costs
     strictly more than the one before (c * s > c for every finite c >= 1),
     and no label reaches infinity: the heap pops in (hops, nodes) order,
-    the order the level search reaches them in.
+    the order the level search reaches them in. Without the finiteness
+    check, a label the heap drops as infinite would come back from it.
     """
     memo = graph._memo
     if "level_step" not in memo:
@@ -139,9 +140,9 @@ def _level_step(graph: NetworkGraph) -> float | None:
 
 
 def _certain_links(graph: NetworkGraph) -> bool:
-    """True when every edge with capacity >= 1 has link probability 1, so
-    every creation-rate step is 1.0 and every label keeps its root's cost;
-    memoised on the graph."""
+    """True when every edge with capacity >= 1 has link probability 1, as
+    `grid_topology`'s default edges have, so every creation-rate step is
+    1.0 and every label keeps its root's cost; memoised on the graph."""
     memo = graph._memo
     if "certain_links" not in memo:
         memo["certain_links"] = {
@@ -321,9 +322,10 @@ def k_shortest_paths(
     next edges in a copy.
 
     A candidate keeps the root index j its spur search found it at, and
-    once accepted it spurs from j on (Lawler's deviation index): each
-    earlier root is its parent's root with the same next edge banned, so
-    those searches would only find paths already seen.
+    once accepted it spurs from j on (Lawler's deviation index; Lawler,
+    Management Science 1972): each earlier root is its parent's root with
+    the same next edge banned, so those searches would only find paths
+    already seen.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -396,7 +398,9 @@ def disjoint_paths_on_logical(
     Repeatedly takes the shortest path through edges that still have an
     unconsumed link, then removes one link unit per used edge (and the
     interior nodes too, when node-disjoint paths are requested), in a copy:
-    `counts` is left as it was.
+    `counts` is left as it was. It searches by hop count only, so it calls
+    `_hop_search` without `_search`'s dispatch, and each distinct path's
+    width-1 spec is built once per graph.
     """
     _check_endpoints(graph, s, d)
     # the per-edge filter: an edge is usable while its count is positive

@@ -1,19 +1,6 @@
-"""Multi-request path selection and capacity allocation.
-
-The allocator is a greedy marginal-utility heuristic: each step commits a
-single +1 width increment on the (request, path) pair with the largest
-utility gain, drawn from k-shortest candidates over the edges with residual
-capacity left and capped by the fidelity hop bound. The residual is one
-list in `graph.edges` order, and Yen reads that same list as its edge
-filter. Candidate lists are cached per request and dropped only when an
-increment uses up an edge one of Yen's paths for them runs over, so Yen
-runs again for a request only then. Each request's scored candidates are
-kept across steps too, and rebuilt only when a commit changes its widths or
-saturates an edge its candidates or allocated routes run over. Routes are
-priced by their link and swap probabilities and width, so routes alike in
-those share one pricing.
-An exact MILP would be NP-hard territory; the greedy trades optimality for
-anytime behavior.
+"""Multi-request path selection and capacity allocation by a greedy
+marginal-utility heuristic (`allocate`). An exact MILP would be NP-hard
+territory; the greedy trades optimality for anytime behavior.
 """
 
 from __future__ import annotations
@@ -184,18 +171,22 @@ def allocate(
 ) -> AllocationPlan:
     """Greedy marginal-utility allocation over k-shortest candidate paths.
 
-    Every committed increment keeps the per-edge width sums within the
-    edge capacities and every chosen route within the request's fidelity
-    hop bound; infeasible requests are reported, not fatal.
+    Each step commits one +1 width increment on the (request, path) pair
+    with the largest utility gain. Every increment keeps the per-edge width
+    sums within the edge capacities and every chosen route within the
+    request's fidelity hop bound; infeasible requests are reported, not
+    fatal.
 
-    Yen runs on `graph` itself, with the residual list as its edge filter,
-    so it sees only edges with residual capacity left. Its candidates for a
-    request are therefore fixed by the request's endpoints, its hop bound
-    and the set of saturated edges. They are cached under the first two,
-    with the edge indices of every path Yen returned (before the hop-bound
-    filter, under each metric). When a commit saturates an edge, only the
-    entries whose paths use it are dropped: Yen returns the k best paths,
-    and the k best that avoid an edge none of them uses are the same k.
+    The residual capacities are one list in `graph.edges` order. Yen runs
+    on `graph` itself with that list as its edge filter, so it sees only
+    edges with residual capacity left; no residual graph is built. Its
+    candidates for a request are therefore fixed by the request's
+    endpoints, its hop bound and the set of saturated edges. They are
+    cached under the first two, with the edge indices of every path Yen
+    returned (before the hop-bound filter, under each metric). When a
+    commit saturates an edge, only the entries whose paths use it are
+    dropped: Yen returns the k best paths, and the k best that avoid an
+    edge none of them uses are the same k.
 
     A request's scored candidates read only its rate, its widths and
     whether each edge of its routes still has residual capacity, so they

@@ -139,6 +139,8 @@ class ExplicitPath:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario; its `elementary_fidelity` lives in `routing`."""
+
     graph: NetworkGraph
     requests: tuple[Request, ...] = ()
     analytics: AnalyticsTargets = field(default_factory=AnalyticsTargets)

@@ -188,6 +188,21 @@ def test_swap_bound_modes():
         build_graph([NodeParams(id="A", swap_prob=0.6)], [])
 
 
+def test_swap_bound_warns_once_per_graph():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid_topology(3, 3, default_node=NodeParams(id="", swap_prob=0.6))
+    assert [str(w.message) for w in caught] == [
+        "swap_prob: 9 of 9 nodes (first '0,0', at 0.6) have a swap_prob that "
+        "exceeds the best demonstrated Bell-measurement success rate 0.579"]
+    assert issubclass(caught[0].category, UserWarning)
+    # under `-W error` the warning is raised, and reads as bad input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^swap_prob: 1 of 2 nodes .first 'B'"):
+            build_graph([NodeParams(id="A"), NodeParams(id="B", swap_prob=0.7)], [])
+
+
 def test_link_prob_derived_from_length():
     phys = PhysicalConstants(attenuation_alpha=0.046, attempts_per_slot=1,
                              base_efficiency=0.9)
@@ -285,8 +300,7 @@ def two_copy_grid(rows, cols, default_edge, default_node, phys):
     edges = [dataclasses.replace(edge_tpl, u="%d,%d" % a, v="%d,%d" % b)
              for a, b in pairs]
     phys = phys or PhysicalConstants()
-    for node in nodes:
-        netmodel._validate_node(node, phys.swap_bound_mode)
+    netmodel._check_swap_bound(nodes, phys.swap_bound_mode)
     normalized = []
     for e in edges:
         u, v = edge_key(e.u, e.v)

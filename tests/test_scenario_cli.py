@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -463,6 +465,41 @@ def test_readme_quick_tour_runs():
     exec(block.split("```")[0], {})
 
 
+def _readme_section(heading: str) -> str:
+    """README's `## heading` section, up to the next `## ` heading."""
+    readme = (ROOT / "README.md").read_text()
+    return readme.split(f"\n## {heading}\n")[1].split("\n## ")[0]
+
+
+def test_readme_states_the_contract_not_the_internals():
+    # README names no private name and no test, so a new kernel or search
+    # branch needs no README edit; their docstrings describe them
+    readme = (ROOT / "README.md").read_text()
+    assert len(readme.splitlines()) <= 250
+    blocks = re.findall(r"```.*?```", readme, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    names = {name for text in blocks + spans for name in re.findall(r"[\w.{}]+", text)}
+    # private: the last dotted part starts with one `_` (dunders are public)
+    assert {n for n in names if re.match(r"_[^\W_]", n.split(".")[-1])} == set()
+    tests = {name for path in [*ROOT.glob("tests/*.py"), *ROOT.glob("bench/tests/*.py")]
+             for name in re.findall(r"^def (test_\w+)", path.read_text(), flags=re.M)}
+    assert tests and tests.isdisjoint(re.findall(r"\btest_\w+", readme))
+
+
+def test_readme_command_line_names_every_flag_and_no_other():
+    section = _readme_section("Command line")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for p in (parser, *commands.choices.values())
+             for action in p._actions for s in action.option_strings
+             if s.startswith("--")}
+    assert {"--scenario", "--out", "--help"} <= flags
+    assert {f for f in flags if not re.search(rf"{f}(?![\w-])", section)} == set()
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) <= flags
+    assert {f"`{name}`" for name in commands.choices} <= set(re.findall(r"`\w+`", section))
+
+
 def test_repo_scenarios_parse():
     for name in ("two_hop_chain.json", "grid_3x3.json",
                  "async_adhoc_chain.json"):
@@ -822,6 +859,24 @@ def test_cli_import_leaves_numpy_out():
     # numpy would add about 0.16 s and 12 MiB to every CLI run
     proc = _python("-c", "import sys, qroute.cli; print('numpy' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_swap_bound_warning_is_bad_input_under_warnings_as_errors(tmp_path, capsys):
+    doc = {"version": 1, "graph": {"grid": {"rows": 3, "cols": 3,
+                                            "node": {"swap_prob": 0.6}}},
+           "analytics": {"paths": [["0,0", "0,1"]]}}
+    argv = ["analyze", "--scenario", str(write_scenario(tmp_path, doc)),
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(argv) == 0
+    assert len(caught) == 1 and "0.579" in str(caught[0].message)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "qroute: graph.grid: swap_prob: 9 of 9 nodes (first '0,0', at 0.6)")
 
 
 def test_cli_module_runs_without_warnings():
