@@ -38,10 +38,6 @@ ALLOWLIST = {
     "qroute.cli._Parser.error": "error path: a bad flag exits 1",
     "qroute.cli.main": "entry point of the `qroute` script and `python -m qroute`; "
                        "runs here call `run_command`",
-    "qroute.draws._SwapDraws._chain":
-        "draws past a node's plane cap, which needs per-hop widths that differ "
-        "along a path; `sim.paths[].width` is one int, so only library plans "
-        "reach it",
     "qroute.netmodel.EdgeParams._reject": "error path: an edge field out of range",
     "qroute.netmodel.NodeParams._reject": "error path: a node field out of range",
     "qroute.netmodel.NetworkGraph.__reduce__":

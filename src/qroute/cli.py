@@ -212,7 +212,11 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
         declared = {r.id: r for r in scenario.requests}
         used: dict[str, Request] = {}
         allocations = []
-        for p in scenario.explicit_paths:
+        for i, p in enumerate(scenario.explicit_paths):
+            policy = p.policy or scenario.sim.policy
+            if policy.kind == "adhoc" and scenario.sim.forwarding == "sync":
+                raise ScenarioError(
+                    f"sim.paths[{i}].policy: adhoc swapping needs async forwarding")
             path = path_spec_from_nodes(scenario.graph, p.nodes, width=p.width)
             req = declared.get(p.request_id) or Request(
                 id=p.request_id, source=p.nodes[0], dest=p.nodes[-1]
@@ -222,7 +226,7 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
                 PathAllocation(
                     request_id=p.request_id,
                     path=path,
-                    policy=p.policy or scenario.sim.policy,
+                    policy=policy,
                 )
             )
         return AllocationPlan(

@@ -155,11 +155,19 @@ def _block_slots(planes) -> int:
     return max(1, _BLOCK_LANES // max(1, *map(len, planes)))
 
 
+def _link_schedule(graph, runs) -> list:
+    """The link schedule both forwarding modes generate on: one entry per
+    channel run, (run, channel range, threshold), where a run is (edge
+    index, first channel, width), in (edge index, first channel) order,
+    which async link ids follow."""
+    return [(run, range(run[1], run[1] + run[2]),
+             _threshold(graph.edges[run[0]].link_prob))
+            for run in sorted(runs)]
+
+
 def _link_plane(schedule) -> _Plane:
     """The plane of every channel's link draw, keyed (edge index, channel),
-    from the link schedule `simulate` builds: one entry per channel run,
-    (run, channel range, threshold), where a run is (edge index, first
-    channel, width)."""
+    from a link schedule."""
     return _Plane((run[0], ch, threshold)
                   for run, chans, threshold in schedule for ch in chans)
 
@@ -183,43 +191,22 @@ def _span_counts(bits: bytes, width: int, lo: int, hi: int, size: int) -> list[i
 class _SwapLanes:
     """A run's swap plane: lanes (node rank, sequence number) for each node's
     first `caps[rank]` sequence numbers of a slot, node by node in rank order,
-    each drawn against its node's threshold `thresholds[rank]`."""
+    each drawn against its node's swap probability `probs[rank]`."""
 
-    __slots__ = ("plane", "first", "caps", "thresholds")
+    __slots__ = ("plane", "first", "caps")
 
-    def __init__(self, caps: list[int], thresholds: list[int]):
+    def __init__(self, caps: list[int], probs: list[float]):
         self.caps = caps
-        self.thresholds = thresholds
         self.first = list(itertools.accumulate(caps, initial=0))
+        thresholds = list(map(_threshold, probs))
         self.plane = _Plane((r, s, thresholds[r])
                             for r, cap in enumerate(caps) for s in range(cap))
 
-
-def _swap_lanes(graph, bound) -> _SwapLanes:
-    """The swap plane, with each node's cap set to the most draws a sync
-    slot can make there; async draws past it take the scalar chain. Every
-    draw at a node is against one threshold, from the graph's `swap_prob`
-    there, computed once per run.
-
-    A proactive path's merges, or its `parallel` lanes, at an interior node
-    draw at most the smaller of the two hop widths beside it, and the node's
-    cap sums that over the `bound` paths. Under the reactive scheme
-    (`bound` None) every path through a node is one wide and takes two of
-    its incident links, so the cap is half the incident capacity.
-    """
-    rank = graph.node_rank
-    caps = [0] * len(rank)
-    if bound is not None:
-        for rp in bound:
-            widths = rp.path.per_hop_capacity
-            for j, r in enumerate(rp.swaps):
-                caps[r] += min(widths[j], widths[j + 1])
-    else:
-        for e in graph.edges:
-            caps[rank[e.u]] += e.capacity
-            caps[rank[e.v]] += e.capacity
-        caps = [c // 2 for c in caps]
-    return _SwapLanes(caps, [_threshold(v.swap_prob) for v in graph.nodes])
+    def starts(self, size: int) -> list[list[int]]:
+        """Each node's first byte in each slot of a block of `size` slots."""
+        depth = len(self.plane)
+        return [list(itertools.islice(itertools.count(lo, depth), size))
+                for lo in self.first]
 
 
 class _SwapDraws:
@@ -227,22 +214,18 @@ class _SwapDraws:
     sequence numbers count per node from 0, so identical event orders
     reproduce identical outcomes across runs.
 
-    Draws within a node's plane cap are bytes of slot k's part of a block's
-    swap plane `bits`; the rest take one `_absorb` round each after the
-    node's first round on the slot's base, lane k of the block's `bases`.
-    Both are the same draws.
+    Every draw is a byte of slot k's part of a block's swap plane `bits`.
+    A draw past its node's plane cap raises `AssertionError`: the caps bound
+    what the kernels draw, so such a draw is a broken kernel or cap.
     """
 
-    __slots__ = ("_bits", "_at", "_base", "_lanes", "_bases", "_seq")
+    __slots__ = ("_bits", "_at", "_lanes", "_seq")
 
-    def __init__(self, bits: bytes, bases: bytes, k: int, lanes: _SwapLanes):
+    def __init__(self, bits: bytes, k: int, lanes: _SwapLanes):
         self._bits = bits
         self._at = k * len(lanes.plane)
-        self._base = int.from_bytes(bases[_LANE * k:_LANE * (k + 1)], "little")
         self._lanes = lanes
-        nodes = len(lanes.caps)
-        self._bases: list[int | None] = [None] * nodes  # per-node first round
-        self._seq = [0] * nodes
+        self._seq = [0] * len(lanes.caps)
 
     def successes(self, rank: int, m: int) -> bytes:
         """The next `m` swap outcomes at node `rank`, in sequence order, one
@@ -250,26 +233,16 @@ class _SwapDraws:
         seq = self._seq[rank]
         end = self._seq[rank] = seq + m
         lanes = self._lanes
-        cap = lanes.caps[rank]
+        if end > lanes.caps[rank]:
+            raise AssertionError(f"node rank {rank}: swap draw {end - 1} is past "
+                                 f"its plane cap {lanes.caps[rank]}")
         lo = self._at + lanes.first[rank]
-        if end <= cap:
-            return self._bits[lo + seq:lo + end]
-        # past the cap: the plane's bytes up to it, if any, then the chain
-        return self._bits[lo + seq:lo + cap] + self._chain(rank, max(seq, cap), end)
+        return self._bits[lo + seq:lo + end]
 
     def success(self, rank: int) -> int:
         """The next swap outcome at node `rank`: `successes(rank, 1)[0]`."""
         seq = self._seq[rank]
-        self._seq[rank] = seq + 1
         if seq < self._lanes.caps[rank]:
+            self._seq[rank] = seq + 1
             return self._bits[self._at + self._lanes.first[rank] + seq]
-        return self._chain(rank, seq, seq + 1)[0]
-
-    def _chain(self, rank: int, seq: int, end: int) -> bytes:
-        """Draws `seq` to `end` at node `rank`, one round each after the
-        node's first round."""
-        h = self._bases[rank]
-        if h is None:
-            h = self._bases[rank] = _absorb(self._base, rank)
-        threshold = self._lanes.thresholds[rank]
-        return bytes([_absorb(h, s) < threshold for s in range(seq, end)])
+        return self.successes(rank, 1)[0]  # raises: past the cap

@@ -31,12 +31,12 @@ from .draws import (
     KeyedRng,
     _block_slots,
     _link_plane,
+    _link_schedule,
     _link_spans,
     _slot_bases,
     _span_counts,
-    _swap_lanes,
     _SwapDraws,
-    _threshold,
+    _SwapLanes,
 )
 from .netmodel import NetworkGraph
 from .pathfind import _path_edges, disjoint_paths_on_logical, path_spec_from_nodes
@@ -160,7 +160,8 @@ def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
     block's swap plane `swaps`, moved past the draws made. Returns the
     columns (delivered, consumed, segments created, attempts) and the
     successes. Each slot draws as the tests' reference `_exec_counts` and
-    the one-link walk `_exec_single` do, never past the node's plane cap."""
+    the one-link walk `_exec_single` do, within the node's plane cap
+    (`_swap_lanes` states the rule)."""
     one = repeat(1)
     n = len(hops)
     if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
@@ -182,8 +183,9 @@ def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
     attempts = segments = [0] * len(hops[0])
     for a, mid, b in rp.schedule:  # post-order: both inputs are filled
         m = list(map(min, pools[a, mid], pools[mid, b]))
-        p = pos[rp.swaps[mid - 1]]
-        end = pos[rp.swaps[mid - 1]] = list(map(add, p, m))
+        r = rp.swaps[mid - 1]
+        p = pos[r]
+        end = pos[r] = list(map(add, p, m))
         pools[a, b] = list(map(swaps.count, one, p, end))
         attempts = list(map(add, attempts, m))
         segments = list(map(add, segments, pools[a, b]))
@@ -287,7 +289,7 @@ class _AsyncKernel:
     """
 
     def __init__(self, graph: NetworkGraph, schedule):
-        """`schedule`: the link schedule `simulate` builds."""
+        """`schedule`: the run's link schedule (`_link_schedule`)."""
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
         lifetime = [min(cutoff[e.u], cutoff[e.v]) for e in graph.edges]
         self.runs = {run: _Channels(run[1], lifetime[run[0]])
@@ -343,13 +345,12 @@ class _AsyncKernel:
             return store.runs
         hops = []
         for links, width in zip(store.runs, rp.path.per_hop_capacity):
-            if width >= len(links):
-                hops.append(links)
-                continue
-            hop = links[:width]
-            del links[:width]
-            self._taken.append((links, hop))
-            hops.append(hop)
+            if width < len(links):
+                hop = links[:width]
+                del links[:width]
+                self._taken.append((links, hop))
+                links = hop
+            hops.append(links)
         return hops
 
     def end_slot(self, slot: int, segments) -> None:
@@ -489,6 +490,31 @@ def _execute_policy(rp: _RuntimePath, *args):
     return _EXECUTE.get(rp.policy.kind, _exec_tree)(rp, *args)
 
 
+def _swap_lanes(graph: NetworkGraph, bound) -> _SwapLanes:
+    """The swap plane, each node's cap the most draws one slot, sync or
+    async, makes there; a draw past it raises.
+
+    A proactive path draws at most its widest hop's width at a node each
+    slot, and the cap sums that over the `bound` paths. `parallel` lanes
+    draw at most the narrowest hop. A tree merge, or an adhoc visit of node
+    j, empties one of its two sides, which then gains at most one hop's
+    width of records before the next: a hop holds at most its width of
+    links, a tree pool gains only what the merge making it makes just
+    before, and an adhoc merge that makes a record ending (starting) at j
+    takes one. Reactive paths (`bound` None) are one wide and take two
+    incident links each, so the cap is half the incident capacity.
+    """
+    if bound is None:
+        caps = [sum(graph.edges[i].capacity for _, i in edges) // 2
+                for edges in graph.adjacency]
+    else:
+        caps = [0] * len(graph.nodes)
+        for rp in bound:
+            for r in rp.swaps:
+                caps[r] += max(rp.path.per_hop_capacity)
+    return _SwapLanes(caps, [v.swap_prob for v in graph.nodes])
+
+
 # ---------------------------------------------------------------------------
 # Full simulation
 
@@ -498,11 +524,10 @@ def _bind_plan(graph: NetworkGraph, plan: AllocationPlan) -> list[_RuntimePath]:
     made against the graph, so a path must carry the graph's probabilities."""
     offsets: dict[int, int] = {}  # edge index -> next free channel
     bound = []
-    per_request_counter: dict[str, int] = {}
+    paths = Counter()  # request id -> its paths bound so far
     for alloc in plan.allocations:
-        i = per_request_counter.get(alloc.request_id, 0)
-        per_request_counter[alloc.request_id] = i + 1
-        label = f"{alloc.request_id}[{i}]"
+        label = f"{alloc.request_id}[{paths[alloc.request_id]}]"
+        paths[alloc.request_id] += 1
         path, ours = alloc.path, path_spec_from_nodes(graph, alloc.path.nodes)
         for name, graph_name in (("per_hop_prob", "link_prob"),
                                  ("interior_swap_probs", "swap_prob")):
@@ -606,15 +631,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         runs = [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
         request_ids = [r.id for r in requests]
 
-    # the link schedule both forwarding modes generate on: one entry per
-    # channel run, ((edge index, first channel, width), channel range,
-    # threshold), in (edge index, first channel) order, which async link
-    # ids follow
-    schedule = [
-        (run, range(run[1], run[1] + run[2]),
-         _threshold(graph.edges[run[0]].link_prob))
-        for run in sorted(runs)
-    ]
+    schedule = _link_schedule(graph, runs)
     links = _link_plane(schedule)
     spans = _link_spans(schedule)
     swap_lanes = _swap_lanes(graph, bound if not reactive else None)
@@ -632,13 +649,12 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
 
     built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
-    width, depth = len(links), len(swap_lanes.plane)  # a slot's bytes per plane
+    width = len(links)  # a slot's bytes in the link plane
     step = _block_slots((links, swap_lanes.plane))
     for first in range(0, config.slots, step):
         size = min(step, config.slots - first)
         bits = links.block(_slot_bases(rng.link_key, first, size))
-        bases = _slot_bases(rng.swap_key, first, size)
-        swaps = swap_lanes.plane.block(bases)
+        swaps = swap_lanes.plane.block(_slot_bases(rng.swap_key, first, size))
         if sync:  # each run's column of new links, and each slot's total
             made = [_span_counts(bits, width, lo, hi, size) for lo, hi in spans]
             created = list(map(sum, zip(repeat(0, size), *made)))
@@ -647,16 +663,14 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         request_cols = {rid: [0] * size for rid in request_ids}
         consumed = [0] * size
         if sync and not reactive:
-            pos = [list(itertools.islice(itertools.count(lo, depth), size))
-                   for lo in swap_lanes.first]
             path_cols, consumed, segments = _sync_block(
                 bound, dict(zip((run for run, *_ in schedule), made)), swaps,
-                pos, tally, size)
+                swap_lanes.starts(size), tally, size)
             created = list(map(add, created, segments))
         else:  # the paths, or the links they bind, depend on the slot
             for k in range(size):
                 slot = first + k
-                draws = _SwapDraws(swaps, bases, k, swap_lanes)
+                draws = _SwapDraws(swaps, k, swap_lanes)
                 if not sync:
                     kernel.purge(slot, held)
                     stats.links_generated += kernel.generate(

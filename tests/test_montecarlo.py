@@ -250,28 +250,40 @@ def test_link_counts_equal_float_reference(seed, slot, edges):
                    max_size=12),
 )
 def test_swap_blocks_equal_float_reference(seed, first, k, nodes, calls):
-    # slot first + k of a block; runs of draws start inside a node's plane
-    # cap, cross it or start past it, as one block or one byte at a time
-    from qroute.draws import KeyedRng, _slot_bases, _SwapDraws, _SwapLanes, _threshold
+    # slot first + k of a block; runs of draws stay inside a node's plane
+    # cap or cross it, as one block or one byte at a time. Every byte within
+    # the cap equals the reference, and the draw that crosses it raises
+    from qroute.draws import KeyedRng, _slot_bases, _SwapDraws, _SwapLanes
 
     qs = [q for q, _ in nodes]
+    caps = [cap for _, cap in nodes]
     rank = {f"v{i}": i for i in range(len(qs))}
     want = ReferenceSwapDraws(rank, mix(seed, SWAP, first + k))
-    lanes = _SwapLanes([cap for _, cap in nodes], [_threshold(q) for q in qs])
+    lanes = _SwapLanes(caps, qs)
     bases = _slot_bases(KeyedRng(seed).swap_key, first, k + 2)
-    got = _SwapDraws(lanes.plane.block(bases), bases, k, lanes)
+    got = _SwapDraws(lanes.plane.block(bases), k, lanes)
+    crossed = set()  # nodes whose draws crossed their cap
     for i, m, bytewise in calls:  # each call continues the node's sequence
         i %= len(qs)
-        drawn = (bytes(got.success(i) for _ in range(m)) if bytewise
-                 else got.successes(i, m))
-        assert drawn == bytes(want.successes(f"v{i}", qs[i], m))
+        if i in crossed:
+            continue
+        fit = max(0, min(m, caps[i] - want.seq.get(f"v{i}", 0)))
+        expected = bytes(want.successes(f"v{i}", qs[i], m))
+        if bytewise:
+            assert bytes(got.success(i) for _ in range(fit)) == expected[:fit]
+        elif fit == m:
+            assert got.successes(i, m) == expected
+        if fit < m:
+            crossed.add(i)
+            with pytest.raises(AssertionError, match="past its plane cap"):
+                got.success(i) if bytewise else got.successes(i, m)
 
 
 @pytest.mark.parametrize("forwarding", ["sync", "async"])
 def test_one_hop_run_has_an_empty_swap_plane(forwarding):
     # a one-hop path has no interior node, so its run's swap plane has no lane
-    from qroute.draws import KeyedRng, _Plane, _slot_bases, _swap_lanes
-    from qroute.montecarlo import _bind_plan
+    from qroute.draws import KeyedRng, _Plane, _slot_bases
+    from qroute.montecarlo import _bind_plan, _swap_lanes
 
     assert _Plane([]).block(_slot_bases(KeyedRng(3).swap_key, 0, 5)) == b""
     g = chain_graph(1, p=0.6, cap=2)
@@ -525,10 +537,9 @@ def per_slot_sync(graph, plan, config):
     kernel: each slot's draws come from a one-slot block, its swaps from
     `_exec_counts`, and each histogram counts one slot at a time."""
     from qroute.draws import (
-        KeyedRng, _link_plane, _link_spans, _slot_bases, _swap_lanes,
-        _SwapDraws, _threshold,
+        KeyedRng, _link_plane, _link_spans, _slot_bases, _SwapDraws, _threshold,
     )
-    from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan
+    from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan, _swap_lanes
 
     def count(entry, got):
         entry["hist"] += [0] * (got + 1 - len(entry["hist"]))
@@ -557,8 +568,8 @@ def per_slot_sync(graph, plan, config):
     ledger = dict.fromkeys(DISPOSE_REASONS, 0)
     for slot in range(config.slots):
         bits = links.block(_slot_bases(rng.link_key, slot, 1))
-        bases = _slot_bases(rng.swap_key, slot, 1)
-        draws = _SwapDraws(lanes.plane.block(bases), bases, 0, lanes)
+        draws = _SwapDraws(lanes.plane.block(_slot_bases(rng.swap_key, slot, 1)),
+                           0, lanes)
         made = {run: bits.count(1, lo, hi)
                 for (run, *_), (lo, hi) in zip(schedule, _link_spans(schedule))}
         created, consumed = sum(made.values()), 0
@@ -601,8 +612,8 @@ def block_cases(draw):
     """A proactive sync plan on a 3x3 grid whose paths may share interior
     nodes, with mixed policies, one-hop paths and links that often fail,
     and a slot count at or around the block size."""
-    from qroute.draws import _block_slots, _swap_lanes
-    from qroute.montecarlo import _bind_plan
+    from qroute.draws import _block_slots
+    from qroute.montecarlo import _bind_plan, _swap_lanes
 
     g = grid_topology(3, 3, default_edge=EdgeParams(u="", v="", capacity=3))
     g = build_graph(
@@ -650,15 +661,17 @@ def test_block_kernel_equals_per_slot_reference(case, seed):
 def one_link_cases(draw):
     """A path of 1 to 7 hops under `parallel`, `sequential`, `doubling` or
     an explicit tree, whose interior nodes are drawn from 9 ranks; each rank
-    gets a plane cap (0 sends every draw to the scalar chain), a swap
-    probability and a count of sequence numbers used before the path."""
+    gets a count of sequence numbers used before the path, a plane cap that
+    covers those and the path's one draw there, and a swap probability."""
     n = draw(st.integers(1, 7))
     tree = SwapPolicy("explicit", draw(st.sampled_from(list(all_order_trees(n)))))
     policy = draw(st.sampled_from(STATIC_POLICIES + (tree,)))
     path = make_path([1] * n, [0.5] * n, [0.5] * (n - 1))
     rank = dict(zip(path.nodes, draw(st.permutations(range(9)))))
     nodes = st.lists(st.integers(0, 4), min_size=9, max_size=9)
-    return (path, policy, rank, draw(nodes), draw(nodes),
+    used = draw(nodes)
+    caps = [u + 1 + spare for u, spare in zip(used, draw(nodes))]
+    return (path, policy, rank, caps, used,
             draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, 1.0)),
                           min_size=9, max_size=9)))
 
@@ -668,17 +681,17 @@ def one_link_cases(draw):
 def test_one_link_walk_equals_counts_reference(case, key, k):
     # reactive sync paths hold one link per hop: the flag walk must draw the
     # very bytes the counts kernel draws on all-ones counts, and no others
-    from qroute.draws import _slot_bases, _SwapDraws, _SwapLanes, _threshold
+    from qroute.draws import _slot_bases, _SwapDraws, _SwapLanes
     from qroute.montecarlo import _exec_single, _RuntimePath
 
     path, policy, rank, caps, used, probs = case
     rp = _RuntimePath.build("r", path, policy, rank, ())
-    lanes = _SwapLanes(caps, [_threshold(p) for p in probs])
+    lanes = _SwapLanes(caps, probs)
     bases = _slot_bases(key, 7, 2)  # slot k of a two-slot block
     bits = lanes.plane.block(bases)
 
     def run(kernel):
-        draws = _SwapDraws(bits, bases, k, lanes)
+        draws = _SwapDraws(bits, k, lanes)
         for r, m in enumerate(used):
             draws.successes(r, m)
         tally = {"adhoc": [3, 1]}
@@ -1160,6 +1173,69 @@ def test_async_path_histogram_grows_past_width():
     assert sum(entry["hist"]) == 1500
     assert sum(k * c for k, c in enumerate(entry["hist"])) == entry["delivered"]
     assert entry["hist"] == stats.per_request["r1"]["hist"]
+
+
+@st.composite
+def per_hop_width_cases(draw):
+    """An async proactive plan on a chain of 2 to 6 hops with node cutoffs 1
+    to 8, and 100 to 300 slots: 1 to 3 paths of at least two hops, some
+    against edge order, each with per-hop widths 1 to 4 and its own policy,
+    a tree or adhoc; paths that share an edge bind it at different channel
+    offsets."""
+    n = draw(st.integers(2, 6))
+    paths = []
+    for i in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(0, n - 2))
+        idx = tuple(range(lo, draw(st.integers(lo + 2, n)) + 1))
+        hops = len(idx) - 1
+        trees = list(all_order_trees(hops))
+        tree = SwapPolicy("explicit", draw(st.sampled_from(trees)))
+        paths.append((
+            f"r{i}", idx[::-1] if draw(st.booleans()) else idx,
+            tuple(draw(st.lists(st.integers(1, 4), min_size=hops, max_size=hops))),
+            draw(st.sampled_from(STATIC_POLICIES + (tree, SwapPolicy("adhoc")))),
+        ))
+    g = memory_chain(n, cap=12, p=draw(st.sampled_from((0.3, 0.6, 0.9))),
+                     q=draw(st.sampled_from((0.5, 0.8, 1.0))),
+                     cutoffs=draw(st.lists(st.integers(1, 8), min_size=1,
+                                           max_size=n + 1)))
+    return g, chain_plan(g, paths), draw(st.integers(100, 300))
+
+
+def scalar_swap_draws(graph, seed):
+    """A stand-in for `_SwapDraws` with no plane and no cap: each draw is
+    one `float_draw`, and each instance is the next slot of the run, as
+    `simulate` makes one per slot in order."""
+    qs = [v.swap_prob for v in graph.nodes]  # by rank
+    slots = itertools.count()
+
+    class Draws:
+        def __init__(self, *_):
+            self.ref = ReferenceSwapDraws(range(len(qs)), mix(seed, SWAP, next(slots)))
+
+        def successes(self, rank, m):
+            return bytes(self.ref.successes(rank, qs[rank], m))
+
+        def success(self, rank):
+            return self.successes(rank, 1)[0]
+
+    return Draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=per_hop_width_cases(), seed=st.integers(0, MASK64))
+def test_plane_draws_equal_scalar_reference_on_per_hop_widths(case, seed):
+    # an async slot may draw up to a path's widest hop at a node: the plane
+    # caps must hold every draw, and each one must equal the scalar draw
+    from qroute import montecarlo
+
+    g, plan, slots = case
+    config = SimConfig(forwarding="async", slots=slots, seed=seed)
+    got = simulate(g, plan, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_SwapDraws", scalar_swap_draws(g, seed))
+        want = simulate(g, plan, config)
+    assert got == want
 
 
 def test_simulate_deterministic():

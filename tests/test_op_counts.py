@@ -131,19 +131,36 @@ def test_route_grid_op_counts_pinned(monkeypatch, tmp_path):
     assert dict(counts) == PINNED_ROUTE_GRID
 
 
+def plane_caps(monkeypatch) -> list:
+    """A list that gets each run's swap-plane caps by rank."""
+    caps = []
+    real = montecarlo._swap_lanes
+
+    def swap_lanes(*args):
+        lanes = real(*args)
+        caps.append(lanes.caps)
+        return lanes
+
+    monkeypatch.setattr(montecarlo, "_swap_lanes", swap_lanes)
+    return caps
+
+
 # async_adhoc_chain.json at 400 slots, under its own `adhoc` policy and under
 # `doubling`: the records the async kernel creates (its final `next_id`:
 # links plus segments), the swap bytes drawn at each node by rank, and the
-# draws past a node's plane cap (`_SwapDraws._chain` calls)
+# swap plane's lanes at each node by rank (its caps)
 PINNED_ASYNC = {
-    "adhoc": {"records": 1088, "swap bytes by rank": [0, 288, 204, 0], "_chain": 0},
-    "doubling": {"records": 956, "swap bytes by rank": [0, 284, 142, 0], "_chain": 0},
+    "adhoc": {"records": 1088, "swap bytes by rank": [0, 288, 204, 0],
+              "caps by rank": [0, 1, 1, 0]},
+    "doubling": {"records": 956, "swap bytes by rank": [0, 284, 142, 0],
+                 "caps by rank": [0, 1, 1, 0]},
 }
 
 
 @pytest.mark.parametrize("policy", sorted(PINNED_ASYNC))
 def test_async_op_counts_pinned(monkeypatch, tmp_path, policy):
-    kernels, slots, chains = [], [], collections.Counter()
+    kernels, slots = [], []
+    caps = plane_caps(monkeypatch)
 
     class Kernel(montecarlo._AsyncKernel):
         def __init__(self, *args):
@@ -155,18 +172,31 @@ def test_async_op_counts_pinned(monkeypatch, tmp_path, policy):
             super().__init__(*args)
             slots.append(self)
 
-        def _chain(self, *args):
-            chains.update(["_chain"])
-            return super()._chain(*args)
-
     monkeypatch.setattr(montecarlo, "_AsyncKernel", Kernel)
     monkeypatch.setattr(montecarlo, "_SwapDraws", Draws)
     assert run_command(["simulate", "--scenario",
                         str(SCENARIOS / "async_adhoc_chain.json"),
                         "--policy", policy, "--slots", "400",
                         "--out", str(tmp_path)]) == 0
-    (kernel,) = kernels
+    (kernel,), (run_caps,) = kernels, caps
     got = {"records": kernel.next_id,
            "swap bytes by rank": [sum(col) for col in zip(*(d._seq for d in slots))],
-           "_chain": chains["_chain"]}
+           "caps by rank": run_caps}
     assert got == PINNED_ASYNC[policy]
+
+
+# grid_3x3.json's swap-plane caps by rank (row-major ids), under its own
+# proactive sync plan and under the reactive scheme
+PINNED_GRID_CAPS = {
+    "proactive sync": [0, 2, 2, 2, 2, 2, 0, 2, 0],
+    "reactive": [2, 3, 2, 3, 4, 3, 2, 3, 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GRID_CAPS))
+def test_grid_plane_caps_pinned(monkeypatch, tmp_path, case):
+    caps = plane_caps(monkeypatch)
+    flags = ["--scheme", "reactive"] if case == "reactive" else []
+    assert run_command(["simulate", "--scenario", str(SCENARIOS / "grid_3x3.json"),
+                        "--slots", "10", "--out", str(tmp_path), *flags]) == 0
+    assert caps == [PINNED_GRID_CAPS[case]]

@@ -419,6 +419,9 @@ COMMAND_LIMITS = {
                              "analytics.paths: "),
     "simulate_without_requests": ("simulate", _set(_CHAIN, ("requests",), []),
                                   "requests: "),
+    "adhoc_path_under_sync": ("simulate", _set(_CHAIN, ("sim", "paths"), [
+        {"request": "r1", "nodes": ["A", "B", "C"], "policy": "adhoc"},
+    ]), "sim.paths[0].policy: adhoc swapping needs async forwarding"),
 }
 
 
