@@ -8,6 +8,7 @@ same routes.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from enum import Enum
 
@@ -111,43 +112,28 @@ def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
         raise GraphValidationError("source and destination must differ")
 
 
-def _level_step(graph: NetworkGraph) -> float | None:
-    """The creation-rate step s = 1/p when the level search may replace the
-    heap under `INVERSE_CREATION_RATE`, else None; memoised on the graph.
+def _one_link_prob(graph: NetworkGraph) -> float | None:
+    """The link probability p that every edge with capacity >= 1 has
+    (capacity-0 edges are never searched), when p > 0 and 1.0 times 1/p
+    per hop of the longest loop-free path (`len(nodes) - 1` hops) stays
+    finite, else None; memoised on the graph.
 
-    It is s when every edge with capacity >= 1 has one link probability p
-    with 0 < p < 1, so s > 1, and 1.0 multiplied by s once per hop of the
-    longest loop-free path (`len(nodes) - 1` hops) stays finite. Then every
-    label with h hops past a root carries the same product, each level costs
-    strictly more than the one before (c * s > c for every finite c >= 1),
-    and no label reaches infinity: the heap pops in (hops, nodes) order,
-    the order the level search reaches them in. Without the finiteness
-    check, a label the heap drops as infinite would come back from it.
+    Then every creation-rate label h hops past its root carries one finite
+    product. For p < 1 each level costs strictly more than the one before
+    (c / p > c for finite c >= 1), so the creation rate ranks paths as the
+    hop count does and `routing.allocate` runs Yen by hop count alone;
+    without the finiteness check, a path the heap drops as infinite would
+    come back. For p = 1, `grid_topology`'s default, every label keeps its
+    root's cost and `_search` runs depth-first.
     """
     memo = graph._memo
-    if "level_step" not in memo:
+    if "one_link_prob" not in memo:
         probs = {e.link_prob for e in graph.edges if e.capacity >= 1}
-        step = None
-        if len(probs) == 1 and 0 < min(probs) < 1:
-            step = 1.0 / min(probs)  # the factor `_steps` gives every edge
-            cost = 1.0
-            for _ in range(len(graph.nodes) - 1):
-                cost *= step
-            if cost == math.inf:
-                step = None
-        memo["level_step"] = step
-    return memo["level_step"]
-
-
-def _certain_links(graph: NetworkGraph) -> bool:
-    """True when every edge with capacity >= 1 has link probability 1, as
-    `grid_topology`'s default edges have, so every creation-rate step is
-    1.0 and every label keeps its root's cost; memoised on the graph."""
-    memo = graph._memo
-    if "certain_links" not in memo:
-        memo["certain_links"] = {
-            e.link_prob for e in graph.edges if e.capacity >= 1} == {1.0}
-    return memo["certain_links"]
+        p = probs.pop() if len(probs) == 1 else 0.0
+        # 1.0 times the factor `_steps` gives every edge, hop by hop
+        finite = p > 0 and math.prod([1.0 / p] * (len(graph.nodes) - 1)) < math.inf
+        memo["one_link_prob"] = p if finite else None
+    return memo["one_link_prob"]
 
 
 def _search(
@@ -164,22 +150,36 @@ def _search(
 
     `usable` filters edges, one entry per edge in `graph.edges` order
     (truthy = usable); `banned_nodes` and the root's other nodes are never
-    entered. `HOP_COUNT` runs the level search, and so does
-    `INVERSE_CREATION_RATE` on a graph with one link probability p < 1 (see
-    `_level_step`). When that probability is 1 (see `_certain_links`) every
-    creation-rate label costs the root's cost, the heap would pop labels in
-    node order alone, and the depth-first search runs. Every other case
-    runs Dijkstra's heap.
+    entered. `HOP_COUNT` runs the level search, and `INVERSE_CREATION_RATE`
+    with p = 1 on every link (see `_one_link_prob`) the depth-first search:
+    every label then costs the root's cost, and the heap would pop labels
+    in node order alone. Every other case runs Dijkstra's heap.
     """
     if metric is Metric.HOP_COUNT:
         return _hop_search(graph, root, d, usable, banned_nodes)
-    if metric is Metric.INVERSE_CREATION_RATE:
-        step = _level_step(graph)
-        if step is not None:
-            return _hop_search(graph, root, d, usable, banned_nodes, step)
-        if _certain_links(graph):
-            return _dfs_search(graph, root, d, usable, banned_nodes)
+    if metric is Metric.INVERSE_CREATION_RATE and _one_link_prob(graph) == 1.0:
+        return _dfs_search(graph, root, d, usable, banned_nodes)
     return _heap_search(graph, root, d, metric, usable, banned_nodes)
+
+
+def _fence(graph: NetworkGraph, banned_nodes, root_nodes) -> bytearray:
+    """A flag per node rank, set for `banned_nodes` and `root_nodes`: the
+    nodes a search kernel starts with as seen or settled, never entered."""
+    rank = graph.node_rank
+    flags = bytearray(len(graph.nodes))
+    for v in itertools.chain(banned_nodes, root_nodes):
+        flags[rank[v]] = 1
+    return flags
+
+
+def _label(ids, parent: list[int], start: int, end: int, root) -> tuple[str, ...]:
+    """The nodes of the label `root` extended to rank `end`, found by
+    walking `parent` back from `end` to `start`, the root's last node."""
+    tail = []
+    while end != start:
+        tail.append(ids[end])
+        end = parent[end]
+    return root[1] + tuple(reversed(tail))
 
 
 def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
@@ -190,18 +190,12 @@ def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
     never pushed."""
     ids, adjacency = _rank_adjacency(graph)
     steps = _steps(graph, metric)
-    rank = graph.node_rank
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
-    # banned nodes and the root's other nodes are never pushed, so they can
-    # share the settled set
-    done = bytearray(len(ids))
-    for v in banned_nodes:
-        done[rank[v]] = 1
-    for v in root[1][:-1]:
-        done[rank[v]] = 1
-    target = rank[d]
-    heap = [(root[0], (rank[root[1][-1]],))]
+    # the fenced nodes are never pushed, so they can share the settled set
+    done = _fence(graph, banned_nodes, root[1][:-1])
+    target = graph.node_rank[d]
+    heap = [(root[0], (graph.node_rank[root[1][-1]],))]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         cost, path = pop(heap)
@@ -221,29 +215,22 @@ def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
     return None
 
 
-def _hop_search(graph, root, d, usable, banned_nodes, step=None):
-    """`_search` where every hop costs the same: a level-order search on
-    node ranks replaces the heap. A level adds 1 to the cost under
-    `HOP_COUNT`, and multiplies it by `step` under the creation-rate metric,
-    the multiplications the heap and `_prefix_costs` make. Scanning each
+def _hop_search(graph, root, d, usable, banned_nodes):
+    """`_search` under `HOP_COUNT`: every hop adds 1 to the cost, so a
+    level-order search on node ranks replaces the heap. Scanning each
     node's neighbours in rank (= id) order keeps every level in label
     order, so `d` is first reached by the label the heap would pop. Each
     reached node keeps the node it was reached from; the label is built
     once, at `d`."""
     ids, adjacency = _rank_adjacency(graph)
     rank = graph.node_rank
-    # banned nodes and the root's nodes are seen up front, so no level
-    # enters them
-    seen = bytearray(len(ids))
-    for v in banned_nodes:
-        seen[rank[v]] = 1
-    for v in root[1]:
-        seen[rank[v]] = 1
+    # the root's last node is seen up front too, so no level enters it
+    seen = _fence(graph, banned_nodes, root[1])
     start, target = rank[root[1][-1]], rank[d]
     parent = [0] * len(ids)
     cost, level = root[0], [start]
     while level:
-        cost = cost + 1.0 if step is None else cost * step
+        cost += 1.0
         reached = []
         for cur in level:
             for nbr, i in adjacency[cur]:
@@ -251,11 +238,7 @@ def _hop_search(graph, root, d, usable, banned_nodes, step=None):
                     continue
                 parent[nbr] = cur
                 if nbr == target:
-                    tail = []
-                    while nbr != start:
-                        tail.append(ids[nbr])
-                        nbr = parent[nbr]
-                    return cost, root[1] + tuple(reversed(tail))
+                    return cost, _label(ids, parent, start, nbr, root)
                 seen[nbr] = 1
                 reached.append(nbr)
         level = reached
@@ -272,12 +255,7 @@ def _dfs_search(graph, root, d, usable, banned_nodes):
     and the label is built once, when `d` is popped."""
     ids, adjacency = _rank_adjacency(graph)
     rank = graph.node_rank
-    # banned nodes and the root's other nodes are settled up front
-    done = bytearray(len(ids))
-    for v in banned_nodes:
-        done[rank[v]] = 1
-    for v in root[1][:-1]:
-        done[rank[v]] = 1
+    done = _fence(graph, banned_nodes, root[1][:-1])
     start, target = rank[root[1][-1]], rank[d]
     parent = [0] * len(ids)
     stack = [(start, start)]
@@ -287,11 +265,7 @@ def _dfs_search(graph, root, d, usable, banned_nodes):
             continue
         parent[cur] = up
         if cur == target:
-            tail = []
-            while cur != start:
-                tail.append(ids[cur])
-                cur = parent[cur]
-            return root[0], root[1] + tuple(reversed(tail))
+            return root[0], _label(ids, parent, start, cur, root)
         done[cur] = 1
         for nbr, i in reversed(adjacency[cur]):
             if not done[nbr] and usable[i]:

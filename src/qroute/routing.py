@@ -20,7 +20,7 @@ from .analytics import (
 from .netmodel import NetworkGraph
 from .pathfind import (
     Metric,
-    _level_step,
+    _one_link_prob,
     _path_edges,
     k_shortest_paths,
     path_spec_from_nodes,
@@ -205,8 +205,8 @@ def allocate(
 
     Yen runs under the creation rate, then under the hop count for routes
     that ranking misses. On a graph with one link probability p < 1 (see
-    `pathfind._level_step`) both rank paths by hop count and return the
-    same node lists, so the second pass is skipped: one Yen call per key.
+    `pathfind._one_link_prob`) both rank every path alike, and only node
+    lists are read here, so Yen runs once per key, under the hop count.
     """
     check_unique_ids(requests)
     residual = [e.capacity for e in graph.edges]
@@ -251,9 +251,9 @@ def allocate(
     # (source, dest, hop bound) -> (candidate node sequences, the edge
     # indices of every path Yen returned for them)
     route_cache: dict[tuple, tuple[list[tuple[str, ...]], set[int]]] = {}
-    metrics = (Metric.INVERSE_CREATION_RATE,)
-    if _level_step(graph) is None:
-        metrics += (Metric.HOP_COUNT,)
+    p = _one_link_prob(graph)
+    metrics = ((Metric.HOP_COUNT,) if p is not None and p < 1
+               else (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT))
 
     def candidate_routes(req: Request, bound: int) -> tuple[list, set[int]]:
         key = (req.source, req.dest, bound)

@@ -19,6 +19,7 @@ from qroute import (
     PathSpec,
     build_graph,
 )
+from qroute.cli import run_command
 from qroute.netmodel import edge_key
 
 
@@ -152,6 +153,17 @@ def path_specs(draw, max_hops=6, max_cap=4, min_p=0.0, min_q=0.0):
                  max_size=n - 1)
     )
     return make_path(caps, probs, qs)
+
+
+def hash_run(digest, header: str, argv: list[str], out) -> None:
+    """Run the CLI command `argv` with its reports written to the directory
+    `out`, then feed `digest` the line `<header> -> <exit code>` and, on
+    exit 0, each report's name and bytes in name order: the report-digest
+    tests pin a sha256 over a sequence of these."""
+    rc = run_command([*argv, "--out", str(out)])
+    digest.update(f"{header} -> {rc}\n".encode())
+    for report in sorted(out.glob("*")) if rc == 0 else ():
+        digest.update(report.name.encode() + b"\n" + report.read_bytes())
 
 
 def assert_pmf_close(a, b, tol=1e-9):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_pmf_close, chain_graph, make_path
+from conftest import assert_pmf_close, chain_graph, hash_run, make_path
 from qroute import (
     AllocatorConfig,
     EdgeParams,
@@ -723,16 +723,9 @@ def test_simulate_reports_pinned(tmp_path):
     for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
         for j, flags in enumerate(flag_sets):
             for fmt in ("json", "csv"):
-                out = tmp_path / f"{i}-{j}-{fmt}"
-                rc = run_command(["simulate", "--scenario", str(scenario),
-                                  "--slots", "2000", "--format", fmt,
-                                  "--out", str(out), *flags])
-                digest.update(
-                    f"{scenario.name} {' '.join(flags)} {fmt} -> {rc}\n".encode()
-                )
-                for report in sorted(out.glob("*")) if rc == 0 else ():
-                    digest.update(report.name.encode() + b"\n"
-                                  + report.read_bytes())
+                hash_run(digest, f"{scenario.name} {' '.join(flags)} {fmt}",
+                         ["simulate", "--scenario", str(scenario), "--slots", "2000",
+                          "--format", fmt, *flags], tmp_path / f"{i}-{j}-{fmt}")
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 
@@ -755,17 +748,10 @@ def test_node_disjoint_reactive_reports_pinned(tmp_path):
         for flags in (["--mode", "sync", "--policy", "doubling"],
                       ["--mode", "async"]):
             for fmt in ("json", "csv"):
-                out = tmp_path / f"{i}-{flags[1]}-{fmt}"
-                rc = run_command(["simulate", "--scenario", str(scenario),
-                                  "--scheme", "reactive", *flags,
-                                  "--slots", "2000", "--format", fmt,
-                                  "--out", str(out)])
-                digest.update(
-                    f"{source.name} {' '.join(flags)} {fmt} -> {rc}\n".encode()
-                )
-                for report in sorted(out.glob("*")) if rc == 0 else ():
-                    digest.update(report.name.encode() + b"\n"
-                                  + report.read_bytes())
+                hash_run(digest, f"{source.name} {' '.join(flags)} {fmt}",
+                         ["simulate", "--scenario", str(scenario), "--scheme", "reactive",
+                          *flags, "--slots", "2000", "--format", fmt],
+                         tmp_path / f"{i}-{flags[1]}-{fmt}")
     assert digest.hexdigest() == PINNED_NODE_DISJOINT_SHA256
 
 
@@ -781,15 +767,10 @@ def test_reactive_sync_reports_pinned(tmp_path):
     for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
         for policy in ("doubling", "sequential"):
             for fmt in ("json", "csv"):
-                out = tmp_path / f"{i}-{policy}-{fmt}"
-                rc = run_command(["simulate", "--scenario", str(scenario),
-                                  "--scheme", "reactive", "--mode", "sync",
-                                  "--policy", policy, "--slots", "2000",
-                                  "--format", fmt, "--out", str(out)])
-                digest.update(f"{scenario.name} {policy} {fmt} -> {rc}\n".encode())
-                for report in sorted(out.glob("*")) if rc == 0 else ():
-                    digest.update(report.name.encode() + b"\n"
-                                  + report.read_bytes())
+                hash_run(digest, f"{scenario.name} {policy} {fmt}",
+                         ["simulate", "--scenario", str(scenario), "--scheme", "reactive",
+                          "--mode", "sync", "--policy", policy, "--slots", "2000",
+                          "--format", fmt], tmp_path / f"{i}-{policy}-{fmt}")
     assert digest.hexdigest() == PINNED_REACTIVE_SYNC_SHA256
 
 

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from qroute import AllocatorConfig, allocate, montecarlo, pathfind, routing
+from qroute import AllocatorConfig, allocate, analytics, montecarlo, pathfind, routing
 from qroute.cli import run_command
 from qroute.netmodel import NetworkGraph
+from qroute.scenario import scenario_from_dict
 from test_routing import tied_grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -93,14 +94,15 @@ PINNED_ROUTE_GRID = {
 }
 
 
-def route_grid_scenario() -> dict:
-    """8x8 grid, capacity 3, 20 km links with p = 0.8, q = 0.5; 8 requests
-    3-6 hops apart at a 0.9 fidelity floor (f0 = 0.99), k = 4, saturating
-    utility, doubling policy."""
+def route_grid_scenario(n: int = 8, count: int = 8) -> dict:
+    """n x n grid (8x8 by default), capacity 3, 20 km links with p = 0.8,
+    q = 0.5; `count` requests (8 by default) 3-6 hops apart at a 0.9
+    fidelity floor (f0 = 0.99), k = 4, saturating utility, doubling
+    policy."""
     rnd = random.Random(8)
-    cells = [(r, c) for r in range(8) for c in range(8)]
+    cells = [(r, c) for r in range(n) for c in range(n)]
     requests = []
-    for i in range(8):
+    for i in range(count):
         src = rnd.choice(cells)
         dst = rnd.choice([d for d in cells
                           if 3 <= abs(d[0] - src[0]) + abs(d[1] - src[1]) <= 6])
@@ -109,7 +111,7 @@ def route_grid_scenario() -> dict:
     return {
         "version": 1,
         "graph": {"grid": {
-            "rows": 8, "cols": 8,
+            "rows": n, "cols": n,
             "node": {"swap_prob": 0.5},
             "edge": {"capacity": 3, "length_km": 20.0, "link_prob": 0.8},
         }},
@@ -129,6 +131,71 @@ def test_route_grid_op_counts_pinned(monkeypatch, tmp_path):
     path.write_text(json.dumps(route_grid_scenario()))
     assert run_command(["route", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     assert dict(counts) == PINNED_ROUTE_GRID
+
+
+# `allocate` on the `route_grid` shape at 16x16 with 32 requests, in
+# process: Yen calls, pricings and `_search` calls by branch. Every edge has
+# p = 0.8, so Yen runs once per cached key and every search runs by levels
+PINNED_ROUTE_SCALE = {
+    "k_shortest_paths": 190,
+    "policy_distribution": 24,
+    "_hop_search": 3193,
+    "_dfs_search": 0,
+    "_heap_search": 0,
+}
+
+
+def test_route_scale_op_counts_pinned(monkeypatch):
+    counts, count = counter(monkeypatch)
+    count(routing, "k_shortest_paths")
+    count(routing, "policy_distribution")
+    for name in ("_hop_search", "_dfs_search", "_heap_search"):
+        count(pathfind, name)
+    scenario = scenario_from_dict(route_grid_scenario(16, 32))
+    allocate(scenario.graph, list(scenario.requests), scenario.routing)
+    assert {name: counts[name] for name in PINNED_ROUTE_SCALE} == PINNED_ROUTE_SCALE
+
+
+# heralded swap merges (`analytics.counters.heralded_merge_ops`, the squared
+# pmf length of each merge) under `analyze` on two_hop_chain.json, which
+# turns order search on, and under `route` on grid_3x3.json
+PINNED_MERGE_OPS = {
+    ("analyze", "two_hop_chain.json"): 8,
+    ("route", "grid_3x3.json"): 93,
+}
+
+
+@pytest.mark.parametrize("command, scenario", sorted(PINNED_MERGE_OPS))
+def test_heralded_merge_ops_pinned(tmp_path, command, scenario):
+    before = analytics.counters.heralded_merge_ops
+    assert run_command([command, "--scenario", str(SCENARIOS / scenario),
+                        "--out", str(tmp_path)]) == 0
+    merges = analytics.counters.heralded_merge_ops - before
+    assert merges == PINNED_MERGE_OPS[command, scenario]
+
+
+# grid_3x3.json under its own proactive sync plan, 400 slots: the swap bytes
+# drawn at each node by rank (row-major ids), summed over the blocks
+PINNED_SYNC_SWAP_BYTES = [0, 324, 61, 310, 47, 339, 0, 323, 0]
+
+
+def test_proactive_sync_swap_bytes_pinned(monkeypatch, tmp_path):
+    drawn = []
+    real = montecarlo._sync_block
+
+    def sync_block(bound, runs, swaps, pos, tally, size):
+        # the kernels advance `pos[rank]`, each slot's next byte of a node,
+        # past every byte they draw there; the column after the nine nodes'
+        # marks the plane's end
+        before = [list(column) for column in pos]
+        out = real(bound, runs, swaps, pos, tally, size)
+        drawn.append([sum(pos[r]) - sum(before[r]) for r in range(9)])
+        return out
+
+    monkeypatch.setattr(montecarlo, "_sync_block", sync_block)
+    assert run_command(["simulate", "--scenario", str(SCENARIOS / "grid_3x3.json"),
+                        "--slots", "400", "--out", str(tmp_path)]) == 0
+    assert [sum(column) for column in zip(*drawn)] == PINNED_SYNC_SWAP_BYTES
 
 
 def plane_caps(monkeypatch) -> list:

@@ -31,9 +31,9 @@ from qroute import (
 from qroute import pathfind
 from qroute.netmodel import GraphValidationError, edge_key
 from qroute.pathfind import (
-    _certain_links,
     _heap_search,
-    _level_step,
+    _hop_search,
+    _one_link_prob,
     _path_edges,
     _prefix_costs,
     _search,
@@ -564,7 +564,7 @@ def test_deviation_index_yen_equals_plain_yen(case, k, metric):
 
 
 # --------------------------------------------------------------------------
-# one link probability: creation-rate searches run by levels
+# one link probability p < 1: the creation rate ranks paths by hop count
 
 
 @st.composite
@@ -603,13 +603,18 @@ def one_prob_graphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=one_prob_graphs())
 def test_level_search_equals_heap_with_one_link_probability(case):
+    # `allocate` runs Yen by hop count alone on such graphs: from the same
+    # root nodes, the hop-count level search must find the nodes the
+    # creation-rate heap finds, and fail exactly when it fails
     g, root, d, usable, banned = case
-    assert _level_step(g) is not None
-    metric = Metric.INVERSE_CREATION_RATE
+    assert 0 < _one_link_prob(g) < 1
     filt = usable or [True] * len(g.edges)
-    # whole labels, cost included, compared with ==
-    assert (_search(g, root, d, metric, filt, banned)
-            == _heap_search(g, root, d, metric, filt, banned))
+    hop_root = (float(len(root[1]) - 1), root[1])
+    by_levels = _hop_search(g, hop_root, d, filt, banned)
+    heap = _heap_search(g, root, d, Metric.INVERSE_CREATION_RATE, filt, banned)
+    assert (by_levels is None) == (heap is None)
+    if heap is not None:
+        assert by_levels == (len(heap[1]) - 1.0, heap[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -621,7 +626,7 @@ def test_level_yen_and_widest_equal_heap_with_one_link_probability(case, k):
     got = k_shortest_paths(g, s, d, k, metric, usable=usable)
     widest = widest_path(g, s, d)
     # the reference: every creation-rate search on the heap
-    with mock.patch.object(pathfind, "_level_step", lambda graph: None):
+    with mock.patch.object(pathfind, "_one_link_prob", lambda graph: None):
         assert got == plain_yen(g, s, d, k, metric, usable=usable)
         assert widest == widest_path(g, s, d)
     # both metrics rank paths by hop count, so Yen finds the same routes
@@ -629,30 +634,40 @@ def test_level_yen_and_widest_equal_heap_with_one_link_probability(case, k):
     assert [nodes for _, nodes in got] == [nodes for _, nodes in hops]
 
 
-def test_level_step_needs_one_probability_below_one_and_a_finite_product():
+def test_one_link_prob_needs_one_p_on_every_edge_with_capacity_and_a_finite_product():
     def graph(probs, caps=None):
-        n = len(probs) + 1
         caps = caps or [1] * len(probs)
         return build_graph(
-            [NodeParams(id=f"n{i}") for i in range(n)],
+            [NodeParams(id=f"n{i}") for i in range(len(probs) + 1)],
             [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
              for i, (p, c) in enumerate(zip(probs, caps))])
 
-    assert _level_step(graph([0.5, 0.5, 0.5])) == 2.0
-    assert _level_step(graph([1.0, 1.0])) is None
-    assert _level_step(graph([0.5, 0.8])) is None
-    assert _level_step(graph([0.5, 0.0])) is None
-    # a capacity-0 edge is never searched, so its p does not count
-    assert _level_step(graph([0.5, 0.0, 0.5], caps=[1, 0, 2])) == 2.0
-    assert _level_step(graph([0.5, 1.0], caps=[0, 1])) is None
-    # 1e100 ** 3 is finite, 1e100 ** 4 is not
-    assert _level_step(graph([1e-100] * 3)) == 1e100
+    table = [
+        # (link probabilities, capacities, the probe's p)
+        ([0.5, 0.5, 0.5], None, 0.5),
+        ([1.0, 1.0], None, 1.0),
+        ([1.0, 1.0], [1, 2], 1.0),
+        ([0.5, 0.8], None, None),
+        ([1.0, 0.5], [1, 1], None),
+        ([0.5, 0.0], None, None),
+        ([0.0, 0.0], None, None),
+        # a capacity-0 edge is never searched, so its p does not count
+        ([0.5, 0.0, 0.5], [1, 0, 2], 0.5),
+        ([0.5, 1.0], [0, 1], 1.0),
+        ([1.0, 0.5], [1, 0], 1.0),
+        ([1.0, 1.0], [0, 0], None),
+        # 1e100 ** 3 is finite, 1e100 ** 4 is not
+        ([1e-100] * 3, None, 1e-100),
+        ([1e-100] * 4, None, None),
+        ([1e-100] * 5, None, None),
+        ([1e-100] * 8, None, None),
+    ]
+    for probs, caps, want in table:
+        assert _one_link_prob(graph(probs, caps)) == want, (probs, caps)
     metric = Metric.INVERSE_CREATION_RATE
     for hops in (4, 5, 8):
-        tiny = graph([1e-100] * hops)
-        assert _level_step(tiny) is None
         # the heap drops every label whose cost overflows
-        end = f"n{hops}"
+        tiny, end = graph([1e-100] * hops), f"n{hops}"
         assert _search(tiny, _start(metric, "n0"), end, metric, [True] * hops) is None
         assert k_shortest_paths(tiny, "n0", end, 2, metric) == []
 
@@ -685,7 +700,7 @@ def certain_graphs(draw):
 @given(case=certain_graphs())
 def test_depth_first_search_equals_heap_with_certain_links(case):
     g, root, d, usable, banned = case
-    assert _certain_links(g) and _level_step(g) is None
+    assert _one_link_prob(g) == 1.0
     metric = Metric.INVERSE_CREATION_RATE
     filt = usable or [True] * len(g.edges)
     # whole labels, cost included, compared with ==
@@ -702,20 +717,6 @@ def test_depth_first_yen_and_widest_equal_heap_with_certain_links(case, k):
     got = k_shortest_paths(g, s, d, k, metric, usable=usable)
     widest = widest_path(g, s, d)
     # the reference: every creation-rate search on the heap
-    with mock.patch.object(pathfind, "_certain_links", lambda graph: False):
+    with mock.patch.object(pathfind, "_one_link_prob", lambda graph: None):
         assert got == plain_yen(g, s, d, k, metric, usable=usable)
         assert widest == widest_path(g, s, d)
-
-
-def test_certain_links_needs_p_one_on_every_edge_with_capacity():
-    def graph(probs, caps):
-        return build_graph(
-            [NodeParams(id=f"n{i}") for i in range(len(probs) + 1)],
-            [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
-             for i, (p, c) in enumerate(zip(probs, caps))])
-
-    assert _certain_links(graph([1.0, 1.0], [1, 2]))
-    assert not _certain_links(graph([1.0, 0.5], [1, 1]))
-    # a capacity-0 edge is never searched, so its p does not count
-    assert _certain_links(graph([1.0, 0.5], [1, 0]))
-    assert not _certain_links(graph([1.0, 1.0], [0, 0]))

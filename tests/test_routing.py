@@ -382,9 +382,9 @@ def tied_grid(n, count):
 # plan). Routes are priced by their link and swap probabilities and width,
 # so routes alike in those share one pricing. Every scenario's edges share
 # one link probability p < 1, so Yen runs once per cached key, under the
-# creation rate alone, by levels; the random instances mix probabilities
-# and run it under the hop count as well, with creation-rate searches on
-# the heap. The tied grid has p = 1, so none of its searches is on the heap.
+# hop count alone, by levels; the random instances mix probabilities and
+# run it under the creation rate as well, on the heap. The tied grid has
+# p = 1, so its creation-rate searches run depth-first, none on the heap.
 PINNED_LEDGER = {
     "random instances": (14790, 8861, 28788, 0, 30530),
     "async_adhoc_chain.json": (2, 1, 5, 0, 0),
@@ -546,8 +546,8 @@ def test_allocate_prices_each_route_by_its_own_probabilities():
 
 
 def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
-    # with one p on every edge both metrics rank paths by hop count, so the
-    # hop-count Yen pass that `allocate` skips could add no route
+    # with one p < 1 on every edge both metrics rank paths by hop count, so
+    # the creation-rate Yen pass that `allocate` skips could add no route
     rnd = random.Random(2071)
     config = AllocatorConfig(k=3, elementary_fidelity=0.98)
     instances = []
@@ -566,9 +566,9 @@ def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
         calls.clear()
         return [_plan_fingerprint(allocate(g, reqs, config)) for g, reqs in instances]
 
-    by_levels = fingerprints()
-    level_calls = len(calls)
+    one_pass = fingerprints()
+    one_pass_calls = len(calls)
     for module in (pathfind, routing):
-        monkeypatch.setattr(module, "_level_step", lambda graph: None)
-    assert by_levels == fingerprints()
-    assert level_calls < len(calls)
+        monkeypatch.setattr(module, "_one_link_prob", lambda graph: None)
+    assert one_pass == fingerprints()
+    assert one_pass_calls < len(calls)

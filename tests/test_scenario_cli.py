@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import hash_run
 from qroute import cli
 from qroute.cli import run_command
 from qroute.report import canonical_json, format_float
@@ -630,15 +631,9 @@ def test_cli_reports_pinned(tmp_path):
     for i, scenario in enumerate(sorted(SCENARIO_DIR.glob("*.json"))):
         for j, args in enumerate(runs):
             for fmt in ("json", "csv"):
-                out = tmp_path / f"{i}-{j}-{fmt}"
-                rc = run_command([*args, "--scenario", str(scenario),
-                                  "--format", fmt, "--out", str(out)])
-                digest.update(
-                    f"{scenario.name} {' '.join(args)} {fmt} -> {rc}\n".encode()
-                )
-                for report in sorted(out.glob("*")) if rc == 0 else ():
-                    digest.update(report.name.encode() + b"\n"
-                                  + report.read_bytes())
+                hash_run(digest, f"{scenario.name} {' '.join(args)} {fmt}",
+                         [*args, "--scenario", str(scenario), "--format", fmt],
+                         tmp_path / f"{i}-{j}-{fmt}")
     assert digest.hexdigest() == PINNED_CLI_REPORTS_SHA256
 
 
@@ -664,12 +659,9 @@ def test_coverage_reports_pinned(tmp_path):
     digest = hashlib.sha256()
     for i, scenario in enumerate(sorted((SCENARIO_DIR / "coverage").glob("*.json"))):
         for j, args in enumerate(runs):
-            out = tmp_path / f"{i}-{j}"
-            rc = run_command([*args, "--scenario", str(scenario), "--slots", "500",
-                              "--format", "csv", "--out", str(out)])
-            digest.update(f"{scenario.name} {' '.join(args)} -> {rc}\n".encode())
-            for report in sorted(out.glob("*")) if rc == 0 else ():
-                digest.update(report.name.encode() + b"\n" + report.read_bytes())
+            hash_run(digest, f"{scenario.name} {' '.join(args)}",
+                     [*args, "--scenario", str(scenario), "--slots", "500",
+                      "--format", "csv"], tmp_path / f"{i}-{j}")
     assert digest.hexdigest() == PINNED_COVERAGE_REPORTS_SHA256
 
 
