@@ -634,28 +634,23 @@ def test_level_yen_and_widest_equal_heap_with_one_link_probability(case, k):
     assert [nodes for _, nodes in got] == [nodes for _, nodes in hops]
 
 
-def test_one_link_prob_needs_one_p_on_every_edge_with_capacity_and_a_finite_product():
-    def graph(probs, caps=None):
-        caps = caps or [1] * len(probs)
-        return build_graph(
-            [NodeParams(id=f"n{i}") for i in range(len(probs) + 1)],
-            [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
-             for i, (p, c) in enumerate(zip(probs, caps))])
+def _chain(probs, caps=None):
+    caps = caps or [1] * len(probs)
+    return build_graph(
+        [NodeParams(id=f"n{i}") for i in range(len(probs) + 1)],
+        [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=c, link_prob=p)
+         for i, (p, c) in enumerate(zip(probs, caps))])
 
+
+def test_level_step_needs_one_probability_below_one_and_a_finite_product():
     table = [
         # (link probabilities, capacities, the probe's p)
         ([0.5, 0.5, 0.5], None, 0.5),
-        ([1.0, 1.0], None, 1.0),
-        ([1.0, 1.0], [1, 2], 1.0),
         ([0.5, 0.8], None, None),
-        ([1.0, 0.5], [1, 1], None),
         ([0.5, 0.0], None, None),
         ([0.0, 0.0], None, None),
         # a capacity-0 edge is never searched, so its p does not count
         ([0.5, 0.0, 0.5], [1, 0, 2], 0.5),
-        ([0.5, 1.0], [0, 1], 1.0),
-        ([1.0, 0.5], [1, 0], 1.0),
-        ([1.0, 1.0], [0, 0], None),
         # 1e100 ** 3 is finite, 1e100 ** 4 is not
         ([1e-100] * 3, None, 1e-100),
         ([1e-100] * 4, None, None),
@@ -663,13 +658,28 @@ def test_one_link_prob_needs_one_p_on_every_edge_with_capacity_and_a_finite_prod
         ([1e-100] * 8, None, None),
     ]
     for probs, caps, want in table:
-        assert _one_link_prob(graph(probs, caps)) == want, (probs, caps)
+        assert _one_link_prob(_chain(probs, caps)) == want, (probs, caps)
     metric = Metric.INVERSE_CREATION_RATE
     for hops in (4, 5, 8):
         # the heap drops every label whose cost overflows
-        tiny, end = graph([1e-100] * hops), f"n{hops}"
+        tiny, end = _chain([1e-100] * hops), f"n{hops}"
         assert _search(tiny, _start(metric, "n0"), end, metric, [True] * hops) is None
         assert k_shortest_paths(tiny, "n0", end, 2, metric) == []
+
+
+def test_certain_links_needs_p_one_on_every_edge_with_capacity():
+    table = [
+        # (link probabilities, capacities, the probe's p)
+        ([1.0, 1.0], None, 1.0),
+        ([1.0, 1.0], [1, 2], 1.0),
+        ([1.0, 0.5], [1, 1], None),
+        # a capacity-0 edge is never searched, so its p does not count
+        ([0.5, 1.0], [0, 1], 1.0),
+        ([1.0, 0.5], [1, 0], 1.0),
+        ([1.0, 1.0], [0, 0], None),
+    ]
+    for probs, caps, want in table:
+        assert _one_link_prob(_chain(probs, caps)) == want, (probs, caps)
 
 
 # --------------------------------------------------------------------------
