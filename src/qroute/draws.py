@@ -156,27 +156,23 @@ def _block_slots(planes) -> int:
 
 
 def _link_schedule(graph, runs) -> list:
-    """The link schedule both forwarding modes generate on: one entry per
-    channel run, (run, channel range, threshold), where a run is (edge
-    index, first channel, width), in (edge index, first channel) order,
-    which async link ids follow."""
-    return [(run, range(run[1], run[1] + run[2]),
-             _threshold(graph.edges[run[0]].link_prob))
-            for run in sorted(runs)]
+    """The simulator's one table of channel runs, which both forwarding
+    modes generate on: an entry (run, lo, hi, threshold) per run, where a
+    run is (edge index, first channel, width) and lanes lo to hi of the
+    link plane hold its channels. Entries go in (edge index, first channel)
+    order, which the plane's lanes and async link ids follow."""
+    runs = sorted(runs)
+    ends = itertools.accumulate(width for *_, width in runs)
+    return [(run, hi - run[2], hi, _threshold(graph.edges[run[0]].link_prob))
+            for run, hi in zip(runs, ends)]
 
 
 def _link_plane(schedule) -> _Plane:
     """The plane of every channel's link draw, keyed (edge index, channel),
-    from a link schedule."""
-    return _Plane((run[0], ch, threshold)
-                  for run, chans, threshold in schedule for ch in chans)
-
-
-def _link_spans(schedule) -> list[tuple[int, int]]:
-    """Each link schedule entry's lanes (lo, hi) in the link plane, which
-    has one lane per channel in schedule order."""
-    ends = list(itertools.accumulate(len(chans) for _, chans, _ in schedule))
-    return list(zip([0, *ends], ends))
+    one lane per channel in link schedule order."""
+    return _Plane((edge, ch, threshold)
+                  for (edge, start, width), *_, threshold in schedule
+                  for ch in range(start, start + width))
 
 
 def _span_counts(bits: bytes, width: int, lo: int, hi: int, size: int) -> list[int]:
@@ -203,10 +199,11 @@ class _SwapLanes:
                             for r, cap in enumerate(caps) for s in range(cap))
 
     def starts(self, size: int) -> list[list[int]]:
-        """Each node's first byte in each slot of a block of `size` slots."""
+        """Each node's first byte in each slot of a block of `size` slots,
+        one column per node."""
         depth = len(self.plane)
         return [list(itertools.islice(itertools.count(lo, depth), size))
-                for lo in self.first]
+                for lo in self.first[:-1]]
 
 
 class _SwapDraws:

@@ -32,7 +32,6 @@ from .draws import (
     _block_slots,
     _link_plane,
     _link_schedule,
-    _link_spans,
     _slot_bases,
     _span_counts,
     _SwapDraws,
@@ -98,9 +97,9 @@ class SimStats:
 
 
 def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
-    """Add one path's swaps in one slot to the run's per-kind totals; a kind
-    enters when it first attempts a swap, which fixes the key order of
-    `SimStats.swap_counters`."""
+    """Add one path's swaps in one slot, or in a block of slots, to the
+    run's per-kind totals; a kind enters at its first attempt, and
+    `simulate` reports the kinds in sorted order."""
     if attempts:
         entry = tally.setdefault(kind, [0, 0])
         entry[0] += attempts
@@ -154,14 +153,14 @@ def _exec_single(rp: _RuntimePath, draws: _SwapDraws, tally):
     return (held[0] if held else 1), 2 * len(won), sum(won)
 
 
-def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
+def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos,
+                  tally):
     """Swapping on a block of slots: `hops` holds each hop's column of link
     counts, and `pos[rank]` each slot's next byte of node `rank` in the
     block's swap plane `swaps`, moved past the draws made. Returns the
-    columns (delivered, consumed, segments created, attempts) and the
-    successes. Each slot draws as the tests' reference `_exec_counts` and
-    the one-link walk `_exec_single` do, within the node's plane cap
-    (`_swap_lanes` states the rule)."""
+    columns (delivered, consumed, segments created). Each slot draws as the
+    tests' reference `_exec_counts` and the one-link walk `_exec_single`
+    do, within the node's plane cap (`_swap_lanes` states the rule)."""
     one = repeat(1)
     n = len(hops)
     if rp.schedule is None:  # parallel: lane i takes each interior node's i-th draw
@@ -177,8 +176,8 @@ def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
             won = bits if won is None else map(and_, won, bits)
         # a one-hop path has no interior node: every lane delivers
         delivered = lanes if won is None else list(map(int.bit_count, won))
-        return (delivered, [k * n for k in lanes], delivered,
-                [k * (n - 1) for k in lanes], successes)
+        _tally(tally, "parallel", sum(lanes) * (n - 1), successes)
+        return delivered, [k * n for k in lanes], delivered
     pools = {(h, h + 1): c for h, c in enumerate(hops)}
     attempts = segments = [0] * len(hops[0])
     for a, mid, b in rp.schedule:  # post-order: both inputs are filled
@@ -189,27 +188,23 @@ def _exec_columns(rp: _RuntimePath, hops: list[list[int]], swaps: bytes, pos):
         pools[a, b] = list(map(swaps.count, one, p, end))
         attempts = list(map(add, attempts, m))
         segments = list(map(add, segments, pools[a, b]))
-    return (pools[0, n], list(map(add, attempts, attempts)), segments,
-            attempts, sum(segments))
+    _tally(tally, rp.policy.kind, sum(attempts), sum(segments))
+    return pools[0, n], list(map(add, attempts, attempts)), segments
 
 
 def _sync_block(bound, runs: dict, swaps: bytes, pos, tally, size: int):
     """A block of `size` proactive sync slots, path by path, on each channel
     run's column of new links; returns each path's delivered column and the
-    consumed and segments-created columns. A swap counter enters `tally` at
-    its kind's first attempt in (slot, path) order, as in a per-slot run."""
-    delivered, entries = [], []
+    consumed and segments-created columns. Each path's kernel adds its swaps
+    to `tally` as it runs."""
+    delivered = []
     consumed = segments = [0] * size
-    for i, rp in enumerate(bound):
-        got, used, made, attempts, successes = _exec_columns(
-            rp, [runs[run] for run in rp.channels], swaps, pos)
+    for rp in bound:
+        got, used, made = _exec_columns(
+            rp, [runs[run] for run in rp.channels], swaps, pos, tally)
         delivered.append(got)
         consumed = list(map(add, consumed, used))
         segments = list(map(add, segments, made))
-        first = next(itertools.compress(itertools.count(), attempts), size)
-        entries.append((first, i, rp.policy.kind, sum(attempts), successes))
-    for *_, kind, attempts, successes in sorted(entries):
-        _tally(tally, kind, attempts, successes)
     return delivered, consumed, segments
 
 
@@ -218,18 +213,6 @@ def _sync_block(bound, runs: dict, swaps: bytes, pos, tally, size: int):
 
 
 DISPOSE_REASONS = ("consumed", "expired", "discarded", "delivered")
-
-
-class _Channels:
-    """A run of an edge's channels that one owner binds from, and the live
-    links on it as (id, birth, birth, channel) records in id order."""
-
-    __slots__ = ("start", "cutoff", "links")
-
-    def __init__(self, start: int, cutoff: int):
-        self.start = start
-        self.cutoff = cutoff  # slots a link lives: min over its two ends
-        self.links: list[tuple[int, int, int, int]] = []
 
 
 class _PathStore:
@@ -278,40 +261,42 @@ class _PathStore:
 
 
 class _AsyncKernel:
-    """Async run state: link runs, the id counter and the entity ledger
-    (created == live + disposed), checked every slot.
+    """Async run state: each channel run's live links, the id counter and
+    the entity ledger (created == live + disposed), checked every slot.
 
-    A proactive path's hop owns its own run; under the reactive scheme a
-    whole edge is one run. Ids come from one counter in creation order, so
-    within a run id order is (birth slot, channel) order, and every policy,
-    and expiry too, takes links off the front. A new segment has the
-    largest id so far, so appending keeps every list in id order.
+    `runs` maps each run of the link schedule to its live links, as
+    (id, birth, birth, channel) records in id order. A proactive path's hop
+    owns its own run; under the reactive scheme a whole edge is one run. Ids
+    come from one counter in creation order, so within a run id order is
+    (birth slot, channel) order, and every policy, and expiry too, takes
+    links off the front. A new segment has the largest id so far, so
+    appending keeps every list in id order.
     """
 
     def __init__(self, graph: NetworkGraph, schedule):
         """`schedule`: the run's link schedule (`_link_schedule`)."""
         cutoff = {v.id: v.memory_cutoff_slots for v in graph.nodes}
+        # slots a link lives: the shorter memory of its edge's two ends
         lifetime = [min(cutoff[e.u], cutoff[e.v]) for e in graph.edges]
-        self.runs = {run: _Channels(run[1], lifetime[run[0]])
-                     for run, *_ in schedule}
-        self.schedule = list(zip(_link_spans(schedule), self.runs.values()))
+        self.runs = {run: [] for run, *_ in schedule}
+        # (lo, hi, first channel, lifetime, links) per run, in schedule order
+        self.schedule = [(lo, hi, run[1], lifetime[run[0]], self.runs[run])
+                         for run, lo, hi, _ in schedule]
         self.cutoff = cutoff
         self.next_id = 0  # = entities created
         self.disposed = dict.fromkeys(DISPOSE_REASONS, 0)
-        self._links = [run.links for run in self.runs.values()]
         self._taken: list[tuple[list, list]] = []
 
     def bind(self, rp: _RuntimePath) -> _PathStore:
         """A path's store on the runs its hops bind."""
-        return _PathStore(rp, [self.runs[run].links for run in rp.channels],
+        return _PathStore(rp, [self.runs[run] for run in rp.channels],
                           tuple(self.cutoff[v] for v in rp.path.nodes))
 
     def purge(self, slot: int, held) -> None:
         """Expire links and the segments in `held` whose memory ran out."""
         expired = sum(store.purge(slot) for store in held)
-        for run in self.runs.values():
-            links = run.links
-            born_by = slot - run.cutoff  # links born then or earlier expire
+        for _, _, _, lifetime, links in self.schedule:
+            born_by = slot - lifetime  # links born then or earlier expire
             if links and links[0][1] <= born_by:
                 k = 1
                 while k < len(links) and links[k][1] <= born_by:
@@ -326,10 +311,9 @@ class _AsyncKernel:
         channel), so the realization does not depend on which channels are
         occupied."""
         first = next_id = self.next_id
-        for (lo, hi), run in self.schedule:
-            links = run.links
+        for lo, hi, start, _, links in self.schedule:
             busy = {r[3] for r in links} if links else ()  # channels in use
-            for ch in itertools.compress(itertools.count(run.start), bits[lo:hi]):
+            for ch in itertools.compress(itertools.count(start), bits[lo:hi]):
                 if ch not in busy:
                     links.append((next_id, slot, slot, ch))
                     next_id += 1
@@ -359,7 +343,7 @@ class _AsyncKernel:
         for links, hop in reversed(self._taken):
             links[:0] = hop
         self._taken.clear()
-        live = sum(map(len, self._links)) + sum(s.live() for s in segments)
+        live = sum(map(len, self.runs.values())) + sum(s.live() for s in segments)
         disposed = sum(self.disposed.values())
         if self.next_id != live + disposed:
             raise AssertionError(
@@ -633,7 +617,6 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
 
     schedule = _link_schedule(graph, runs)
     links = _link_plane(schedule)
-    spans = _link_spans(schedule)
     swap_lanes = _swap_lanes(graph, bound if not reactive else None)
     if sync:
         # entities are tallied per slot, since nothing outlives it
@@ -656,7 +639,8 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         bits = links.block(_slot_bases(rng.link_key, first, size))
         swaps = swap_lanes.plane.block(_slot_bases(rng.swap_key, first, size))
         if sync:  # each run's column of new links, and each slot's total
-            made = [_span_counts(bits, width, lo, hi, size) for lo, hi in spans]
+            made = [_span_counts(bits, width, lo, hi, size)
+                    for _, lo, hi, _ in schedule]
             created = list(map(sum, zip(repeat(0, size), *made)))
             stats.links_generated += sum(created)
         path_cols = [[] for _ in stats.per_path]
@@ -677,7 +661,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
                         bits[k * width:(k + 1) * width], slot)
                 if reactive:  # one run per edge, so both follow edge order
                     counts = ([c[k] for c in made] if sync else
-                              [len(run.links) for run in kernel.runs.values()])
+                              list(map(len, kernel.runs.values())))
                 paths = (_reactive_paths(graph, requests, counts, config, built,
                                          None if sync else kernel.bind)
                          if reactive else zip(bound, held))
@@ -719,7 +703,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
             ledger["delivered"] += sum(delivered)
 
     stats.swap_counters = {kind: {"attempts": a, "successes": s}
-                           for kind, (a, s) in tally.items()}
+                           for kind, (a, s) in sorted(tally.items())}
     stats.entities_disposed = ledger if sync else dict(kernel.disposed)
     return stats
 

@@ -223,20 +223,24 @@ def test_plane_equals_float_reference(key, first, count, lanes):
     ),
 )
 def test_link_counts_equal_float_reference(seed, slot, edges):
-    from qroute.draws import KeyedRng, _link_plane, _link_spans, _slot_bases, _threshold
+    from types import SimpleNamespace
+
+    from qroute.draws import KeyedRng, _link_plane, _link_schedule, _slot_bases
 
     runs = []  # (run, p): several runs per edge, in channel order
     for eidx, start, widths, p in edges:
         for width in widths:
             runs.append(((eidx, start, width), p))
             start += width
-    schedule = [(run, range(run[1], run[1] + run[2]), _threshold(p))
-                for run, p in runs]
+    # a stub graph: just the link probability of each edge index drawn
+    graph = SimpleNamespace(edges={eidx: SimpleNamespace(link_prob=p)
+                                   for eidx, _, _, p in edges})
+    schedule = _link_schedule(graph, [run for run, _ in runs])
     want = reference_link_counts(runs, mix(seed, LINK, slot))
     bits = _link_plane(schedule).block(_slot_bases(KeyedRng(seed).link_key,
                                                    slot, 1))
-    assert [sum(bits[lo:hi]) for lo, hi in _link_spans(schedule)] \
-        == [want[run] for run, _ in runs]
+    assert [sum(bits[lo:hi]) for _, lo, hi, _ in schedule] \
+        == [want[run] for run, *_ in schedule]
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,7 +541,7 @@ def per_slot_sync(graph, plan, config):
     kernel: each slot's draws come from a one-slot block, its swaps from
     `_exec_counts`, and each histogram counts one slot at a time."""
     from qroute.draws import (
-        KeyedRng, _link_plane, _link_spans, _slot_bases, _SwapDraws, _threshold,
+        KeyedRng, _link_plane, _link_schedule, _slot_bases, _SwapDraws,
     )
     from qroute.montecarlo import DISPOSE_REASONS, SimStats, _bind_plan, _swap_lanes
 
@@ -548,9 +552,7 @@ def per_slot_sync(graph, plan, config):
 
     rng = KeyedRng(config.seed)
     bound = _bind_plan(graph, plan)
-    schedule = [(run, range(run[1], run[1] + run[2]),
-                 _threshold(graph.edges[run[0]].link_prob))
-                for run in sorted(run for rp in bound for run in rp.channels)]
+    schedule = _link_schedule(graph, [run for rp in bound for run in rp.channels])
     links, lanes = _link_plane(schedule), _swap_lanes(graph, bound)
     stats = SimStats(slots_run=config.slots, seed=config.seed,
                      scheme="proactive", forwarding="sync",
@@ -570,8 +572,7 @@ def per_slot_sync(graph, plan, config):
         bits = links.block(_slot_bases(rng.link_key, slot, 1))
         draws = _SwapDraws(lanes.plane.block(_slot_bases(rng.swap_key, slot, 1)),
                            0, lanes)
-        made = {run: bits.count(1, lo, hi)
-                for (run, *_), (lo, hi) in zip(schedule, _link_spans(schedule))}
+        made = {run: bits.count(1, lo, hi) for run, lo, hi, _ in schedule}
         created, consumed = sum(made.values()), 0
         totals = dict.fromkeys(request_ids, 0)
         for rp in bound:
@@ -591,7 +592,7 @@ def per_slot_sync(graph, plan, config):
         ledger["discarded"] += created - consumed - delivered
         ledger["delivered"] += delivered
     stats.swap_counters = {kind: {"attempts": a, "successes": s}
-                           for kind, (a, s) in tally.items()}
+                           for kind, (a, s) in sorted(tally.items())}
     stats.entities_disposed = ledger
     return stats
 
@@ -1121,14 +1122,14 @@ def test_adhoc_pairs_mixed_sides_in_id_order():
 def test_take_hands_owned_runs_whole_and_cuts_shared_ones():
     # a reactive path one link wide, over a capacity-1 edge and a
     # capacity-3 edge: it owns the first run, and shares the second
-    from qroute.draws import _threshold
+    from qroute.draws import _link_schedule
     from qroute.montecarlo import _AsyncKernel, _RuntimePath
 
     g = build_graph([NodeParams(id=f"n{i}", swap_prob=0.5) for i in range(3)],
                     [EdgeParams(u="n0", v="n1", capacity=1, link_prob=0.5),
                      EdgeParams(u="n1", v="n2", capacity=3, link_prob=0.5)])
     runs = [(i, 0, e.capacity) for i, e in enumerate(g.edges)]
-    kernel = _AsyncKernel(g, [(run, range(run[2]), _threshold(0.5)) for run in runs])
+    kernel = _AsyncKernel(g, _link_schedule(g, runs))
     assert kernel.generate(b"\x01" * 4, 0) == 4
     path = path_spec_from_nodes(g, ("n0", "n1", "n2"), width=1)
     rp = _RuntimePath.build("r", path, SwapPolicy("adhoc"), g.node_rank, runs)
@@ -1259,19 +1260,24 @@ def test_swap_counters_tallied():
 
 
 @pytest.mark.parametrize("forwarding", ["sync", "async"])
-def test_swap_counter_keys_follow_first_attempt(forwarding):
-    # the sequential path comes first in the plan, but with seed 1 its
-    # first swap attempt comes after slot 0, so its key comes second; a
-    # kind with no attempt yet has no key
+def test_swap_counter_keys_follow_kind_order(forwarding):
+    # plan order is (sequential, parallel, doubling); with seed 1 the
+    # sequential path first attempts a swap after slot 0, so first-attempt
+    # order is (parallel, doubling, sequential). The keys follow neither:
+    # they come in sorted kind order, and a kind with no attempt yet has no
+    # key
     g = build_graph(
-        [NodeParams(id=v, swap_prob=0.5) for v in "ambxyz"],
+        [NodeParams(id=v, swap_prob=0.5) for v in "ambcdexyz"],
         [EdgeParams(u="a", v="m", capacity=1, link_prob=0.3),
          EdgeParams(u="m", v="b", capacity=1, link_prob=0.3),
+         EdgeParams(u="c", v="d", capacity=1, link_prob=1.0),
+         EdgeParams(u="d", v="e", capacity=1, link_prob=1.0),
          EdgeParams(u="x", v="y", capacity=1, link_prob=1.0),
          EdgeParams(u="y", v="z", capacity=1, link_prob=1.0)],
     )
     paths = [("r1", "amb", SwapPolicy("sequential")),
-             ("r2", "xyz", SwapPolicy("doubling"))]
+             ("r2", "cde", SwapPolicy("parallel")),
+             ("r3", "xyz", SwapPolicy("doubling"))]
     plan = AllocationPlan(
         requests=tuple(Request(id=rid, source=nodes[0], dest=nodes[-1])
                        for rid, nodes, _ in paths),
@@ -1286,8 +1292,8 @@ def test_swap_counter_keys_follow_first_attempt(forwarding):
         config = SimConfig(forwarding=forwarding, slots=slots, seed=1)
         return list(simulate(g, plan, config).swap_counters)
 
-    assert kinds(1) == ["doubling"]
-    assert kinds(30) == ["doubling", "sequential"]
+    assert kinds(1) == ["doubling", "parallel"]
+    assert kinds(30) == ["doubling", "parallel", "sequential"]
 
 
 def test_multi_path_plan_ownership():

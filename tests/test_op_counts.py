@@ -184,9 +184,8 @@ def test_proactive_sync_swap_bytes_pinned(monkeypatch, tmp_path):
     real = montecarlo._sync_block
 
     def sync_block(bound, runs, swaps, pos, tally, size):
-        # the kernels advance `pos[rank]`, each slot's next byte of a node,
-        # past every byte they draw there; the column after the nine nodes'
-        # marks the plane's end
+        # the kernels advance `pos[rank]`, each slot's next byte of node
+        # `rank`, past every byte they draw there: one column per node
         before = [list(column) for column in pos]
         out = real(bound, runs, swaps, pos, tally, size)
         drawn.append([sum(pos[r]) - sum(before[r]) for r in range(9)])
