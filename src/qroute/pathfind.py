@@ -114,25 +114,24 @@ def _check_endpoints(graph: NetworkGraph, s: str, d: str) -> None:
 
 def _one_link_prob(graph: NetworkGraph) -> float | None:
     """The link probability p that every edge with capacity >= 1 has
-    (capacity-0 edges are never searched), when p > 0 and 1.0 times 1/p
-    per hop of the longest loop-free path (`len(nodes) - 1` hops) stays
-    finite, else None; memoised on the graph.
+    (capacity-0 edges are never searched), when there is one and p > 0,
+    else None; memoised on the graph.
 
-    Then every creation-rate label h hops past its root carries one finite
-    product. For p < 1 each level costs strictly more than the one before
-    (c / p > c for finite c >= 1), so the creation rate ranks paths as the
-    hop count does and `routing.allocate` runs Yen by hop count alone;
-    without the finiteness check, a path the heap drops as infinite would
-    come back. For p = 1, `grid_topology`'s default, every label keeps its
-    root's cost and `_search` runs depth-first.
+    Then every creation-rate label h hops past its root carries 1/p per
+    hop, for as long as that product stays finite; each caller checks that
+    it does up to the longest path it reads. For p < 1 each finite level
+    costs strictly more than the one before (c / p > c for finite c >= 1),
+    so within that horizon the creation rate ranks paths as the hop count
+    does, and `routing.allocate` runs Yen by hop count alone; past it, the
+    hop count would rank paths that the heap drops as infinite. For p = 1,
+    `grid_topology`'s default, every label keeps its root's cost, no
+    product grows, and `_search` runs depth-first.
     """
     memo = graph._memo
     if "one_link_prob" not in memo:
         probs = {e.link_prob for e in graph.edges if e.capacity >= 1}
         p = probs.pop() if len(probs) == 1 else 0.0
-        # 1.0 times the factor `_steps` gives every edge, hop by hop
-        finite = p > 0 and math.prod([1.0 / p] * (len(graph.nodes) - 1)) < math.inf
-        memo["one_link_prob"] = p if finite else None
+        memo["one_link_prob"] = p if p > 0 else None
     return memo["one_link_prob"]
 
 
@@ -143,6 +142,8 @@ def _search(
     metric: Metric,
     usable,
     banned_nodes=(),
+    max_len: int | None = None,
+    work: _Workspace | None = None,
 ) -> tuple[float, tuple[str, ...]] | None:
     """Least-cost search from the label `root` = (cost, nodes): it extends
     the root's last node and returns the whole label (cost, nodes) that
@@ -150,26 +151,47 @@ def _search(
 
     `usable` filters edges, one entry per edge in `graph.edges` order
     (truthy = usable); `banned_nodes` and the root's other nodes are never
-    entered. `HOP_COUNT` runs the level search, and `INVERSE_CREATION_RATE`
-    with p = 1 on every link (see `_one_link_prob`) the depth-first search:
-    every label then costs the root's cost, and the heap would pop labels
-    in node order alone. Every other case runs Dijkstra's heap.
+    entered. `HOP_COUNT` runs the level search, which returns None when the
+    best label runs past `max_len` hops (None = no bound; the other metrics
+    take none). `INVERSE_CREATION_RATE` with p = 1 on every link (see
+    `_one_link_prob`) runs the depth-first search: every label then costs
+    the root's cost, and the heap would pop labels in node order alone.
+    Every other case runs Dijkstra's heap. Each kernel marks nodes in
+    `work`, a fresh one when None.
     """
     if metric is Metric.HOP_COUNT:
-        return _hop_search(graph, root, d, usable, banned_nodes)
+        return _hop_search(graph, root, d, usable, banned_nodes, max_len, work)
     if metric is Metric.INVERSE_CREATION_RATE and _one_link_prob(graph) == 1.0:
-        return _dfs_search(graph, root, d, usable, banned_nodes)
-    return _heap_search(graph, root, d, metric, usable, banned_nodes)
+        return _dfs_search(graph, root, d, usable, banned_nodes, work)
+    return _heap_search(graph, root, d, metric, usable, banned_nodes, work)
 
 
-def _fence(graph: NetworkGraph, banned_nodes, root_nodes) -> bytearray:
-    """A flag per node rank, set for `banned_nodes` and `root_nodes`: the
-    nodes a search kernel starts with as seen or settled, never entered."""
-    rank = graph.node_rank
-    flags = bytearray(len(graph.nodes))
-    for v in itertools.chain(banned_nodes, root_nodes):
-        flags[rank[v]] = 1
-    return flags
+class _Workspace:
+    """A seen stamp and a parent rank per node rank, allocated once and
+    shared by the searches of one caller on one graph, so that a search
+    costs what it touches, not the graph's size. Each search takes a new
+    generation, and a node counts as seen or settled in it only when its
+    stamp equals that generation, so no flag is ever cleared. Each call
+    makes its own, not the graph: the graph is shared between threads (see
+    `netmodel`)."""
+
+    __slots__ = ("rank", "stamp", "parent", "gen")
+
+    def __init__(self, graph: NetworkGraph):
+        self.rank = graph.node_rank
+        self.stamp = [0] * len(graph.nodes)
+        self.parent = [0] * len(graph.nodes)
+        self.gen = 0
+
+    def fence(self, banned_nodes, root_nodes) -> int:
+        """A new generation, stamped on `banned_nodes` and `root_nodes`: the
+        nodes a search kernel starts with as seen or settled, never
+        entered."""
+        self.gen += 1
+        rank, stamp, gen = self.rank, self.stamp, self.gen
+        for v in itertools.chain(banned_nodes, root_nodes):
+            stamp[rank[v]] = gen
+        return gen
 
 
 def _label(ids, parent: list[int], start: int, end: int, root) -> tuple[str, ...]:
@@ -182,7 +204,7 @@ def _label(ids, parent: list[int], start: int, end: int, root) -> tuple[str, ...
     return root[1] + tuple(reversed(tail))
 
 
-def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
+def _heap_search(graph, root, d, metric, usable, banned_nodes=(), work=None):
     """`_search` by label-setting (Dijkstra) on node ranks: heap entries
     carry the rank sequence from the root's last node on, and rank order is
     id order, so equal costs resolve to the lexicographically smallest path.
@@ -192,21 +214,23 @@ def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
     steps = _steps(graph, metric)
     multiply = metric is Metric.INVERSE_CREATION_RATE
     inf = math.inf
+    work = work or _Workspace(graph)
     # the fenced nodes are never pushed, so they can share the settled set
-    done = _fence(graph, banned_nodes, root[1][:-1])
+    gen = work.fence(banned_nodes, root[1][:-1])
+    done = work.stamp
     target = graph.node_rank[d]
     heap = [(root[0], (graph.node_rank[root[1][-1]],))]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         cost, path = pop(heap)
         cur = path[-1]
-        if done[cur]:
+        if done[cur] == gen:
             continue
-        done[cur] = 1
+        done[cur] = gen
         if cur == target:
             return cost, root[1] + tuple(ids[r] for r in path[1:])
         for nbr, i in adjacency[cur]:
-            if done[nbr] or not usable[i]:
+            if done[nbr] == gen or not usable[i]:
                 continue
             nxt = cost * steps[i] if multiply else cost + steps[i]
             if nxt == inf:
@@ -215,37 +239,45 @@ def _heap_search(graph, root, d, metric, usable, banned_nodes=()):
     return None
 
 
-def _hop_search(graph, root, d, usable, banned_nodes):
+def _hop_search(graph, root, d, usable, banned_nodes, max_len=None, work=None):
     """`_search` under `HOP_COUNT`: every hop adds 1 to the cost, so a
     level-order search on node ranks replaces the heap. Scanning each
     node's neighbours in rank (= id) order keeps every level in label
     order, so `d` is first reached by the label the heap would pop. Each
     reached node keeps the node it was reached from; the label is built
-    once, at `d`."""
+    once, at `d`.
+
+    `max_len` bounds the whole path's hops, the root's included: no level
+    past it is expanded, and the search returns None when the best label
+    would run past it (None = no bound)."""
+    # the levels the bound leaves after the root's hops
+    levels = math.inf if max_len is None else max_len - (len(root[1]) - 1)
     ids, adjacency = _rank_adjacency(graph)
     rank = graph.node_rank
+    work = work or _Workspace(graph)
     # the root's last node is seen up front too, so no level enters it
-    seen = _fence(graph, banned_nodes, root[1])
+    gen = work.fence(banned_nodes, root[1])
+    seen, parent = work.stamp, work.parent
     start, target = rank[root[1][-1]], rank[d]
-    parent = [0] * len(ids)
     cost, level = root[0], [start]
-    while level:
+    while level and levels > 0:
+        levels -= 1
         cost += 1.0
         reached = []
         for cur in level:
             for nbr, i in adjacency[cur]:
-                if seen[nbr] or not usable[i]:
+                if seen[nbr] == gen or not usable[i]:
                     continue
                 parent[nbr] = cur
                 if nbr == target:
                     return cost, _label(ids, parent, start, nbr, root)
-                seen[nbr] = 1
+                seen[nbr] = gen
                 reached.append(nbr)
         level = reached
     return None
 
 
-def _dfs_search(graph, root, d, usable, banned_nodes):
+def _dfs_search(graph, root, d, usable, banned_nodes, work=None):
     """`_search` where every label costs the root's cost, so the heap pops
     the smallest node sequence: a depth-first search on node ranks replaces
     it. The label the heap pops is smaller than every other live label and
@@ -255,20 +287,21 @@ def _dfs_search(graph, root, d, usable, banned_nodes):
     and the label is built once, when `d` is popped."""
     ids, adjacency = _rank_adjacency(graph)
     rank = graph.node_rank
-    done = _fence(graph, banned_nodes, root[1][:-1])
+    work = work or _Workspace(graph)
+    gen = work.fence(banned_nodes, root[1][:-1])
+    done, parent = work.stamp, work.parent
     start, target = rank[root[1][-1]], rank[d]
-    parent = [0] * len(ids)
     stack = [(start, start)]
     while stack:
         cur, up = stack.pop()
-        if done[cur]:
+        if done[cur] == gen:
             continue
         parent[cur] = up
         if cur == target:
             return root[0], _label(ids, parent, start, cur, root)
-        done[cur] = 1
+        done[cur] = gen
         for nbr, i in reversed(adjacency[cur]):
-            if not done[nbr] and usable[i]:
+            if done[nbr] != gen and usable[i]:
                 stack.append((nbr, cur))
     return None
 
@@ -283,7 +316,13 @@ def shortest_path(
 
 
 def k_shortest_paths(
-    graph: NetworkGraph, s: str, d: str, k: int, metric: Metric, usable=None
+    graph: NetworkGraph,
+    s: str,
+    d: str,
+    k: int,
+    metric: Metric,
+    usable=None,
+    max_len: int | None = None,
 ) -> list[tuple[float, tuple[str, ...]]]:
     """Yen's algorithm: up to k loop-free paths as (cost, nodes) labels in
     non-decreasing cost, each cost equal to `path_cost` of its path.
@@ -292,8 +331,15 @@ def k_shortest_paths(
     cost, so it returns the whole candidate already priced. `usable` is a
     per-edge filter in `graph.edges` order (truthy = usable; None = every
     edge): every search sees only the usable edges, as if the others had no
-    capacity. It is never written to; each spur search clears its banned
-    next edges in a copy.
+    capacity. It is never written to: each call copies it once, and each
+    spur search clears its banned next edges in that copy and restores them
+    after. Its searches share one `_Workspace`.
+
+    `max_len` bounds each path's hops (None = no bound), under `HOP_COUNT`
+    only. There cost rises strictly with the hop count, so Yen accepts every
+    path within the bound before any longer one, and a spur search whose
+    best path runs past the bound has no path within it: the bounded list is
+    the unbounded list's within-bound prefix.
 
     A candidate keeps the root index j its spur search found it at, and
     once accepted it spurs from j on (Lawler's deviation index; Lawler,
@@ -303,11 +349,15 @@ def k_shortest_paths(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_len is not None and metric is not Metric.HOP_COUNT:
+        raise ValueError("max_len bounds hop-count searches only")
     _check_endpoints(graph, s, d)
 
     if usable is None:
         usable = [True] * len(graph.edges)
-    first = _search(graph, _start(metric, s), d, metric, usable)
+    work = _Workspace(graph)
+    first = _search(graph, _start(metric, s), d, metric, usable, max_len=max_len,
+                    work=work)
     if first is None:
         return []
     accepted: list[tuple[float, tuple[str, ...]]] = [first]
@@ -315,6 +365,7 @@ def k_shortest_paths(
     candidates: list[tuple[float, tuple[str, ...], int]] = []
     seen = {first[1]}
     deviation = 0
+    spur = list(usable)
 
     while len(accepted) < k:
         _, prev = accepted[-1]
@@ -322,11 +373,14 @@ def k_shortest_paths(
         root_costs = _prefix_costs(graph, hops[-1], metric)
         for j in range(deviation, len(prev) - 1):
             root = prev[: j + 1]
-            spur = list(usable)
-            for (_, p), edges in zip(accepted, hops):
-                if len(p) > j + 1 and p[: j + 1] == root:
-                    spur[edges[j]] = False
-            found = _search(graph, (root_costs[j], root), d, metric, spur)
+            banned = [edges[j] for (_, p), edges in zip(accepted, hops)
+                      if len(p) > j + 1 and p[: j + 1] == root]
+            for i in banned:
+                spur[i] = False
+            found = _search(graph, (root_costs[j], root), d, metric, spur,
+                            max_len=max_len, work=work)
+            for i in banned:
+                spur[i] = usable[i]
             if found is None or found[1] in seen:
                 continue
             seen.add(found[1])
@@ -373,8 +427,9 @@ def disjoint_paths_on_logical(
     unconsumed link, then removes one link unit per used edge (and the
     interior nodes too, when node-disjoint paths are requested), in a copy:
     `counts` is left as it was. It searches by hop count only, so it calls
-    `_hop_search` without `_search`'s dispatch, and each distinct path's
-    width-1 spec is built once per graph.
+    `_hop_search` without `_search`'s dispatch, every search sharing one
+    workspace, and each distinct path's width-1 spec is built once per
+    graph.
     """
     _check_endpoints(graph, s, d)
     # the per-edge filter: an edge is usable while its count is positive
@@ -383,8 +438,10 @@ def disjoint_paths_on_logical(
     # nodes -> (width-1 spec, edge indices)
     specs = graph._memo.setdefault("unit_specs", {})
     paths: list[PathSpec] = []
+    work = _Workspace(graph)
     while len(paths) < max_paths:
-        found = _hop_search(graph, _start(Metric.HOP_COUNT, s), d, remaining, blocked)
+        found = _hop_search(graph, _start(Metric.HOP_COUNT, s), d, remaining, blocked,
+                            work=work)
         if found is None:
             break
         nodes = found[1]

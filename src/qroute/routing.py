@@ -188,6 +188,11 @@ def allocate(
     dropped: Yen returns the k best paths, and the k best that avoid an
     edge none of them uses are the same k.
 
+    Under the hop count Yen stops at the request's hop bound. Cost rises
+    strictly with hops there, so it returns the k best paths within the
+    bound: the part of the unbounded list that the hop-bound filter keeps.
+    The drop rule above holds for them as it stands.
+
     A request's scored candidates read only its rate, its widths and
     whether each edge of its routes still has residual capacity, so they
     are kept across steps and rebuilt only when the request was just
@@ -205,8 +210,11 @@ def allocate(
 
     Yen runs under the creation rate, then under the hop count for routes
     that ranking misses. On a graph with one link probability p < 1 (see
-    `pathfind._one_link_prob`) both rank every path alike, and only node
-    lists are read here, so Yen runs once per key, under the hop count.
+    `pathfind._one_link_prob`) both rank paths alike for as long as 1/p per
+    hop stays finite, and only node lists within the bound are read here.
+    So when that product is finite up to the largest request bound (capped
+    at the longest loop-free path, |V| - 1 hops), Yen runs once per key,
+    under the hop count.
     """
     check_unique_ids(requests)
     residual = [e.capacity for e in graph.edges]
@@ -251,8 +259,12 @@ def allocate(
     # (source, dest, hop bound) -> (candidate node sequences, the edge
     # indices of every path Yen returned for them)
     route_cache: dict[tuple, tuple[list[tuple[str, ...]], set[int]]] = {}
+    # the creation rate ranks paths as the hop count does while 1/p per hop
+    # stays finite, and no route read here runs past the largest bound
     p = _one_link_prob(graph)
-    metrics = ((Metric.HOP_COUNT,) if p is not None and p < 1
+    horizon = min(max((bound for _, bound in live), default=0), len(graph.nodes) - 1)
+    one_pass = p is not None and p < 1 and math.prod([1.0 / p] * horizon) < math.inf
+    metrics = ((Metric.HOP_COUNT,) if one_pass
                else (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT))
 
     def candidate_routes(req: Request, bound: int) -> tuple[list, set[int]]:
@@ -261,7 +273,8 @@ def allocate(
             routes, used = route_cache[key] = [], set()
             for metric in metrics:
                 for _, nodes in k_shortest_paths(
-                    graph, req.source, req.dest, config.k, metric, usable=residual
+                    graph, req.source, req.dest, config.k, metric, usable=residual,
+                    max_len=bound if metric is Metric.HOP_COUNT else None,
                 ):
                     used.update(route(nodes)[0])
                     if len(nodes) - 1 <= bound and nodes not in routes:

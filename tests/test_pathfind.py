@@ -407,6 +407,64 @@ def test_k_shortest_leaves_usable_unchanged():
                        for u, v in zip(nodes, nodes[1:]))
 
 
+def bound_cases(rnd, count):
+    """Seeded hop-count cases, grids and random connected graphs in turn:
+    each with a residual filter that leaves some edges out, and a pair of
+    endpoints."""
+    for i in range(count):
+        if i % 2:
+            g = random_connected_graph(rnd, rnd.randint(5, 12))
+        else:
+            g = grid_topology(rnd.randint(2, 5), rnd.randint(2, 5),
+                              EdgeParams(u="", v="", capacity=3))
+        usable = [rnd.choice((0, 0, 1, 2, 3)) for _ in g.edges]
+        s, d = rnd.sample(g.node_ids(), 2)
+        yield g, usable, s, d
+
+
+def test_bounded_level_search_finds_the_label_within_the_bound():
+    # from a root grown along a path, with banned nodes: under `max_len` the
+    # level search returns the unbounded label when it has at most that many
+    # hops (the root's included), and None otherwise
+    rnd = random.Random(3217)
+    for g, usable, s, d in bound_cases(rnd, 300):
+        root = _start(Metric.HOP_COUNT, s)
+        found = _hop_search(g, root, d, usable, ())
+        if found is not None:
+            j = rnd.randint(0, len(found[1]) - 2)
+            root = (float(j), found[1][:j + 1])
+        rest = [v for v in g.node_ids() if v not in root[1] and v != d]
+        banned = set(rnd.sample(rest, rnd.randint(0, len(rest) // 3)))
+        kept = list(usable)
+        want = _hop_search(g, root, d, usable, banned)
+        for bound in range(len(g.nodes)):
+            got = _hop_search(g, root, d, usable, banned, max_len=bound)
+            assert got == (None if want is None or len(want[1]) - 1 > bound else want)
+        assert usable == kept
+
+
+def test_bounded_yen_is_the_unbounded_lists_within_bound_prefix():
+    rnd = random.Random(4409)
+    for g, usable, s, d in bound_cases(rnd, 150):
+        k = rnd.randint(1, 8)
+        kept = list(usable)
+        full = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT, usable=usable)
+        for bound in range(len(g.nodes)):
+            got = k_shortest_paths(g, s, d, k, Metric.HOP_COUNT, usable=usable,
+                                   max_len=bound)
+            # hop-count costs are hop counts
+            assert got == [label for label in full if label[0] <= bound]
+            assert usable == kept
+        assert (k_shortest_paths(g, s, d, k, Metric.HOP_COUNT, max_len=len(g.nodes))
+                == k_shortest_paths(g, s, d, k, Metric.HOP_COUNT))
+
+
+def test_max_len_bounds_hop_count_yen_only():
+    for metric in (Metric.INVERSE_CREATION_RATE, Metric.SUM_NODE_DISTANCES):
+        with pytest.raises(ValueError, match="max_len"):
+            k_shortest_paths(triangle(), "A", "C", 2, metric, max_len=3)
+
+
 def test_k_shortest_residual_view_matches_rebuilt_subgraph():
     """A residual list as the `usable` filter must pick the same paths as
     Yen on a graph rebuilt from the edges with residual left, capacity set
@@ -651,11 +709,13 @@ def test_level_step_needs_one_probability_below_one_and_a_finite_product():
         ([0.0, 0.0], None, None),
         # a capacity-0 edge is never searched, so its p does not count
         ([0.5, 0.0, 0.5], [1, 0, 2], 0.5),
-        # 1e100 ** 3 is finite, 1e100 ** 4 is not
+        # 1e100 ** 3 is finite, 1e100 ** 4 is not: the probe returns p all
+        # the same, and each caller checks the product at its own horizon
+        # (see the horizon tests in test_routing.py)
         ([1e-100] * 3, None, 1e-100),
-        ([1e-100] * 4, None, None),
-        ([1e-100] * 5, None, None),
-        ([1e-100] * 8, None, None),
+        ([1e-100] * 4, None, 1e-100),
+        ([1e-100] * 5, None, 1e-100),
+        ([1e-100] * 8, None, 1e-100),
     ]
     for probs, caps, want in table:
         assert _one_link_prob(_chain(probs, caps)) == want, (probs, caps)

@@ -19,6 +19,7 @@ from qroute import (
     allocate,
     build_graph,
     expected_throughput,
+    Metric,
     grid_topology,
     max_hops,
     path_spec_from_nodes,
@@ -376,17 +377,17 @@ def tied_grid(n, count):
 # calls, `policy_distribution` calls, and `_search` calls run by levels, by
 # the p = 1 depth-first search and on the heap). Candidates are cached per
 # (source, dest, hop bound) with the edges of every path Yen returned for
-# them, and an entry is dropped only when an edge those paths use
-# saturates, so Yen runs again exactly then: an entry dropped more often
-# raises the Yen counts, and one kept too long lowers them (or changes a
-# plan). Routes are priced by their link and swap probabilities and width,
+# them (by hop count, only paths within the bound), and an entry is dropped
+# only when an edge those paths use saturates, so Yen runs again exactly
+# then: an entry dropped more often raises the Yen counts, and one kept too
+# long lowers them (or changes a plan). Routes are priced by their link and swap probabilities and width,
 # so routes alike in those share one pricing. Every scenario's edges share
 # one link probability p < 1, so Yen runs once per cached key, under the
 # hop count alone, by levels; the random instances mix probabilities and
 # run it under the creation rate as well, on the heap. The tied grid has
 # p = 1, so its creation-rate searches run depth-first, none on the heap.
 PINNED_LEDGER = {
-    "random instances": (14790, 8861, 28788, 0, 30530),
+    "random instances": (14762, 8861, 26181, 0, 30437),
     "async_adhoc_chain.json": (2, 1, 5, 0, 0),
     "grid_3x3.json": (5, 2, 30, 0, 0),
     "two_hop_chain.json": (2, 1, 4, 0, 0),
@@ -519,8 +520,9 @@ def test_allocate_kept_scores_equal_full_rescan(monkeypatch):
     instances.append((g, reqs, AllocatorConfig(k=2, utility=UtilitySpec("saturating"))))
     real = routing.k_shortest_paths
 
-    def fickle(graph, s, d, k, metric, usable):
-        return real(graph, s, d, k, metric, usable=usable)[usable.count(0) % 2:]
+    def fickle(graph, s, d, k, metric, usable, max_len=None):
+        return real(graph, s, d, k, metric, usable=usable,
+                    max_len=max_len)[usable.count(0) % 2:]
 
     monkeypatch.setattr(routing, "k_shortest_paths", fickle)
     kept = fingerprints(instances)
@@ -572,3 +574,51 @@ def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
         monkeypatch.setattr(module, "_one_link_prob", lambda graph: None)
     assert one_pass == fingerprints()
     assert one_pass_calls < len(calls)
+
+
+def test_allocate_checks_the_one_pass_horizon_at_its_largest_bound(monkeypatch):
+    # a 10x20 grid with one p: 1/p per hop over its 199-hop longest path
+    # overflows for each p here, but at the requests' 10-hop bound it does
+    # only for p = 1e-31 (1e300 is finite, 1e310 is not). Yen reads no path
+    # past that bound, so `allocate` runs it once per cached key, by hop
+    # count, while the product stays finite there, and both passes past it
+    # or with no bound (f0 = 1); either way the plan is the two-pass one.
+    # The one pass watches only the hop-count paths, a subset of what the
+    # two passes watch, so it fetches a key no more often
+    rnd = random.Random(6)
+    cells = [(r, c) for r in range(10) for c in range(20)]
+    reqs = []
+    for i in range(6):
+        src = rnd.choice(cells)
+        dst = rnd.choice([d for d in cells
+                          if 2 <= abs(d[0] - src[0]) + abs(d[1] - src[1]) <= 8])
+        reqs.append(Request(id=f"r{i}", source="%d,%d" % src, dest="%d,%d" % dst,
+                            min_fidelity=0.9))
+    assert max_hops(0.99, 0.9) == 10
+    calls = []
+    real = routing.k_shortest_paths
+    monkeypatch.setattr(routing, "k_shortest_paths", lambda *args, **kwargs: (
+        calls.append((args[4], kwargs["max_len"])) or real(*args, **kwargs)))
+
+    def run(g, f0):
+        calls.clear()
+        plan = _plan_fingerprint(allocate(g, reqs, AllocatorConfig(k=3, elementary_fidelity=f0)))
+        return plan, list(calls)
+
+    rate = (Metric.INVERSE_CREATION_RATE, None)
+    for p, f0, one_pass in ((0.01, 0.99, True), (1e-30, 0.99, True),
+                            (1e-31, 0.99, False), (0.01, 1.0, False)):
+        g = grid_topology(10, 20, EdgeParams(u="", v="", capacity=2, link_prob=p))
+        got, got_calls = run(g, f0)
+        with monkeypatch.context() as m:
+            m.setattr(routing, "_one_link_prob", lambda graph: None)
+            want, want_calls = run(g, f0)
+        assert got == want
+        hop = (Metric.HOP_COUNT, max_hops(f0, 0.9))
+        fetches = len(want_calls) // 2
+        assert fetches and want_calls == [rate, hop] * fetches
+        if one_pass:
+            assert got_calls == [hop] * len(got_calls)
+            assert len(got_calls) <= fetches
+        else:
+            assert got_calls == want_calls
