@@ -1,0 +1,69 @@
+"""Each layer at network size, to a pinned digest within a time budget.
+
+Each row of ROWS is (what, budget in s, pinned sha256, run). Every row runs
+in this process; the script prints its time and the sha256 of what `run()`
+returns, and exits 1 when a digest differs from its pin or a row takes
+longer than its budget. A plan digest covers `tests/test_routing.py`'s
+`_plan_fingerprint`, so a row checks exactness, not only speed.
+
+    python scripts/scale.py
+"""
+
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from qroute import AllocatorConfig, allocate, grid_topology  # noqa: E402
+from qroute.scenario import scenario_from_dict  # noqa: E402
+from test_op_counts import route_grid_scenario  # noqa: E402
+from test_routing import _plan_fingerprint, tied_grid  # noqa: E402
+
+
+def route_grid(n: int, count: int) -> str:
+    """The bench's `route_grid` shape at n x n with `count` requests."""
+    scenario = scenario_from_dict(route_grid_scenario(n, count))
+    return _plan_fingerprint(allocate(scenario.graph, list(scenario.requests),
+                                      scenario.routing))
+
+
+ROWS = (
+    # p = 1 ties every creation-rate label; about 4 minutes with them all on the heap
+    ("tied 20x20, 20 requests", 60,
+     "34b46f6f9b923c381fd9821ddae8eddfddad9451d416f26926a0e0032011cfa3",
+     lambda: _plan_fingerprint(allocate(*tied_grid(20, 20), AllocatorConfig(k=5)))),
+    ("route_grid 48x48, 288 requests", 60,
+     "d096bbef21b8df51484873b4c2a8f2db543d9fa7bec8163139e0fa9cd63fa95e",
+     lambda: route_grid(48, 288)),
+    # 1/p per hop over the graph overflows past 56x56: 60 s before Yen's hop bound
+    ("route_grid 64x64, 512 requests", 30,
+     "f1dda9ebc7b37aa73c7334e179592653519e7e071a2d1960978c635056f9e938",
+     lambda: route_grid(64, 512)),
+    ("route_grid 96x96, 1,152 requests", 75,
+     "b972726ef0137a0e5825f8af7facc0a2e1fcee400edb8efa66615113d7bbc374",
+     lambda: route_grid(96, 1152)),
+    # a quadratic duplicate-id check took 25.5 s at 200x200
+    ("grid_topology 300x300", 60,
+     "982acbd7414a9582df0f069832c2d5e0afacd43e427cc374b83c830e4be8e08f",
+     lambda: repr((len((g := grid_topology(300, 300)).nodes), len(g.edges)))),
+)
+
+
+def main() -> int:
+    failed = 0
+    for what, budget, pinned, run in ROWS:
+        start = time.perf_counter()
+        digest = hashlib.sha256(run().encode()).hexdigest()
+        took = time.perf_counter() - start
+        ok = digest == pinned and took <= budget
+        failed += not ok
+        print(f"{'ok' if ok else 'FAIL':4} {what}: {took:.1f} s of {budget} s, "
+              f"sha256 {digest}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -118,14 +118,12 @@ def _one_link_prob(graph: NetworkGraph) -> float | None:
     else None; memoised on the graph.
 
     Then every creation-rate label h hops past its root carries 1/p per
-    hop, for as long as that product stays finite; each caller checks that
-    it does up to the longest path it reads. For p < 1 each finite level
-    costs strictly more than the one before (c / p > c for finite c >= 1),
-    so within that horizon the creation rate ranks paths as the hop count
-    does, and `routing.allocate` runs Yen by hop count alone; past it, the
-    hop count would rank paths that the heap drops as infinite. For p = 1,
-    `grid_topology`'s default, every label keeps its root's cost, no
-    product grows, and `_search` runs depth-first.
+    hop. For p < 1 each finite level costs strictly more than the one
+    before (c / p > c for finite c >= 1), and the heap never pushes a label
+    whose product overflows, so the paths it keeps are the shortest ones,
+    ranked as the hop count ranks them, and `routing.allocate` runs Yen by
+    hop count alone. For p = 1, `grid_topology`'s default, every label
+    keeps its root's cost, no product grows, and `_search` runs depth-first.
     """
     memo = graph._memo
     if "one_link_prob" not in memo:

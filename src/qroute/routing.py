@@ -210,11 +210,10 @@ def allocate(
 
     Yen runs under the creation rate, then under the hop count for routes
     that ranking misses. On a graph with one link probability p < 1 (see
-    `pathfind._one_link_prob`) both rank paths alike for as long as 1/p per
-    hop stays finite, and only node lists within the bound are read here.
-    So when that product is finite up to the largest request bound (capped
-    at the longest loop-free path, |V| - 1 hops), Yen runs once per key,
-    under the hop count.
+    `pathfind._one_link_prob`) Yen runs once per key, under the hop count:
+    the creation rate ranks finite labels by (hops, nodes) too and never
+    pushes one whose 1/p per hop overflows, so the routes within the bound
+    that its pass returns are a prefix of the hop-count pass's.
     """
     check_unique_ids(requests)
     residual = [e.capacity for e in graph.edges]
@@ -259,11 +258,8 @@ def allocate(
     # (source, dest, hop bound) -> (candidate node sequences, the edge
     # indices of every path Yen returned for them)
     route_cache: dict[tuple, tuple[list[tuple[str, ...]], set[int]]] = {}
-    # the creation rate ranks paths as the hop count does while 1/p per hop
-    # stays finite, and no route read here runs past the largest bound
     p = _one_link_prob(graph)
-    horizon = min(max((bound for _, bound in live), default=0), len(graph.nodes) - 1)
-    one_pass = p is not None and p < 1 and math.prod([1.0 / p] * horizon) < math.inf
+    one_pass = p is not None and p < 1
     metrics = ((Metric.HOP_COUNT,) if one_pass
                else (Metric.INVERSE_CREATION_RATE, Metric.HOP_COUNT))
 

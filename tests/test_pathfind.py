@@ -710,8 +710,7 @@ def test_level_step_needs_one_probability_below_one_and_a_finite_product():
         # a capacity-0 edge is never searched, so its p does not count
         ([0.5, 0.0, 0.5], [1, 0, 2], 0.5),
         # 1e100 ** 3 is finite, 1e100 ** 4 is not: the probe returns p all
-        # the same, and each caller checks the product at its own horizon
-        # (see the horizon tests in test_routing.py)
+        # the same, since the heap drops every overflowing label (below)
         ([1e-100] * 3, None, 1e-100),
         ([1e-100] * 4, None, 1e-100),
         ([1e-100] * 5, None, 1e-100),

@@ -576,15 +576,16 @@ def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
     assert one_pass_calls < len(calls)
 
 
-def test_allocate_checks_the_one_pass_horizon_at_its_largest_bound(monkeypatch):
-    # a 10x20 grid with one p: 1/p per hop over its 199-hop longest path
-    # overflows for each p here, but at the requests' 10-hop bound it does
-    # only for p = 1e-31 (1e300 is finite, 1e310 is not). Yen reads no path
-    # past that bound, so `allocate` runs it once per cached key, by hop
-    # count, while the product stays finite there, and both passes past it
-    # or with no bound (f0 = 1); either way the plan is the two-pass one.
-    # The one pass watches only the hop-count paths, a subset of what the
-    # two passes watch, so it fetches a key no more often
+def test_allocate_takes_one_pass_whether_or_not_one_over_p_overflows(monkeypatch):
+    # a 10x20 grid with one p: 1/p per hop overflows within the requests'
+    # 10-hop bound for p = 1e-31 (1e300 is finite, 1e310 is not) and not
+    # for p = 1e-30; for p = 0.01 it overflows at 155 hops, within the
+    # 199-hop longest path, which is all f0 = 1 bounds. The heap never
+    # pushes an overflowing label, so what the creation-rate pass keeps
+    # within the bound is a prefix of the hop-count pass: on each grid
+    # `allocate` runs Yen once per cached key, by hop count, to the two-pass
+    # plan. The one pass watches only the hop-count paths, a subset of what
+    # the two passes watch, so it fetches a key no more often
     rnd = random.Random(6)
     cells = [(r, c) for r in range(10) for c in range(20)]
     reqs = []
@@ -606,8 +607,7 @@ def test_allocate_checks_the_one_pass_horizon_at_its_largest_bound(monkeypatch):
         return plan, list(calls)
 
     rate = (Metric.INVERSE_CREATION_RATE, None)
-    for p, f0, one_pass in ((0.01, 0.99, True), (1e-30, 0.99, True),
-                            (1e-31, 0.99, False), (0.01, 1.0, False)):
+    for p, f0 in ((0.01, 0.99), (1e-30, 0.99), (1e-31, 0.99), (0.01, 1.0)):
         g = grid_topology(10, 20, EdgeParams(u="", v="", capacity=2, link_prob=p))
         got, got_calls = run(g, f0)
         with monkeypatch.context() as m:
@@ -617,8 +617,5 @@ def test_allocate_checks_the_one_pass_horizon_at_its_largest_bound(monkeypatch):
         hop = (Metric.HOP_COUNT, max_hops(f0, 0.9))
         fetches = len(want_calls) // 2
         assert fetches and want_calls == [rate, hop] * fetches
-        if one_pass:
-            assert got_calls == [hop] * len(got_calls)
-            assert len(got_calls) <= fetches
-        else:
-            assert got_calls == want_calls
+        assert got_calls == [hop] * len(got_calls)
+        assert len(got_calls) <= fetches
