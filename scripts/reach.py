@@ -1,8 +1,8 @@
 """Which functions of `src/qroute` real runs call: a reach ledger.
 
-Runs, in this process and under `sys.setprofile`:
-- every scenario under `scenarios/` (subdirectories too) through each
-  command, with the flag sets CI runs, at 200 slots;
+Runs, in this process and under `sys.setprofile`, every entry of `runs()`:
+- every scenario under `scenarios/` (subdirectories too) through each row
+  of COMMANDS, which states its own flags and slot count;
 - the experiment scripts, with small flags;
 - each benchmark workload's tiny scenario at seed 3, through its command.
 
@@ -10,15 +10,23 @@ Profiling starts before `qroute` is imported, so calls made at import time
 count. Every `def` in `src/qroute`, found with `ast`, must then have run, or
 be in ALLOWLIST with the reason it stays. The script exits 1 when a def
 neither ran nor is listed, when a listed def ran or no longer exists, and
-when a run fails.
+when a run exits non-zero or writes to stderr, even on exit 0: under
+`python -X dev`, a file left unclosed only prints "Exception ignored".
 
-    python scripts/reach.py
+Each command writes CSV reports to a directory of its own. The script
+prints `reports sha256 <hex>`, a digest over every command's report files
+and every script's standard output, in run order. The same digest under two
+values of PYTHONHASHSEED shows that no report depends on set iteration
+order:
+
+    python -X dev -W error scripts/reach.py
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import runpy
@@ -28,7 +36,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-SLOTS = "200"
 
 # qualified def name -> why it stays although no run calls it
 ALLOWLIST = {
@@ -51,7 +58,7 @@ ALLOWLIST = {
     "qroute.scenario._mistyped": "error path: a scenario value of the wrong JSON type",
 }
 
-# CI's flag sets for every scenario
+# simulate's scheme x forwarding x policy flag sets
 _SIMULATE_FLAGS = (
     [],
     ["--scheme", "reactive"],
@@ -61,23 +68,52 @@ _SIMULATE_FLAGS = (
     ["--policy", "adhoc", "--scheme", "reactive", "--mode", "async"],
     *(["--policy", policy, "--mode", mode]
       for policy in ("parallel", "sequential") for mode in ("sync", "async")),
-    *(["--policy", "doubling", "--mode", mode, "--scheme", scheme]
-      for mode in ("sync", "async") for scheme in ("proactive", "reactive")),
 )
+# each scenario runs each row
 COMMANDS = (
-    ["analyze"],
-    ["analyze", "--policy", "parallel"],
-    ["analyze", "--policy", "sequential"],
-    ["route"],
-    ["oracle"],
-    *(["simulate", *flags] for flags in _SIMULATE_FLAGS),
+    ["analyze", "--slots", "200"],
+    ["analyze", "--slots", "200", "--policy", "parallel"],
+    ["analyze", "--slots", "200", "--policy", "sequential"],
+    ["route", "--slots", "200"],
+    ["oracle", "--slots", "200"],
+    *(["simulate", "--slots", "200", *flags] for flags in _SIMULATE_FLAGS),
+    # one slot, and a run that ends in a partial block of slots; reactive
+    # sync keeps its own per-slot kernel inside the block, and async adhoc
+    # keeps its records across the block's edge
+    *(["simulate", "--slots", slots, "--policy", policy, "--mode", mode,
+       "--scheme", scheme]
+      for slots in ("1", "1237")
+      for policy, mode in (("doubling", "sync"), ("doubling", "async"),
+                           ("adhoc", "async"))
+      for scheme in ("proactive", "reactive")),
 )
 SCRIPTS = (
-    ["sync_vs_async.py", "--slots", SLOTS],
-    ["grid_allocation.py", "--slots", SLOTS],
-    ["grid_allocation.py", "--slots", SLOTS, "--p", "1.0"],
+    ["sync_vs_async.py", "--slots", "200"],
+    ["grid_allocation.py", "--slots", "200"],
+    # p = 1 runs creation-rate searches depth-first; the scenarios run by levels
+    ["grid_allocation.py", "--slots", "200", "--p", "1.0"],
     ["policy_comparison.py", "--max-hops", "4", "--search-up-to", "4"],
 )
+
+
+def runs(tmp: Path) -> list[list[str]]:
+    """Every run, in run order: `qroute` and a command's argv, or the path
+    of a script and its flags. Writes the workloads' scenarios into `tmp`."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, make_scenario
+
+    workloads = []
+    for name, workload in WORKLOADS.items():
+        scenario = tmp / f"{name}.json"
+        scenario.write_text(json.dumps(make_scenario(name, 3, tiny=True)))
+        workloads.append(["qroute", workload.command, "--scenario", str(scenario)])
+    return [
+        *(["qroute", *argv, "--scenario", str(scenario)]
+          for scenario in sorted((ROOT / "scenarios").glob("**/*.json"))
+          for argv in COMMANDS),
+        *([str(ROOT / "scripts" / script), *args] for script, *args in SCRIPTS),
+        *workloads,
+    ]
 
 
 def defs() -> dict[tuple[str, int, str], str]:
@@ -102,42 +138,39 @@ def defs() -> dict[tuple[str, int, str], str]:
     return found
 
 
-def run_everything(out: Path) -> list[str]:
-    """Every run, in process; returns a line per run that failed."""
+def run_script(path: str, args: list[str]) -> int:
+    """Run the script at `path` with `args` as its flags; its exit code."""
+    argv, sys.argv = sys.argv, [path, *args]
+    try:
+        runpy.run_path(path, run_name="__main__")
+    except SystemExit as exc:
+        return exc.code or 0
+    finally:
+        sys.argv = argv
+    return 0
+
+
+def run_everything(tmp: Path) -> tuple[list[str], str]:
+    """Every run, in process; returns a line per run that failed and the
+    sha256 over every run's reports."""
     from qroute.cli import run_command
 
-    failed = []
-
-    def cli(argv: list[str]) -> None:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = run_command([*argv, "--format", "csv", "--out", str(out)])
-        if rc:
-            failed.append(f"exit {rc}: qroute {' '.join(argv)}: {err.getvalue().strip()}")
-
-    for scenario in sorted((ROOT / "scenarios").glob("**/*.json")):
-        for argv in COMMANDS:
-            cli([*argv, "--scenario", str(scenario), "--slots", SLOTS])
-
-    for script, *args in SCRIPTS:
-        argv, sys.argv = sys.argv, [script, *args]
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
-        except SystemExit as exc:
-            if exc.code:
-                failed.append(f"exit {exc.code}: {' '.join(sys.argv)}")
-        finally:
-            sys.argv = argv
-
-    sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS, make_scenario
-
-    for name, workload in WORKLOADS.items():
-        scenario = out / f"{name}.json"
-        scenario.write_text(json.dumps(make_scenario(name, 3, tiny=True)))
-        cli([workload.command, "--scenario", str(scenario)])
-    return failed
+    failed, digest = [], hashlib.sha256()
+    for i, (what, *args) in enumerate(runs(tmp)):
+        out, stdout, stderr = tmp / str(i), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            if what == "qroute":
+                rc = run_command([*args, "--format", "csv", "--out", str(out)])
+                reports = b"".join(report.name.encode() + b"\n" + report.read_bytes()
+                                   for report in sorted(out.glob("*")))
+            else:
+                rc = run_script(what, args)
+                reports = stdout.getvalue().encode()
+        digest.update(f"run {i} -> {rc}\n".encode() + reports)
+        if rc or stderr.getvalue():
+            failed.append(f"exit {rc}: {' '.join([what, *args])}: "
+                          f"{stderr.getvalue().strip()}")
+    return failed, digest.hexdigest()
 
 
 def main() -> int:
@@ -151,7 +184,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sys.setprofile(hook)
         try:
-            failed = run_everything(Path(tmp))
+            failed, digest = run_everything(Path(tmp))
         finally:
             sys.setprofile(None)
 
@@ -171,6 +204,7 @@ def main() -> int:
     ]
     print(f"reach: {len(found) - len(unreached)} of {len(found)} defs in src/qroute "
           f"ran; {len(unreached)} did not, {len(ALLOWLIST)} allowlisted")
+    print(f"reports sha256 {digest}")
     for line in problems:
         print(line)
     return 1 if problems else 0
