@@ -4,7 +4,8 @@ Each row of ROWS is (what, budget in s, pinned sha256, run). Every row runs
 in this process; the script prints its time and the sha256 of what `run()`
 returns, and exits 1 when a digest differs from its pin or a row takes
 longer than its budget. A plan digest covers `tests/test_routing.py`'s
-`_plan_fingerprint`, so a row checks exactness, not only speed.
+`_plan_fingerprint`, and a simulate digest the canonical JSON of the
+`simulate` report's results, so a row checks exactness, not only speed.
 
     python scripts/scale.py
 """
@@ -18,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from qroute import AllocatorConfig, allocate, grid_topology  # noqa: E402
+from qroute.cli import _cmd_simulate  # noqa: E402
+from qroute.report import canonical_json  # noqa: E402
 from qroute.scenario import scenario_from_dict  # noqa: E402
 from test_op_counts import route_grid_scenario  # noqa: E402
 from test_routing import _plan_fingerprint, tied_grid  # noqa: E402
@@ -28,6 +31,15 @@ def route_grid(n: int, count: int) -> str:
     scenario = scenario_from_dict(route_grid_scenario(n, count))
     return _plan_fingerprint(allocate(scenario.graph, list(scenario.requests),
                                       scenario.routing))
+
+
+def simulate_grid(n: int, count: int, scheme: str, slots: int) -> str:
+    """`simulate` under sync doubling on the `route_grid` shape at n x n
+    with `count` requests, seed 5: its report's results."""
+    doc = route_grid_scenario(n, count)
+    doc["sim"] = {"scheme": scheme, "forwarding": "sync", "policy": "doubling",
+                  "slots": slots, "seed": 5}
+    return canonical_json(_cmd_simulate(scenario_from_dict(doc)))
 
 
 ROWS = (
@@ -49,6 +61,14 @@ ROWS = (
     ("grid_topology 300x300", 60,
      "982acbd7414a9582df0f069832c2d5e0afacd43e427cc374b83c830e4be8e08f",
      lambda: repr((len((g := grid_topology(300, 300)).nodes), len(g.edges)))),
+    # many blocks of a few slots each; 1.2 s and 2.2 s in process before the
+    # planes moved to a helper process
+    ("proactive sync simulate 24x24, 64 requests, 500 slots", 6,
+     "85b29dcb91c3d61d24e67fb87d73bed907e5168f61c1871be133f1a5afe00780",
+     lambda: simulate_grid(24, 64, "proactive", 500)),
+    ("reactive sync simulate 24x24, 64 requests, 200 slots", 12,
+     "0f5083520cae0d6ef63ca4d409c551ec8395949b8018d8520e1e9b3a56f870ac",
+     lambda: simulate_grid(24, 64, "reactive", 200)),
 )
 
 

@@ -272,9 +272,16 @@ def _binom_row(n: int, p: float) -> tuple[float, ...]:
         return (1.0,) + (0.0,) * n
     if p >= 1.0:
         return (0.0,) * n + (1.0,)
-    return tuple(
-        math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)
-    )
+    return tuple(_binom_term(math.comb(n, k), k, n - k, p) for k in range(n + 1))
+
+
+def _binom_term(coefficient: int, k: int, rest: int, p: float) -> float:
+    """`coefficient * p**k * (1 - p)**rest`, in log space only when the
+    coefficient is past float range (n >= 1,030 at the middle of the row)."""
+    try:
+        return coefficient * p**k * (1.0 - p) ** rest
+    except OverflowError:
+        return math.exp(math.log(coefficient) + k * math.log(p) + rest * math.log(1.0 - p))
 
 
 def link_distribution(cap: int, p: float) -> Distribution:

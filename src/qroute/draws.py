@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from functools import lru_cache
 from operator import add
 
@@ -153,6 +154,65 @@ def _block_slots(planes) -> int:
     the `planes`, and in the slot bases' one lane per slot, but at least
     one. A run's last block takes the slots left."""
     return max(1, _BLOCK_LANES // max(1, *map(len, planes)))
+
+
+def _plane_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int):
+    """Each block of a run of `slots` slots with its draws: (first slot,
+    size, link plane bytes, swap plane bytes), in slot order."""
+    step = _block_slots((links, swaps))
+    for first in range(0, slots, step):
+        size = min(step, slots - first)
+        yield (first, size, links.block(_slot_bases(rng.link_key, first, size)),
+               swaps.block(_slot_bases(rng.swap_key, first, size)))
+
+
+def _draw_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int):
+    """`_plane_blocks`, computed ahead of the caller by one forked helper
+    process when the run has two or more blocks and this process may use
+    two or more CPUs; in process otherwise. The helper writes each block's
+    bytes down a pipe, and the parent reads the lengths `_block_slots`
+    gives, so the bytes are the same either way.
+
+    Close the generator when done with it, also on an error: that closes
+    the pipe and reaps the helper. A helper that fails or stops short
+    raises `RuntimeError`.
+    """
+    step = _block_slots((links, swaps))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if slots <= step or not hasattr(os, "fork") or cpus < 2:
+        yield from _plane_blocks(links, swaps, rng, slots)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the helper: no atexit hooks and no stdio flush on its way out
+        status = 1
+        try:
+            os.close(read)  # so the parent closing its end stops a write
+            out = os.fdopen(write, "wb")
+            for *_, bits, swap in _plane_blocks(links, swaps, rng, slots):
+                out.write(bits)
+                out.write(swap)
+                out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    done, pipe = 0, os.fdopen(read, "rb")
+    try:
+        for first in range(0, slots, step):
+            size = min(step, slots - first)
+            bits, swap = pipe.read(size * len(links)), pipe.read(size * len(swaps))
+            if len(bits) + len(swap) < size * (len(links) + len(swaps)):
+                break
+            yield first, size, bits, swap
+            done = first + size
+    finally:
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status or done < slots:
+        raise RuntimeError(f"draw plane helper process stopped after {done} of {slots} "
+                           f"slots, exit code {os.waitstatus_to_exitcode(status)}")
 
 
 def _link_schedule(graph, runs) -> list:

@@ -14,7 +14,10 @@ in per-hop FIFOs, segments in per-path lists, all in id order.
 
 Slots run a block at a time, with the block's draws from one plane pass.
 Proactive sync paths are fixed, so that mode runs the block as columns,
-one entry per slot; the others go slot by slot.
+one entry per slot; the others go slot by slot. The draws depend on no
+outcome, so a run of two or more blocks computes them in a forked helper
+process while the kernels work (`draws._draw_blocks`), when it may use
+two or more CPUs; otherwise in process, to the same bytes.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .analytics import PathSpec, SwapPolicy
 from .draws import (
     MASK64,
     KeyedRng,
-    _block_slots,
+    _draw_blocks,
     _link_plane,
     _link_schedule,
-    _slot_bases,
     _span_counts,
     _SwapDraws,
     _SwapLanes,
@@ -565,7 +567,9 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     `_AsyncKernel.end_slot`.
 
     Replicas with different seeds share no mutable state and can run in
-    parallel; within one run, slots are processed sequentially.
+    parallel. Within one run, slots are processed sequentially, and a run
+    of two or more blocks may compute its draws ahead in one helper process
+    (module docstring), which it reaps before it returns or raises.
     """
     rng = KeyedRng(config.seed)
     stats = SimStats(
@@ -633,74 +637,74 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
     tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
     width = len(links)  # a slot's bytes in the link plane
-    step = _block_slots((links, swap_lanes.plane))
-    for first in range(0, config.slots, step):
-        size = min(step, config.slots - first)
-        bits = links.block(_slot_bases(rng.link_key, first, size))
-        swaps = swap_lanes.plane.block(_slot_bases(rng.swap_key, first, size))
-        if sync:  # each run's column of new links, and each slot's total
-            made = [_span_counts(bits, width, lo, hi, size)
-                    for _, lo, hi, _ in schedule]
-            created = list(map(sum, zip(repeat(0, size), *made)))
-            stats.links_generated += sum(created)
-        path_cols = [[] for _ in stats.per_path]
-        request_cols = {rid: [0] * size for rid in request_ids}
-        consumed = [0] * size
-        if sync and not reactive:
-            path_cols, consumed, segments = _sync_block(
-                bound, dict(zip((run for run, *_ in schedule), made)), swaps,
-                swap_lanes.starts(size), tally, size)
-            created = list(map(add, created, segments))
-        else:  # the paths, or the links they bind, depend on the slot
-            for k in range(size):
-                slot = first + k
-                draws = _SwapDraws(swaps, k, swap_lanes)
-                if not sync:
-                    kernel.purge(slot, held)
-                    stats.links_generated += kernel.generate(
-                        bits[k * width:(k + 1) * width], slot)
-                if reactive:  # one run per edge, so both follow edge order
-                    counts = ([c[k] for c in made] if sync else
-                              list(map(len, kernel.runs.values())))
-                paths = (_reactive_paths(graph, requests, counts, config, built,
-                                         None if sync else kernel.bind)
-                         if reactive else zip(bound, held))
-                for i, (rp, store) in enumerate(paths):
-                    if sync:  # reactive: every path holds one link per hop
-                        got, used, new = _exec_single(rp, draws, tally)
-                        consumed[k] += used
-                        created[k] += new
-                    else:
-                        got = _execute_policy(rp, kernel.take(rp, store), store,
-                                              kernel, draws, tally)
-                        if reactive:  # its partial segments die with the slot's path
-                            kernel.disposed["discarded"] += store.discard()
-                    if reactive:
-                        request_cols[rp.request_id][k] += got
-                    else:
-                        path_cols[i].append(got)
-                if not sync:
-                    kernel.end_slot(slot, held)
+    blocks = _draw_blocks(links, swap_lanes.plane, rng, config.slots)
+    try:  # closing the blocks reaps a helper process, also when a check fails
+        for first, size, bits, swaps in blocks:
+            if sync:  # each run's column of new links, and each slot's total
+                made = [_span_counts(bits, width, lo, hi, size)
+                        for _, lo, hi, _ in schedule]
+                created = list(map(sum, zip(repeat(0, size), *made)))
+                stats.links_generated += sum(created)
+            path_cols = [[] for _ in stats.per_path]
+            request_cols = {rid: [0] * size for rid in request_ids}
+            consumed = [0] * size
+            if sync and not reactive:
+                path_cols, consumed, segments = _sync_block(
+                    bound, dict(zip((run for run, *_ in schedule), made)), swaps,
+                    swap_lanes.starts(size), tally, size)
+                created = list(map(add, created, segments))
+            else:  # the paths, or the links they bind, depend on the slot
+                for k in range(size):
+                    slot = first + k
+                    draws = _SwapDraws(swaps, k, swap_lanes)
+                    if not sync:
+                        kernel.purge(slot, held)
+                        stats.links_generated += kernel.generate(
+                            bits[k * width:(k + 1) * width], slot)
+                    if reactive:  # one run per edge, so both follow edge order
+                        counts = ([c[k] for c in made] if sync else
+                                  list(map(len, kernel.runs.values())))
+                    paths = (_reactive_paths(graph, requests, counts, config, built,
+                                             None if sync else kernel.bind)
+                             if reactive else zip(bound, held))
+                    for i, (rp, store) in enumerate(paths):
+                        if sync:  # reactive: every path holds one link per hop
+                            got, used, new = _exec_single(rp, draws, tally)
+                            consumed[k] += used
+                            created[k] += new
+                        else:
+                            got = _execute_policy(rp, kernel.take(rp, store), store,
+                                                  kernel, draws, tally)
+                            if reactive:  # its partial segments die with the slot's path
+                                kernel.disposed["discarded"] += store.discard()
+                        if reactive:
+                            request_cols[rp.request_id][k] += got
+                        else:
+                            path_cols[i].append(got)
+                    if not sync:
+                        kernel.end_slot(slot, held)
 
-        for rp, col in zip(bound if not reactive else (), path_cols):
-            request_cols[rp.request_id] = list(
-                map(add, request_cols[rp.request_id], col))
-            _count(stats.per_path[rp.label], col)
-        for rid, col in request_cols.items():
-            _count(stats.per_request[rid], col)
-            stats.delivered_total += sum(col)
-        if sync:  # a slot may not use more than it made
-            delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
-            over = list(map(gt, map(add, consumed, delivered), created))
-            if True in over:
-                k = over.index(True)
-                raise AssertionError(
-                    f"slot {first + k}: consumed {consumed[k]} + delivered "
-                    f"{delivered[k]} > created {created[k]}"
-                )
-            ledger["consumed"] += sum(consumed)
-            ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
-            ledger["delivered"] += sum(delivered)
+            for rp, col in zip(bound if not reactive else (), path_cols):
+                request_cols[rp.request_id] = list(
+                    map(add, request_cols[rp.request_id], col))
+                _count(stats.per_path[rp.label], col)
+            for rid, col in request_cols.items():
+                _count(stats.per_request[rid], col)
+                stats.delivered_total += sum(col)
+            if sync:  # a slot may not use more than it made
+                delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
+                over = list(map(gt, map(add, consumed, delivered), created))
+                if True in over:
+                    k = over.index(True)
+                    raise AssertionError(
+                        f"slot {first + k}: consumed {consumed[k]} + delivered "
+                        f"{delivered[k]} > created {created[k]}"
+                    )
+                ledger["consumed"] += sum(consumed)
+                ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
+                ledger["delivered"] += sum(delivered)
+    finally:
+        blocks.close()
 
     stats.swap_counters = {kind: {"attempts": a, "successes": s}
                            for kind, (a, s) in sorted(tally.items())}

@@ -50,6 +50,15 @@ def test_link_distribution_binomial_expansion():
     )
 
 
+def test_link_distribution_past_float_range_coefficients():
+    # C(1030, 515) is past float range, so the middle terms go by logs
+    assert abs(math.fsum(link_distribution(1030, 0.5).pmf) - 1.0) < 1e-9
+    for n in range(65):  # smaller rows keep the direct product, bit for bit
+        for p in (0.1, 0.5, 0.8, 0.93):
+            assert link_distribution(n, p).pmf == tuple(
+                math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1))
+
+
 def test_link_distribution_zero_cap():
     assert link_distribution(0, 0.7).pmf == (1.0,)
 

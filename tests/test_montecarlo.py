@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -807,10 +808,17 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
 
 def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
     blocks = overconsume_at(monkeypatch, 2100)
+    helpers = two_cpus(monkeypatch)
     g = chain_graph(2, p=1.0, q=1.0)
-    with pytest.raises(AssertionError, match="slot 2100: consumed 5 "):
+    # `failed` keeps the traceback, and with it simulate's frame, alive
+    with pytest.raises(AssertionError, match="slot 2100: consumed 5 ") as failed:
         simulate(g, plan_for_chain(g, 2), SimConfig(slots=2500))
     assert len(blocks) == 2 and len(blocks[0]) < 2100
+    if hasattr(os, "fork"):  # the failed run reaped its helper
+        assert len(helpers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert failed.traceback
 
 
 def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
@@ -829,6 +837,137 @@ def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
                        match=r"slot 0: consumed 5 \+ delivered 1 > created 3"):
         simulate(g, [Request(id="r1", source="n0", dest="n2")],
                  SimConfig(scheme="reactive", slots=1))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def two_cpus(monkeypatch):
+    """Let `_draw_blocks` fork a helper on any host with `os.fork`, as on
+    one with two CPUs; returns the pids of the helpers forked."""
+    pids = []
+    fork = getattr(os, "fork", None)
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    if fork is not None:
+        monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def run_planes(scheme):
+    """A multi-block run's link and swap planes, and its slot count: the
+    proactive plan of a 3-hop width-2 chain, or reactive runs on a 3x3
+    grid of capacity 2, each with a partial last block."""
+    from qroute.draws import _block_slots, _link_plane, _link_schedule
+    from qroute.montecarlo import _bind_plan, _swap_lanes
+
+    if scheme == "proactive":
+        graph = chain_graph(3, p=0.6, cap=2)
+        bound = _bind_plan(graph, plan_for_chain(graph, 3, width=2))
+        runs = [run for rp in bound for run in rp.channels]
+    else:
+        graph = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.7))
+        bound, runs = None, [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
+    links = _link_plane(_link_schedule(graph, runs))
+    swaps = _swap_lanes(graph, bound).plane
+    return links, swaps, 3 * _block_slots((links, swaps)) + 5
+
+
+@needs_fork
+@pytest.mark.parametrize("scheme", ["proactive", "reactive"])
+def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
+    from qroute.draws import KeyedRng, _draw_blocks, _plane_blocks
+
+    links, swaps, slots = run_planes(scheme)
+    helpers = two_cpus(monkeypatch)
+    forked = list(_draw_blocks(links, swaps, KeyedRng(11), slots))
+    assert len(helpers) == 1
+    assert forked == list(_plane_blocks(links, swaps, KeyedRng(11), slots))
+    assert len(forked) == 4 and sum(size for _, size, *_ in forked) == slots
+
+
+@pytest.mark.parametrize("case", ["one block", "one cpu", "no fork"])
+def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
+    g = chain_graph(2, p=0.7, q=0.6, cap=2)
+    plan = plan_for_chain(g, 2, width=2)
+    slots = 1000 if case == "one block" else 5000  # blocks of 1,024 slots
+    want = simulate(g, plan, SimConfig(slots=slots, seed=4)).to_dict()
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    if case == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    assert simulate(g, plan, SimConfig(slots=slots, seed=4)).to_dict() == want
+
+
+@needs_fork
+def test_kernel_failure_reaps_a_helper_blocked_on_a_full_pipe(monkeypatch):
+    # 40 blocks of 6 KiB are more than a pipe holds, so the helper is still
+    # writing when the first block's check fails
+    overconsume_at(monkeypatch, 5)
+    helpers = two_cpus(monkeypatch)
+    g = chain_graph(2, p=1.0, q=1.0)
+    with pytest.raises(AssertionError, match="slot 5: consumed 5 ") as failed:
+        simulate(g, plan_for_chain(g, 2), SimConfig(slots=40 * 2048))
+    assert len(helpers) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert failed.traceback  # kept alive until here
+
+
+def fail_at_block_two(monkeypatch):
+    """Make `_Plane.block` raise from the second block on; a helper forked
+    after this runs the patch."""
+    from qroute.draws import _Plane
+
+    block, calls = _Plane.block, []
+
+    def failing(plane, bases):
+        calls.append(1)
+        if len(calls) > 2:  # a link and a swap plane per block
+            raise MemoryError("block 2")
+        return block(plane, bases)
+
+    monkeypatch.setattr(_Plane, "block", failing)
+
+
+@needs_fork
+def test_failed_helper_raises_runtime_error_and_exits_two(monkeypatch, tmp_path, capsys):
+    helpers = two_cpus(monkeypatch)
+    fail_at_block_two(monkeypatch)
+    g = chain_graph(2, p=0.7, q=0.6, cap=2)
+    with pytest.raises(RuntimeError, match="draw plane helper process stopped "
+                                           "after 1024 of 5000 slots, exit code 1"):
+        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
+    assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
+                        "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("qroute: RuntimeError: draw plane helper ")
+    assert len(helpers) == 2
+    with pytest.raises(ChildProcessError):  # both helpers were reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_helper_that_stops_short_raises_runtime_error(monkeypatch):
+    from qroute import draws
+
+    blocks = draws._plane_blocks  # the helper writes two blocks, then exits 0
+    monkeypatch.setattr(draws, "_plane_blocks",
+                        lambda *args: itertools.islice(blocks(*args), 2))
+    two_cpus(monkeypatch)
+    g = chain_graph(2, p=0.7, q=0.6, cap=2)
+    with pytest.raises(RuntimeError, match="after 2048 of 5000 slots, exit code 0"):
+        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
 
 
 def _lose_a_link(kernel, rp, hops, store, async_kernel, *rest):
