@@ -5,12 +5,16 @@ A draw chains one splitmix64 round per coordinate (Steele, Lea & Flood,
 OOPSLA 2014) and succeeds when the 64-bit hash is below an integer
 threshold. The draws of a block of slots are computed together as a
 plane: SWAR ("SIMD within a register") over one big integer, one 128-bit
-lane per draw, slot after slot.
+lane per draw, slot after slot. Any process computes the same bytes for a
+block, so a run may draw in forked processes: a helper ahead of an async
+run (`_draw_blocks`), or a worker per slot range of a sync run
+(`_slot_ranges`).
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import os
 from functools import lru_cache
@@ -79,10 +83,16 @@ def _round(h: int, offset: int, low: int) -> int:
 @lru_cache(maxsize=2)
 def _slot_lanes(count: int) -> tuple[int, int, int]:
     """For `count` lanes: lanes of 1, the 64-bit lane mask, and lanes 1 to
-    `count`."""
+    `count`. A block has at most `_BLOCK_LANES` slots, fewer than 2**16, so
+    an index lane is its two low bytes: one strided write of each byte's
+    column, in place of a `to_bytes` per slot."""
+    index = bytearray(_LANE * count)
+    index[0::_LANE] = (bytes(range(256)) * (count // 256 + 1))[1:count + 1]
+    index[1::_LANE] = b"".join(bytes([high]) * 256
+                               for high in range(count // 256 + 1))[1:count + 1]
     return (int.from_bytes((b"\x01" + bytes(15)) * count, "little"),
             int.from_bytes(_MASK_LANE * count, "little"),
-            int.from_bytes(_lanes(range(1, count + 1)), "little"))
+            int.from_bytes(index, "little"))
 
 
 def _slot_bases(key: int, first: int, count: int) -> bytes:
@@ -156,31 +166,98 @@ def _block_slots(planes) -> int:
     return max(1, _BLOCK_LANES // max(1, *map(len, planes)))
 
 
-def _plane_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int):
-    """Each block of a run of `slots` slots with its draws: (first slot,
-    size, link plane bytes, swap plane bytes), in slot order."""
+def _plane_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int,
+                  first: int = 0):
+    """Each block of slots `first` to `slots` with its draws: (first slot,
+    size, link plane bytes, swap plane bytes), in slot order. Blocks start
+    at multiples of `_block_slots`, so `first` is one of them, and a range
+    of a run has the run's blocks."""
     step = _block_slots((links, swaps))
-    for first in range(0, slots, step):
-        size = min(step, slots - first)
-        yield (first, size, links.block(_slot_bases(rng.link_key, first, size)),
-               swaps.block(_slot_bases(rng.swap_key, first, size)))
+    for start in range(first, slots, step):
+        size = min(step, slots - start)
+        yield (start, size, links.block(_slot_bases(rng.link_key, start, size)),
+               swaps.block(_slot_bases(rng.swap_key, start, size)))
+
+
+def _fork_cpus() -> int:
+    """How many processes a run may keep busy: the CPUs this process may
+    use, or 1 where `os.fork` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _slot_ranges(tally, links: _Plane, swaps: _Plane, slots: int, split: bool):
+    """`tally(first, stop)` for contiguous ranges of whole blocks that cover
+    a run of `slots` slots, each range's result in slot order.
+
+    With `split`, a run of two or more blocks, where `_fork_cpus` gives two
+    or more, splits its blocks into that many balanced ranges, at most one
+    per block. This process computes the first range and forks a worker
+    for each of the others, so a run never has more processes than usable
+    CPUs; a worker sends its result down a pipe with `marshal`, which needs
+    no import, unlike `pickle`. Otherwise the run is one range, in process.
+
+    Close the generator when done with it, also on an error: that kills
+    each worker whose result was not read, and reaps every one. A worker
+    that exits non-zero raises `RuntimeError`.
+    """
+    step = _block_slots((links, swaps))
+    blocks = -(-slots // step)
+    shards = min(_fork_cpus(), blocks) if split else 1
+    ends = [min(slots, step * (blocks * i // shards)) for i in range(shards + 1)]
+    workers = []  # (pid, pipe, first slot, stop) per forked range, in slot order
+    try:
+        for first, stop in zip(ends[1:], ends[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker: no atexit hooks and no stdio flush on its way out
+                status = 1
+                try:
+                    os.close(read)  # so the parent closing its end stops a write
+                    with os.fdopen(write, "wb") as out:
+                        out.write(marshal.dumps(tally(first, stop)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb"), first, stop))
+        yield tally(ends[0], ends[1])
+        while workers:
+            pid, pipe, first, stop = workers[0]
+            with pipe:
+                result = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status or not result:
+                raise RuntimeError(
+                    f"worker for slots {first} to {stop} stopped, exit code "
+                    f"{os.waitstatus_to_exitcode(status)}")
+            yield marshal.loads(result)
+    finally:
+        if workers:  # `signal` is imported only here: its import builds enums
+            import signal
+        for pid, pipe, *_ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _draw_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int):
-    """`_plane_blocks`, computed ahead of the caller by one forked helper
-    process when the run has two or more blocks and this process may use
-    two or more CPUs; in process otherwise. The helper writes each block's
-    bytes down a pipe, and the parent reads the lengths `_block_slots`
-    gives, so the bytes are the same either way.
+    """`_plane_blocks` for an async run, computed ahead of the caller by one
+    forked helper process when the run has two or more blocks and
+    `_fork_cpus` gives two or more; in process otherwise. (A sync run splits
+    its slots across processes instead, each drawing its own planes.) The
+    helper writes each block's bytes down a pipe, and the parent reads the
+    lengths `_block_slots` gives, so the bytes are the same either way.
 
     Close the generator when done with it, also on an error: that closes
     the pipe and reaps the helper. A helper that fails or stops short
     raises `RuntimeError`.
     """
     step = _block_slots((links, swaps))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if slots <= step or not hasattr(os, "fork") or cpus < 2:
+    if slots <= step or _fork_cpus() < 2:
         yield from _plane_blocks(links, swaps, rng, slots)
         return
     read, write = os.pipe()

@@ -14,10 +14,12 @@ in per-hop FIFOs, segments in per-path lists, all in id order.
 
 Slots run a block at a time, with the block's draws from one plane pass.
 Proactive sync paths are fixed, so that mode runs the block as columns,
-one entry per slot; the others go slot by slot. The draws depend on no
-outcome, so a run of two or more blocks computes them in a forked helper
-process while the kernels work (`draws._draw_blocks`), when it may use
-two or more CPUs; otherwise in process, to the same bytes.
+one entry per slot; the others go slot by slot. A range of blocks
+returns a plain tally (`_Run.tally`), merged into the stats in slot
+order. Sync slots share nothing, so a sync run may split its blocks
+across CPUs (`draws._slot_ranges`); an async run is one range, whose
+draws a helper process may compute ahead (`draws._draw_blocks`). The
+reports are the same either way.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import add, and_, ge, gt
+from operator import add, and_, ge, gt, mul
 
 from .analytics import PathSpec, SwapPolicy
 from .draws import (
@@ -35,6 +37,8 @@ from .draws import (
     _draw_blocks,
     _link_plane,
     _link_schedule,
+    _plane_blocks,
+    _slot_ranges,
     _span_counts,
     _SwapDraws,
     _SwapLanes,
@@ -559,6 +563,171 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict, bin
             yield entry
 
 
+class _Run:
+    """A run's setup, which its slot ranges share: proactive paths
+    (`bound`) or reactive requests by id, the request ids in report order,
+    the link schedule, the link plane and the swap lanes."""
+
+    __slots__ = ("config", "graph", "bound", "requests", "request_ids",
+                 "schedule", "links", "swap_lanes")
+
+    def __init__(self, graph: NetworkGraph, plan_or_requests, config: SimConfig):
+        self.config, self.graph = config, graph
+        if config.scheme == "proactive":
+            if not isinstance(plan_or_requests, AllocationPlan):
+                raise ValueError("proactive simulation needs an AllocationPlan")
+            check_unique_ids(plan_or_requests.requests)
+            bound = _bind_plan(graph, plan_or_requests)
+            for rp in bound:
+                if config.forwarding == "sync" and rp.policy.kind == "adhoc":
+                    raise ValueError(
+                        f"path {rp.label}: adhoc swapping needs async forwarding"
+                    )
+            # unallocated requests still show up in the stats, at zero
+            self.request_ids = sorted(
+                {rp.request_id for rp in bound}
+                | {r.id for r in plan_or_requests.requests}
+            )
+            self.bound, self.requests = bound, []
+            runs = [run for rp in bound for run in rp.channels]
+        else:
+            if isinstance(plan_or_requests, AllocationPlan):
+                raise ValueError(
+                    "reactive simulation needs a list of requests; paths are "
+                    "recomputed from the logical topology each slot"
+                )
+            requests = list(plan_or_requests)
+            if not all(isinstance(r, Request) for r in requests):
+                raise ValueError("reactive simulation needs a list of requests")
+            check_unique_ids(requests)
+            requests.sort(key=lambda r: r.id)
+            self.bound, self.requests = [], requests
+            self.request_ids = [r.id for r in requests]
+            runs = [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
+        self.schedule = _link_schedule(graph, runs)
+        self.links = _link_plane(self.schedule)
+        self.swap_lanes = _swap_lanes(
+            graph, self.bound if config.scheme == "proactive" else None)
+
+    def tally(self, first: int, stop: int) -> dict:
+        """Run slots `first` to `stop`, whole plane blocks, and return the
+        range's tally, in plain ints, strs, lists and dicts, which `marshal`
+        carries: "paths", each proactive path's histogram of pairs delivered
+        per slot, in `bound` order; "requests", each request's, by id;
+        "swaps", [attempts, successes] by policy kind; "links", the links
+        generated; "ledger", the entities disposed by reason; and "failed",
+        None, or the message of the first slot whose sync ledger check
+        failed, where the range stops. An async run is one range, from slot
+        0, and `_AsyncKernel.end_slot` raises at once."""
+        config, graph, bound = self.config, self.graph, self.bound
+        sync = config.forwarding == "sync"
+        reactive = config.scheme == "reactive"
+        schedule, swap_lanes, request_ids = self.schedule, self.swap_lanes, self.request_ids
+        out = {"paths": [[] for _ in bound], "requests": {rid: [] for rid in request_ids},
+               "swaps": {}, "links": 0, "ledger": dict.fromkeys(DISPOSE_REASONS, 0),
+               "failed": None}
+        tally, ledger = out["swaps"], out["ledger"]
+        rng = KeyedRng(config.seed)
+        if sync:  # nothing outlives a slot, so entities are tallied per slot
+            blocks = _plane_blocks(self.links, swap_lanes.plane, rng, stop, first)
+        else:
+            kernel = _AsyncKernel(graph, schedule)
+            # the proactive paths' stores, whose segments persist across slots;
+            # a reactive path's store is kept in `built`
+            held = [] if reactive else [kernel.bind(rp) for rp in bound]
+            blocks = _draw_blocks(self.links, swap_lanes.plane, rng, stop)
+
+        built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
+        width = len(self.links)  # a slot's bytes in the link plane
+        try:  # closing the blocks reaps a helper process, also when a check fails
+            for start, size, bits, swaps in blocks:
+                if sync:  # each run's column of new links, and each slot's total
+                    made = [_span_counts(bits, width, lo, hi, size)
+                            for _, lo, hi, _ in schedule]
+                    created = list(map(sum, zip(repeat(0, size), *made)))
+                    out["links"] += sum(created)
+                path_cols = [[] for _ in bound]
+                request_cols = {rid: [0] * size for rid in request_ids}
+                consumed = [0] * size
+                if sync and not reactive:
+                    path_cols, consumed, segments = _sync_block(
+                        bound, dict(zip((run for run, *_ in schedule), made)), swaps,
+                        swap_lanes.starts(size), tally, size)
+                    created = list(map(add, created, segments))
+                else:  # the paths, or the links they bind, depend on the slot
+                    for k in range(size):
+                        slot = start + k
+                        draws = _SwapDraws(swaps, k, swap_lanes)
+                        if not sync:
+                            kernel.purge(slot, held)
+                            out["links"] += kernel.generate(
+                                bits[k * width:(k + 1) * width], slot)
+                        if reactive:  # one run per edge, so both follow edge order
+                            counts = ([c[k] for c in made] if sync else
+                                      list(map(len, kernel.runs.values())))
+                        paths = (_reactive_paths(graph, self.requests, counts, config,
+                                                 built, None if sync else kernel.bind)
+                                 if reactive else zip(bound, held))
+                        for i, (rp, store) in enumerate(paths):
+                            if sync:  # reactive: every path holds one link per hop
+                                got, used, new = _exec_single(rp, draws, tally)
+                                consumed[k] += used
+                                created[k] += new
+                            else:
+                                got = _execute_policy(rp, kernel.take(rp, store), store,
+                                                      kernel, draws, tally)
+                                if reactive:  # its partial segments die with the slot's path
+                                    kernel.disposed["discarded"] += store.discard()
+                            if reactive:
+                                request_cols[rp.request_id][k] += got
+                            else:
+                                path_cols[i].append(got)
+                        if not sync:
+                            kernel.end_slot(slot, held)
+
+                for rp, hist, col in zip(bound, out["paths"], path_cols):
+                    request_cols[rp.request_id] = list(
+                        map(add, request_cols[rp.request_id], col))
+                    _count(hist, Counter(col).items())
+                for rid, col in request_cols.items():
+                    _count(out["requests"][rid], Counter(col).items())
+                if sync:  # a slot may not use more than it made
+                    delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
+                    over = list(map(gt, map(add, consumed, delivered), created))
+                    if True in over:
+                        k = over.index(True)
+                        out["failed"] = (f"slot {start + k}: consumed {consumed[k]} + "
+                                         f"delivered {delivered[k]} > created {created[k]}")
+                        return out
+                    ledger["consumed"] += sum(consumed)
+                    ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
+                    ledger["delivered"] += sum(delivered)
+        finally:
+            blocks.close()
+        if not sync:
+            out["ledger"] = dict(kernel.disposed)
+        return out
+
+
+def _merge(stats: SimStats, part: dict) -> None:
+    """Add a slot range's tally (`_Run.tally`) to `stats`. Ranges merge in
+    slot order, and each stops at its first failing slot, so the first
+    failed tally raises the run's earliest failure, as one range would."""
+    if part["failed"]:
+        raise AssertionError(part["failed"])
+    for entry, hist in zip(stats.per_path.values(), part["paths"]):
+        _count(entry["hist"], enumerate(hist))
+    for rid, hist in part["requests"].items():
+        _count(stats.per_request[rid]["hist"], enumerate(hist))
+    for kind, (attempts, successes) in part["swaps"].items():
+        entry = stats.swap_counters.setdefault(kind, {"attempts": 0, "successes": 0})
+        entry["attempts"] += attempts
+        entry["successes"] += successes
+    stats.links_generated += part["links"]
+    for reason, count in part["ledger"].items():
+        stats.entities_disposed[reason] += count
+
+
 def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimStats:
     """Run the slotted simulation; fully deterministic for a given seed.
 
@@ -567,158 +736,50 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     `_AsyncKernel.end_slot`.
 
     Replicas with different seeds share no mutable state and can run in
-    parallel. Within one run, slots are processed sequentially, and a run
-    of two or more blocks may compute its draws ahead in one helper process
-    (module docstring), which it reaps before it returns or raises.
+    parallel. Within one run, a sync run may split its slots into
+    contiguous ranges across CPUs (`draws._slot_ranges`), and an async run
+    goes slot by slot while one helper process may compute its draws ahead
+    (`draws._draw_blocks`). Every process a run starts is reaped before it
+    returns or raises.
     """
-    rng = KeyedRng(config.seed)
+    run = _Run(graph, plan_or_requests, config)
     stats = SimStats(
         slots_run=config.slots,
         seed=config.seed,
         scheme=config.scheme,
         forwarding=config.forwarding,
         policy=config.policy.kind,
+        entities_disposed=dict.fromkeys(DISPOSE_REASONS, 0),
     )
-    sync = config.forwarding == "sync"
-    reactive = config.scheme == "reactive"
-
-    if not reactive:
-        if not isinstance(plan_or_requests, AllocationPlan):
-            raise ValueError("proactive simulation needs an AllocationPlan")
-        check_unique_ids(plan_or_requests.requests)
-        bound = _bind_plan(graph, plan_or_requests)
-        for rp in bound:
-            if sync and rp.policy.kind == "adhoc":
-                raise ValueError(
-                    f"path {rp.label}: adhoc swapping needs async forwarding"
-                )
-            stats.per_path[rp.label] = {
-                "request": rp.request_id,
-                "nodes": list(rp.path.nodes),
-                "width": rp.path.width,
-                "delivered": 0,
-                "hist": [0] * (rp.path.width + 1),
-            }
-        # unallocated requests still show up in the stats, at zero
-        request_ids = sorted(
-            {rp.request_id for rp in bound}
-            | {r.id for r in plan_or_requests.requests}
-        )
-        runs = [run for rp in bound for run in rp.channels]
-    else:
-        if isinstance(plan_or_requests, AllocationPlan):
-            raise ValueError(
-                "reactive simulation needs a list of requests; paths are "
-                "recomputed from the logical topology each slot"
-            )
-        requests = list(plan_or_requests)
-        if not all(isinstance(r, Request) for r in requests):
-            raise ValueError("reactive simulation needs a list of requests")
-        check_unique_ids(requests)
-        requests.sort(key=lambda r: r.id)
-        runs = [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
-        request_ids = [r.id for r in requests]
-
-    schedule = _link_schedule(graph, runs)
-    links = _link_plane(schedule)
-    swap_lanes = _swap_lanes(graph, bound if not reactive else None)
-    if sync:
-        # entities are tallied per slot, since nothing outlives it
-        ledger = dict.fromkeys(DISPOSE_REASONS, 0)
-    else:
-        kernel = _AsyncKernel(graph, schedule)
-        # the proactive paths' stores, whose segments persist across slots;
-        # a reactive path's store is kept in `built`
-        held = [] if reactive else [kernel.bind(rp) for rp in bound]
-
-    for rid in request_ids:
+    for rp in run.bound:
+        stats.per_path[rp.label] = {
+            "request": rp.request_id,
+            "nodes": list(rp.path.nodes),
+            "width": rp.path.width,
+            "delivered": 0,
+            "hist": [0] * (rp.path.width + 1),
+        }
+    for rid in run.request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
-
-    built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
-    tally: dict[str, list[int]] = {}  # policy kind -> [attempts, successes]
-    width = len(links)  # a slot's bytes in the link plane
-    blocks = _draw_blocks(links, swap_lanes.plane, rng, config.slots)
-    try:  # closing the blocks reaps a helper process, also when a check fails
-        for first, size, bits, swaps in blocks:
-            if sync:  # each run's column of new links, and each slot's total
-                made = [_span_counts(bits, width, lo, hi, size)
-                        for _, lo, hi, _ in schedule]
-                created = list(map(sum, zip(repeat(0, size), *made)))
-                stats.links_generated += sum(created)
-            path_cols = [[] for _ in stats.per_path]
-            request_cols = {rid: [0] * size for rid in request_ids}
-            consumed = [0] * size
-            if sync and not reactive:
-                path_cols, consumed, segments = _sync_block(
-                    bound, dict(zip((run for run, *_ in schedule), made)), swaps,
-                    swap_lanes.starts(size), tally, size)
-                created = list(map(add, created, segments))
-            else:  # the paths, or the links they bind, depend on the slot
-                for k in range(size):
-                    slot = first + k
-                    draws = _SwapDraws(swaps, k, swap_lanes)
-                    if not sync:
-                        kernel.purge(slot, held)
-                        stats.links_generated += kernel.generate(
-                            bits[k * width:(k + 1) * width], slot)
-                    if reactive:  # one run per edge, so both follow edge order
-                        counts = ([c[k] for c in made] if sync else
-                                  list(map(len, kernel.runs.values())))
-                    paths = (_reactive_paths(graph, requests, counts, config, built,
-                                             None if sync else kernel.bind)
-                             if reactive else zip(bound, held))
-                    for i, (rp, store) in enumerate(paths):
-                        if sync:  # reactive: every path holds one link per hop
-                            got, used, new = _exec_single(rp, draws, tally)
-                            consumed[k] += used
-                            created[k] += new
-                        else:
-                            got = _execute_policy(rp, kernel.take(rp, store), store,
-                                                  kernel, draws, tally)
-                            if reactive:  # its partial segments die with the slot's path
-                                kernel.disposed["discarded"] += store.discard()
-                        if reactive:
-                            request_cols[rp.request_id][k] += got
-                        else:
-                            path_cols[i].append(got)
-                    if not sync:
-                        kernel.end_slot(slot, held)
-
-            for rp, col in zip(bound if not reactive else (), path_cols):
-                request_cols[rp.request_id] = list(
-                    map(add, request_cols[rp.request_id], col))
-                _count(stats.per_path[rp.label], col)
-            for rid, col in request_cols.items():
-                _count(stats.per_request[rid], col)
-                stats.delivered_total += sum(col)
-            if sync:  # a slot may not use more than it made
-                delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
-                over = list(map(gt, map(add, consumed, delivered), created))
-                if True in over:
-                    k = over.index(True)
-                    raise AssertionError(
-                        f"slot {first + k}: consumed {consumed[k]} + delivered "
-                        f"{delivered[k]} > created {created[k]}"
-                    )
-                ledger["consumed"] += sum(consumed)
-                ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
-                ledger["delivered"] += sum(delivered)
+    tallies = _slot_ranges(run.tally, run.links, run.swap_lanes.plane, config.slots,
+                           config.forwarding == "sync")
+    try:  # closing the tallies reaps every worker, also when a check fails
+        for part in tallies:
+            _merge(stats, part)
     finally:
-        blocks.close()
-
-    stats.swap_counters = {kind: {"attempts": a, "successes": s}
-                           for kind, (a, s) in sorted(tally.items())}
-    stats.entities_disposed = ledger if sync else dict(kernel.disposed)
+        tallies.close()
+    for entry in (*stats.per_path.values(), *stats.per_request.values()):
+        entry["delivered"] = sum(map(mul, entry["hist"], itertools.count()))
+    stats.delivered_total = sum(e["delivered"] for e in stats.per_request.values())
+    stats.swap_counters = dict(sorted(stats.swap_counters.items()))
     return stats
 
 
-def _count(entry: dict, delivered: list[int]) -> None:
-    """Add a block's per-slot deliveries to an entry's total and, with one
-    `Counter`, its histogram, which grows: async forwarding can deliver
-    more pairs in one slot than a path is wide."""
-    hist = entry["hist"]
-    for k, slots in Counter(delivered).items():
+def _count(hist: list[int], counts) -> None:
+    """Add (pairs delivered in a slot, slots) counts to a histogram, which
+    grows: async forwarding can deliver more pairs in one slot than a path
+    is wide."""
+    for k, slots in counts:
         if k >= len(hist):
             hist.extend([0] * (k + 1 - len(hist)))
         hist[k] += slots
-    entry["delivered"] += sum(delivered)

@@ -776,26 +776,31 @@ def test_reactive_sync_reports_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_REACTIVE_SYNC_SHA256
 
 
-def overconsume_at(monkeypatch, slot):
+def overconsume_at(monkeypatch, *slots):
     """Make the proactive sync kernel report 3 more entities consumed in
-    `slot` than it consumed; returns the consumed columns it saw, one per
-    block."""
+    each of `slots` than it consumed; returns the first slot of each block
+    run in this process. A forked worker runs the patch on its own blocks."""
     from qroute import montecarlo
 
-    kernel = montecarlo._exec_columns
-    blocks = []
+    kernel, plane_blocks = montecarlo._exec_columns, montecarlo._plane_blocks
+    firsts = []
+
+    def blocks(*args):
+        for block in plane_blocks(*args):
+            firsts.append(block[0])
+            yield block
 
     def overconsume(*args):
         delivered, consumed, *rest = kernel(*args)
-        first = sum(map(len, blocks))
-        blocks.append(consumed)
-        if first <= slot < first + len(consumed):
-            consumed = list(consumed)
-            consumed[slot - first] += 3
+        consumed = list(consumed)
+        for slot in slots:
+            if 0 <= slot - firsts[-1] < len(consumed):
+                consumed[slot - firsts[-1]] += 3
         return (delivered, consumed, *rest)
 
+    monkeypatch.setattr(montecarlo, "_plane_blocks", blocks)
     monkeypatch.setattr(montecarlo, "_exec_columns", overconsume)
-    return blocks
+    return firsts
 
 
 def test_sync_ledger_check_fails_loudly(monkeypatch):
@@ -807,18 +812,23 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
 
 
 def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
-    blocks = overconsume_at(monkeypatch, 2100)
-    helpers = two_cpus(monkeypatch)
+    # blocks of 2,048 slots; on one CPU both run here, and on two the
+    # second runs in a forked worker, whose tally carries the failure
     g = chain_graph(2, p=1.0, q=1.0)
-    # `failed` keeps the traceback, and with it simulate's frame, alive
-    with pytest.raises(AssertionError, match="slot 2100: consumed 5 ") as failed:
-        simulate(g, plan_for_chain(g, 2), SimConfig(slots=2500))
-    assert len(blocks) == 2 and len(blocks[0]) < 2100
-    if hasattr(os, "fork"):  # the failed run reaped its helper
-        assert len(helpers) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert failed.traceback
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            firsts = overconsume_at(patch, 2100)
+            workers = usable_cpus(patch, cpus)
+            # `failed` keeps the traceback, and with it simulate's frame, alive
+            with pytest.raises(AssertionError, match="slot 2100: consumed 5 ") as failed:
+                simulate(g, plan_for_chain(g, 2), SimConfig(slots=2500))
+            if cpus == 1 or not hasattr(os, "fork"):
+                assert firsts == [0, 2048] and workers == []
+            else:  # the failed run reaped its worker
+                assert firsts == [0] and len(workers) == 1
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+            assert failed.traceback
 
 
 def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
@@ -842,9 +852,10 @@ def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
-def two_cpus(monkeypatch):
-    """Let `_draw_blocks` fork a helper on any host with `os.fork`, as on
-    one with two CPUs; returns the pids of the helpers forked."""
+def usable_cpus(monkeypatch, count):
+    """Let a run use `count` CPUs on any host with `os.fork`: sync runs
+    split their slots into that many ranges, and async runs fork their draw
+    helper on two or more; returns the pids of the processes forked."""
     pids = []
     fork = getattr(os, "fork", None)
 
@@ -854,10 +865,37 @@ def two_cpus(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(count)),
+                        raising=False)
     if fork is not None:
         monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sim_cases(), seed=st.integers(0, MASK64), slots=st.integers(1, 60),
+       block_lanes=st.integers(1, 64))
+def test_sharded_sync_runs_equal_the_serial_run(case, seed, slots, block_lanes):
+    # a sync slot keeps nothing from the slot before and its draws are keyed
+    # by slot, so any split into slot ranges merges to the serial result;
+    # small blocks give runs of many blocks, most ending in a partial one
+    from qroute import draws
+    from qroute.montecarlo import _Run
+
+    g, subject, config = case
+    config = SimConfig(slots=slots, seed=seed, **config)
+    with pytest.MonkeyPatch.context() as patch:
+        usable_cpus(patch, 1)
+        want = simulate(g, subject, config).to_dict()
+        patch.setattr(draws, "_BLOCK_LANES", block_lanes)
+        run = _Run(g, subject, config)
+        step = draws._block_slots((run.links, run.swap_lanes.plane))
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as shards:
+                workers = usable_cpus(shards, cpus)
+                assert simulate(g, subject, config).to_dict() == want
+            if hasattr(os, "fork"):  # at most one range per block
+                assert len(workers) == min(cpus, len(range(0, slots, step))) - 1
 
 
 def run_planes(scheme):
@@ -885,7 +923,7 @@ def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
     from qroute.draws import KeyedRng, _draw_blocks, _plane_blocks
 
     links, swaps, slots = run_planes(scheme)
-    helpers = two_cpus(monkeypatch)
+    helpers = usable_cpus(monkeypatch, 2)
     forked = list(_draw_blocks(links, swaps, KeyedRng(11), slots))
     assert len(helpers) == 1
     assert forked == list(_plane_blocks(links, swaps, KeyedRng(11), slots))
@@ -894,10 +932,13 @@ def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
 
 @pytest.mark.parametrize("case", ["one block", "one cpu", "no fork"])
 def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
+    # a sync run stays one slot range, and an async run draws without a helper
     g = chain_graph(2, p=0.7, q=0.6, cap=2)
     plan = plan_for_chain(g, 2, width=2)
-    slots = 1000 if case == "one block" else 5000  # blocks of 1,024 slots
-    want = simulate(g, plan, SimConfig(slots=slots, seed=4)).to_dict()
+    configs = [SimConfig(forwarding=forwarding, seed=4,  # blocks of 1,024 slots
+                         slots=1000 if case == "one block" else 5000)
+               for forwarding in ("sync", "async")]
+    want = [simulate(g, plan, config).to_dict() for config in configs]
 
     def fork():
         raise AssertionError("forked")
@@ -907,22 +948,78 @@ def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, cas
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
     elif case == "no fork":
         monkeypatch.delattr(os, "fork")
-    assert simulate(g, plan, SimConfig(slots=slots, seed=4)).to_dict() == want
+    assert [simulate(g, plan, config).to_dict() for config in configs] == want
 
 
 @needs_fork
 def test_kernel_failure_reaps_a_helper_blocked_on_a_full_pipe(monkeypatch):
     # 40 blocks of 6 KiB are more than a pipe holds, so the helper is still
-    # writing when the first block's check fails
-    overconsume_at(monkeypatch, 5)
-    helpers = two_cpus(monkeypatch)
-    g = chain_graph(2, p=1.0, q=1.0)
-    with pytest.raises(AssertionError, match="slot 5: consumed 5 ") as failed:
-        simulate(g, plan_for_chain(g, 2), SimConfig(slots=40 * 2048))
+    # writing when the first slot's async ledger check fails
+    from qroute import montecarlo
+
+    kernel = montecarlo._execute_policy
+    monkeypatch.setattr(montecarlo, "_execute_policy",
+                        lambda *args: _book_delivery_twice(kernel, *args))
+    helpers = usable_cpus(monkeypatch, 2)
+    g = chain_with_probs([1.0, 1.0], cutoff=5)
+    with pytest.raises(AssertionError, match="slot 0: entity ledger broken") as failed:
+        simulate(g, plan_for_chain(g, 2),
+                 SimConfig(forwarding="async", slots=40 * 2048))
     assert len(helpers) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert failed.traceback  # kept alive until here
+
+
+@needs_fork
+@pytest.mark.parametrize("failing, cpus", [
+    ((5000,), 2),  # in the worker's range
+    ((3000, 5000), 3),  # in both workers' ranges: the earlier slot wins
+    ((100, 5000), 2),  # in this process's range, before the worker's
+])
+def test_sharded_ledger_failure_raises_the_serial_error(monkeypatch, failing, cpus):
+    # blocks of 2,048 slots: ranges from slot 0, 2,048 (three CPUs) and 4,096
+    g = chain_graph(2, p=1.0, q=1.0)
+    plan, config = plan_for_chain(g, 2), SimConfig(slots=3 * 2048 + 5)
+    with monkeypatch.context() as serial:
+        overconsume_at(serial, *failing)
+        usable_cpus(serial, 1)
+        with pytest.raises(AssertionError) as want:
+            simulate(g, plan, config)
+    assert str(want.value).startswith(f"slot {failing[0]}: consumed 5 ")
+    overconsume_at(monkeypatch, *failing)
+    workers = usable_cpus(monkeypatch, cpus)
+    with pytest.raises(AssertionError) as got:
+        simulate(g, plan, config)
+    assert str(got.value) == str(want.value)
+    assert len(workers) == cpus - 1
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_failed_worker_raises_runtime_error_and_exits_two(monkeypatch, tmp_path, capsys):
+    from qroute import montecarlo
+
+    parent, kernel = os.getpid(), montecarlo._exec_columns
+
+    def crash(*args):
+        if os.getpid() != parent:
+            raise MemoryError("worker")
+        return kernel(*args)
+
+    monkeypatch.setattr(montecarlo, "_exec_columns", crash)
+    workers = usable_cpus(monkeypatch, 2)
+    g = chain_graph(2, p=0.7, q=0.6, cap=2)
+    with pytest.raises(RuntimeError, match="worker for slots 2048 to 5000 stopped, "
+                                           "exit code 1"):
+        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
+    assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
+                        "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("qroute: RuntimeError: worker for slots ")
+    assert len(workers) == 2
+    with pytest.raises(ChildProcessError):  # both workers were reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fail_at_block_two(monkeypatch):
@@ -943,14 +1040,15 @@ def fail_at_block_two(monkeypatch):
 
 @needs_fork
 def test_failed_helper_raises_runtime_error_and_exits_two(monkeypatch, tmp_path, capsys):
-    helpers = two_cpus(monkeypatch)
+    helpers = usable_cpus(monkeypatch, 2)
     fail_at_block_two(monkeypatch)
     g = chain_graph(2, p=0.7, q=0.6, cap=2)
     with pytest.raises(RuntimeError, match="draw plane helper process stopped "
                                            "after 1024 of 5000 slots, exit code 1"):
-        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
+        simulate(g, plan_for_chain(g, 2, width=2),
+                 SimConfig(forwarding="async", slots=5000))
     assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
-                        "--out", str(tmp_path)]) == 2
+                        "--mode", "async", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("qroute: RuntimeError: draw plane helper ")
     assert len(helpers) == 2
     with pytest.raises(ChildProcessError):  # both helpers were reaped
@@ -964,10 +1062,11 @@ def test_helper_that_stops_short_raises_runtime_error(monkeypatch):
     blocks = draws._plane_blocks  # the helper writes two blocks, then exits 0
     monkeypatch.setattr(draws, "_plane_blocks",
                         lambda *args: itertools.islice(blocks(*args), 2))
-    two_cpus(monkeypatch)
+    usable_cpus(monkeypatch, 2)
     g = chain_graph(2, p=0.7, q=0.6, cap=2)
     with pytest.raises(RuntimeError, match="after 2048 of 5000 slots, exit code 0"):
-        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
+        simulate(g, plan_for_chain(g, 2, width=2),
+                 SimConfig(forwarding="async", slots=5000))
 
 
 def _lose_a_link(kernel, rp, hops, store, async_kernel, *rest):

@@ -9,6 +9,7 @@ Work is counted by wrapping module attributes from outside, as
 
 import collections
 import json
+import os
 import random
 from pathlib import Path
 
@@ -45,7 +46,14 @@ def counter(monkeypatch):
     return counts, count
 
 
+def one_cpu(monkeypatch):
+    """Keep a sync run's slots in this process, where the counts are read:
+    on two or more CPUs, forked workers would run some slot ranges."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+
+
 def test_reactive_sync_op_counts_pinned(monkeypatch, tmp_path):
+    one_cpu(monkeypatch)
     counts, count = counter(monkeypatch)
     count(montecarlo, "disjoint_paths_on_logical")
     count(pathfind, "_hop_search")
@@ -183,6 +191,7 @@ PINNED_SYNC_SWAP_BYTES = [0, 324, 61, 310, 47, 339, 0, 323, 0]
 
 
 def test_proactive_sync_swap_bytes_pinned(monkeypatch, tmp_path):
+    one_cpu(monkeypatch)
     drawn = []
     real = montecarlo._sync_block
 
