@@ -42,6 +42,27 @@ def simulate_grid(n: int, count: int, scheme: str, slots: int) -> str:
     return canonical_json(_cmd_simulate(scenario_from_dict(doc)))
 
 
+def async_chain(hops: int, width: int, cutoff: int, slots: int) -> str:
+    """`simulate` under async adhoc along a chain of `hops` hops of width
+    `width`, p = 0.6 and q = 0.5, where every node keeps qubits for
+    `cutoff` slots, seed 5: its report's results."""
+    nodes = [f"n{i}" for i in range(hops + 1)]
+    doc = {
+        "version": 1,
+        "graph": {
+            "nodes": [{"id": n, "swap_prob": 0.5, "memory_cutoff_slots": cutoff}
+                      for n in nodes],
+            "edges": [{"u": u, "v": v, "capacity": width, "link_prob": 0.6}
+                      for u, v in zip(nodes, nodes[1:])],
+        },
+        "requests": [{"id": "r0", "source": nodes[0], "dest": nodes[-1]}],
+        "sim": {"scheme": "proactive", "forwarding": "async", "policy": "adhoc",
+                "slots": slots, "seed": 5,
+                "paths": [{"request": "r0", "nodes": nodes, "width": width}]},
+    }
+    return canonical_json(_cmd_simulate(scenario_from_dict(doc)))
+
+
 ROWS = (
     # p = 1 ties every creation-rate label; about 4 minutes with them all on the heap
     ("tied 20x20, 20 requests", 60,
@@ -69,6 +90,11 @@ ROWS = (
     ("reactive sync simulate 24x24, 64 requests, 200 slots", 12,
      "0f5083520cae0d6ef63ca4d409c551ec8395949b8018d8520e1e9b3a56f870ac",
      lambda: simulate_grid(24, 64, "reactive", 200)),
+    # blocks of 64 slots, so 100 of them, and memory that crosses slots;
+    # 0.65-0.93 s when its digest was recorded
+    ("async adhoc simulate, 32-hop width-2 chain, cutoff 5, 6,400 slots", 5,
+     "6a3fa1103e01c3da71a5ab4c2039eb0ddab6e519ec0ced6f04f6c8460049c285",
+     lambda: async_chain(32, 2, 5, 6400)),
 )
 
 

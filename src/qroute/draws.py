@@ -6,9 +6,8 @@ OOPSLA 2014) and succeeds when the 64-bit hash is below an integer
 threshold. The draws of a block of slots are computed together as a
 plane: SWAR ("SIMD within a register") over one big integer, one 128-bit
 lane per draw, slot after slot. Any process computes the same bytes for a
-block, so a run may draw in forked processes: a helper ahead of an async
-run (`_draw_blocks`), or a worker per slot range of a sync run
-(`_slot_ranges`).
+block, so a run may split its slots into ranges, each drawn and run in a
+forked worker (`_slot_ranges`).
 """
 
 from __future__ import annotations
@@ -188,25 +187,41 @@ def _fork_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _slot_ranges(tally, links: _Plane, swaps: _Plane, slots: int, split: bool):
-    """`tally(first, stop)` for contiguous ranges of whole blocks that cover
-    a run of `slots` slots, each range's result in slot order.
+def _slot_ranges(run, slots: int):
+    """`run.tally(first, stop)` for contiguous ranges of whole blocks that
+    cover a run of `slots` slots, in slot order; an async run's ranges
+    after the first, block by block.
 
-    With `split`, a run of two or more blocks, where `_fork_cpus` gives two
-    or more, splits its blocks into that many balanced ranges, at most one
-    per block. This process computes the first range and forks a worker
-    for each of the others, so a run never has more processes than usable
-    CPUs; a worker sends its result down a pipe with `marshal`, which needs
-    no import, unlike `pickle`. Otherwise the run is one range, in process.
+    A run of two or more blocks, where `_fork_cpus` gives two or more,
+    splits its blocks into that many balanced ranges, at most one per
+    block. Workers are forked before this process runs a slot, so each
+    starts from the run's empty state; an async run's worker (`run.kernel`
+    is set) first runs the block before its range. A worker sends back,
+    with `marshal`, which needs no import, unlike `pickle`, that warm-up
+    tally and then each block's, stopping after a failed one; a sync
+    worker, its range's tally. A tally's "state" fingerprints the state it
+    leaves. This process runs the first range and keeps the serial state.
+    A worker's block counts where the state the worker began it from
+    equals the serial one, and the block did not fail: `run.start` then
+    puts the serial state where the block left it. Otherwise this process
+    runs the block itself. Under keyed draws two runs that meet stay
+    equal, so the tallies equal a serial run's, and a failure is always
+    raised from the serial state.
 
     Close the generator when done with it, also on an error: that kills
     each worker whose result was not read, and reaps every one. A worker
-    that exits non-zero raises `RuntimeError`.
+    that exits non-zero raises `RuntimeError`, ending with the worker's
+    `TypeName: message` when it raised.
     """
-    step = _block_slots((links, swaps))
+    step = _block_slots((run.links, run.swap_lanes.plane))
     blocks = -(-slots // step)
-    shards = min(_fork_cpus(), blocks) if split else 1
-    ends = [min(slots, step * (blocks * i // shards)) for i in range(shards + 1)]
+    shards = min(_fork_cpus(), blocks)
+    # an async worker starts a block early and reports block by block; a
+    # sync range needs neither, since a sync slot keeps nothing from the last
+    warm, piece = (1, step) if run.kernel else (0, slots)
+    work = blocks + warm * (shards - 1)  # the warm-up blocks count as work too
+    ends = [min(slots, step * (work * i // shards - warm * max(i - 1, 0)))
+            for i in range(shards + 1)]
     workers = []  # (pid, pipe, first slot, stop) per forked range, in slot order
     try:
         for first, stop in zip(ends[1:], ends[2:]):
@@ -217,13 +232,22 @@ def _slot_ranges(tally, links: _Plane, swaps: _Plane, slots: int, split: bool):
                 try:
                     os.close(read)  # so the parent closing its end stops a write
                     with os.fdopen(write, "wb") as out:
-                        out.write(marshal.dumps(tally(first, stop)))
-                    status = 0
+                        try:
+                            parts = [run.tally(first - warm * step, first)]
+                            for start in range(first, stop, piece):
+                                if parts[-1]["failed"]:
+                                    break
+                                parts.append(run.tally(start, min(start + piece, stop)))
+                            out.write(marshal.dumps(parts))
+                            status = 0
+                        except BaseException as exc:  # the parent's error ends with it
+                            out.write(f"{type(exc).__name__}: {exc}".encode())
                 finally:
                     os._exit(status)
             os.close(write)
             workers.append((pid, os.fdopen(read, "rb"), first, stop))
-        yield tally(ends[0], ends[1])
+        last = run.tally(ends[0], ends[1])
+        yield last
         while workers:
             pid, pipe, first, stop = workers[0]
             with pipe:
@@ -233,8 +257,17 @@ def _slot_ranges(tally, links: _Plane, swaps: _Plane, slots: int, split: bool):
             if status or not result:
                 raise RuntimeError(
                     f"worker for slots {first} to {stop} stopped, exit code "
-                    f"{os.waitstatus_to_exitcode(status)}")
-            yield marshal.loads(result)
+                    f"{os.waitstatus_to_exitcode(status)}"
+                    + (f": {result.decode(errors='replace')}" if result else ""))
+            parts = marshal.loads(result)
+            for k, start in enumerate(range(first, stop, piece), 1):
+                if (k < len(parts) and parts[k - 1]["state"] == last["state"]
+                        and not parts[k]["failed"]):
+                    last = parts[k]
+                    run.start(last)
+                else:
+                    last = run.tally(start, min(start + piece, stop))
+                yield last
     finally:
         if workers:  # `signal` is imported only here: its import builds enums
             import signal
@@ -242,54 +275,6 @@ def _slot_ranges(tally, links: _Plane, swaps: _Plane, slots: int, split: bool):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _draw_blocks(links: _Plane, swaps: _Plane, rng: KeyedRng, slots: int):
-    """`_plane_blocks` for an async run, computed ahead of the caller by one
-    forked helper process when the run has two or more blocks and
-    `_fork_cpus` gives two or more; in process otherwise. (A sync run splits
-    its slots across processes instead, each drawing its own planes.) The
-    helper writes each block's bytes down a pipe, and the parent reads the
-    lengths `_block_slots` gives, so the bytes are the same either way.
-
-    Close the generator when done with it, also on an error: that closes
-    the pipe and reaps the helper. A helper that fails or stops short
-    raises `RuntimeError`.
-    """
-    step = _block_slots((links, swaps))
-    if slots <= step or _fork_cpus() < 2:
-        yield from _plane_blocks(links, swaps, rng, slots)
-        return
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the helper: no atexit hooks and no stdio flush on its way out
-        status = 1
-        try:
-            os.close(read)  # so the parent closing its end stops a write
-            out = os.fdopen(write, "wb")
-            for *_, bits, swap in _plane_blocks(links, swaps, rng, slots):
-                out.write(bits)
-                out.write(swap)
-                out.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    done, pipe = 0, os.fdopen(read, "rb")
-    try:
-        for first in range(0, slots, step):
-            size = min(step, slots - first)
-            bits, swap = pipe.read(size * len(links)), pipe.read(size * len(swaps))
-            if len(bits) + len(swap) < size * (len(links) + len(swaps)):
-                break
-            yield first, size, bits, swap
-            done = first + size
-    finally:
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status or done < slots:
-        raise RuntimeError(f"draw plane helper process stopped after {done} of {slots} "
-                           f"slots, exit code {os.waitstatus_to_exitcode(status)}")
 
 
 def _link_schedule(graph, runs) -> list:

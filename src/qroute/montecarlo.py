@@ -16,10 +16,10 @@ Slots run a block at a time, with the block's draws from one plane pass.
 Proactive sync paths are fixed, so that mode runs the block as columns,
 one entry per slot; the others go slot by slot. A range of blocks
 returns a plain tally (`_Run.tally`), merged into the stats in slot
-order. Sync slots share nothing, so a sync run may split its blocks
-across CPUs (`draws._slot_ranges`); an async run is one range, whose
-draws a helper process may compute ahead (`draws._draw_blocks`). The
-reports are the same either way.
+order. A run may split its blocks across CPUs (`draws._slot_ranges`):
+an async range's worker starts a block early from empty memory, and
+counts from where its state meets the serial run's. The reports are the
+same either way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .analytics import PathSpec, SwapPolicy
 from .draws import (
     MASK64,
     KeyedRng,
-    _draw_blocks,
     _link_plane,
     _link_schedule,
     _plane_blocks,
@@ -343,19 +342,33 @@ class _AsyncKernel:
             hops.append(links)
         return hops
 
-    def end_slot(self, slot: int, segments) -> None:
+    def end_slot(self, slot: int, segments) -> str | None:
         """Put the links paths left unused back in front of their runs, in
-        the order they were taken, then check the ledger."""
+        the order they were taken, then check the ledger; returns None, or
+        the failure's message."""
         for links, hop in reversed(self._taken):
             links[:0] = hop
         self._taken.clear()
         live = sum(map(len, self.runs.values())) + sum(s.live() for s in segments)
         disposed = sum(self.disposed.values())
         if self.next_id != live + disposed:
-            raise AssertionError(
-                f"slot {slot}: entity ledger broken: created {self.next_id} "
-                f"!= live {live} + disposed {disposed}"
-            )
+            return (f"slot {slot}: entity ledger broken: created {self.next_id} "
+                    f"!= live {live} + disposed {disposed}")
+        return None
+
+    def records(self, held) -> list[list]:
+        """Each run's live links, in schedule order, then each segment list
+        of the stores in `held`."""
+        return [*self.runs.values(), *(h for store in held for h in store.held)]
+
+    def state(self, held) -> list[list]:
+        """The fingerprint of the run's state with the stores in `held`:
+        `records`, each id replaced by its rank among the live ids. The
+        kernels read ids only through their order, so runs whose
+        fingerprints are equal go on equal under the same draws."""
+        lists = self.records(held)
+        rank = {r[0]: i for i, r in enumerate(sorted(itertools.chain(*lists)))}
+        return [[(rank[r[0]], *r[1:]) for r in records] for records in lists]
 
 
 def _exec_parallel(rp: _RuntimePath, hops, store, kernel, draws, tally):
@@ -566,10 +579,11 @@ def _reactive_paths(graph, requests, counts, config: SimConfig, built: dict, bin
 class _Run:
     """A run's setup, which its slot ranges share: proactive paths
     (`bound`) or reactive requests by id, the request ids in report order,
-    the link schedule, the link plane and the swap lanes."""
+    the link schedule, the link plane and the swap lanes; and the run's
+    state (`start`)."""
 
     __slots__ = ("config", "graph", "bound", "requests", "request_ids",
-                 "schedule", "links", "swap_lanes")
+                 "schedule", "links", "swap_lanes", "kernel", "held")
 
     def __init__(self, graph: NetworkGraph, plan_or_requests, config: SimConfig):
         self.config, self.graph = config, graph
@@ -608,6 +622,30 @@ class _Run:
         self.links = _link_plane(self.schedule)
         self.swap_lanes = _swap_lanes(
             graph, self.bound if config.scheme == "proactive" else None)
+        self.start()
+
+    def start(self, done: dict | None = None) -> None:
+        """Set up the state async ranges carry on: the `kernel` and the
+        proactive paths' stores (`held`); sync keeps none. It starts empty,
+        or, given `done`, a tally another process ran from an equal state,
+        as `done` leaves it: ids are ranks, and the ledger balances."""
+        if self.config.forwarding == "sync":
+            self.kernel = self.held = None
+            return
+        kernel = _AsyncKernel(self.graph, self.schedule)
+        # a reactive path's store is kept in `built`
+        held = [kernel.bind(rp) for rp in self.bound]
+        if done:
+            for records, saved in zip(kernel.records(held), done["state"]):
+                records[:] = saved
+            for store in held:  # adhoc: each segment again under the node it starts at
+                for seg in sorted(itertools.chain(*store.ends)):
+                    store.starts[seg[3]].append(seg)
+            kernel.disposed = {reason: self.kernel.disposed[reason] + count
+                               for reason, count in done["ledger"].items()}
+            kernel.next_id = (sum(map(len, kernel.records(held)))
+                              + sum(kernel.disposed.values()))
+        self.kernel, self.held = kernel, held
 
     def tally(self, first: int, stop: int) -> dict:
         """Run slots `first` to `stop`, whole plane blocks, and return the
@@ -615,97 +653,92 @@ class _Run:
         carries: "paths", each proactive path's histogram of pairs delivered
         per slot, in `bound` order; "requests", each request's, by id;
         "swaps", [attempts, successes] by policy kind; "links", the links
-        generated; "ledger", the entities disposed by reason; and "failed",
-        None, or the message of the first slot whose sync ledger check
-        failed, where the range stops. An async run is one range, from slot
-        0, and `_AsyncKernel.end_slot` raises at once."""
+        generated; "ledger", the entities disposed by reason; "failed",
+        None, or the message of the first slot whose ledger check failed,
+        where the range stops; and "state", None, or the fingerprint of the
+        async state it leaves (`_AsyncKernel.state`). An async range goes on
+        from the run's state."""
         config, graph, bound = self.config, self.graph, self.bound
         sync = config.forwarding == "sync"
         reactive = config.scheme == "reactive"
         schedule, swap_lanes, request_ids = self.schedule, self.swap_lanes, self.request_ids
         out = {"paths": [[] for _ in bound], "requests": {rid: [] for rid in request_ids},
                "swaps": {}, "links": 0, "ledger": dict.fromkeys(DISPOSE_REASONS, 0),
-               "failed": None}
+               "failed": None, "state": None}
         tally, ledger = out["swaps"], out["ledger"]
-        rng = KeyedRng(config.seed)
-        if sync:  # nothing outlives a slot, so entities are tallied per slot
-            blocks = _plane_blocks(self.links, swap_lanes.plane, rng, stop, first)
-        else:
-            kernel = _AsyncKernel(graph, schedule)
-            # the proactive paths' stores, whose segments persist across slots;
-            # a reactive path's store is kept in `built`
-            held = [] if reactive else [kernel.bind(rp) for rp in bound]
-            blocks = _draw_blocks(self.links, swap_lanes.plane, rng, stop)
-
+        kernel, held = self.kernel, self.held
+        if not sync:  # entities outlive slots, so the range tallies the kernel's change
+            disposed = dict(kernel.disposed)
         built: dict = {}  # reactive (runtime path, store) by (request id, nodes)
         width = len(self.links)  # a slot's bytes in the link plane
-        try:  # closing the blocks reaps a helper process, also when a check fails
-            for start, size, bits, swaps in blocks:
-                if sync:  # each run's column of new links, and each slot's total
-                    made = [_span_counts(bits, width, lo, hi, size)
-                            for _, lo, hi, _ in schedule]
-                    created = list(map(sum, zip(repeat(0, size), *made)))
-                    out["links"] += sum(created)
-                path_cols = [[] for _ in bound]
-                request_cols = {rid: [0] * size for rid in request_ids}
-                consumed = [0] * size
-                if sync and not reactive:
-                    path_cols, consumed, segments = _sync_block(
-                        bound, dict(zip((run for run, *_ in schedule), made)), swaps,
-                        swap_lanes.starts(size), tally, size)
-                    created = list(map(add, created, segments))
-                else:  # the paths, or the links they bind, depend on the slot
-                    for k in range(size):
-                        slot = start + k
-                        draws = _SwapDraws(swaps, k, swap_lanes)
-                        if not sync:
-                            kernel.purge(slot, held)
-                            out["links"] += kernel.generate(
-                                bits[k * width:(k + 1) * width], slot)
-                        if reactive:  # one run per edge, so both follow edge order
-                            counts = ([c[k] for c in made] if sync else
-                                      list(map(len, kernel.runs.values())))
-                        paths = (_reactive_paths(graph, self.requests, counts, config,
-                                                 built, None if sync else kernel.bind)
-                                 if reactive else zip(bound, held))
-                        for i, (rp, store) in enumerate(paths):
-                            if sync:  # reactive: every path holds one link per hop
-                                got, used, new = _exec_single(rp, draws, tally)
-                                consumed[k] += used
-                                created[k] += new
-                            else:
-                                got = _execute_policy(rp, kernel.take(rp, store), store,
-                                                      kernel, draws, tally)
-                                if reactive:  # its partial segments die with the slot's path
-                                    kernel.disposed["discarded"] += store.discard()
-                            if reactive:
-                                request_cols[rp.request_id][k] += got
-                            else:
-                                path_cols[i].append(got)
-                        if not sync:
-                            kernel.end_slot(slot, held)
+        for start, size, bits, swaps in _plane_blocks(
+                self.links, swap_lanes.plane, KeyedRng(config.seed), stop, first):
+            if sync:  # each run's column of new links, and each slot's total
+                made = [_span_counts(bits, width, lo, hi, size)
+                        for _, lo, hi, _ in schedule]
+                created = list(map(sum, zip(repeat(0, size), *made)))
+                out["links"] += sum(created)
+            path_cols = [[] for _ in bound]
+            request_cols = {rid: [0] * size for rid in request_ids}
+            consumed = [0] * size
+            if sync and not reactive:
+                path_cols, consumed, segments = _sync_block(
+                    bound, dict(zip((run for run, *_ in schedule), made)), swaps,
+                    swap_lanes.starts(size), tally, size)
+                created = list(map(add, created, segments))
+            else:  # the paths, or the links they bind, depend on the slot
+                for k in range(size):
+                    slot = start + k
+                    draws = _SwapDraws(swaps, k, swap_lanes)
+                    if not sync:
+                        kernel.purge(slot, held)
+                        out["links"] += kernel.generate(
+                            bits[k * width:(k + 1) * width], slot)
+                    if reactive:  # one run per edge, so both follow edge order
+                        counts = ([c[k] for c in made] if sync else
+                                  list(map(len, kernel.runs.values())))
+                    paths = (_reactive_paths(graph, self.requests, counts, config,
+                                             built, None if sync else kernel.bind)
+                             if reactive else zip(bound, held))
+                    for i, (rp, store) in enumerate(paths):
+                        if sync:  # reactive: every path holds one link per hop
+                            got, used, new = _exec_single(rp, draws, tally)
+                            consumed[k] += used
+                            created[k] += new
+                        else:
+                            got = _execute_policy(rp, kernel.take(rp, store), store,
+                                                  kernel, draws, tally)
+                            if reactive:  # its partial segments die with the slot's path
+                                kernel.disposed["discarded"] += store.discard()
+                        if reactive:
+                            request_cols[rp.request_id][k] += got
+                        else:
+                            path_cols[i].append(got)
+                    if not sync:
+                        out["failed"] = kernel.end_slot(slot, held)
+                        if out["failed"]:
+                            return out
 
-                for rp, hist, col in zip(bound, out["paths"], path_cols):
-                    request_cols[rp.request_id] = list(
-                        map(add, request_cols[rp.request_id], col))
-                    _count(hist, Counter(col).items())
-                for rid, col in request_cols.items():
-                    _count(out["requests"][rid], Counter(col).items())
-                if sync:  # a slot may not use more than it made
-                    delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
-                    over = list(map(gt, map(add, consumed, delivered), created))
-                    if True in over:
-                        k = over.index(True)
-                        out["failed"] = (f"slot {start + k}: consumed {consumed[k]} + "
-                                         f"delivered {delivered[k]} > created {created[k]}")
-                        return out
-                    ledger["consumed"] += sum(consumed)
-                    ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
-                    ledger["delivered"] += sum(delivered)
-        finally:
-            blocks.close()
+            for rp, hist, col in zip(bound, out["paths"], path_cols):
+                request_cols[rp.request_id] = list(
+                    map(add, request_cols[rp.request_id], col))
+                _count(hist, Counter(col).items())
+            for rid, col in request_cols.items():
+                _count(out["requests"][rid], Counter(col).items())
+            if sync:  # a slot may not use more than it made
+                delivered = list(map(sum, zip(repeat(0, size), *request_cols.values())))
+                over = list(map(gt, map(add, consumed, delivered), created))
+                if True in over:
+                    k = over.index(True)
+                    out["failed"] = (f"slot {start + k}: consumed {consumed[k]} + "
+                                     f"delivered {delivered[k]} > created {created[k]}")
+                    return out
+                ledger["consumed"] += sum(consumed)
+                ledger["discarded"] += sum(created) - sum(consumed) - sum(delivered)
+                ledger["delivered"] += sum(delivered)
         if not sync:
-            out["ledger"] = dict(kernel.disposed)
+            out["ledger"] = {r: kernel.disposed[r] - n for r, n in disposed.items()}
+            out["state"] = kernel.state(held)
         return out
 
 
@@ -736,11 +769,12 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     `_AsyncKernel.end_slot`.
 
     Replicas with different seeds share no mutable state and can run in
-    parallel. Within one run, a sync run may split its slots into
-    contiguous ranges across CPUs (`draws._slot_ranges`), and an async run
-    goes slot by slot while one helper process may compute its draws ahead
-    (`draws._draw_blocks`). Every process a run starts is reaped before it
-    returns or raises.
+    parallel. Within one run, the slots may split into contiguous ranges
+    across CPUs (`draws._slot_ranges`). An async range's worker starts from
+    empty memory and counts from the block where its state meets the
+    serial run's; this process runs every block before that itself, all of
+    them when the two never meet. Every process a run starts is reaped
+    before it returns or raises.
     """
     run = _Run(graph, plan_or_requests, config)
     stats = SimStats(
@@ -761,8 +795,7 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
         }
     for rid in run.request_ids:
         stats.per_request[rid] = {"delivered": 0, "hist": [0]}
-    tallies = _slot_ranges(run.tally, run.links, run.swap_lanes.plane, config.slots,
-                           config.forwarding == "sync")
+    tallies = _slot_ranges(run, config.slots)
     try:  # closing the tallies reaps every worker, also when a check fails
         for part in tallies:
             _merge(stats, part)

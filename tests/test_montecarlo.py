@@ -813,7 +813,9 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
 
 def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
     # blocks of 2,048 slots; on one CPU both run here, and on two the
-    # second runs in a forked worker, whose tally carries the failure
+    # second runs in a forked worker too, whose tally carries the failure:
+    # this process runs that block again, so a failure comes from the
+    # serial state
     g = chain_graph(2, p=1.0, q=1.0)
     for cpus in (1, 2):
         with monkeypatch.context() as patch:
@@ -825,7 +827,7 @@ def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
             if cpus == 1 or not hasattr(os, "fork"):
                 assert firsts == [0, 2048] and workers == []
             else:  # the failed run reaped its worker
-                assert firsts == [0] and len(workers) == 1
+                assert firsts == [0, 2048] and len(workers) == 1
                 with pytest.raises(ChildProcessError):
                     os.waitpid(-1, os.WNOHANG)
             assert failed.traceback
@@ -853,9 +855,10 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here
 
 
 def usable_cpus(monkeypatch, count):
-    """Let a run use `count` CPUs on any host with `os.fork`: sync runs
-    split their slots into that many ranges, and async runs fork their draw
-    helper on two or more; returns the pids of the processes forked."""
+    """Let a run use `count` CPUs on any host with `os.fork`: a run of two
+    or more blocks splits its slots into that many ranges, at most one per
+    block, and forks a worker for each but the first; returns the pids of
+    the processes forked."""
     pids = []
     fork = getattr(os, "fork", None)
 
@@ -898,42 +901,65 @@ def test_sharded_sync_runs_equal_the_serial_run(case, seed, slots, block_lanes):
                 assert len(workers) == min(cpus, len(range(0, slots, step))) - 1
 
 
-def run_planes(scheme):
-    """A multi-block run's link and swap planes, and its slot count: the
-    proactive plan of a 3-hop width-2 chain, or reactive runs on a 3x3
-    grid of capacity 2, each with a partial last block."""
-    from qroute.draws import _block_slots, _link_plane, _link_schedule
-    from qroute.montecarlo import _bind_plan, _swap_lanes
+def count_takes(monkeypatch):
+    """Record each worker block tally this process takes: each one it
+    starts its state from (`_Run.start`)."""
+    from qroute.montecarlo import _Run
 
-    if scheme == "proactive":
-        graph = chain_graph(3, p=0.6, cap=2)
-        bound = _bind_plan(graph, plan_for_chain(graph, 3, width=2))
-        runs = [run for rp in bound for run in rp.channels]
-    else:
-        graph = grid_topology(3, 3, EdgeParams(u="", v="", capacity=2, link_prob=0.7))
-        bound, runs = None, [(i, 0, e.capacity) for i, e in enumerate(graph.edges)]
-    links = _link_plane(_link_schedule(graph, runs))
-    swaps = _swap_lanes(graph, bound).plane
-    return links, swaps, 3 * _block_slots((links, swaps)) + 5
+    taken, start = [], _Run.start
+
+    def counted(run, done=None):
+        if done:
+            taken.append(done)
+        start(run, done)
+
+    monkeypatch.setattr(_Run, "start", counted)
+    return taken
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
 @pytest.mark.parametrize("scheme", ["proactive", "reactive"])
 def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
-    from qroute.draws import KeyedRng, _draw_blocks, _plane_blocks
+    # an async worker's blocks equal the ones this process would run: the
+    # proactive plan of a 3-hop width-2 chain, or reactive runs on a 3x3
+    # grid of capacity 2, with memory, over three blocks and a partial one;
+    # the worker starts a block early from empty memory, and its blocks
+    # count from where its state meets this process's
+    from qroute.draws import _block_slots
+    from qroute.montecarlo import _Run
 
-    links, swaps, slots = run_planes(scheme)
-    helpers = usable_cpus(monkeypatch, 2)
-    forked = list(_draw_blocks(links, swaps, KeyedRng(11), slots))
-    assert len(helpers) == 1
-    assert forked == list(_plane_blocks(links, swaps, KeyedRng(11), slots))
-    assert len(forked) == 4 and sum(size for _, size, *_ in forked) == slots
+    if scheme == "proactive":
+        g = memory_chain(3, cap=2, p=0.6)
+        subject = plan_for_chain(g, 3, width=2, policy=SwapPolicy("adhoc"))
+    else:
+        g = grid_topology(3, 3, default_node=NodeParams(id="", swap_prob=0.5,
+                                                        memory_cutoff_slots=3),
+                          default_edge=EdgeParams(u="", v="", capacity=2, link_prob=0.7))
+        subject = [Request(id="a", source="0,0", dest="2,2"),
+                   Request(id="b", source="0,2", dest="1,0")]
+    config = SimConfig(scheme=scheme, forwarding="async", seed=11,
+                       policy=SwapPolicy("adhoc" if scheme == "proactive" else "doubling"))
+    run = _Run(g, subject, config)
+    config = replace(config, slots=3 * _block_slots((run.links, run.swap_lanes.plane)) + 5)
+    with monkeypatch.context() as serial:
+        usable_cpus(serial, 1)
+        want = simulate(g, subject, config).to_dict()
+    taken = count_takes(monkeypatch)
+    workers = usable_cpus(monkeypatch, 2)
+    assert simulate(g, subject, config).to_dict() == want
+    assert len(workers) == 1 and len(taken) == 2  # the worker's range: two blocks
+    no_child_left()
 
 
 @pytest.mark.parametrize("case", ["one block", "one cpu", "no fork"])
 def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
-    # a sync run stays one slot range, and an async run draws without a helper
-    g = chain_graph(2, p=0.7, q=0.6, cap=2)
+    # sync and async runs alike stay one slot range, in this process
+    g = chain_graph(2, p=0.7, q=0.6, cap=2, cutoff=4)
     plan = plan_for_chain(g, 2, width=2)
     configs = [SimConfig(forwarding=forwarding, seed=4,  # blocks of 1,024 slots
                          slots=1000 if case == "one block" else 5000)
@@ -952,22 +978,24 @@ def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, cas
 
 
 @needs_fork
-def test_kernel_failure_reaps_a_helper_blocked_on_a_full_pipe(monkeypatch):
-    # 40 blocks of 6 KiB are more than a pipe holds, so the helper is still
-    # writing when the first slot's async ledger check fails
+def test_kernel_failure_reaps_a_worker_blocked_on_a_full_pipe(monkeypatch):
+    # a worker's tallies padded past what a pipe holds, so the worker is
+    # still writing when this process's range fails its async ledger check
+    # at slot 0
     from qroute import montecarlo
 
-    kernel = montecarlo._execute_policy
+    kernel, tally = montecarlo._execute_policy, montecarlo._Run.tally
     monkeypatch.setattr(montecarlo, "_execute_policy",
                         lambda *args: _book_delivery_twice(kernel, *args))
-    helpers = usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo._Run, "tally",
+                        lambda *args: {**tally(*args), "pad": bytes(1 << 20)})
+    workers = usable_cpus(monkeypatch, 2)
     g = chain_with_probs([1.0, 1.0], cutoff=5)
     with pytest.raises(AssertionError, match="slot 0: entity ledger broken") as failed:
         simulate(g, plan_for_chain(g, 2),
-                 SimConfig(forwarding="async", slots=40 * 2048))
-    assert len(helpers) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+                 SimConfig(forwarding="async", slots=4 * 2048))
+    assert len(workers) == 1
+    no_child_left()
     assert failed.traceback  # kept alive until here
 
 
@@ -1001,72 +1029,174 @@ def test_sharded_ledger_failure_raises_the_serial_error(monkeypatch, failing, cp
 def test_failed_worker_raises_runtime_error_and_exits_two(monkeypatch, tmp_path, capsys):
     from qroute import montecarlo
 
-    parent, kernel = os.getpid(), montecarlo._exec_columns
+    parent, tally = os.getpid(), montecarlo._Run.tally
 
     def crash(*args):
         if os.getpid() != parent:
             raise MemoryError("worker")
-        return kernel(*args)
+        return tally(*args)
 
-    monkeypatch.setattr(montecarlo, "_exec_columns", crash)
+    monkeypatch.setattr(montecarlo._Run, "tally", crash)
     workers = usable_cpus(monkeypatch, 2)
     g = chain_graph(2, p=0.7, q=0.6, cap=2)
-    with pytest.raises(RuntimeError, match="worker for slots 2048 to 5000 stopped, "
-                                           "exit code 1"):
-        simulate(g, plan_for_chain(g, 2, width=2), SimConfig(slots=5000))
-    assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
-                        "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("qroute: RuntimeError: worker for slots ")
-    assert len(workers) == 2
-    with pytest.raises(ChildProcessError):  # both workers were reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-def fail_at_block_two(monkeypatch):
-    """Make `_Plane.block` raise from the second block on; a helper forked
-    after this runs the patch."""
-    from qroute.draws import _Plane
-
-    block, calls = _Plane.block, []
-
-    def failing(plane, bases):
-        calls.append(1)
-        if len(calls) > 2:  # a link and a swap plane per block
-            raise MemoryError("block 2")
-        return block(plane, bases)
-
-    monkeypatch.setattr(_Plane, "block", failing)
+    # five blocks of 1,024 slots; an async worker's warm-up block counts
+    # as a block of its range's share
+    for forwarding, first in (("sync", 2048), ("async", 3072)):
+        with pytest.raises(RuntimeError, match=f"^worker for slots {first} to 5000 stopped, "
+                                               "exit code 1: MemoryError: worker$"):
+            simulate(g, plan_for_chain(g, 2, width=2),
+                     SimConfig(forwarding=forwarding, slots=5000))
+        assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
+                            "--mode", forwarding, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("qroute: RuntimeError: worker for slots ")
+    assert len(workers) == 4
+    no_child_left()
 
 
 @needs_fork
-def test_failed_helper_raises_runtime_error_and_exits_two(monkeypatch, tmp_path, capsys):
-    helpers = usable_cpus(monkeypatch, 2)
-    fail_at_block_two(monkeypatch)
-    g = chain_graph(2, p=0.7, q=0.6, cap=2)
-    with pytest.raises(RuntimeError, match="draw plane helper process stopped "
-                                           "after 1024 of 5000 slots, exit code 1"):
-        simulate(g, plan_for_chain(g, 2, width=2),
-                 SimConfig(forwarding="async", slots=5000))
-    assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
-                        "--mode", "async", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("qroute: RuntimeError: draw plane helper ")
-    assert len(helpers) == 2
-    with pytest.raises(ChildProcessError):  # both helpers were reaped
-        os.waitpid(-1, os.WNOHANG)
+def test_worker_that_stops_short_leaves_its_blocks_to_this_process(monkeypatch):
+    # a worker that sends its warm-up and first block only: this process
+    # takes that block and runs the worker's other one itself; one that
+    # sends nothing and exits 0 raises
+    from types import SimpleNamespace
 
+    import marshal
 
-@needs_fork
-def test_helper_that_stops_short_raises_runtime_error(monkeypatch):
     from qroute import draws
 
-    blocks = draws._plane_blocks  # the helper writes two blocks, then exits 0
-    monkeypatch.setattr(draws, "_plane_blocks",
-                        lambda *args: itertools.islice(blocks(*args), 2))
+    g = chain_graph(2, p=0.7, q=0.6, cap=2, cutoff=3)
+    plan, config = plan_for_chain(g, 2, width=2), SimConfig(forwarding="async", slots=5000)
+    with monkeypatch.context() as serial:
+        usable_cpus(serial, 1)
+        want = simulate(g, plan, config).to_dict()
+    taken = count_takes(monkeypatch)
     usable_cpus(monkeypatch, 2)
-    g = chain_graph(2, p=0.7, q=0.6, cap=2)
-    with pytest.raises(RuntimeError, match="after 2048 of 5000 slots, exit code 0"):
-        simulate(g, plan_for_chain(g, 2, width=2),
-                 SimConfig(forwarding="async", slots=5000))
+    short = SimpleNamespace(dumps=lambda parts: marshal.dumps(parts[:2]),
+                            loads=marshal.loads)
+    monkeypatch.setattr(draws, "marshal", short)
+    assert simulate(g, plan, config).to_dict() == want
+    assert len(taken) == 1
+    short.dumps = lambda parts: b""
+    with pytest.raises(RuntimeError, match="^worker for slots 3072 to 5000 stopped, "
+                                           "exit code 0$"):
+        simulate(g, plan, config)
+    no_child_left()
+
+
+def test_async_state_fingerprint_ranks_ids():
+    # the kernels read ids only through their order, so the fingerprint
+    # replaces each by its rank: ids shifted by an offset give the same
+    # fingerprint, and two records in the other id order, or a segment that
+    # expires at another slot, give another
+    from qroute.montecarlo import _Run
+
+    g = chain_graph(3, cap=2, cutoff=3)
+    policy = SwapPolicy("adhoc")
+    plan = plan_for_chain(g, 3, width=2, policy=policy)
+    config = SimConfig(forwarding="async", policy=policy)
+
+    def state(offset, swap=False, expiry=7):
+        run = _Run(g, plan, config)
+        first, _, last = run.kernel.runs.values()
+        (store,) = run.held
+        link, seg = offset + 3, offset + 1
+        if swap:
+            link, seg = seg, link
+        first.append((offset, 4, 4, 0))
+        last.append((link, 6, 6, 1))
+        store.ends[2].append((seg, 4, 5, 0, 2, expiry))
+        store.starts[0].append((seg, 4, 5, 0, 2, expiry))
+        return run.kernel.state(run.held)
+
+    assert state(0) == state(100)
+    assert state(0) != state(0, swap=True)
+    assert state(0) != state(0, expiry=8)
+    # a run started from a tally's state has that state, its adhoc
+    # segments filed again under the node each starts at, and its ledger
+    # balanced
+    run = _Run(g, plan, config)
+    run.start({"state": state(100), "ledger": ledger(expired=2)})
+    assert run.kernel.state(run.held) == state(0)
+    assert run.held[0].starts[0] == [(1, 4, 5, 0, 2, 7)]
+    assert run.kernel.next_id == 3 + 2
+    assert run.kernel.disposed == ledger(expired=2)
+
+
+@needs_fork
+@pytest.mark.parametrize("policy, cutoff, taken", [("adhoc", 5, 6), ("doubling", 100, 0)])
+def test_split_async_run_takes_worker_blocks_from_where_states_meet(monkeypatch, policy,
+                                                                    cutoff, taken):
+    # a 4-hop width-2 chain over 12 blocks, the worker's range the last six:
+    # under adhoc at cutoff 5 the worker's state meets this process's at
+    # its range's first block, and this process takes all six; under
+    # doubling at cutoff 100 they never meet, and this process runs them all
+    g = chain_graph(4, p=0.6, q=0.5, cap=2, cutoff=cutoff)
+    plan = plan_for_chain(g, 4, width=2, policy=SwapPolicy(policy))
+    config = SimConfig(forwarding="async", policy=SwapPolicy(policy), slots=6000, seed=7)
+    with monkeypatch.context() as serial:
+        usable_cpus(serial, 1)
+        want = simulate(g, plan, config).to_dict()
+    takes = count_takes(monkeypatch)
+    workers = usable_cpus(monkeypatch, 2)
+    assert simulate(g, plan, config).to_dict() == want
+    assert len(workers) == 1 and len(takes) == taken
+    no_child_left()
+
+
+@st.composite
+def async_split_cases(draw):
+    """A chain of up to 4 hops whose nodes keep qubits for 1 to 100 slots,
+    so a worker's state may meet the serial run's soon, late or never;
+    under `adhoc`, `doubling`, `sequential` or `parallel`, with a
+    proactive plan along it, or reactive requests on it."""
+    n = draw(st.integers(1, 4))
+    cap = draw(st.integers(1, 3))
+    g = build_graph(
+        [NodeParams(id=f"n{i}", swap_prob=draw(st.sampled_from((0.3, 0.5, 1.0))),
+                    memory_cutoff_slots=draw(st.integers(1, 100)))
+         for i in range(n + 1)],
+        [EdgeParams(u=f"n{i}", v=f"n{i + 1}", capacity=cap,
+                    link_prob=draw(st.sampled_from((0.4, 0.8, 1.0))))
+         for i in range(n)],
+    )
+    policy = SwapPolicy(draw(st.sampled_from(("adhoc", "doubling", "sequential",
+                                              "parallel"))))
+    if draw(st.booleans()):
+        ends = draw(st.lists(st.lists(st.integers(0, n), min_size=2, max_size=2,
+                                      unique=True), min_size=1, max_size=2))
+        return g, [Request(id=f"r{i}", source=f"n{a}", dest=f"n{b}")
+                   for i, (a, b) in enumerate(ends)], dict(
+            scheme="reactive", policy=policy,
+            max_paths_per_request=draw(st.integers(1, 3)))
+    return g, plan_for_chain(g, n, width=draw(st.integers(1, cap)),
+                             policy=policy), dict(policy=policy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=async_split_cases(), seed=st.integers(0, MASK64), slots=st.integers(1, 300),
+       block_lanes=st.integers(1, 64))
+def test_split_async_runs_equal_the_serial_run(case, seed, slots, block_lanes):
+    # a worker's blocks count only from where its state meets the serial
+    # one, so any split into slot ranges merges to the serial result; small
+    # blocks give runs of many blocks, most ending in a partial one
+    from qroute import draws
+    from qroute.montecarlo import _Run
+
+    g, subject, config = case
+    config = SimConfig(forwarding="async", slots=slots, seed=seed, **config)
+    with pytest.MonkeyPatch.context() as patch:
+        usable_cpus(patch, 1)
+        want = simulate(g, subject, config).to_dict()
+        patch.setattr(draws, "_BLOCK_LANES", block_lanes)
+        run = _Run(g, subject, config)
+        step = draws._block_slots((run.links, run.swap_lanes.plane))
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as shards:
+                workers = usable_cpus(shards, cpus)
+                assert simulate(g, subject, config).to_dict() == want
+            if hasattr(os, "fork"):  # at most one range per block, every worker reaped
+                assert len(workers) == min(cpus, len(range(0, slots, step))) - 1
+                no_child_left()
 
 
 def _lose_a_link(kernel, rp, hops, store, async_kernel, *rest):
