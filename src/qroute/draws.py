@@ -189,24 +189,23 @@ def _fork_cpus() -> int:
 
 def _slot_ranges(run, slots: int):
     """`run.tally(first, stop)` for contiguous ranges of whole blocks that
-    cover a run of `slots` slots, in slot order; an async run's ranges
-    after the first, block by block.
+    cover a run of `slots` slots, in slot order.
 
     A run of two or more blocks, where `_fork_cpus` gives two or more,
-    splits its blocks into that many balanced ranges, at most one per
-    block. Workers are forked before this process runs a slot, so each
-    starts from the run's empty state; an async run's worker (`run.kernel`
-    is set) first runs the block before its range. A worker sends back,
-    with `marshal`, which needs no import, unlike `pickle`, that warm-up
-    tally and then each block's, stopping after a failed one; a sync
-    worker, its range's tally. A tally's "state" fingerprints the state it
-    leaves. This process runs the first range and keeps the serial state.
-    A worker's block counts where the state the worker began it from
-    equals the serial one, and the block did not fail: `run.start` then
-    puts the serial state where the block left it. Otherwise this process
-    runs the block itself. Under keyed draws two runs that meet stay
-    equal, so the tallies equal a serial run's, and a failure is always
-    raised from the serial state.
+    splits into that many balanced ranges, at most one per block (per
+    three for async). Workers are forked before this process runs a slot,
+    so each starts from the run's empty state, and send back with
+    `marshal`, which needs no import, unlike `pickle`: a sync worker its
+    range's tally; an async one (`run.kernel` is set) a warm-up block's,
+    run from empty memory up to its range, then each block's, ending after
+    a failed one. It ends after its first block too if a probe, that block
+    run from empty memory, ended in another state: the serial state likely
+    differs as well, so the CPU is left to this process.
+    This process runs the first range and keeps the serial state. It takes
+    an async worker's block where the worker began it from the serial
+    state and it did not fail, and `run.start` moves the state to the
+    block's end; it runs every other slot itself. Under keyed draws two
+    runs that meet stay equal, so the tallies, failures too, are serial.
 
     Close the generator when done with it, also on an error: that kills
     each worker whose result was not read, and reaps every one. A worker
@@ -215,11 +214,9 @@ def _slot_ranges(run, slots: int):
     """
     step = _block_slots((run.links, run.swap_lanes.plane))
     blocks = -(-slots // step)
-    shards = min(_fork_cpus(), blocks)
-    # an async worker starts a block early and reports block by block; a
-    # sync range needs neither, since a sync slot keeps nothing from the last
-    warm, piece = (1, step) if run.kernel else (0, slots)
-    work = blocks + warm * (shards - 1)  # the warm-up blocks count as work too
+    warm = 2 if run.kernel else 0  # an async worker's probe and warm-up blocks
+    shards = max(1, min(_fork_cpus(), blocks // (1 + warm)))
+    work = blocks + warm * (shards - 1)  # the extra blocks count as work too
     ends = [min(slots, step * (work * i // shards - warm * max(i - 1, 0)))
             for i in range(shards + 1)]
     workers = []  # (pid, pipe, first slot, stop) per forked range, in slot order
@@ -233,12 +230,16 @@ def _slot_ranges(run, slots: int):
                     os.close(read)  # so the parent closing its end stops a write
                     with os.fdopen(write, "wb") as out:
                         try:
-                            parts = [run.tally(first - warm * step, first)]
-                            for start in range(first, stop, piece):
-                                if parts[-1]["failed"]:
-                                    break
-                                parts.append(run.tally(start, min(start + piece, stop)))
-                            out.write(marshal.dumps(parts))
+                            if warm:  # a probe of its first block, then from a block early
+                                probe = run.tally(first, min(first + step, stop))["state"]
+                                run.start()
+                                parts = [run.tally(first - step, first)]
+                                for start in range(first, stop, step):
+                                    parts.append(run.tally(start, min(start + step, stop)))
+                                    if parts[-1]["failed"] or (
+                                            start == first and parts[-1]["state"] != probe):
+                                        break
+                            out.write(marshal.dumps(parts if warm else run.tally(first, stop)))
                             status = 0
                         except BaseException as exc:  # the parent's error ends with it
                             out.write(f"{type(exc).__name__}: {exc}".encode())
@@ -260,13 +261,19 @@ def _slot_ranges(run, slots: int):
                     f"{os.waitstatus_to_exitcode(status)}"
                     + (f": {result.decode(errors='replace')}" if result else ""))
             parts = marshal.loads(result)
-            for k, start in enumerate(range(first, stop, piece), 1):
-                if (k < len(parts) and parts[k - 1]["state"] == last["state"]
-                        and not parts[k]["failed"]):
-                    last = parts[k]
+            if not warm:  # a sync range's tally is the serial one
+                yield parts
+                continue
+            for before, part in zip(parts, parts[1:]):
+                if before["state"] == last["state"] and not part["failed"]:
+                    last = part
                     run.start(last)
                 else:
-                    last = run.tally(start, min(start + piece, stop))
+                    last = run.tally(first, min(first + step, stop))
+                first += step
+                yield last
+            if first < stop:  # past the blocks the worker sent
+                last = run.tally(first, stop)
                 yield last
     finally:
         if workers:  # `signal` is imported only here: its import builds enums

@@ -773,8 +773,9 @@ def simulate(graph: NetworkGraph, plan_or_requests, config: SimConfig) -> SimSta
     across CPUs (`draws._slot_ranges`). An async range's worker starts from
     empty memory and counts from the block where its state meets the
     serial run's; this process runs every block before that itself, all of
-    them when the two never meet. Every process a run starts is reaped
-    before it returns or raises.
+    them when the two never meet, and a worker whose first block ends
+    elsewhere when run from empty memory again stops there. Every process
+    a run starts is reaped before it returns or raises.
     """
     run = _Run(graph, plan_or_requests, config)
     stats = SimStats(

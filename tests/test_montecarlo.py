@@ -813,9 +813,7 @@ def test_sync_ledger_check_fails_loudly(monkeypatch):
 
 def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
     # blocks of 2,048 slots; on one CPU both run here, and on two the
-    # second runs in a forked worker too, whose tally carries the failure:
-    # this process runs that block again, so a failure comes from the
-    # serial state
+    # second runs in a forked worker, whose tally carries the failure
     g = chain_graph(2, p=1.0, q=1.0)
     for cpus in (1, 2):
         with monkeypatch.context() as patch:
@@ -827,7 +825,7 @@ def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
             if cpus == 1 or not hasattr(os, "fork"):
                 assert firsts == [0, 2048] and workers == []
             else:  # the failed run reaped its worker
-                assert firsts == [0, 2048] and len(workers) == 1
+                assert firsts == [0] and len(workers) == 1
                 with pytest.raises(ChildProcessError):
                     os.waitpid(-1, os.WNOHANG)
             assert failed.traceback
@@ -857,8 +855,8 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here
 def usable_cpus(monkeypatch, count):
     """Let a run use `count` CPUs on any host with `os.fork`: a run of two
     or more blocks splits its slots into that many ranges, at most one per
-    block, and forks a worker for each but the first; returns the pids of
-    the processes forked."""
+    block (per three for async), and forks a worker for each but the
+    first; returns the pids of the processes forked."""
     pids = []
     fork = getattr(os, "fork", None)
 
@@ -927,7 +925,7 @@ def no_child_left():
 def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
     # an async worker's blocks equal the ones this process would run: the
     # proactive plan of a 3-hop width-2 chain, or reactive runs on a 3x3
-    # grid of capacity 2, with memory, over three blocks and a partial one;
+    # grid of capacity 2, with memory, over six blocks and a partial one;
     # the worker starts a block early from empty memory, and its blocks
     # count from where its state meets this process's
     from qroute.draws import _block_slots
@@ -945,24 +943,26 @@ def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
     config = SimConfig(scheme=scheme, forwarding="async", seed=11,
                        policy=SwapPolicy("adhoc" if scheme == "proactive" else "doubling"))
     run = _Run(g, subject, config)
-    config = replace(config, slots=3 * _block_slots((run.links, run.swap_lanes.plane)) + 5)
+    config = replace(config, slots=6 * _block_slots((run.links, run.swap_lanes.plane)) + 5)
     with monkeypatch.context() as serial:
         usable_cpus(serial, 1)
         want = simulate(g, subject, config).to_dict()
     taken = count_takes(monkeypatch)
     workers = usable_cpus(monkeypatch, 2)
     assert simulate(g, subject, config).to_dict() == want
-    assert len(workers) == 1 and len(taken) == 2  # the worker's range: two blocks
+    # the worker's two extra blocks count as work: it gets the last three
+    assert len(workers) == 1 and len(taken) == 3
     no_child_left()
 
 
 @pytest.mark.parametrize("case", ["one block", "one cpu", "no fork"])
 def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
-    # sync and async runs alike stay one slot range, in this process
+    # sync and async runs alike stay one slot range, their plane blocks
+    # drawn in this process; seven blocks would split on two CPUs
     g = chain_graph(2, p=0.7, q=0.6, cap=2, cutoff=4)
     plan = plan_for_chain(g, 2, width=2)
     configs = [SimConfig(forwarding=forwarding, seed=4,  # blocks of 1,024 slots
-                         slots=1000 if case == "one block" else 5000)
+                         slots=1000 if case == "one block" else 7000)
                for forwarding in ("sync", "async")]
     want = [simulate(g, plan, config).to_dict() for config in configs]
 
@@ -993,7 +993,7 @@ def test_kernel_failure_reaps_a_worker_blocked_on_a_full_pipe(monkeypatch):
     g = chain_with_probs([1.0, 1.0], cutoff=5)
     with pytest.raises(AssertionError, match="slot 0: entity ledger broken") as failed:
         simulate(g, plan_for_chain(g, 2),
-                 SimConfig(forwarding="async", slots=4 * 2048))
+                 SimConfig(forwarding="async", slots=6 * 2048))
     assert len(workers) == 1
     no_child_left()
     assert failed.traceback  # kept alive until here
@@ -1039,13 +1039,13 @@ def test_failed_worker_raises_runtime_error_and_exits_two(monkeypatch, tmp_path,
     monkeypatch.setattr(montecarlo._Run, "tally", crash)
     workers = usable_cpus(monkeypatch, 2)
     g = chain_graph(2, p=0.7, q=0.6, cap=2)
-    # five blocks of 1,024 slots; an async worker's warm-up block counts
-    # as a block of its range's share
-    for forwarding, first in (("sync", 2048), ("async", 3072)):
-        with pytest.raises(RuntimeError, match=f"^worker for slots {first} to 5000 stopped, "
-                                               "exit code 1: MemoryError: worker$"):
+    # blocks of 1,024 slots; an async worker's warm-up and probe blocks
+    # count as blocks of its range's share
+    for forwarding, slots, first in (("sync", 5000, 2048), ("async", 7000, 4096)):
+        with pytest.raises(RuntimeError, match=f"^worker for slots {first} to {slots} "
+                                               "stopped, exit code 1: MemoryError: worker$"):
             simulate(g, plan_for_chain(g, 2, width=2),
-                     SimConfig(forwarding=forwarding, slots=5000))
+                     SimConfig(forwarding=forwarding, slots=slots))
         assert run_command(["simulate", "--scenario", str(SCENARIOS / "two_hop_chain.json"),
                             "--mode", forwarding, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("qroute: RuntimeError: worker for slots ")
@@ -1056,7 +1056,7 @@ def test_failed_worker_raises_runtime_error_and_exits_two(monkeypatch, tmp_path,
 @needs_fork
 def test_worker_that_stops_short_leaves_its_blocks_to_this_process(monkeypatch):
     # a worker that sends its warm-up and first block only: this process
-    # takes that block and runs the worker's other one itself; one that
+    # takes that block and runs the worker's other two itself; one that
     # sends nothing and exits 0 raises
     from types import SimpleNamespace
 
@@ -1065,7 +1065,7 @@ def test_worker_that_stops_short_leaves_its_blocks_to_this_process(monkeypatch):
     from qroute import draws
 
     g = chain_graph(2, p=0.7, q=0.6, cap=2, cutoff=3)
-    plan, config = plan_for_chain(g, 2, width=2), SimConfig(forwarding="async", slots=5000)
+    plan, config = plan_for_chain(g, 2, width=2), SimConfig(forwarding="async", slots=7000)
     with monkeypatch.context() as serial:
         usable_cpus(serial, 1)
         want = simulate(g, plan, config).to_dict()
@@ -1077,7 +1077,7 @@ def test_worker_that_stops_short_leaves_its_blocks_to_this_process(monkeypatch):
     assert simulate(g, plan, config).to_dict() == want
     assert len(taken) == 1
     short.dumps = lambda parts: b""
-    with pytest.raises(RuntimeError, match="^worker for slots 3072 to 5000 stopped, "
+    with pytest.raises(RuntimeError, match="^worker for slots 4096 to 7000 stopped, "
                                            "exit code 0$"):
         simulate(g, plan, config)
     no_child_left()
@@ -1123,23 +1123,39 @@ def test_async_state_fingerprint_ranks_ids():
 
 
 @needs_fork
-@pytest.mark.parametrize("policy, cutoff, taken", [("adhoc", 5, 6), ("doubling", 100, 0)])
+@pytest.mark.parametrize("policy, cutoff, sent, taken", [("adhoc", 5, 6, 5),
+                                                        ("doubling", 100, 2, 0)])
 def test_split_async_run_takes_worker_blocks_from_where_states_meet(monkeypatch, policy,
-                                                                    cutoff, taken):
-    # a 4-hop width-2 chain over 12 blocks, the worker's range the last six:
-    # under adhoc at cutoff 5 the worker's state meets this process's at
-    # its range's first block, and this process takes all six; under
-    # doubling at cutoff 100 they never meet, and this process runs them all
+                                                                    cutoff, sent, taken):
+    # a 4-hop width-2 chain over 12 blocks, the worker's range the last
+    # five, as its warm-up and probe blocks count as work. Under adhoc at
+    # cutoff 5 the worker's state meets this process's at its range's first
+    # block, so it sends its warm-up and all five, and this process takes
+    # them. Under doubling at cutoff 100 they never meet: the worker's probe
+    # misses, so it ends after its first block, and this process runs all
+    # five
+    import marshal
+    from types import SimpleNamespace
+
+    from qroute import draws
+
     g = chain_graph(4, p=0.6, q=0.5, cap=2, cutoff=cutoff)
     plan = plan_for_chain(g, 4, width=2, policy=SwapPolicy(policy))
     config = SimConfig(forwarding="async", policy=SwapPolicy(policy), slots=6000, seed=7)
     with monkeypatch.context() as serial:
         usable_cpus(serial, 1)
         want = simulate(g, plan, config).to_dict()
-    takes = count_takes(monkeypatch)
+    takes, received = count_takes(monkeypatch), []
+
+    def loads(data):  # each worker's tallies, as this process reads them
+        received.append(marshal.loads(data))
+        return received[-1]
+
+    monkeypatch.setattr(draws, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=loads))
     workers = usable_cpus(monkeypatch, 2)
     assert simulate(g, plan, config).to_dict() == want
-    assert len(workers) == 1 and len(takes) == taken
+    assert len(workers) == 1 and [len(parts) for parts in received] == [sent]
+    assert len(takes) == taken
     no_child_left()
 
 
@@ -1194,8 +1210,8 @@ def test_split_async_runs_equal_the_serial_run(case, seed, slots, block_lanes):
             with pytest.MonkeyPatch.context() as shards:
                 workers = usable_cpus(shards, cpus)
                 assert simulate(g, subject, config).to_dict() == want
-            if hasattr(os, "fork"):  # at most one range per block, every worker reaped
-                assert len(workers) == min(cpus, len(range(0, slots, step))) - 1
+            if hasattr(os, "fork"):  # at most one range per three blocks, every worker reaped
+                assert len(workers) == max(1, min(cpus, len(range(0, slots, step)) // 3)) - 1
                 no_child_left()
 
 
