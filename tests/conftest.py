@@ -8,8 +8,10 @@ graph data so they never share code with the implementations they check.
 from __future__ import annotations
 
 import math
+import os
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from qroute import (
@@ -19,7 +21,6 @@ from qroute import (
     PathSpec,
     build_graph,
 )
-from qroute.cli import run_command
 from qroute.netmodel import edge_key
 
 
@@ -155,20 +156,39 @@ def path_specs(draw, max_hops=6, max_cap=4, min_p=0.0, min_q=0.0):
     return make_path(caps, probs, qs)
 
 
-def hash_run(digest, header: str, argv: list[str], out) -> None:
-    """Run the CLI command `argv` with its reports written to the directory
-    `out`, then feed `digest` the line `<header> -> <exit code>` and, on
-    exit 0, each report's name and bytes in name order: the report-digest
-    tests pin a sha256 over a sequence of these."""
-    rc = run_command([*argv, "--out", str(out)])
-    digest.update(f"{header} -> {rc}\n".encode())
-    for report in sorted(out.glob("*")) if rc == 0 else ():
-        digest.update(report.name.encode() + b"\n" + report.read_bytes())
-
-
 def assert_pmf_close(a, b, tol=1e-9):
     hi = max(len(a), len(b))
     pa = list(a) + [0.0] * (hi - len(a))
     pb = list(b) + [0.0] * (hi - len(b))
     for k, (x, y) in enumerate(zip(pa, pb)):
         assert abs(x - y) <= tol, f"pmf[{k}]: {x} vs {y}"
+
+
+# --------------------------------------------------------------------------
+# Forked slot ranges
+
+
+def usable_cpus(monkeypatch, count):
+    """Let a run use `count` CPUs on any host with `os.fork`: a run of two
+    or more blocks splits its slots into that many ranges, at most one per
+    block (per three for async), and forks a worker for each but the
+    first; returns the pids of the processes forked."""
+    pids = []
+    fork = getattr(os, "fork", None)
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(count)),
+                        raising=False)
+    if fork is not None:
+        monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)

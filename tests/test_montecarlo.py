@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_pmf_close, chain_graph, hash_run, make_path
+from conftest import assert_pmf_close, chain_graph, make_path, no_child_left, usable_cpus
 from qroute import (
     AllocatorConfig,
     EdgeParams,
@@ -707,75 +707,6 @@ def test_one_link_walk_equals_counts_reference(case, key, k):
     assert walk._seq == ref._seq
 
 
-# sha256 of the simulate reports below, recorded before the sync simulator
-# moved from spans to link counts
-PINNED_REPORTS_SHA256 = (
-    "d78b7da1d02b4415396b79665aabbf807d8068fa8577cc1c5df6ff5051cb87bc"
-)
-
-
-def test_simulate_reports_pinned(tmp_path):
-    flag_sets = (
-        [],
-        ["--mode", "sync"],
-        ["--scheme", "reactive", "--policy", "parallel"],
-        ["--scheme", "reactive", "--mode", "async", "--policy", "doubling"],
-    )
-    digest = hashlib.sha256()
-    for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
-        for j, flags in enumerate(flag_sets):
-            for fmt in ("json", "csv"):
-                hash_run(digest, f"{scenario.name} {' '.join(flags)} {fmt}",
-                         ["simulate", "--scenario", str(scenario), "--slots", "2000",
-                          "--format", fmt, *flags], tmp_path / f"{i}-{j}-{fmt}")
-    assert digest.hexdigest() == PINNED_REPORTS_SHA256
-
-
-# sha256 of the reactive reports below with `sim.node_disjoint` set, where
-# each slot's searches may not enter an earlier path's interior nodes;
-# recorded before hop-count searches moved from the heap to a BFS
-PINNED_NODE_DISJOINT_SHA256 = (
-    "5ce4edf5af3a5169b36007352b5039e55f511fffbed08a7e6485544b65b68829"
-)
-
-
-def test_node_disjoint_reactive_reports_pinned(tmp_path):
-    digest = hashlib.sha256()
-    for i, source in enumerate(sorted(SCENARIOS.glob("*.json"))):
-        data = json.loads(source.read_text())
-        data["sim"]["node_disjoint"] = True
-        scenario = tmp_path / source.name
-        scenario.write_text(json.dumps(data))
-        # adhoc (the async chain's policy) needs async forwarding
-        for flags in (["--mode", "sync", "--policy", "doubling"],
-                      ["--mode", "async"]):
-            for fmt in ("json", "csv"):
-                hash_run(digest, f"{source.name} {' '.join(flags)} {fmt}",
-                         ["simulate", "--scenario", str(scenario), "--scheme", "reactive",
-                          *flags, "--slots", "2000", "--format", fmt],
-                         tmp_path / f"{i}-{flags[1]}-{fmt}")
-    assert digest.hexdigest() == PINNED_NODE_DISJOINT_SHA256
-
-
-# sha256 of the reactive sync reports below, recorded while reactive sync
-# still swapped each found path through the general counts kernel
-PINNED_REACTIVE_SYNC_SHA256 = (
-    "c78acdea09b2c90ba43f1d5fda35598ee9976ce41dd10971f48daefe86f35697"
-)
-
-
-def test_reactive_sync_reports_pinned(tmp_path):
-    digest = hashlib.sha256()
-    for i, scenario in enumerate(sorted(SCENARIOS.glob("*.json"))):
-        for policy in ("doubling", "sequential"):
-            for fmt in ("json", "csv"):
-                hash_run(digest, f"{scenario.name} {policy} {fmt}",
-                         ["simulate", "--scenario", str(scenario), "--scheme", "reactive",
-                          "--mode", "sync", "--policy", policy, "--slots", "2000",
-                          "--format", fmt], tmp_path / f"{i}-{policy}-{fmt}")
-    assert digest.hexdigest() == PINNED_REACTIVE_SYNC_SHA256
-
-
 def overconsume_at(monkeypatch, *slots):
     """Make the proactive sync kernel report 3 more entities consumed in
     each of `slots` than it consumed; returns the first slot of each block
@@ -826,8 +757,7 @@ def test_sync_ledger_check_names_a_slot_in_a_later_block(monkeypatch):
                 assert firsts == [0, 2048] and workers == []
             else:  # the failed run reaped its worker
                 assert firsts == [0] and len(workers) == 1
-                with pytest.raises(ChildProcessError):
-                    os.waitpid(-1, os.WNOHANG)
+                no_child_left()
             assert failed.traceback
 
 
@@ -850,27 +780,6 @@ def test_reactive_sync_ledger_check_fails_loudly(monkeypatch):
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-
-
-def usable_cpus(monkeypatch, count):
-    """Let a run use `count` CPUs on any host with `os.fork`: a run of two
-    or more blocks splits its slots into that many ranges, at most one per
-    block (per three for async), and forks a worker for each but the
-    first; returns the pids of the processes forked."""
-    pids = []
-    fork = getattr(os, "fork", None)
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(count)),
-                        raising=False)
-    if fork is not None:
-        monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 @settings(max_examples=40, deadline=None)
@@ -915,14 +824,9 @@ def count_takes(monkeypatch):
     return taken
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 @needs_fork
 @pytest.mark.parametrize("scheme", ["proactive", "reactive"])
-def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
+def test_async_worker_blocks_equal_this_process_blocks(monkeypatch, scheme):
     # an async worker's blocks equal the ones this process would run: the
     # proactive plan of a 3-hop width-2 chain, or reactive runs on a 3x3
     # grid of capacity 2, with memory, over six blocks and a partial one;
@@ -956,7 +860,7 @@ def test_forked_draw_blocks_equal_in_process_blocks(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("case", ["one block", "one cpu", "no fork"])
-def test_draw_blocks_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
+def test_one_range_in_process_without_two_blocks_cpus_or_fork(monkeypatch, case):
     # sync and async runs alike stay one slot range, their plane blocks
     # drawn in this process; seven blocks would split on two CPUs
     g = chain_graph(2, p=0.7, q=0.6, cap=2, cutoff=4)
@@ -1021,8 +925,7 @@ def test_sharded_ledger_failure_raises_the_serial_error(monkeypatch, failing, cp
         simulate(g, plan, config)
     assert str(got.value) == str(want.value)
     assert len(workers) == cpus - 1
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    no_child_left()
 
 
 @needs_fork

@@ -9,12 +9,12 @@ Work is counted by wrapping module attributes from outside, as
 
 import collections
 import json
-import os
 import random
 from pathlib import Path
 
 import pytest
 
+from conftest import usable_cpus
 from qroute import AllocatorConfig, allocate, analytics, montecarlo, pathfind, routing
 from qroute.cli import run_command
 from qroute.netmodel import NetworkGraph
@@ -46,14 +46,8 @@ def counter(monkeypatch):
     return counts, count
 
 
-def one_cpu(monkeypatch):
-    """Keep a sync run's slots in this process, where the counts are read:
-    on two or more CPUs, forked workers would run some slot ranges."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
-
-
 def test_reactive_sync_op_counts_pinned(monkeypatch, tmp_path):
-    one_cpu(monkeypatch)
+    usable_cpus(monkeypatch, 1)  # the counts are read in this process
     counts, count = counter(monkeypatch)
     count(montecarlo, "disjoint_paths_on_logical")
     count(pathfind, "_hop_search")
@@ -191,7 +185,7 @@ PINNED_SYNC_SWAP_BYTES = [0, 324, 61, 310, 47, 339, 0, 323, 0]
 
 
 def test_proactive_sync_swap_bytes_pinned(monkeypatch, tmp_path):
-    one_cpu(monkeypatch)
+    usable_cpus(monkeypatch, 1)  # the counts are read in this process
     drawn = []
     real = montecarlo._sync_block
 
