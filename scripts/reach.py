@@ -2,14 +2,19 @@
 reach ledger over one pinned table of runs.
 
 Each row of ROWS is (scenarios, command, pinned sha256). A `qroute` command
-runs on each scenario the row names, in name order, and writes CSV reports,
-or JSON ones where its flags say `--format json`, to a directory of its own.
-The scenarios are the files a glob under `scenarios/` matches; copies of
-them with `sim.node_disjoint` set (`node-disjoint <glob>`); or a benchmark
-workload's tiny scenario at seed 3 (`bench <workload>`). The copies and
-workload scenarios are written to a temporary directory. A `scripts` row
-runs an experiment script with small flags and keeps its standard output. A
-row's digest covers each run's exit code and every byte of its reports.
+runs on each scenario the row names, in name order, and writes its reports
+to a directory of its own. The scenarios are the files a glob under
+`scenarios/` matches; copies of them with `sim.node_disjoint` set
+(`node-disjoint <glob>`); or a benchmark workload's tiny scenario at seed 3
+(`bench <workload>`). The copies and workload scenarios are written to a
+temporary directory. A `scripts` row runs an experiment script with small
+flags and keeps its standard output. A row's digest covers each run's exit
+code and every byte of its reports.
+
+No row reruns another's report. Runs write CSV, and a CSV run writes the
+JSON report too, so a single `--format json` row pins the JSON-only output;
+`analyze`, `route` and `oracle` never read `sim.slots`, so they run at one
+slot count. `tests/test_scenario_cli.py` checks both rules.
 
 Every row runs in this process, under `sys.setprofile`; profiling starts
 before `qroute` is imported, so calls made at import time count. The script
@@ -126,80 +131,38 @@ ROWS = (
      "0b698988a912ecb92b5baa68d6d98aa0dd1480a98284075e62c5fe667d9d8911"),
     ("**/*.json", "simulate --slots 1237 --policy adhoc --mode async --scheme reactive",
      "d15c6b32c4b189257b0269ab641631954b94eeaaca7ef249413f752324ed110b"),
-    # the top-level scenarios at 2,000 slots, more than one block, in both formats
+    # the top-level scenarios at 2,000 slots, more than one block; the one
+    # `--format json` row, since CSV runs write the JSON report too
     ("*.json", "simulate --slots 2000 --format json",
      "65d39b4bbd176f2347083e32c8cc9789bf9bd4f818a4f8ee1423964f511e97b9"),
     ("*.json", "simulate --slots 2000",
      "6adf5cbfb2ef7286f199a1978fd13c0abfb05c49f085074ff756bbd105311c69"),
     # every top-level scenario but the async chain, whose adhoc policy needs
     # async forwarding
-    ("[!a]*.json", "simulate --slots 2000 --mode sync --format json",
-     "d67b05ac68525c6bccc9a4add6bb8aadce2e769ce4202141e16b46ebcfd85885"),
     ("[!a]*.json", "simulate --slots 2000 --mode sync",
      "daa80849473b2a0a9a679560da941523398b0c20c23a46537917474c7e173fff"),
-    ("*.json", "simulate --slots 2000 --scheme reactive --policy parallel --format json",
-     "26a1bc5d5eee020772fa0f3fd75610b9ab633bf64aaca3a53515097ac7d429ac"),
     ("*.json", "simulate --slots 2000 --scheme reactive --policy parallel",
      "1b26d282312fbf8fe0ca74211da13b5782d6a485727eb7e8d6c826114b20612e"),
-    ("*.json",
-     "simulate --slots 2000 --scheme reactive --mode async --policy doubling --format json",
-     "1ca47f822274797642c2296609afd67610afdd72ac31eaae85bfea8a9be46bb5"),
     ("*.json", "simulate --slots 2000 --scheme reactive --mode async --policy doubling",
      "a2e6b734f27f60b9a449c84e2e21604f9d774963e0b05ee5a404c0c8c4e2647c"),
-    ("*.json",
-     "simulate --scheme reactive --mode sync --policy doubling --slots 2000 --format json",
-     "74ccd88df410a1c427277503fac8d3fe8b253c65900ac75d7d58d9bb7df1b16e"),
     ("*.json", "simulate --scheme reactive --mode sync --policy doubling --slots 2000",
      "c5b3aa68062fc11659166cec6b01b4a297e832c4f9b962c5c331d8e8d0b71602"),
-    ("*.json",
-     "simulate --scheme reactive --mode sync --policy sequential --slots 2000 --format json",
-     "b7513c1e5692c769df40e74a5801deb85f3596e7bf75b19c3b478e20daac9b35"),
     ("*.json", "simulate --scheme reactive --mode sync --policy sequential --slots 2000",
      "2c2a141655298036edd879ba884ddfe083e658655de9f47e861afaac0f355085"),
     # each slot's reactive searches may not enter an earlier path's interior
     # nodes; adhoc (the async chain's policy) needs async forwarding
     ("node-disjoint *.json",
-     "simulate --scheme reactive --mode sync --policy doubling --slots 2000 --format json",
-     "1a6cec60bc1dee67a54d95c597934942f71abad4ed1f362ec9ad2d5590cfb495"),
-    ("node-disjoint *.json",
      "simulate --scheme reactive --mode sync --policy doubling --slots 2000",
      "e01f23349770b6485a6283c06f5d4e97222def01d463f792027aa7e399302b86"),
-    ("node-disjoint *.json", "simulate --scheme reactive --mode async --slots 2000 --format json",
-     "f17bac440c5fb79e7852f4c4f8b647fceee04219678cc05d270aadbc2e3433fa"),
     ("node-disjoint *.json", "simulate --scheme reactive --mode async --slots 2000",
      "f1e86eaba4ecbf364de04a378317efdfc49aab576ccf46467e11755d27601e1d"),
-    # each scenario's own slot count; two_hop_chain turns order search on
-    ("*.json", "analyze --format json",
-     "953dcec6fa48de42c662b2a67ee1a2b6350ae2f43dd791b44138ca0b76810445"),
-    ("*.json", "analyze",
-     "25d0b60a001e214a8bd5db198d2722bc91603bc69050f1d63a5f89534daaa25e"),
-    ("*.json", "analyze --policy parallel --format json",
-     "fd052673f1d3250d081304337ad8c2857ccbcdf04ba552287d0cfb8b1368fce3"),
-    ("*.json", "analyze --policy parallel",
-     "864d8b8b4ec74744fbee76b5e09b5be1c0a7f79d8e020082fb6ca65b08307f90"),
-    ("*.json", "analyze --policy sequential --format json",
-     "e8360e671f85f865f20639e3555445ccfcadaf3711edfcd79a7d58c574f632db"),
-    ("*.json", "analyze --policy sequential",
-     "42ca94b343c5a79a7a41ad697e7f4392d9fe8848b9a9210916f3203c56b7b84e"),
-    ("*.json", "route --format json",
-     "0f2be27bc72b47357a6251917390fa74be5f93c8f021505e06e66cc6e7d1ca1f"),
-    ("*.json", "route",
-     "3c84f2cf0cf9b0a39672dac6c3d373a817029bb3d44b4ecdd1b17c9a6ac0f543"),
-    ("*.json", "oracle --format json",
-     "b368208a6c7b7a271688fb973ae3377423b9da67698dda294d86cc2587a558b9"),
-    ("*.json", "oracle",
-     "b5fcba8ea109f88c965a4ce2c62e53fddedd170b6f55c9903768d6d57aef0815"),
     # the coverage scenarios at 500 slots: they run the code paths the
     # top-level ones miss (the heap search, derived link probabilities, the
-    # depth-first search, weighted utilities, node-disjoint reactive routing)
-    ("coverage/*.json", "analyze --slots 500",
-     "c85baa244646639219b12eeb84c66349363dcb04e840539b5ffa5a9b9d65dd72"),
-    ("coverage/*.json", "route --slots 500",
-     "881e2a2d0c8996948453d3b6db91bdd235d195d321ee3ff31ded6ff3b3cf5bde"),
+    # depth-first search, weighted utilities, node-disjoint reactive
+    # routing). `analyze`, `route` and `oracle` never read `sim.slots`, so
+    # the `**/*.json` rows above run them on every scenario
     ("coverage/*.json", "simulate --slots 500",
      "e03185827a54ababf5de9a4faa6ae412b0039d7fb780d411fa64f8c1d7410a39"),
-    ("coverage/*.json", "oracle --slots 500",
-     "cdd9d6677a3d7ee2847470f9a4ffabfaf17758a474154ccca6df31fc07c79d40"),
     ("coverage/*.json", "simulate --scheme reactive --mode sync --policy doubling --slots 500",
      "b28a9dcab6d9bd8fa69ca2eeb93b3c148c4daf9267557e948ac0dbcaaa74cd90"),
     ("coverage/*.json", "simulate --scheme reactive --mode async --slots 500",

@@ -107,9 +107,12 @@ def route_grid_scenario(n: int = 8, count: int = 8) -> dict:
     cells = [(r, c) for r in range(n) for c in range(n)]
     requests = []
     for i in range(count):
-        src = rnd.choice(cells)
-        dst = rnd.choice([d for d in cells
-                          if 3 <= abs(d[0] - src[0]) + abs(d[1] - src[1]) <= 6])
+        src = (r0, c0) = rnd.choice(cells)
+        # the cells within 6 rows and 6 columns of the source, in row-major
+        # order: a scan of every cell's list, so `rnd.choice` draws the same
+        dst = rnd.choice([(r, c) for r in range(max(r0 - 6, 0), min(r0 + 7, n))
+                          for c in range(max(c0 - 6, 0), min(c0 + 7, n))
+                          if 3 <= abs(r - r0) + abs(c - c0) <= 6])
         requests.append({"id": f"r{i}", "source": "%d,%d" % src,
                          "dest": "%d,%d" % dst, "min_fidelity": 0.9})
     return {

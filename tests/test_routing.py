@@ -362,6 +362,22 @@ def test_allocate_plans_pinned():
     assert digest.hexdigest() == PINNED_PLANS_SHA256
 
 
+def test_allocate_plan_ignores_request_order():
+    # the first 150 c07 instances with two or more requests, each reversed
+    # and shuffled once; only `infeasible` lists requests in input order
+    rnd, shuffler = random.Random(4321), random.Random(5)
+    config = AllocatorConfig(k=3, elementary_fidelity=0.98)
+    instances = (random_instance(rnd) for _ in range(1000))
+    for g, reqs in itertools.islice(((g, r) for g, r in instances if len(r) > 1), 150):
+        shuffled = list(reqs)
+        shuffler.shuffle(shuffled)
+        want, *got = [(plan.allocations, plan.residual, plan.utility_trace,
+                       set(plan.infeasible))
+                      for plan in (allocate(g, order, config)
+                                   for order in (reqs, reqs[::-1], shuffled))]
+        assert got == [want, want]
+
+
 def tied_grid(n, count):
     """The n x n grid with `grid_topology`'s defaults (capacity 1, 0 km, so
     p = 1: every creation-rate label ties) and `count` requests, each

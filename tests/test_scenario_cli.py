@@ -594,19 +594,29 @@ def test_analyze_counts_capacity_zero_edges_as_connecting(tmp_path):
         assert report["metadata"]["connected"] is connected
 
 
-def test_simulate_reports_are_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    for out in (out1, out2):
-        rc = run_command([
-            "simulate",
-            "--scenario", str(SCENARIO_DIR / "two_hop_chain.json"),
-            "--seed", "7", "--slots", "1000",
-            "--out", str(out),
-        ])
-        assert rc == 0
-    b1 = (out1 / "simulate_report.json").read_bytes()
-    b2 = (out2 / "simulate_report.json").read_bytes()
-    assert b1 == b2
+def test_json_run_writes_the_csv_report_and_only_simulate_reads_slots(tmp_path):
+    # `scripts/reach.py`'s table runs each report once on these two rules: a
+    # `--format json` run writes only the JSON report the CSV run writes too,
+    # up to the format echo; and `analyze`, `route` and `oracle` never read
+    # `sim.slots`, so `--slots` moves only its own echo
+    scenario = str(SCENARIO_DIR / "two_hop_chain.json")
+
+    def run(command, *flags, drop):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert run_command([command, "--scenario", scenario, *flags,
+                            "--out", str(out)]) == 0
+        report = json.loads((out / f"{command}_report.json").read_text())
+        report["overrides"].pop(drop, None)
+        del report["config"]["output" if drop == "format" else "sim"][drop]
+        return sorted(path.name for path in out.iterdir()), report
+
+    for command in ("analyze", "route", "oracle", "simulate"):
+        files, report = run(command, "--slots", "200", "--format", "json", drop="format")
+        assert files == [f"{command}_report.json"]
+        assert report == run(command, "--slots", "200", "--format", "csv", drop="format")[1]
+        if command != "simulate":
+            report = run(command, "--slots", "200", drop="slots")[1]
+            assert report == run(command, drop="slots")[1]
 
 
 def test_oracle_diff_below_tolerance(tmp_path):
