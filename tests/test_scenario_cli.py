@@ -594,14 +594,22 @@ def test_analyze_counts_capacity_zero_edges_as_connecting(tmp_path):
         assert report["metadata"]["connected"] is connected
 
 
-def test_json_run_writes_the_csv_report_and_only_simulate_reads_slots(tmp_path):
-    # `scripts/reach.py`'s table runs each report once on these two rules: a
-    # `--format json` run writes only the JSON report the CSV run writes too,
-    # up to the format echo; and `analyze`, `route` and `oracle` never read
-    # `sim.slots`, so `--slots` moves only its own echo
-    scenario = str(SCENARIO_DIR / "two_hop_chain.json")
+RULE_SCENARIOS = sorted(
+    str(path.relative_to(SCENARIO_DIR))
+    for pattern in ("*.json", "coverage/*.json") for path in SCENARIO_DIR.glob(pattern))
 
-    def run(command, *flags, drop):
+
+@pytest.mark.parametrize("command", ["analyze", "route", "oracle", "simulate"])
+@pytest.mark.parametrize("name", RULE_SCENARIOS)
+def test_json_run_writes_the_csv_report_and_only_simulate_reads_slots(tmp_path, name, command):
+    # `scripts/reach.py`'s table runs each report once on these two rules,
+    # checked on every scenario its deleted duplicate rows ran: a `--format
+    # json` run writes only the JSON report the CSV run writes too, up to the
+    # format echo; and `analyze`, `route` and `oracle` never read `sim.slots`,
+    # so `--slots` moves only its own echo
+    scenario = str(SCENARIO_DIR / name)
+
+    def run(*flags, drop):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
         assert run_command([command, "--scenario", scenario, *flags,
                             "--out", str(out)]) == 0
@@ -610,13 +618,11 @@ def test_json_run_writes_the_csv_report_and_only_simulate_reads_slots(tmp_path):
         del report["config"]["output" if drop == "format" else "sim"][drop]
         return sorted(path.name for path in out.iterdir()), report
 
-    for command in ("analyze", "route", "oracle", "simulate"):
-        files, report = run(command, "--slots", "200", "--format", "json", drop="format")
-        assert files == [f"{command}_report.json"]
-        assert report == run(command, "--slots", "200", "--format", "csv", drop="format")[1]
-        if command != "simulate":
-            report = run(command, "--slots", "200", drop="slots")[1]
-            assert report == run(command, drop="slots")[1]
+    files, report = run("--slots", "200", "--format", "json", drop="format")
+    assert files == [f"{command}_report.json"]
+    assert report == run("--slots", "200", "--format", "csv", drop="format")[1]
+    if command != "simulate":
+        assert run("--slots", "200", drop="slots")[1] == run(drop="slots")[1]
 
 
 def test_oracle_diff_below_tolerance(tmp_path):
