@@ -60,14 +60,19 @@ ALLOWLIST = {
                        "runs here call `run_command`",
     "qroute.netmodel.EdgeParams._reject": "error path: an edge field out of range",
     "qroute.netmodel.NodeParams._reject": "error path: a node field out of range",
-    "qroute.netmodel.NetworkGraph.__reduce__":
-        "lets a graph be pickled; its lookup maps are read-only proxies",
     "qroute.netmodel.NetworkGraph.neighbors":
         "bench/tracing.py wraps it to count searches; it goes when the bench "
         "counts the searches themselves",
     "qroute.pathfind.path_cost": "acceptance criterion c06 prices its paths with it",
     "qroute.pathfind.shortest_path": "acceptance criterion c06 checks it",
     "qroute.pathfind.widest_path": "acceptance criterion c06 checks it",
+    "qroute.record.Record.__eq__": "value equality, which tests use; no run compares records",
+    "qroute.record.Record.__hash__": "records are hashable values; no run hashes one",
+    "qroute.record.Record.__reduce__":
+        "lets a record be pickled and copied through its constructor, which "
+        "rebuilds a graph's read-only lookup maps",
+    "qroute.record.Record.__repr__": "debug output; no report prints a record",
+    "qroute.record.Record.__setattr__": "error path: assigning to a record's field",
     "qroute.scenario._mistyped": "error path: a scenario value of the wrong JSON type",
 }
 

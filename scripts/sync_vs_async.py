@@ -8,7 +8,6 @@ Usage: python scripts/sync_vs_async.py [--hops 3] [--cutoff 5] [--slots 100000]
 """
 
 import argparse
-from dataclasses import replace
 
 from qroute import (
     AllocatorConfig,
@@ -61,8 +60,8 @@ def main():
     print(f"sync closed form rate: {closed_form:.5f}")
     for name, config in runs.items():
         # the allocator priced the path; each run swaps with its own policy
-        run_plan = replace(plan, allocations=tuple(
-            replace(a, policy=config.policy) for a in plan.allocations
+        run_plan = plan.replace(allocations=tuple(
+            a.replace(policy=config.policy) for a in plan.allocations
         ))
         stats = simulate(g, run_plan, config)
         rate = stats.delivered_total / stats.slots_run

@@ -11,9 +11,10 @@ thinning of the paired count).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+
+from .record import Record, _set
 
 NEG_CLAMP = 1e-15
 PMF_SUM_TOL = 1e-9
@@ -59,56 +60,53 @@ def _clean_pmf(values) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Pmf over the number of simultaneous entanglements, support 0..cap."""
 
-    pmf: tuple[float, ...]
+    __slots__ = _fields = ("pmf",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pmf", _clean_pmf(self.pmf))
+    def __init__(self, pmf: tuple[float, ...]):
+        _set(self, "pmf", _clean_pmf(pmf))
 
     def mean(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.pmf))
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(Record):
     """Loop-free node sequence with per-hop channel widths and probabilities.
 
     For n hops there are n entries in per_hop_capacity/per_hop_prob and
     n - 1 interior swap probabilities (one per repeater between the ends).
     """
 
-    nodes: tuple[str, ...]
-    per_hop_capacity: tuple[int, ...]
-    per_hop_prob: tuple[float, ...]
-    interior_swap_probs: tuple[float, ...]
+    __slots__ = _fields = ("nodes", "per_hop_capacity", "per_hop_prob",
+                           "interior_swap_probs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "per_hop_capacity", tuple(self.per_hop_capacity))
-        object.__setattr__(self, "per_hop_prob", tuple(self.per_hop_prob))
-        object.__setattr__(
-            self, "interior_swap_probs", tuple(self.interior_swap_probs)
-        )
-        n = len(self.nodes) - 1
+    def __init__(self, nodes: tuple[str, ...], per_hop_capacity: tuple[int, ...],
+                 per_hop_prob: tuple[float, ...], interior_swap_probs: tuple[float, ...]):
+        nodes, caps = tuple(nodes), tuple(per_hop_capacity)
+        probs, swaps = tuple(per_hop_prob), tuple(interior_swap_probs)
+        n = len(nodes) - 1
         if n < 1:
             raise ValueError("path needs at least one hop")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"path has a loop: {self.nodes}")
-        if len(self.per_hop_capacity) != n or len(self.per_hop_prob) != n:
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"path has a loop: {nodes}")
+        if len(caps) != n or len(probs) != n:
             raise ValueError("per-hop lists must have one entry per hop")
-        if len(self.interior_swap_probs) != n - 1:
+        if len(swaps) != n - 1:
             raise ValueError("need one swap probability per interior node")
-        if any(c < 1 for c in self.per_hop_capacity):
+        if any(c < 1 for c in caps):
             raise ValueError("allocated widths must be >= 1")
-        for p in self.per_hop_prob:
+        for p in probs:
             if not 0 <= p <= 1:
                 raise ValueError(f"hop probability {p} outside [0, 1]")
-        for q in self.interior_swap_probs:
+        for q in swaps:
             if not 0 <= q <= 1:
                 raise ValueError(f"swap probability {q} outside [0, 1]")
+        _set(self, "nodes", nodes)
+        _set(self, "per_hop_capacity", caps)
+        _set(self, "per_hop_prob", probs)
+        _set(self, "interior_swap_probs", swaps)
 
     @property
     def hop_count(self) -> int:
@@ -123,22 +121,23 @@ class PathSpec:
 # Swap order trees
 
 
-@dataclass(frozen=True)
-class SwapOrderTree:
+class SwapOrderTree(Record):
     """Binary order tree over a path's hops.
 
     Leaves are hop indices in left-to-right path order; an internal node is
     the swap event at the interior path node shared by its children's spans.
     """
 
-    hop: int | None = None
-    left: "SwapOrderTree | None" = None
-    right: "SwapOrderTree | None" = None
+    _fields = ("hop", "left", "right")
+    __slots__ = (*_fields, "__dict__")  # the dict caches `schedule`
 
-    def __post_init__(self):
-        internal = self.left is not None and self.right is not None
-        if internal == (self.hop is not None):
+    def __init__(self, hop: int | None = None, left: SwapOrderTree | None = None,
+                 right: SwapOrderTree | None = None):
+        if (left is not None and right is not None) == (hop is not None):
             raise ValueError("node is either a leaf (hop) or has two children")
+        _set(self, "hop", hop)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     @property
     def is_leaf(self) -> bool:
@@ -239,18 +238,18 @@ def validate_tree(tree: SwapOrderTree, n_hops: int) -> None:
 POLICY_KINDS = ("sequential", "doubling", "parallel", "adhoc", "explicit")
 
 
-@dataclass(frozen=True)
-class SwapPolicy:
+class SwapPolicy(Record):
     """Swapping policy selector; `tree` is set only for kind='explicit'."""
 
-    kind: str
-    tree: SwapOrderTree | None = None
+    __slots__ = _fields = ("kind", "tree")
 
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if (self.kind == "explicit") != (self.tree is not None):
+    def __init__(self, kind: str, tree: SwapOrderTree | None = None):
+        if kind not in POLICY_KINDS:
+            raise ValueError(f"unknown policy kind {kind!r}")
+        if (kind == "explicit") != (tree is not None):
             raise ValueError("explicit policies carry a tree; others must not")
+        _set(self, "kind", kind)
+        _set(self, "tree", tree)
 
     def order_tree(self, n_hops: int) -> SwapOrderTree:
         if self.kind == "sequential":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -241,8 +240,8 @@ def _plan_from_scenario(scenario: Scenario) -> AllocationPlan:
     # the allocator prices paths with routing.policy; the simulator swaps
     # with sim.policy on every allocated path, as on explicit ones
     plan = allocate(scenario.graph, list(scenario.requests), scenario.routing)
-    return replace(plan, allocations=tuple(
-        replace(a, policy=scenario.sim.policy) for a in plan.allocations
+    return plan.replace(allocations=tuple(
+        a.replace(policy=scenario.sim.policy) for a in plan.allocations
     ))
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import add, and_, ge, gt, mul
 
@@ -44,57 +43,75 @@ from .draws import (
 )
 from .netmodel import NetworkGraph
 from .pathfind import _path_edges, disjoint_paths_on_logical, path_spec_from_nodes
+from .record import Record, _set
 from .routing import AllocationPlan, Request, check_unique_ids
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    scheme: str = "proactive"  # proactive | reactive
-    forwarding: str = "sync"  # sync | async
-    policy: SwapPolicy = SwapPolicy("doubling")
-    slots: int = 1000
-    seed: int = 0
-    node_disjoint: bool = False
-    max_paths_per_request: int = 4
+class SimConfig(Record):
+    __slots__ = _fields = ("scheme", "forwarding", "policy", "slots", "seed",
+                           "node_disjoint", "max_paths_per_request")
 
-    def __post_init__(self):
+    def __init__(self, scheme: str = "proactive", forwarding: str = "sync",
+                 policy: SwapPolicy = SwapPolicy("doubling"), slots: int = 1000,
+                 seed: int = 0, node_disjoint: bool = False,
+                 max_paths_per_request: int = 4):
         # "<keyword>: why", so a scenario error can name the JSON field
-        if self.scheme not in ("proactive", "reactive"):
-            raise ValueError(f"scheme: unknown scheme {self.scheme!r}")
-        if self.forwarding not in ("sync", "async"):
-            raise ValueError(f"forwarding: unknown mode {self.forwarding!r}")
-        if self.slots < 1:
-            raise ValueError(f"slots: must be >= 1, got {self.slots}")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError(f"seed: {self.seed} outside 0 <= seed < 2**64")
-        if self.max_paths_per_request < 1:
+        if scheme not in ("proactive", "reactive"):
+            raise ValueError(f"scheme: unknown scheme {scheme!r}")
+        if forwarding not in ("sync", "async"):
+            raise ValueError(f"forwarding: unknown mode {forwarding!r}")
+        if slots < 1:
+            raise ValueError(f"slots: must be >= 1, got {slots}")
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed: {seed} outside 0 <= seed < 2**64")
+        if max_paths_per_request < 1:
             raise ValueError(
-                f"max_paths_per_request: must be >= 1, got "
-                f"{self.max_paths_per_request}"
+                f"max_paths_per_request: must be >= 1, got {max_paths_per_request}"
             )
-        if self.policy.kind == "adhoc" and self.forwarding == "sync":
+        if policy.kind == "adhoc" and forwarding == "sync":
             raise ValueError(
                 "policy: adhoc swapping needs asynchronous forwarding; under "
                 "sync everything is regenerated each slot"
             )
+        _set(self, "scheme", scheme)
+        _set(self, "forwarding", forwarding)
+        _set(self, "policy", policy)
+        _set(self, "slots", slots)
+        _set(self, "seed", seed)
+        _set(self, "node_disjoint", node_disjoint)
+        _set(self, "max_paths_per_request", max_paths_per_request)
 
 
-@dataclass
-class SimStats:
-    slots_run: int
-    seed: int
-    scheme: str
-    forwarding: str
-    policy: str
-    delivered_total: int = 0
-    per_request: dict = field(default_factory=dict)
-    per_path: dict = field(default_factory=dict)
-    swap_counters: dict = field(default_factory=dict)
-    links_generated: int = 0
-    entities_disposed: dict = field(default_factory=dict)
+class SimStats(Record):
+    """A run's counts, filled in as its slot ranges merge; unlike the other
+    records it is mutable, and so has no hash."""
+
+    __slots__ = _fields = (
+        "slots_run", "seed", "scheme", "forwarding", "policy", "delivered_total",
+        "per_request", "per_path", "swap_counters", "links_generated",
+        "entities_disposed",
+    )
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, slots_run: int, seed: int, scheme: str, forwarding: str,
+                 policy: str, delivered_total: int = 0, per_request: dict | None = None,
+                 per_path: dict | None = None, swap_counters: dict | None = None,
+                 links_generated: int = 0, entities_disposed: dict | None = None):
+        self.slots_run, self.seed, self.scheme = slots_run, seed, scheme
+        self.forwarding, self.policy = forwarding, policy
+        self.delivered_total, self.links_generated = delivered_total, links_generated
+        self.per_request = {} if per_request is None else per_request
+        self.per_path = {} if per_path is None else per_path
+        self.swap_counters = {} if swap_counters is None else swap_counters
+        self.entities_disposed = {} if entities_disposed is None else entities_disposed
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, deep-copied: changing the dict's nested
+        dicts and lists leaves the stats as they are."""
+        from copy import deepcopy
+
+        return deepcopy(dict(zip(self._fields, self._values(self))))
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +128,26 @@ def _tally(tally: dict, kind: str, attempts: int, successes: int) -> None:
         entry[1] += successes
 
 
-@dataclass(frozen=True)
-class _RuntimePath:
+class _RuntimePath(Record):
     """Per-path execution context precomputed once, reused every slot."""
 
-    request_id: str
-    path: PathSpec
-    policy: SwapPolicy
-    schedule: tuple[tuple[int, int, int], ...] | None  # tree policies only
-    swaps: tuple[int, ...]  # node rank per interior node
-    # per hop, the channel run it binds: (edge index, first channel, width)
-    channels: tuple[tuple[int, int, int], ...]
-    label: str = ""  # a proactive path's key in the report
+    # schedule: tree policies only; swaps: the node rank of each interior
+    # node; channels: per hop, the channel run it binds (edge index, first
+    # channel, width); label: a proactive path's key in the report
+    __slots__ = _fields = ("request_id", "path", "policy", "schedule", "swaps",
+                           "channels", "label")
+
+    def __init__(self, request_id: str, path: PathSpec, policy: SwapPolicy,
+                 schedule: tuple[tuple[int, int, int], ...] | None,
+                 swaps: tuple[int, ...], channels: tuple[tuple[int, int, int], ...],
+                 label: str = ""):
+        _set(self, "request_id", request_id)
+        _set(self, "path", path)
+        _set(self, "policy", policy)
+        _set(self, "schedule", schedule)
+        _set(self, "swaps", swaps)
+        _set(self, "channels", channels)
+        _set(self, "label", label)
 
     @classmethod
     def build(cls, request_id, path, policy, rank, channels, label=""):

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
+
+from .record import Record, _set
 
 # Swap success bound for linear-optics Bell measurements; ancilla-assisted
 # schemes reach ~0.579.
@@ -32,16 +33,16 @@ class SwapBoundWarning(UserWarning, ValueError):
     a scenario reports it as bad input, naming its JSON path."""
 
 
-@dataclass(frozen=True)
-class NodeParams:
-    id: str
-    swap_prob: float = 0.5
-    memory_cutoff_slots: int = 1
+class NodeParams(Record):
+    __slots__ = _fields = ("id", "swap_prob", "memory_cutoff_slots")
 
-    def __post_init__(self):
-        if not 0 <= self.swap_prob <= 1:
+    def __init__(self, id: str, swap_prob: float = 0.5, memory_cutoff_slots: int = 1):
+        _set(self, "id", id)
+        _set(self, "swap_prob", swap_prob)
+        _set(self, "memory_cutoff_slots", memory_cutoff_slots)
+        if not 0 <= swap_prob <= 1:
             self._reject("swap_prob", "outside [0, 1]")
-        if self.memory_cutoff_slots < 1:
+        if memory_cutoff_slots < 1:
             self._reject("memory_cutoff_slots", "below 1")
 
     def _reject(self, name: str, why: str):
@@ -51,20 +52,21 @@ class NodeParams:
         raise GraphValidationError(f"{name}: {node} has {name} {getattr(self, name)}, {why}")
 
 
-@dataclass(frozen=True)
-class EdgeParams:
-    u: str
-    v: str
-    capacity: int = 1
-    length_km: float = 0.0
-    link_prob: float | None = None
+class EdgeParams(Record):
+    __slots__ = _fields = ("u", "v", "capacity", "length_km", "link_prob")
 
-    def __post_init__(self):
-        if self.capacity < 0:
+    def __init__(self, u: str, v: str, capacity: int = 1, length_km: float = 0.0,
+                 link_prob: float | None = None):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "capacity", capacity)
+        _set(self, "length_km", length_km)
+        _set(self, "link_prob", link_prob)
+        if capacity < 0:
             self._reject("capacity", "below 0")
-        if self.length_km < 0:
+        if length_km < 0:
             self._reject("length_km", "below 0")
-        if self.link_prob is not None and not 0 <= self.link_prob <= 1:
+        if link_prob is not None and not 0 <= link_prob <= 1:
             self._reject("link_prob", "outside [0, 1]")
 
     def _reject(self, name: str, why: str):
@@ -74,8 +76,7 @@ class EdgeParams:
         raise GraphValidationError(f"{name}: {edge} has {name} {getattr(self, name)}, {why}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Network-wide physical parameters.
 
     attenuation_alpha is the fiber loss exponent per km (0.046/km is the
@@ -86,24 +87,27 @@ class PhysicalConstants:
     ("off" only warns above the ancilla-assisted one).
     """
 
-    attenuation_alpha: float = 0.046
-    attempts_per_slot: int = 1
-    base_efficiency: float = 1.0
-    swap_bound_mode: str = "off"
+    __slots__ = _fields = ("attenuation_alpha", "attempts_per_slot",
+                           "base_efficiency", "swap_bound_mode")
 
-    def __post_init__(self):
+    def __init__(self, attenuation_alpha: float = 0.046, attempts_per_slot: int = 1,
+                 base_efficiency: float = 1.0, swap_bound_mode: str = "off"):
         # "<keyword>: why", so a scenario error can name the JSON field
-        if self.attenuation_alpha < 0:
+        if attenuation_alpha < 0:
             raise GraphValidationError("attenuation_alpha: must be >= 0")
-        if self.attempts_per_slot < 1:
+        if attempts_per_slot < 1:
             raise GraphValidationError("attempts_per_slot: must be >= 1")
-        if not 0 < self.base_efficiency <= 1:
+        if not 0 < base_efficiency <= 1:
             raise GraphValidationError("base_efficiency: must be in (0, 1]")
-        if self.swap_bound_mode not in SWAP_BOUND_MODES:
+        if swap_bound_mode not in SWAP_BOUND_MODES:
             raise GraphValidationError(
                 f"swap_bound_mode: must be one of {SWAP_BOUND_MODES}, "
-                f"got {self.swap_bound_mode!r}"
+                f"got {swap_bound_mode!r}"
             )
+        _set(self, "attenuation_alpha", attenuation_alpha)
+        _set(self, "attempts_per_slot", attempts_per_slot)
+        _set(self, "base_efficiency", base_efficiency)
+        _set(self, "swap_bound_mode", swap_bound_mode)
 
 
 def link_success_probability(
@@ -137,8 +141,7 @@ def classical_delay_ms(length_km: float) -> float:
     return length_km / CLASSICAL_SIGNAL_KM_PER_S * 1e3
 
 
-@dataclass(frozen=True)
-class NetworkGraph:
+class NetworkGraph(Record):
     """Validated, immutable undirected topology with physical parameters.
 
     Nodes are sorted by id and edges by canonical endpoint pair, so two
@@ -152,24 +155,18 @@ class NetworkGraph:
     nodes or edges out of that order.
     """
 
-    nodes: tuple[NodeParams, ...]
-    edges: tuple[EdgeParams, ...]
-    phys: PhysicalConstants
-    # lookups derived from nodes and edges in __post_init__; not init fields,
-    # so `dataclasses.replace` rebuilds them
-    node_rank: dict = field(init=False, compare=False, repr=False)
-    edge_index: dict = field(init=False, compare=False, repr=False)
-    # adjacency[rank] is ((neighbour rank, edge index), ...) over every
-    # edge, capacity 0 included, sorted by neighbour rank
-    adjacency: tuple = field(init=False, compare=False, repr=False)
-    # derived tables built on first use (search tables, specs)
-    _memo: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _fields = ("nodes", "edges", "phys")
+    # the lookups derived from nodes and edges, which are not fields, so
+    # `replace`, `==` and `hash` pass them by: node_rank and edge_index;
+    # adjacency[rank], ((neighbour rank, edge index), ...) over every edge,
+    # capacity 0 included, sorted by neighbour rank; and _memo, the tables
+    # built on first use (search tables, specs)
+    __slots__ = (*_fields, "node_rank", "edge_index", "adjacency", "_memo")
 
-    def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        keys = [(e.u, e.v) for e in self.edges]
+    def __init__(self, nodes: tuple[NodeParams, ...], edges: tuple[EdgeParams, ...],
+                 phys: PhysicalConstants):
+        ids = [n.id for n in nodes]
+        keys = [(e.u, e.v) for e in edges]
         # in sorted input a repeated id or edge sits next to its twin
         for prev, v in zip(ids, ids[1:]):
             if not prev < v:
@@ -203,16 +200,13 @@ class NetworkGraph:
             ru, rv = node_rank[u], node_rank[v]
             adjacency[ru].append((rv, i))
             adjacency[rv].append((ru, i))
-        object.__setattr__(self, "node_rank", MappingProxyType(node_rank))
-        object.__setattr__(
-            self, "edge_index", MappingProxyType({k: i for i, k in enumerate(keys)})
-        )
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
-
-    def __reduce__(self):
-        # the lookup maps are read-only proxies, which cannot be pickled:
-        # rebuild them, and rerun the checks, from the three fields
-        return NetworkGraph, (self.nodes, self.edges, self.phys)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "phys", phys)
+        _set(self, "node_rank", MappingProxyType(node_rank))
+        _set(self, "edge_index", MappingProxyType({k: i for i, k in enumerate(keys)}))
+        _set(self, "adjacency", tuple(map(tuple, adjacency)))
+        _set(self, "_memo", {})
 
     def node(self, node_id: str) -> NodeParams:
         try:
@@ -306,7 +300,7 @@ def build_graph(
     for e in edge_specs:
         if e.link_prob is None or e.u > e.v:
             u, v = edge_key(e.u, e.v)
-            e = replace(e, u=u, v=v, link_prob=_link_prob(e, phys))
+            e = e.replace(u=u, v=v, link_prob=_link_prob(e, phys))
         normalized.append(e)
 
     nodes = tuple(sorted(node_specs, key=lambda n: n.id))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .analytics import (
     FidelityInfeasibleError,
@@ -25,28 +24,29 @@ from .pathfind import (
     k_shortest_paths,
     path_spec_from_nodes,
 )
+from .record import Record, _set
 
 MIN_GAIN = 1e-12  # utility increments at or below this are noise: stop there
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(Record):
     """Demand for `rate_target` E2E pairs per slot at fidelity >= min_fidelity."""
 
-    id: str
-    source: str
-    dest: str
-    rate_target: float = 1.0
-    min_fidelity: float = 0.5
+    __slots__ = _fields = ("id", "source", "dest", "rate_target", "min_fidelity")
 
-    def __post_init__(self):
-        if self.source == self.dest:
-            raise ValueError(f"dest: equals source {self.source!r}")
-        if self.rate_target <= 0:
-            raise ValueError(f"rate_target: must be > 0, got {self.rate_target}")
-        if not 0.25 < self.min_fidelity <= 1:
-            raise ValueError(
-                f"min_fidelity: {self.min_fidelity} outside (0.25, 1]")
+    def __init__(self, id: str, source: str, dest: str, rate_target: float = 1.0,
+                 min_fidelity: float = 0.5):
+        if source == dest:
+            raise ValueError(f"dest: equals source {source!r}")
+        if rate_target <= 0:
+            raise ValueError(f"rate_target: must be > 0, got {rate_target}")
+        if not 0.25 < min_fidelity <= 1:
+            raise ValueError(f"min_fidelity: {min_fidelity} outside (0.25, 1]")
+        _set(self, "id", id)
+        _set(self, "source", source)
+        _set(self, "dest", dest)
+        _set(self, "rate_target", rate_target)
+        _set(self, "min_fidelity", min_fidelity)
 
 
 UTILITY_KINDS = ("total_throughput", "saturating", "weighted_sum")
@@ -61,21 +61,22 @@ def check_unique_ids(requests) -> None:
         seen.add(req.id)
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Per-request utility; all kinds are non-decreasing in the rate."""
 
-    kind: str = "total_throughput"
-    weights: tuple[tuple[str, float], ...] = ()
+    __slots__ = _fields = ("kind", "weights")
 
-    def __post_init__(self):
-        if self.kind not in UTILITY_KINDS:
-            raise ValueError(f"kind: unknown utility kind {self.kind!r}")
-        if self.weights and self.kind != "weighted_sum":
+    def __init__(self, kind: str = "total_throughput",
+                 weights: tuple[tuple[str, float], ...] = ()):
+        if kind not in UTILITY_KINDS:
+            raise ValueError(f"kind: unknown utility kind {kind!r}")
+        if weights and kind != "weighted_sum":
             raise ValueError(
-                f"weights: utility {self.kind!r} reads no weights; only "
+                f"weights: utility {kind!r} reads no weights; only "
                 "'weighted_sum' does"
             )
+        _set(self, "kind", kind)
+        _set(self, "weights", weights)
 
     def weight(self, request_id: str) -> float:
         return dict(self.weights).get(request_id, 1.0)
@@ -88,11 +89,15 @@ class UtilitySpec:
         return self.weight(req.id) * rate
 
 
-@dataclass(frozen=True)
-class PathAllocation:
-    request_id: str
-    path: PathSpec  # per_hop_capacity holds the allocated widths
-    policy: SwapPolicy
+class PathAllocation(Record):
+    _fields = ("request_id", "path", "policy")
+    __slots__ = (*_fields, "__dict__")  # the dict caches `throughput`
+
+    def __init__(self, request_id: str, path: PathSpec, policy: SwapPolicy):
+        # path.per_hop_capacity holds the allocated widths
+        _set(self, "request_id", request_id)
+        _set(self, "path", path)
+        _set(self, "policy", policy)
 
     @functools.cached_property
     def throughput(self) -> float:
@@ -100,13 +105,20 @@ class PathAllocation:
         return expected_throughput(policy_distribution(self.path, self.policy))
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    requests: tuple[Request, ...]
-    allocations: tuple[PathAllocation, ...]
-    residual: tuple[tuple[tuple[str, str], int], ...]
-    infeasible: tuple[tuple[str, str], ...] = ()  # (request id, reason)
-    utility_trace: tuple[float, ...] = ()
+class AllocationPlan(Record):
+    __slots__ = _fields = ("requests", "allocations", "residual", "infeasible",
+                           "utility_trace")
+
+    def __init__(self, requests: tuple[Request, ...],
+                 allocations: tuple[PathAllocation, ...],
+                 residual: tuple[tuple[tuple[str, str], int], ...],
+                 infeasible: tuple[tuple[str, str], ...] = (),  # (request id, reason)
+                 utility_trace: tuple[float, ...] = ()):
+        _set(self, "requests", requests)
+        _set(self, "allocations", allocations)
+        _set(self, "residual", residual)
+        _set(self, "infeasible", infeasible)
+        _set(self, "utility_trace", utility_trace)
 
     def request(self, request_id: str) -> Request:
         for r in self.requests:
@@ -130,23 +142,25 @@ def total_utility(plan: AllocationPlan, spec: UtilitySpec) -> float:
     )
 
 
-@dataclass(frozen=True)
-class AllocatorConfig:
-    k: int = 5
-    utility: UtilitySpec = field(default_factory=UtilitySpec)
-    policy: SwapPolicy = SwapPolicy("doubling")
-    elementary_fidelity: float = 1.0
+class AllocatorConfig(Record):
+    __slots__ = _fields = ("k", "utility", "policy", "elementary_fidelity")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k: must be >= 1, got {self.k}")
-        if self.policy.kind == "adhoc":
+    def __init__(self, k: int = 5, utility: UtilitySpec = UtilitySpec(),
+                 policy: SwapPolicy = SwapPolicy("doubling"),
+                 elementary_fidelity: float = 1.0):
+        if k < 1:
+            raise ValueError(f"k: must be >= 1, got {k}")
+        if policy.kind == "adhoc":
             raise ValueError(
                 "policy: adhoc swapping has no closed-form throughput; plans "
                 "need a static policy"
             )
-        if not 0.25 < self.elementary_fidelity <= 1:
+        if not 0.25 < elementary_fidelity <= 1:
             raise ValueError("elementary_fidelity outside (0.25, 1]")
+        _set(self, "k", k)
+        _set(self, "utility", utility)
+        _set(self, "policy", policy)
+        _set(self, "elementary_fidelity", elementary_fidelity)
 
 
 def _drop_stale(route_cache: dict, i: int) -> None:

@@ -3,17 +3,15 @@
 The schema is the field tables below, one per JSON object; README shows
 an example. Parsing is strict: an unknown key, a value of the wrong JSON
 type or a non-finite number is rejected, and every error names its JSON
-path. An absent key takes the default of the dataclass it builds, and
-range checks live in those dataclasses and in `build_graph`.
+path. An absent key takes the default of the constructor it is passed to,
+and range checks live in those constructors and in `build_graph`.
 `scenario_to_dict` walks the same tables back.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
 
@@ -28,6 +26,7 @@ from .netmodel import (
     edge_key,
     grid_topology,
 )
+from .record import Record, _set
 from .routing import AllocatorConfig, Request, UtilitySpec
 
 SCHEMA_VERSION = 1
@@ -114,46 +113,52 @@ def policy_from_name(name: str) -> SwapPolicy:
     return SwapPolicy(name)
 
 
-@dataclass(frozen=True)
-class AnalyticsTargets:
-    paths: tuple[tuple[str, ...], ...] = ()
-    policy: SwapPolicy = SwapPolicy("doubling")
-    order_search: bool = False
+class AnalyticsTargets(Record):
+    __slots__ = _fields = ("paths", "policy", "order_search")
 
-    def __post_init__(self):
-        if self.policy.kind == "adhoc":
+    def __init__(self, paths: tuple[tuple[str, ...], ...] = (),
+                 policy: SwapPolicy = SwapPolicy("doubling"), order_search: bool = False):
+        if policy.kind == "adhoc":
             raise ValueError("policy: cannot be adhoc (no closed-form distribution)")
+        _set(self, "paths", paths)
+        _set(self, "policy", policy)
+        _set(self, "order_search", order_search)
 
 
-@dataclass(frozen=True)
-class ExplicitPath:
-    request_id: str
-    nodes: tuple[str, ...]
-    width: int = 1
-    policy: SwapPolicy | None = None
+class ExplicitPath(Record):
+    __slots__ = _fields = ("request_id", "nodes", "width", "policy")
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width: must be >= 1, got {self.width}")
+    def __init__(self, request_id: str, nodes: tuple[str, ...], width: int = 1,
+                 policy: SwapPolicy | None = None):
+        if width < 1:
+            raise ValueError(f"width: must be >= 1, got {width}")
+        _set(self, "request_id", request_id)
+        _set(self, "nodes", nodes)
+        _set(self, "width", width)
+        _set(self, "policy", policy)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A parsed scenario; its `elementary_fidelity` lives in `routing`."""
 
-    graph: NetworkGraph
-    requests: tuple[Request, ...] = ()
-    analytics: AnalyticsTargets = field(default_factory=AnalyticsTargets)
-    routing: AllocatorConfig = field(default_factory=AllocatorConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
-    explicit_paths: tuple[ExplicitPath, ...] = ()
-    output_format: str = "json"
+    __slots__ = _fields = ("graph", "requests", "analytics", "routing", "sim",
+                           "explicit_paths", "output_format")
 
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(
-                f"output_format: must be json or csv, got {self.output_format!r}"
-            )
+    def __init__(self, graph: NetworkGraph, requests: tuple[Request, ...] = (),
+                 analytics: AnalyticsTargets = AnalyticsTargets(),
+                 routing: AllocatorConfig = AllocatorConfig(),
+                 sim: SimConfig = SimConfig(),
+                 explicit_paths: tuple[ExplicitPath, ...] = (),
+                 output_format: str = "json"):
+        if output_format not in ("json", "csv"):
+            raise ValueError(f"output_format: must be json or csv, got {output_format!r}")
+        _set(self, "graph", graph)
+        _set(self, "requests", requests)
+        _set(self, "analytics", analytics)
+        _set(self, "routing", routing)
+        _set(self, "sim", sim)
+        _set(self, "explicit_paths", explicit_paths)
+        _set(self, "output_format", output_format)
 
 
 def _at(where: str, key) -> str:
@@ -240,8 +245,13 @@ def _check(value, kind, where: str):
 
 @cache
 def _required(build) -> tuple[str, ...]:
-    params = inspect.signature(build).parameters.values()
-    return tuple(p.name for p in params if p.default is p.empty)
+    """The parameters of `build` without a default, in order, read off its
+    code object; a class's off its `__init__`, less `self`."""
+    fn = build.__init__ if isinstance(build, type) else build
+    code, kwdefaults = fn.__code__, fn.__kwdefaults__ or {}
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    positional = names[isinstance(build, type):code.co_argcount - len(fn.__defaults__ or ())]
+    return positional + tuple(n for n in names[code.co_argcount:] if n not in kwdefaults)
 
 
 def _make(where: str, build, /, **kw):
@@ -310,7 +320,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     phys = _make("physical", PhysicalConstants, **d.get("physical", {}))
     graph = _graph(d.get("graph", {}), phys)
 
-    f0 = d.get("elementary_fidelity", AllocatorConfig.elementary_fidelity)
+    f0 = d.get("elementary_fidelity", AllocatorConfig().elementary_fidelity)
     if not 0.25 < f0 <= 1:
         raise ScenarioError(f"elementary_fidelity: {f0} outside (0.25, 1]")
 
@@ -451,11 +461,11 @@ def apply_overrides(s: Scenario, overrides: dict) -> Scenario:
         if "policy" in overrides:
             policy = sim["policy"] = policy_from_name(overrides["policy"])
             if policy.kind != "adhoc":  # adhoc is simulation-only
-                changes["analytics"] = replace(s.analytics, policy=policy)
-                changes["routing"] = replace(s.routing, policy=policy)
+                changes["analytics"] = s.analytics.replace(policy=policy)
+                changes["routing"] = s.routing.replace(policy=policy)
         if sim:
-            changes["sim"] = replace(s.sim, **sim)
-        return replace(s, **changes)
+            changes["sim"] = s.sim.replace(**sim)
+        return s.replace(**changes)
     except ValueError as exc:
         # a range check's "<keyword>: why" reads "overrides: <keyword> why"
         raise ScenarioError(f"overrides: {str(exc).replace(': ', ' ', 1)}") from None

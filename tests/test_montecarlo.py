@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -621,7 +620,7 @@ def block_cases(draw):
     g = build_graph(
         [NodeParams(id=v, swap_prob=draw(st.sampled_from((0.3, 0.5, 1.0))))
          for v in GRID],
-        [replace(e, link_prob=draw(st.sampled_from((0.0, 0.2, 0.7, 1.0))))
+        [e.replace(link_prob=draw(st.sampled_from((0.0, 0.2, 0.7, 1.0))))
          for e in g.edges],
     )
     residual = {(e.u, e.v): e.capacity for e in g.edges}
@@ -847,7 +846,7 @@ def test_async_worker_blocks_equal_this_process_blocks(monkeypatch, scheme):
     config = SimConfig(scheme=scheme, forwarding="async", seed=11,
                        policy=SwapPolicy("adhoc" if scheme == "proactive" else "doubling"))
     run = _Run(g, subject, config)
-    config = replace(config, slots=6 * _block_slots((run.links, run.swap_lanes.plane)) + 5)
+    config = config.replace(slots=6 * _block_slots((run.links, run.swap_lanes.plane)) + 5)
     with monkeypatch.context() as serial:
         usable_cpus(serial, 1)
         want = simulate(g, subject, config).to_dict()
@@ -1166,7 +1165,7 @@ def chain_plan(g, paths):
     for rid, idx, widths, policy in paths:
         path = path_spec_from_nodes(g, tuple(f"n{i}" for i in idx), width=1)
         allocations.append(PathAllocation(
-            request_id=rid, path=replace(path, per_hop_capacity=widths),
+            request_id=rid, path=path.replace(per_hop_capacity=widths),
             policy=policy))
     requests = {a.request_id: Request(id=a.request_id, source=a.path.nodes[0],
                                       dest=a.path.nodes[-1])
@@ -1641,7 +1640,7 @@ def test_plan_path_probabilities_must_match_the_graph(forwarding, field, value,
     plan = AllocationPlan(
         requests=(req,),
         allocations=(PathAllocation(request_id="r1",
-                                    path=replace(path, **{field: value}),
+                                    path=path.replace(**{field: value}),
                                     policy=SwapPolicy("doubling")),),
         residual=(),
     )

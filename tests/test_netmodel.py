@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -136,7 +135,7 @@ def naive_fault(nodes, edges):
 @given(spec_lists())
 def test_graph_checks_match_a_naive_checker(specs):
     nodes, edges = specs
-    canonical = [dataclasses.replace(e, u=min(e.u, e.v), v=max(e.u, e.v)) for e in edges]
+    canonical = [e.replace(u=min(e.u, e.v), v=max(e.u, e.v)) for e in edges]
     sorted_nodes = tuple(sorted(nodes, key=lambda n: n.id))
     sorted_edges = tuple(sorted(canonical, key=lambda e: (e.u, e.v)))
     builds = (
@@ -293,11 +292,11 @@ def two_copy_grid(rows, cols, default_edge, default_node, phys):
     `build_graph` to make its endpoints canonical and set its link_prob."""
     node_tpl = default_node or NodeParams(id="")
     edge_tpl = default_edge or EdgeParams(u="", v="")
-    nodes = [dataclasses.replace(node_tpl, id=f"{r},{c}")
+    nodes = [node_tpl.replace(id=f"{r},{c}")
              for r in range(rows) for c in range(cols)]
     pairs = [((r, c), (r + dr, c + dc)) for r in range(rows) for c in range(cols)
              for dr, dc in ((0, 1), (1, 0)) if r + dr < rows and c + dc < cols]
-    edges = [dataclasses.replace(edge_tpl, u="%d,%d" % a, v="%d,%d" % b)
+    edges = [edge_tpl.replace(u="%d,%d" % a, v="%d,%d" % b)
              for a, b in pairs]
     phys = phys or PhysicalConstants()
     netmodel._check_swap_bound(nodes, phys.swap_bound_mode)
@@ -308,7 +307,7 @@ def two_copy_grid(rows, cols, default_edge, default_node, phys):
         if p is None:
             p = link_success_probability(e.length_km, phys.attenuation_alpha,
                                          phys.base_efficiency, phys.attempts_per_slot)
-        normalized.append(dataclasses.replace(e, u=u, v=v, link_prob=p))
+        normalized.append(e.replace(u=u, v=v, link_prob=p))
     return NetworkGraph(tuple(sorted(nodes, key=lambda n: n.id)),
                         tuple(sorted(normalized, key=lambda e: (e.u, e.v))), phys)
 

@@ -2,7 +2,6 @@ import collections
 import heapq
 import math
 import random
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -502,7 +501,7 @@ def test_hop_count_labels_match_unit_length_heap():
     def compare(g, counts, s, d, k):
         nonlocal yen_cases
         unit = build_graph(
-            list(g.nodes), [replace(e, length_km=1.0) for e in g.edges], g.phys
+            list(g.nodes), [e.replace(length_km=1.0) for e in g.edges], g.phys
         )
         # `unit` has `g`'s edges, in the same order
         for usable in (None, [counts[e.u, e.v] for e in g.edges]):
@@ -752,7 +751,7 @@ def certain_graphs(draw):
     along a path the heap found, and banned nodes."""
     g, s, t, usable = draw(tied_graphs())
     assume(any(e.capacity >= 1 for e in g.edges))
-    g = build_graph(list(g.nodes), [replace(e, link_prob=1.0) for e in g.edges])
+    g = build_graph(list(g.nodes), [e.replace(link_prob=1.0) for e in g.edges])
     metric = Metric.INVERSE_CREATION_RATE
     root = _start(metric, s)
     found = _heap_search(g, root, t, metric, usable or [True] * len(g.edges))

@@ -2,7 +2,6 @@ import collections
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -378,6 +377,37 @@ def test_allocate_plan_ignores_request_order():
         assert got == [want, want]
 
 
+def test_allocate_lists_infeasible_requests_in_input_order():
+    # c07's instances never draw an infeasible request: the first 100 get
+    # one to three, with an unknown endpoint or a fidelity floor above the
+    # one-hop Werner fidelity f0, each at a random place in the list
+    rnd, extra = random.Random(4321), random.Random(11)
+    f0 = 0.98
+    config = AllocatorConfig(k=3, elementary_fidelity=f0)
+    for _ in range(100):
+        g, reqs = random_instance(rnd)
+        mixed = [(req, None) for req in reqs]  # (request, why it is infeasible)
+        for i in range(extra.randint(1, 3)):
+            source, dest = reqs[0].source, reqs[0].dest
+            if extra.random() < 0.5:
+                if extra.random() < 0.5:
+                    source = "nowhere"
+                else:
+                    dest = "nowhere"
+                req, why = Request(f"x{i}", source, dest), "unknown endpoint"
+            else:
+                floor = extra.uniform(0.981, 1.0)
+                req = Request(f"x{i}", source, dest, min_fidelity=floor)
+                why = f"fidelity floor {floor} exceeds elementary fidelity {f0}"
+            mixed.insert(extra.randint(0, len(mixed)), (req, why))
+        want = allocate(g, reqs, config)
+        got = allocate(g, [req for req, _ in mixed], config)
+        assert (got.allocations, got.residual, got.utility_trace) == (
+            want.allocations, want.residual, want.utility_trace)
+        assert want.infeasible == ()
+        assert got.infeasible == tuple((req.id, why) for req, why in mixed if why)
+
+
 def tied_grid(n, count):
     """The n x n grid with `grid_topology`'s defaults (capacity 1, 0 km, so
     p = 1: every creation-rate label ties) and `count` requests, each
@@ -554,7 +584,7 @@ def test_allocate_prices_each_route_by_its_own_probabilities():
     config = AllocatorConfig(k=4)
     for _ in range(20):
         g = grid_topology(4, 4, EdgeParams(u="", v="", capacity=2, link_prob=0.8))
-        nodes = [replace(v, swap_prob=rnd.choice((0.3, 0.6, 0.9))) for v in g.nodes]
+        nodes = [v.replace(swap_prob=rnd.choice((0.3, 0.6, 0.9))) for v in g.nodes]
         g = build_graph(nodes, list(g.edges))
         pairs = (rnd.sample(g.node_ids(), 2) for _ in range(3))
         reqs = [Request(id=f"r{i}", source=s, dest=d) for i, (s, d) in enumerate(pairs)]
@@ -572,7 +602,7 @@ def test_allocate_with_one_link_probability_runs_yen_once_per_key(monkeypatch):
     for i in range(240):
         g, reqs = random_instance(rnd)
         p = (1e-100, 1e-60, 0.3, 0.5, 0.8, 0.99)[i % 6]  # tiny p overflows
-        edges = [replace(e, link_prob=p) for e in g.edges]
+        edges = [e.replace(link_prob=p) for e in g.edges]
         instances.append((build_graph(list(g.nodes), edges, g.phys), reqs))
 
     calls = []

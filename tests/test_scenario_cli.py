@@ -391,6 +391,26 @@ def test_bad_input_names_its_json_path(doc, where, tmp_path, capsys):
     assert where + ":" in capsys.readouterr().err
 
 
+# (document, JSON path): each leaves out a field its constructor needs, which
+# `scenario._required` reads off the constructor's code
+MISSING_FIELDS = [
+    (_set(_CHAIN, ("graph", "nodes", 0), {"swap_prob": 0.5}), "graph.nodes[0].id"),
+    (_set(_CHAIN, ("graph", "edges", 0), {"u": "A"}), "graph.edges[0].v"),
+    (_set(_CHAIN, ("requests", 0), {"dest": "C"}), "requests[0].source"),
+    (_set(_CHAIN, ("requests", 0), {"source": "A"}), "requests[0].dest"),
+    (_set(_GRID, ("graph", "grid"), {"cols": 3}), "graph.grid.rows"),
+    (_set(_GRID, ("graph", "grid"), {"rows": 3}), "graph.grid.cols"),
+    (_set(_CHAIN, ("sim", "paths"), [{"request": "r1"}]), "sim.paths[0].nodes"),
+]
+
+
+@pytest.mark.parametrize("doc, where", MISSING_FIELDS, ids=[w for _, w in MISSING_FIELDS])
+def test_missing_field_names_its_json_path(doc, where):
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert str(exc.value) == f"{where}: missing field"
+
+
 # 13 hops along a 4x4 grid, one past the exhaustive order search's limit
 _SNAKE = ["0,0", "0,1", "0,2", "0,3", "1,3", "1,2", "1,1", "1,0",
           "2,0", "2,1", "2,2", "2,3", "3,3", "3,2"]
@@ -822,6 +842,21 @@ def test_cli_import_leaves_numpy_out():
     # numpy would add about 0.16 s and 12 MiB to every CLI run
     proc = _python("-c", "import sys, qroute.cli; print('numpy' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_scenario_setup_imports_no_code_tools():
+    # `inspect` and `dataclasses` (which loads `inspect`, and that `ast`,
+    # `dis` and `tokenize`) took a third of a CLI run's set-up
+    proc = _python("-c", f"""if True:
+        import sys
+        before = set(sys.modules)
+        import qroute.cli
+        from qroute.scenario import apply_overrides, parse_scenario
+        apply_overrides(parse_scenario({str(SCENARIO_DIR / "two_hop_chain.json")!r}), {{}})
+        tools = {{"dataclasses", "inspect", "ast", "dis", "tokenize"}}
+        print(sorted(tools & (set(sys.modules) - before)))
+    """)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_swap_bound_warning_is_bad_input_under_warnings_as_errors(tmp_path, capsys):
